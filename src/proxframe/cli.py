@@ -133,6 +133,11 @@ def _report_line(report, fmt: str) -> str:
     return report.to_json()
 
 
+def _tol(cfg: RunConfig, default: float) -> float:
+    """The --tol value as given (0 included), else the check's default."""
+    return default if cfg.tol is None else cfg.tol
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     matrix = load_named_matrix(cfg.operator)
     op = build_operator(matrix)
@@ -141,24 +146,24 @@ def cmd_verify(cfg: RunConfig) -> int:
     reg = InducedRegularizer.from_shrinkage(fs)
 
     reports = [
-        verify_operator_identities(op, tol=cfg.tol or 1e-10, trials=cfg.trials, seed=cfg.seed),
-        verify_firm_nonexpansive(prox, dim=op.n, trials=cfg.trials, tol=cfg.tol or 1e-12, seed=cfg.seed + 1),
+        verify_operator_identities(op, tol=_tol(cfg, 1e-10), trials=cfg.trials, seed=cfg.seed),
+        verify_firm_nonexpansive(prox, dim=op.n, trials=cfg.trials, tol=_tol(cfg, 1e-12), seed=cfg.seed + 1),
     ]
     if prox.potential is not None:
         reports.append(
             verify_moreau_characterization(
                 prox, prox.potential, dim=op.n, trials=min(cfg.trials, 200),
-                tol=cfg.tol or 1e-6, seed=cfg.seed + 2,
+                tol=_tol(cfg, 1e-6), seed=cfg.seed + 2,
             )
         )
     reports.append(
-        verify_t_firm_nonexpansive(fs, trials=cfg.trials, tol=cfg.tol or 1e-12, seed=cfg.seed + 3)
+        verify_t_firm_nonexpansive(fs, trials=cfg.trials, tol=_tol(cfg, 1e-12), seed=cfg.seed + 3)
     )
     reports.append(
-        verify_prox_identity(fs, reg, trials=min(cfg.trials, 200), tol=cfg.tol or 1e-6, seed=cfg.seed + 4)
+        verify_prox_identity(fs, reg, trials=min(cfg.trials, 200), tol=_tol(cfg, 1e-6), seed=cfg.seed + 4)
     )
     reports.append(
-        weaker_regularizer_check(reg, trials=cfg.trials, tol=cfg.tol or 1e-9, seed=cfg.seed + 5)
+        weaker_regularizer_check(reg, trials=cfg.trials, tol=_tol(cfg, 1e-9), seed=cfg.seed + 5)
     )
 
     emit = _Emitter(cfg.out)
@@ -175,7 +180,7 @@ def cmd_regularizer(cfg: RunConfig) -> int:
     fs = FrameShrinkage(op, prox)
     reg = InducedRegularizer.from_shrinkage(fs)
     grid = parse_grid(cfg.grid)
-    tol = cfg.tol or 1e-9
+    tol = _tol(cfg, 1e-9)
 
     is_example = (
         op.d == 1
@@ -236,7 +241,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise ValueError(f"data length {x.size} does not match operator with {matrix.shape[1]} columns")
 
     report = solve_analysis_dual(
-        AnalysisProblem(x, matrix, lam), tol=cfg.tol or 1e-10
+        AnalysisProblem(x, matrix, lam), tol=_tol(cfg, 1e-10)
     )
     emit = _Emitter(cfg.out)
     emit.line(report.to_json())

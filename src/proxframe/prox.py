@@ -218,7 +218,7 @@ def verify_moreau_characterization(
         raise ValueError("trials must be >= 1")
 
     def chunk(lo: int, hi: int) -> float:
-        worst = -np.inf
+        found = []
         for i in range(lo, hi):
             rng = trial_rng(seed, i)
             scale = SCALES[i % len(SCALES)]
@@ -226,17 +226,16 @@ def verify_moreau_characterization(
             y = scale * rng.standard_normal(dim)
             px = np.asarray(prox_map(x))
             py = np.asarray(prox_map(y))
-            worst = max(worst, float(np.linalg.norm(px - py) - np.linalg.norm(x - y)))
+            found.append(float(np.linalg.norm(px - py) - np.linalg.norm(x - y)))
             mid = float(potential(0.5 * (x + y)))
-            worst = max(worst, mid - 0.5 * (float(potential(x)) + float(potential(y))))
+            found.append(mid - 0.5 * (float(potential(x)) + float(potential(y))))
             h = 1e-6 * np.maximum(1.0, np.abs(x))
             if prox_map.breakpoint_gap is not None:
                 if np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h):
                     continue
             fd = _central_diff(potential, x)
-            rel = float(np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px))))
-            worst = max(worst, rel)
-        return worst
+            found.append(float(np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px)))))
+        return float(np.max(found))
 
     worst = max_over_chunks(chunk, trials)
     return report_pass(f"moreau_characterization:{prox_map.name}", trials, worst, tol)

@@ -3,7 +3,8 @@
 Every trial owns a counter-based random stream (Philox keyed by the run seed,
 counter block set from the trial index), so a run's samples do not depend on
 execution order. Verification trials may therefore be fanned out across
-threads and reduced with ``max`` without changing any reported number.
+threads and reduced with a NaN-propagating max without changing any
+reported number.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def max_over_chunks(fn, trials: int, workers: int | None = None) -> float:
     """Max of ``fn(lo, hi)`` over a partition of range(trials).
 
     ``fn`` must compute the max violation for trials ``lo..hi-1`` using only
-    per-trial streams, so the partition cannot affect the result.
+    per-trial streams, so the partition cannot affect the result. A NaN from
+    any chunk makes the result NaN, whatever the partition.
     """
     if workers is None:
         workers = worker_count()
@@ -64,4 +66,4 @@ def max_over_chunks(fn, trials: int, workers: int | None = None) -> float:
     jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(lambda b: fn(*b), jobs))
-    return max(parts)
+    return float(np.max(parts))

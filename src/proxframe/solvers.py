@@ -39,6 +39,8 @@ class AnalysisProblem:
         if not self.lam > 0:
             raise NonPositiveLambda(f"lambda must be positive, got {self.lam}")
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        if not np.isfinite(self.x).all():
+            raise ValueError("data x must be finite")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Operator-splitting iterations shared by the oracle and the regularizer.
+"""Operator-splitting iterations behind the numeric prox oracle.
 
-Both routines work on column blocks: a (m, k) iterate runs k instances of
-the scheme in lockstep. Each column is frozen at its own first tolerance
-crossing, so the numbers a column produces do not depend on which other
-columns share the block; verification runs may therefore batch or fan out
-trials arbitrarily without changing any reported value.
+``douglas_rachford`` serves the Euclidean oracle and ``metric_prox_admm``
+the T-metric one; the induced regularizer itself is evaluated by a dual
+solve in ``shrinkage``. Both routines work on column blocks: a (m, k)
+iterate runs k instances of the scheme in lockstep. Each column is frozen
+at its own first tolerance crossing, so the numbers a column produces do
+not depend on which other columns share the block; verification runs may
+therefore batch or fan out trials arbitrarily without changing any
+reported value.
 """
 
 from __future__ import annotations
@@ -17,17 +20,15 @@ def _cols(a: np.ndarray) -> np.ndarray:
 
 
 def douglas_rachford(
-    prox_a, prox_b, z0: np.ndarray, step: float, tol: float, max_iter: int,
-    relax: float = 1.0,
+    prox_a, prox_b, z0: np.ndarray, step: float, tol: float, max_iter: int
 ):
     """Minimize f_a + f_b given the scaled proxes of both pieces.
 
     ``prox_a(v, t)`` must return the prox of ``t * f_a`` at v, similarly for
-    ``prox_b``. ``relax`` in (0, 2) over-relaxes the driver update. Returns
-    ``(point, iterations, residual, converged)`` where ``point`` collects the
-    prox_a-side iterates (feasible whenever f_a is an indicator), each column
-    frozen when its max-norm splitting gap first reaches ``tol``;
-    ``iterations`` is the count when the last column froze.
+    ``prox_b``. Returns ``(point, iterations, residual, converged)`` where
+    ``point`` collects the prox_a-side iterates, each column frozen when its
+    max-norm splitting gap first reaches ``tol``; ``iterations`` is the
+    count when the last column froze.
     """
     squeeze = np.ndim(z0) == 1
     z = _cols(np.array(z0, dtype=float))
@@ -39,7 +40,7 @@ def douglas_rachford(
     for k in range(1, max_iter + 1):
         arg = 2.0 * a - z
         b = _cols(prox_b(arg if not squeeze else arg[:, 0], step))
-        z = z + relax * (b - a)
+        z = z + (b - a)
         fresh = prox_a(z if not squeeze else z[:, 0], step)
         a = _cols(fresh)
         resid = np.max(np.abs(b - a), axis=0)

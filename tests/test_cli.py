@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from proxframe import save_matrix_csv, save_matrix_json
+from proxframe import ProxMap, save_matrix_csv, save_matrix_json, verify_firm_nonexpansive
 from proxframe.cli import main
+from proxframe.sampling import max_over_chunks
 
 
 def run(capsys, *argv):
@@ -76,6 +77,34 @@ def test_verify_failure_exits_1(capsys):
     assert any(not r["pass"] for r in reports)
 
 
+def test_verify_tol_zero_is_used_as_given(capsys):
+    code, out, _ = run(capsys, "verify", "--operator", "example35", "--prox", "soft:1",
+                       "--trials", "3", "--tol", "0")
+    assert code == 1
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(reports) == 6
+    assert all(r["tolerance"] == 0.0 for r in reports)
+    # the numeric prox cannot converge at tolerance 0, so nothing was measured
+    prox_identity = next(r for r in reports if r["property"] == "prox_identity")
+    assert prox_identity["pass"] is False
+
+
+def test_nonfinite_data_is_usage_error(capsys):
+    for value in ("nan", "inf"):
+        code, out, err = run(capsys, "solve", "--operator", "example35", "--x", value)
+        assert code == 2
+        assert "finite" in err and not out
+
+
+def test_verify_large_lambda(capsys):
+    # most samples land deep inside the dead zone of soft:10, where the
+    # regularizer is evaluated at numeric-prox points of size ~1e-9
+    code, out, err = run(capsys, "verify", "--operator", "random:6x3:4", "--prox", "soft:10",
+                         "--trials", "40", "--seed", "3")
+    assert code == 0, err
+    assert all(json.loads(line)["pass"] for line in out.strip().splitlines())
+
+
 def test_verify_runs_are_byte_identical(capsys):
     args = ("verify", "--operator", "random:5x3:9", "--prox", "soft:0.5",
             "--trials", "30", "--seed", "42")
@@ -92,6 +121,24 @@ def test_verify_byte_identical_under_thread_fanout(capsys, monkeypatch):
     monkeypatch.setenv("PROXFRAME_THREADS", "4")
     _, threaded, _ = run(capsys, *args)
     assert serial == threaded
+
+
+def test_nan_violation_fails_under_any_fanout(monkeypatch):
+    # NaN only in the last chunk: a reduction with Python's max would drop it
+    def chunk(lo, hi):
+        return float("nan") if hi == 32 else 0.0
+
+    for workers in (1, 2):
+        assert np.isnan(max_over_chunks(chunk, 32, workers=workers))
+
+    nan_map = ProxMap("nan_above_2", 1.0, lambda v, t=1.0: np.where(np.abs(v) > 2.0, np.nan, v))
+    lines = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("PROXFRAME_THREADS", workers)
+        rep = verify_firm_nonexpansive(nan_map, dim=3, trials=32, tol=1e-12, seed=5)
+        assert not rep.passed and np.isnan(rep.max_violation)
+        lines.append(rep.to_json())
+    assert lines[0] == lines[1]
 
 
 def test_regularizer_grid_export(tmp_path, capsys):

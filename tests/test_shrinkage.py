@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxframe import (
     DimensionMismatch,
@@ -120,6 +121,73 @@ def test_induced_regularizer_not_converged():
     reg = InducedRegularizer.from_shrinkage(example_shrinkage())
     with pytest.raises(NotConverged):
         induced_regularizer(reg, np.array([1.0]), tol=1e-12, max_iter=2)
+
+
+def test_nonfinite_signals_rejected(rng):
+    fs = FrameShrinkage(random_operator(6, 3, rng), soft_shrink_map(1.0))
+    reg = InducedRegularizer.from_shrinkage(fs)
+    for bad in (np.nan, np.inf, -np.inf):
+        xs = rng.standard_normal((3, 5))
+        xs[1, 2] = bad
+        for fn in (lambda x: frame_prox(fs, x), lambda x: induced_regularizer(reg, x)):
+            with pytest.raises(ValueError, match="column 2"):
+                fn(xs)
+            with pytest.raises(ValueError, match="column 0"):
+                fn(xs[:, 2])
+    # a lone infinity once surfaced as NonPositiveLambda from inside the solve
+    with pytest.raises(ValueError, match="not finite"):
+        induced_regularizer(InducedRegularizer.from_shrinkage(example_shrinkage()), [np.inf])
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 13),
+    d_frac=st.floats(0.0, 1.0, exclude_max=True),
+    lam=st.sampled_from([0.1, 1.0, 10.0]),
+    log_cond=st.floats(0.0, 3.0),
+)
+def test_induced_regularizer_gap_certificate(seed, n, d_frac, lam, log_cond):
+    # At a shrinkage point y = T^+ S(Tx), with p = S(Tx), the pair
+    # w = B^T p, u = Tx - p is primal-dual optimal for f(y), so the dual
+    # objective at u is a lower bound on f(y) that is tight in exact arithmetic.
+    rng = np.random.default_rng(seed)
+    d = 1 + int(d_frac * (n - 1))
+    op = random_operator(n, d, rng, cond=10.0**log_cond)
+    fs = FrameShrinkage(op, soft_shrink_map(lam))
+    reg = InducedRegularizer.from_shrinkage(fs)
+    tol = 1e-9
+    x = rng.standard_normal((d, 6)) * np.array([0.1, 1.0, 10.0, 0.1, 1.0, 10.0])
+    y = frame_prox(fs, x)
+    tx, ty = op.matrix @ x, op.matrix @ y
+    u = tx - soft_shrink(tx, lam)
+    null_u = u - op.range_proj @ u
+    dual = np.sum(u * ty, axis=0) - 0.5 * np.sum(u * null_u, axis=0)
+    g_ty = reg.g(ty)
+    # float64 rounding of the bound and of the certified value
+    slack = 1e-12 * (1.0 + g_ty + np.sum(u * u, axis=0))
+
+    vals = induced_regularizer(reg, y, tol=tol)
+    assert np.all(vals >= dual - slack)
+    assert np.all(vals - dual <= tol + slack)
+    assert np.all(vals <= g_ty)
+    # each column is certified on its own; BLAS may round a one-column
+    # product differently, so batch and single agree to the certified gap
+    singles = np.array([induced_regularizer(reg, y[:, j], tol=tol) for j in range(6)])
+    np.testing.assert_allclose(vals, singles, rtol=0.0, atol=tol + np.max(slack))
+
+
+def test_induced_regularizer_deep_in_dead_zone(rng):
+    # |Tx| about 1e-10 lam: unit-step FISTA on the dual creeps here, yet the
+    # values must come back certified, inside [0, g(Tx)] and consistent
+    # across tolerances
+    op = random_operator(9, 2, rng)
+    reg = InducedRegularizer.from_shrinkage(FrameShrinkage(op, soft_shrink_map(10.0)))
+    xs = 1e-9 * rng.standard_normal((2, 20))
+    loose = induced_regularizer(reg, xs, tol=1e-7)
+    tight = induced_regularizer(reg, xs, tol=1e-10)
+    assert np.all(loose >= 0.0) and np.all(loose <= reg.g(op.matrix @ xs))
+    assert np.all(np.abs(loose - tight) <= 1e-7)
 
 
 def test_induced_regularizer_dimension_mismatch():
