@@ -103,8 +103,8 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(v) for v in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"expected LO:HI:STEP, got {spec!r}") from exc
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad grid {spec!r}")
+    if not 0 < step < np.inf or hi < lo or not np.isfinite((hi - lo) / step):
+        raise ValueError(f"bad grid {spec!r}: needs finite LO <= HI, STEP > 0 and point count")
     count = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(count)
 

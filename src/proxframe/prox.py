@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveLambda
 from .reports import SolveReport, VerifyReport, report_pass
-from .sampling import SCALES, max_over_chunks, trial_rng
+from .sampling import max_over_chunks, sample_trials
 from . import splitting
 
 
@@ -82,19 +82,18 @@ class ProxMap:
     underlying function with the scale ``lam`` already absorbed; the plain
     evaluation map is ``prox(v, 1)``, available as ``P(v)``. The splitting
     solvers may pass ``t`` as a per-column array when v holds columns, so
-    the handle must broadcast over the trailing axis. ``function``,
-    ``envelope`` and ``potential`` (g, its envelope value, and the convex
-    potential whose gradient is the prox) reduce over axis 0, so they return
-    one value per column for matrix input. ``breakpoint_gap`` gives each
-    component's distance to the nearest kink of the potential and is used to
-    keep finite-difference checks away from breakpoints.
+    the handle must broadcast over the trailing axis. ``function`` and
+    ``potential`` (g and the convex potential whose gradient is the prox)
+    reduce over axis 0, so they return one value per column for matrix
+    input. ``breakpoint_gap`` gives each component's distance to the nearest
+    kink of the potential and is used to keep finite-difference checks away
+    from breakpoints.
     """
 
     name: str
     lam: float
     prox: Callable[[np.ndarray, float], np.ndarray]
     function: Callable[[np.ndarray], np.ndarray] | None = None
-    envelope: Callable[[np.ndarray], np.ndarray] | None = None
     potential: Callable[[np.ndarray], np.ndarray] | None = None
     breakpoint_gap: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -104,11 +103,6 @@ class ProxMap:
 
 def _colsum(values: np.ndarray) -> np.ndarray:
     return np.sum(values, axis=0)
-
-
-def _huber_cols(v, lam):
-    a = np.asarray(v, dtype=float)
-    return _colsum(np.where(np.abs(a) <= lam, 0.5 * a * a, lam * np.abs(a) - 0.5 * lam * lam))
 
 
 def _potential_cols(v, lam):
@@ -122,14 +116,13 @@ def _zero_cols(v):
 
 
 def soft_shrink_map(lam: float) -> ProxMap:
-    """Soft shrinkage packaged with g = lam * l1 and its envelope/potential."""
+    """Soft shrinkage packaged with g = lam * l1 and its potential."""
     lam = _check_lambda(lam)
     return ProxMap(
         name="soft_shrink",
         lam=lam,
         prox=lambda v, t=1.0: soft_shrink(v, lam * t),
         function=lambda v: lam * _colsum(np.abs(np.asarray(v, dtype=float))),
-        envelope=lambda v: _huber_cols(v, lam),
         potential=lambda v: _potential_cols(v, lam),
         breakpoint_gap=lambda v: np.abs(np.abs(np.asarray(v, dtype=float)) - lam),
     )
@@ -142,7 +135,6 @@ def identity_map() -> ProxMap:
         lam=1.0,
         prox=lambda v, t=1.0: np.asarray(v, dtype=float),
         function=_zero_cols,
-        envelope=_zero_cols,
         potential=lambda v: 0.5 * _colsum(np.square(np.asarray(v, dtype=float))),
     )
 
@@ -154,17 +146,6 @@ def prox_map_by_name(name: str, lam: float = 1.0) -> ProxMap:
     if name == "identity":
         return identity_map()
     raise ValueError(f"unknown prox map {name!r}")
-
-
-def _pair_block(seed: int, dim: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.empty((dim, hi - lo))
-    y = np.empty_like(x)
-    for i in range(lo, hi):
-        rng = trial_rng(seed, i)
-        scale = SCALES[i % len(SCALES)]
-        x[:, i - lo] = scale * rng.standard_normal(dim)
-        y[:, i - lo] = scale * rng.standard_normal(dim)
-    return x, y
 
 
 def verify_firm_nonexpansive(
@@ -179,7 +160,7 @@ def verify_firm_nonexpansive(
         raise ValueError("trials must be >= 1")
 
     def chunk(lo: int, hi: int) -> float:
-        x, y = _pair_block(seed, dim, lo, hi)
+        x, y = sample_trials(seed, lo, hi, dim, 2)
         dp = np.asarray(prox_map(x)) - np.asarray(prox_map(y))
         viol = _colsum(dp * dp) - _colsum((x - y) * dp)
         return float(np.max(viol))
@@ -219,11 +200,7 @@ def verify_moreau_characterization(
 
     def chunk(lo: int, hi: int) -> float:
         found = []
-        for i in range(lo, hi):
-            rng = trial_rng(seed, i)
-            scale = SCALES[i % len(SCALES)]
-            x = scale * rng.standard_normal(dim)
-            y = scale * rng.standard_normal(dim)
+        for x, y in sample_trials(seed, lo, hi, dim, 2).transpose(2, 0, 1):
             px = np.asarray(prox_map(x))
             py = np.asarray(prox_map(y))
             found.append(float(np.linalg.norm(px - py) - np.linalg.norm(x - y)))

@@ -1,10 +1,15 @@
 """Deterministic trial sampling for verification runs.
 
-Every trial owns a counter-based random stream (Philox keyed by the run seed,
-counter block set from the trial index), so a run's samples do not depend on
-execution order. Verification trials may therefore be fanned out across
-threads and reduced with a NaN-propagating max without changing any
-reported number.
+Trials fall in fixed blocks of BLOCK consecutive indices, and block ``b`` of
+a run owns one counter-based stream: Philox keyed by the run seed, with
+counter ``b``. A block's draws are laid out trial-major, so trial ``i``'s
+values depend only on the seed, ``i`` and the sample shape, never on how
+many trials the run draws (the prefix property).
+
+``max_over_chunks`` hands each block to one ``fn(lo, hi)`` call, serially or
+on a thread, so every sample and every matrix product acts on the same
+columns under any PROXFRAME_THREADS: fan-out never changes a reported digit,
+and a NaN from any block makes the result NaN.
 """
 
 from __future__ import annotations
@@ -14,29 +19,32 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Magnitudes swept by the pair samplers; chosen to land samples on both sides
-# of soft-shrinkage dead zones for the lambdas exercised in practice.
-SCALES = (0.1, 1.0, 10.0)
+# Trials per counter stream, and the unit of fan-out.
+BLOCK = 1024
+
+# Magnitudes swept by the samplers, trial i scaled by SCALES[i % 3]; chosen
+# to land samples on both sides of soft-shrinkage dead zones for the lambdas
+# exercised in practice.
+SCALES = np.array([0.1, 1.0, 10.0])
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent generator for one trial of a seeded run."""
-    bit = np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(trial)])
-    return np.random.Generator(bit)
+def sample_trials(seed: int, lo: int, hi: int, dim: int, columns: int = 1) -> np.ndarray:
+    """Samples of trials ``lo..hi-1``, shape (columns, dim, hi - lo).
 
-
-def sample_block(seed: int, dim: int, trials: int, columns: int = 1) -> np.ndarray:
-    """Sample ``trials`` vectors (or vector tuples) with per-trial streams.
-
-    Returns an array of shape (columns, dim, trials); trial ``i`` fills
-    ``[:, :, i]`` from its own stream, scaled by SCALES[i % len(SCALES)].
+    Trial ``i`` contributes ``columns`` standard normal vectors of length
+    ``dim``, scaled by SCALES[i % 3]. Streams start at block boundaries, so
+    a range beginning inside a block draws that block's earlier trials too.
     """
-    out = np.empty((columns, dim, trials))
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        scale = SCALES[i % len(SCALES)]
-        out[:, :, i] = scale * rng.standard_normal((columns, dim))
-    return out
+    parts = []
+    for b in range(lo // BLOCK, -(-hi // BLOCK)):
+        start = b * BLOCK
+        stop = min(hi, start + BLOCK)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, b]))
+        draws = rng.standard_normal((stop - start, columns, dim))
+        parts.append(draws[max(lo, start) - start:])
+    scaled = np.concatenate(parts) * SCALES[np.arange(lo, hi) % len(SCALES), None, None]
+    # C order: a strided view here would slow every solver the samples feed
+    return np.ascontiguousarray(scaled.transpose(1, 2, 0))
 
 
 def worker_count() -> int:
@@ -49,21 +57,19 @@ def worker_count() -> int:
 
 
 def max_over_chunks(fn, trials: int, workers: int | None = None) -> float:
-    """Max of ``fn(lo, hi)`` over a partition of range(trials).
+    """Max of ``fn(lo, hi)`` over the BLOCK-aligned blocks of range(trials).
 
-    ``fn`` must compute the max violation for trials ``lo..hi-1`` using only
-    per-trial streams, so the partition cannot affect the result. A NaN from
-    any chunk makes the result NaN, whatever the partition.
+    Each block is exactly one call, whatever the worker count, so the
+    partition cannot affect the result; below BLOCK trials there is a single
+    block and nothing to fan out. A NaN from any block makes the result NaN.
     """
-    if workers is None:
-        workers = worker_count()
     if trials <= 0:
         return 0.0
-    workers = min(workers, trials)
+    jobs = [(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
+    workers = min(worker_count() if workers is None else workers, len(jobs))
     if workers <= 1:
-        return fn(0, trials)
-    bounds = np.linspace(0, trials, workers + 1).astype(int)
-    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda b: fn(*b), jobs))
+        parts = [fn(lo, hi) for lo, hi in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda b: fn(*b), jobs))
     return float(np.max(parts))

@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, NotConverged
 from .operators import AnalysisOperator, TMetric, build_operator
 from .prox import ProxMap, numeric_prox, prox_map_by_name, soft_shrink_map
 from .reports import VerifyReport, report_pass
-from .sampling import SCALES, max_over_chunks, trial_rng
+from .sampling import max_over_chunks, sample_trials
 
 # A duality-gap check costs about as much as an iteration of the dual solve;
 # checking on every eighth keeps that small without delaying the stop much.
@@ -274,14 +274,6 @@ def example_shrinkage() -> FrameShrinkage:
 
 # --- verification ------------------------------------------------------------
 
-def _signal_block(op: AnalysisOperator, seed: int, lo: int, hi: int) -> np.ndarray:
-    x = np.empty((op.d, hi - lo))
-    for i in range(lo, hi):
-        rng = trial_rng(seed, i)
-        x[:, i - lo] = SCALES[i % len(SCALES)] * rng.standard_normal(op.d)
-    return x
-
-
 def verify_prox_identity(
     fs: FrameShrinkage,
     reg: InducedRegularizer,
@@ -310,7 +302,7 @@ def verify_prox_identity(
         )
 
     def chunk(lo: int, hi: int) -> float:
-        x = _signal_block(op, seed, lo, hi)
+        x = sample_trials(seed, lo, hi, op.d)[0]
         oracle = numeric_prox(reg, x, metric=fs.metric, tol=inner_tol)
         if not oracle.converged:
             return np.inf
@@ -334,8 +326,7 @@ def verify_t_firm_nonexpansive(
     op = fs.operator
 
     def chunk(lo: int, hi: int) -> float:
-        x = _signal_block(op, seed, lo, hi)
-        y = _signal_block(op, seed + 0x9E3779B9, lo, hi)
+        x, y = sample_trials(seed, lo, hi, op.d, 2)
         df = op.matrix @ (frame_prox(fs, x) - frame_prox(fs, y))
         dx = op.matrix @ (x - y)
         viol = np.sum(df * df, axis=0) - np.sum(dx * df, axis=0)
@@ -354,7 +345,7 @@ def weaker_regularizer_check(
     op = reg.shrinkage.operator
 
     def chunk(lo: int, hi: int) -> float:
-        x = _signal_block(op, seed, lo, hi)
+        x = sample_trials(seed, lo, hi, op.d)[0]
         f_vals = np.atleast_1d(induced_regularizer(reg, x, tol=min(tol * 1e-2, 1e-10)))
         g_vals = np.asarray(reg.g(op.matrix @ x))
         return float(np.max(f_vals - g_vals))

@@ -19,6 +19,19 @@ def _cols(a: np.ndarray) -> np.ndarray:
     return a if a.ndim == 2 else a[:, None]
 
 
+def _below_resolution(thresh: float, data: np.ndarray) -> np.ndarray:
+    """Columns whose stopping threshold is finer than one ulp of their data.
+
+    Such a threshold cannot be told apart from rounding, so a column reaching
+    it would certify nothing: it is reported unconverged without iterating.
+    """
+    return thresh < np.finfo(float).eps * np.max(np.abs(data), axis=0)
+
+
+def _residual(resid: np.ndarray, lost: np.ndarray) -> float:
+    return float(np.max(np.where(lost, np.inf, resid)))
+
+
 def douglas_rachford(
     prox_a, prox_b, z0: np.ndarray, step: float, tol: float, max_iter: int
 ):
@@ -28,16 +41,19 @@ def douglas_rachford(
     ``prox_b``. Returns ``(point, iterations, residual, converged)`` where
     ``point`` collects the prox_a-side iterates, each column frozen when its
     max-norm splitting gap first reaches ``tol``; ``iterations`` is the
-    count when the last column froze.
+    count when the last column froze. A column whose ``tol`` is below one ulp
+    of ``z0`` is not iterated and counts as unconverged.
     """
     squeeze = np.ndim(z0) == 1
     z = _cols(np.array(z0, dtype=float))
     a = _cols(prox_a(z if not squeeze else z[:, 0], step))
     out = np.array(a)
-    done = np.zeros(z.shape[1], dtype=bool)
+    lost = _below_resolution(tol, z)
+    done = lost.copy()
     resid = np.full(z.shape[1], np.inf)
-    iters = max_iter
-    for k in range(1, max_iter + 1):
+    iters = 0
+    while not done.all() and iters < max_iter:
+        iters += 1
         arg = 2.0 * a - z
         b = _cols(prox_b(arg if not squeeze else arg[:, 0], step))
         z = z + (b - a)
@@ -48,13 +64,10 @@ def douglas_rachford(
         if np.any(crossed):
             out[:, crossed] = a[:, crossed]
             done |= crossed
-        if done.all():
-            iters = k
-            break
     if not done.all():
         out[:, ~done] = a[:, ~done]
     point = out[:, 0] if squeeze else out
-    return point, iters, float(np.max(resid)), bool(done.all())
+    return point, iters, _residual(resid, lost), bool(done.all() and not lost.any())
 
 
 def metric_prox_admm(op, prox_scaled, x: np.ndarray, tol: float, max_iter: int, rho: float = 2.5):
@@ -78,7 +91,8 @@ def metric_prox_admm(op, prox_scaled, x: np.ndarray, tol: float, max_iter: int, 
     converged) with s = T y + B w; the per-column residual is the max over
     iterate change and consensus gap, and each column is frozen at its first
     crossing of a threshold one decade below ``tol`` (the iterate-change
-    criterion does not see the geometric tail).
+    criterion does not see the geometric tail). A column whose threshold is
+    below one ulp of its ``T x`` is not iterated and counts as unconverged.
     """
     t = op.matrix
     pinv = op.pinv
@@ -94,12 +108,14 @@ def metric_prox_admm(op, prox_scaled, x: np.ndarray, tol: float, max_iter: int, 
     w = np.zeros((basis.shape[1], k))
     s = t @ x
     out_y, out_w, out_s = np.array(y), np.array(w), np.array(s)
-    done = np.zeros(k, dtype=bool)
     resid = np.full(k, np.inf)
     mix = rho / (1.0 + rho)
     thresh = 0.1 * tol
-    iters = max_iter
-    for it in range(1, max_iter + 1):
+    lost = _below_resolution(thresh, s)
+    done = lost.copy()
+    iters = 0
+    while not done.all() and iters < max_iter:
+        iters += 1
         v = u - mu
         y_new = (x + rho * (pinv @ v)) / (1.0 + rho)
         w_new = mix * (basis.T @ v)
@@ -117,11 +133,8 @@ def metric_prox_admm(op, prox_scaled, x: np.ndarray, tol: float, max_iter: int, 
             out_w[:, crossed] = w[:, crossed]
             out_s[:, crossed] = s[:, crossed]
             done |= crossed
-        if done.all():
-            iters = it
-            break
     if not done.all():
         out_y[:, ~done] = y[:, ~done]
         out_w[:, ~done] = w[:, ~done]
         out_s[:, ~done] = s[:, ~done]
-    return out_y, out_w, out_s, iters, float(np.max(resid)), bool(done.all())
+    return out_y, out_w, out_s, iters, _residual(resid, lost), bool(done.all() and not lost.any())

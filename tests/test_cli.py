@@ -60,6 +60,8 @@ def test_verify_rank_deficient_file_is_usage_error(tmp_path, capsys):
         ("regularizer", "--grid", "banana"),
         ("solve",),  # neither --x nor --problem
         ("solve", "--x", "1,2"),  # wrong length for example35
+        ("regularizer", "--grid", "-1e308:1e308:1e308"),  # the point count overflows
+        ("regularizer", "--grid", "0:inf:1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -121,6 +123,16 @@ def test_verify_byte_identical_under_thread_fanout(capsys, monkeypatch):
     monkeypatch.setenv("PROXFRAME_THREADS", "4")
     _, threaded, _ = run(capsys, *args)
     assert serial == threaded
+
+
+def test_verify_same_bytes_at_one_two_three_threads(capsys, monkeypatch):
+    args = ("verify", "--operator", "random:20x10:5", "--prox", "soft:0.1",
+            "--trials", "40", "--seed", "3")
+    outs = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("PROXFRAME_THREADS", workers)
+        outs.append(run(capsys, *args)[1])
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_nan_violation_fails_under_any_fanout(monkeypatch):

@@ -165,6 +165,21 @@ def test_numeric_prox_not_converged_flag():
     assert rep.iterations == 3
 
 
+def test_numeric_prox_below_float_resolution_fails_at_once():
+    from proxframe import FrameShrinkage, InducedRegularizer, example_operator
+
+    for tol in (0.0, 1e-30):
+        rep = numeric_prox(soft_shrink_map(1.0), np.array([2.0, -0.5]), tol=tol)
+        assert not rep.converged and rep.iterations == 0
+        fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
+        reg = InducedRegularizer.from_shrinkage(fs)
+        rep = numeric_prox(reg, np.array([[1.0, 0.3]]), metric=fs.metric, tol=tol)
+        assert not rep.converged and rep.iterations == 0
+    # an all-zero column has nothing to resolve, and lands exactly
+    rep = numeric_prox(soft_shrink_map(1.0), np.zeros(3), tol=0.0)
+    assert rep.converged
+
+
 def test_numeric_prox_metric_flagship():
     # with a metric, the oracle minimizes over the regularizer induced by
     # composing the inner prox with the operator
