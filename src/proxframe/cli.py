@@ -6,12 +6,12 @@ verify       run the verification suites for an operator/prox pair
 example      print the packaged worked example (operator (1, 2)^T, lam = 1)
 regularizer  export induced-regularizer values over a grid as CSV/JSON
 solve        solve the analysis-sparsity problem for given data
-bench        time the core operations
 
 Operators are named inline ("example35", "identity:3", "random:6x3:42") or
 loaded from .csv / .json matrix files. Runs are reproducible: the seed fully
 determines every sample, and reports are emitted in a fixed order with fixed
-key order, so identical configurations produce byte-identical streams.
+key order, so identical configurations produce byte-identical streams. Seeds
+are integers in [0, 2**64); verify also draws on seed + 1 .. seed + 5.
 PROXFRAME_THREADS caps the worker count used to fan verification trials out;
 it never changes any reported number.
 """
@@ -21,8 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +32,7 @@ from .operators import (
     verify_operator_identities,
 )
 from .prox import prox_map_by_name, verify_firm_nonexpansive, verify_moreau_characterization
+from .sampling import _generator
 from .shrinkage import (
     EXAMPLE_MATRIX,
     FrameShrinkage,
@@ -46,24 +45,6 @@ from .shrinkage import (
     weaker_regularizer_check,
 )
 from .solvers import AnalysisProblem, solve_analysis_dual
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; the seed pins all random sampling."""
-
-    command: str
-    operator: str = "example35"
-    prox: str = "soft:1"
-    tol: float | None = None
-    trials: int = 100
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
-    grid: str = "-2:2:0.01"
-    x: str | None = None
-    problem: str | None = None
-    lam: float = 1.0
 
 
 def load_named_matrix(spec: str) -> np.ndarray:
@@ -81,8 +62,7 @@ def load_named_matrix(spec: str) -> np.ndarray:
             n, d = (int(v) for v in shape.lower().split("x"))
         except ValueError as exc:
             raise ValueError(f"expected random:NxD:SEED, got {spec!r}") from exc
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(int(seed))))
-        return rng.standard_normal((n, d))
+        return _generator(int(seed)).standard_normal((n, d))
     if spec.endswith(".json"):
         return load_matrix_json(spec)
     if spec.endswith(".csv"):
@@ -133,54 +113,54 @@ def _report_line(report, fmt: str) -> str:
     return report.to_json()
 
 
-def _tol(cfg: RunConfig, default: float) -> float:
+def _tol(args: argparse.Namespace, default: float) -> float:
     """The --tol value as given (0 included), else the check's default."""
-    return default if cfg.tol is None else cfg.tol
+    return default if args.tol is None else args.tol
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    matrix = load_named_matrix(cfg.operator)
+def cmd_verify(args: argparse.Namespace) -> int:
+    matrix = load_named_matrix(args.operator)
     op = build_operator(matrix)
-    prox = parse_prox(cfg.prox)
+    prox = parse_prox(args.prox)
     fs = FrameShrinkage(op, prox)
     reg = InducedRegularizer.from_shrinkage(fs)
 
     reports = [
-        verify_operator_identities(op, tol=_tol(cfg, 1e-10), trials=cfg.trials, seed=cfg.seed),
-        verify_firm_nonexpansive(prox, dim=op.n, trials=cfg.trials, tol=_tol(cfg, 1e-12), seed=cfg.seed + 1),
+        verify_operator_identities(op, tol=_tol(args, 1e-10), trials=args.trials, seed=args.seed),
+        verify_firm_nonexpansive(prox, dim=op.n, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 1),
     ]
     if prox.potential is not None:
         reports.append(
             verify_moreau_characterization(
-                prox, prox.potential, dim=op.n, trials=min(cfg.trials, 200),
-                tol=_tol(cfg, 1e-6), seed=cfg.seed + 2,
+                prox, prox.potential, dim=op.n, trials=min(args.trials, 200),
+                tol=_tol(args, 1e-6), seed=args.seed + 2,
             )
         )
     reports.append(
-        verify_t_firm_nonexpansive(fs, trials=cfg.trials, tol=_tol(cfg, 1e-12), seed=cfg.seed + 3)
+        verify_t_firm_nonexpansive(fs, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 3)
     )
     reports.append(
-        verify_prox_identity(fs, reg, trials=min(cfg.trials, 200), tol=_tol(cfg, 1e-6), seed=cfg.seed + 4)
+        verify_prox_identity(fs, reg, trials=min(args.trials, 200), tol=_tol(args, 1e-6), seed=args.seed + 4)
     )
     reports.append(
-        weaker_regularizer_check(reg, trials=cfg.trials, tol=_tol(cfg, 1e-9), seed=cfg.seed + 5)
+        weaker_regularizer_check(reg, trials=args.trials, tol=_tol(args, 1e-9), seed=args.seed + 5)
     )
 
-    emit = _Emitter(cfg.out)
+    emit = _Emitter(args.out)
     for rep in reports:
-        emit.line(_report_line(rep, cfg.fmt))
+        emit.line(_report_line(rep, args.fmt))
     emit.close()
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_regularizer(cfg: RunConfig) -> int:
-    matrix = load_named_matrix(cfg.operator)
+def cmd_regularizer(args: argparse.Namespace) -> int:
+    matrix = load_named_matrix(args.operator)
     op = build_operator(matrix)
-    prox = parse_prox(cfg.prox)
+    prox = parse_prox(args.prox)
     fs = FrameShrinkage(op, prox)
     reg = InducedRegularizer.from_shrinkage(fs)
-    grid = parse_grid(cfg.grid)
-    tol = _tol(cfg, 1e-9)
+    grid = parse_grid(args.grid)
+    tol = _tol(args, 1e-9)
 
     is_example = (
         op.d == 1
@@ -195,8 +175,7 @@ def cmd_regularizer(cfg: RunConfig) -> int:
         axis = grid
     else:
         # multi-dimensional signal space: evaluate along a seeded direction
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-        direction = rng.standard_normal(op.d)
+        direction = _generator(args.seed).standard_normal(op.d)
         direction /= np.linalg.norm(direction)
         points = direction[:, None] * grid[None, :]
         axis = grid
@@ -206,8 +185,8 @@ def cmd_regularizer(cfg: RunConfig) -> int:
     half_step = 0.5 * float(axis[1] - axis[0]) if axis.size > 1 else 0.0
     at_branch = (np.abs(np.abs(axis) - 0.4) <= half_step) if is_example else np.zeros(axis.size, bool)
 
-    emit = _Emitter(cfg.out)
-    if cfg.fmt == "json":
+    emit = _Emitter(args.out)
+    if args.fmt == "json":
         doc = {"x": axis.tolist(), "f_numeric": f_num.tolist()}
         if f_closed is not None:
             doc["f_closed_form"] = np.asarray(f_closed).tolist()
@@ -225,25 +204,25 @@ def cmd_regularizer(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    matrix = load_named_matrix(cfg.operator)
-    lam = cfg.lam
-    if cfg.problem:
-        with open(cfg.problem) as fh:
+def cmd_solve(args: argparse.Namespace) -> int:
+    matrix = load_named_matrix(args.operator)
+    lam = args.lam
+    if args.problem:
+        with open(args.problem) as fh:
             doc = json.load(fh)
         x = np.asarray(doc["x"], dtype=float)
         lam = float(doc.get("lambda", lam))
-    elif cfg.x:
-        x = np.asarray([float(v) for v in cfg.x.split(",")], dtype=float)
+    elif args.x:
+        x = np.asarray([float(v) for v in args.x.split(",")], dtype=float)
     else:
         raise ValueError("solve needs --x or --problem")
     if x.shape != (matrix.shape[1],):
         raise ValueError(f"data length {x.size} does not match operator with {matrix.shape[1]} columns")
 
     report = solve_analysis_dual(
-        AnalysisProblem(x, matrix, lam), tol=_tol(cfg, 1e-10)
+        AnalysisProblem(x, matrix, lam), tol=_tol(args, 1e-10)
     )
-    emit = _Emitter(cfg.out)
+    emit = _Emitter(args.out)
     emit.line(report.to_json())
 
     # contrast with the frame shrinkage point when the matrix is a frame
@@ -253,7 +232,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         except ProxFrameError:
             op = None
         if op is not None:
-            fs = FrameShrinkage(op, parse_prox(cfg.prox))
+            fs = FrameShrinkage(op, parse_prox(args.prox))
             y = frame_prox(fs, x)
             dist = float(np.linalg.norm(op.matrix @ (np.asarray(report.minimizer) - y)))
             emit.line(json.dumps({"frame_prox": np.atleast_1d(y).tolist(), "t_distance": dist}))
@@ -261,8 +240,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0 if report.converged else 1
 
 
-def cmd_example(cfg: RunConfig) -> int:
-    emit = _Emitter(cfg.out)
+def cmd_example(args: argparse.Namespace) -> int:
+    emit = _Emitter(args.out)
     emit.line("soft shrinkage, envelope and potential at lam = 1")
     emit.line("x        S_1(x)   envelope  potential")
     from .prox import huber_envelope, shrink_potential, soft_shrink
@@ -285,42 +264,7 @@ def cmd_example(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed)))
-    timings = {}
-
-    t0 = time.perf_counter()
-    op = build_operator(rng.standard_normal((400, 250)))
-    timings["build_operator_400x250_s"] = time.perf_counter() - t0
-
-    fs = FrameShrinkage(op, parse_prox(cfg.prox))
-    x = rng.standard_normal((op.d, 64))
-    t0 = time.perf_counter()
-    frame_prox(fs, x)
-    timings["frame_prox_batch64_s"] = time.perf_counter() - t0
-
-    reg = InducedRegularizer.from_shrinkage(fs)
-    t0 = time.perf_counter()
-    induced_regularizer(reg, x[:, :8], tol=1e-8)
-    timings["induced_regularizer_batch8_s"] = time.perf_counter() - t0
-
-    from .prox import numeric_prox
-
-    t0 = time.perf_counter()
-    numeric_prox(reg, x[:, 0], metric=fs.metric, tol=1e-8)
-    timings["numeric_prox_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    solve_analysis_dual(AnalysisProblem(x[:, 0], op, cfg.lam), tol=1e-8)
-    timings["solve_analysis_dual_s"] = time.perf_counter() - t0
-
-    emit = _Emitter(cfg.out)
-    emit.line(json.dumps({k: round(v, 6) for k, v in timings.items()}))
-    emit.close()
-    return 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, fmt: str) -> None:
     p.add_argument("--operator", default="example35",
                    help="example35 | identity:D | random:NxD:SEED | matrix .csv/.json")
     p.add_argument("--prox", default="soft:1", help="NAME:LAMBDA, e.g. soft:0.5 or identity")
@@ -328,7 +272,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=100, help="sampling trials per check")
     p.add_argument("--seed", type=int, default=0, help="seed pinning all sampling")
     p.add_argument("--out", default=None, help="mirror output to this file")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=fmt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("verify", "run the verification suites"),
-        ("example", "print the packaged worked example"),
-        ("regularizer", "export induced-regularizer values over a grid"),
-        ("solve", "solve the analysis-sparsity problem"),
-        ("bench", "time the core operations"),
+    for name, handler, help_text in (
+        ("verify", cmd_verify, "run the verification suites"),
+        ("example", cmd_example, "print the packaged worked example"),
+        ("regularizer", cmd_regularizer, "export induced-regularizer values over a grid"),
+        ("solve", cmd_solve, "solve the analysis-sparsity problem"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.set_defaults(handler=handler)
+        _add_common(p, fmt="csv" if name == "regularizer" else "json")
         if name == "regularizer":
             p.add_argument("--grid", default="-2:2:0.01", help="LO:HI:STEP")
         if name == "solve":
@@ -379,30 +323,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    fmt_default = "csv" if ns.command == "regularizer" else "json"
-    cfg = RunConfig(
-        command=ns.command,
-        operator=ns.operator,
-        prox=ns.prox,
-        tol=ns.tol,
-        trials=ns.trials,
-        seed=ns.seed,
-        out=ns.out,
-        fmt=ns.fmt or fmt_default,
-        grid=getattr(ns, "grid", "-2:2:0.01"),
-        x=getattr(ns, "x", None),
-        problem=getattr(ns, "problem", None),
-        lam=getattr(ns, "lam", 1.0),
-    )
-    handlers = {
-        "verify": cmd_verify,
-        "example": cmd_example,
-        "regularizer": cmd_regularizer,
-        "solve": cmd_solve,
-        "bench": cmd_bench,
-    }
     try:
-        return handlers[cfg.command](cfg)
+        return ns.handler(ns)
     except (ProxFrameError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ class DimensionMismatch(ProxFrameError):
 
 
 class NonPositiveLambda(ProxFrameError):
-    """Shrinkage scale must be strictly positive."""
+    """Shrinkage scale must be strictly positive and finite."""
 
 
 class NotParsevalRow(ProxFrameError):

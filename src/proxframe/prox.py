@@ -19,20 +19,22 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveLambda
+from .operators import TMetric, build_operator
 from .reports import SolveReport, VerifyReport, report_pass
 from .sampling import max_over_chunks, sample_trials
 from . import splitting
 
 
 def _check_lambda(lam):
+    """``lam`` as a float (or float array); every entry must be finite and > 0."""
     if np.ndim(lam) == 0:
         lam = float(lam)
-        if not lam > 0:
-            raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+        if not 0 < lam < np.inf:
+            raise NonPositiveLambda(f"lambda must be positive and finite, got {lam}")
         return lam
     lam = np.asarray(lam, dtype=float)
-    if not np.all(lam > 0):
-        raise NonPositiveLambda("lambda must be positive")
+    if not np.all((lam > 0) & (lam < np.inf)):
+        raise NonPositiveLambda("lambda must be positive and finite")
     return lam
 
 
@@ -68,10 +70,7 @@ def shrink_potential(x, lam: float) -> float:
     Componentwise sum of 0 on the dead zone and (|x_i| - lam)^2 / 2 outside;
     equals ||x||^2 / 2 minus the envelope value.
     """
-    lam = _check_lambda(lam)
-    a = np.asarray(x, dtype=float)
-    outer = np.maximum(np.abs(a) - lam, 0.0)
-    return float(0.5 * np.sum(outer * outer))
+    return float(np.sum(_potential_cols(x, _check_lambda(lam))))
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,8 @@ def _colsum(values: np.ndarray) -> np.ndarray:
 
 
 def _potential_cols(v, lam):
-    outer = np.maximum(np.abs(np.asarray(v, dtype=float)) - lam, 0.0)
+    """The soft-shrinkage potential of each column of v (of v, if 1-D)."""
+    outer = np.maximum(np.abs(np.atleast_1d(np.asarray(v, dtype=float))) - lam, 0.0)
     return 0.5 * _colsum(outer * outer)
 
 
@@ -224,49 +224,29 @@ def numeric_prox(
     metric=None,
     tol: float = 1e-9,
     max_iter: int = 100000,
-    rho: float = 2.5,
 ) -> SolveReport:
-    """Numerical prox oracle built from operator splitting.
+    """Numerical prox oracle: ADMM in the T metric.
 
-    Without a metric, minimizes ``1/2 ||x - y||^2 + g(y)`` for a ProxMap g by
-    Douglas-Rachford alternation between the quadratic and the supplied
-    scaled-prox handle (deliberately run at a non-unit step so the handle is
-    exercised away from the closed-form evaluation point).
+    Minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the regularizer induced
+    by composing the supplied prox with T: g may be a FrameShrinkage, an
+    InducedRegularizer, or the inner ProxMap itself. The problem is solved
+    jointly in the signal and null-space coefficients, so every subproblem
+    uses only closed-form handles; see ``splitting.metric_prox_admm``.
 
-    With a metric, minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the
-    regularizer induced by composing the supplied prox with T: g may be a
-    FrameShrinkage, an InducedRegularizer, or the inner ProxMap itself. The
-    problem is solved jointly in the signal and null-space coefficients, so
-    every subproblem uses only closed-form handles; see
-    ``splitting.metric_prox_admm``.
+    Without a metric, g must be a ProxMap and the oracle runs at T = I: the
+    metric is the Euclidean one and f is g itself, so it minimizes
+    ``1/2 ||x - y||^2 + g(y)``.
 
     ``x`` may be a (d, k) column block; the report then carries a (d, k)
     minimizer and per-column objectives. Non-convergence is reported through
     the ``converged`` flag, not raised.
     """
+    x = np.asarray(x, dtype=float)
+    xs = x.reshape(x.shape[0] if x.ndim else 1, -1)
     if metric is None:
         if not isinstance(g, ProxMap):
             raise TypeError("numeric_prox without a metric expects a ProxMap")
-        x = np.asarray(x, dtype=float)
-        target = np.atleast_1d(x)
-        step = 0.5
-        prox_quad = lambda v, t: (v + t * target) / (1.0 + t)
-        y, iters, resid, converged = splitting.douglas_rachford(
-            prox_quad, g.prox, np.array(target), step, tol, max_iter
-        )
-        objective = None
-        if g.function is not None:
-            objective = 0.5 * np.sum((target - y) ** 2, axis=0) + g.function(y)
-            objective = float(objective) if np.ndim(objective) == 0 else objective
-        y = y if x.ndim else float(y[0])
-        return SolveReport(
-            minimizer=np.asarray(y),
-            objective=objective,
-            iterations=iters,
-            residual=resid,
-            tolerance=tol,
-            converged=converged,
-        )
+        metric = TMetric(build_operator(np.eye(xs.shape[0])))
 
     inner = g
     if hasattr(inner, "shrinkage"):
@@ -279,23 +259,20 @@ def numeric_prox(
         raise TypeError("numeric_prox with a metric expects a shrinkage-like g or ProxMap")
 
     op = metric.operator
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    xs = x[:, None] if squeeze else x
-    if xs.shape[0] != op.d:
-        raise DimensionMismatch(f"expected signals of dimension {op.d}, got {xs.shape}")
+    if x.ndim > 2 or xs.shape[0] != op.d:
+        raise DimensionMismatch(f"expected signals of dimension {op.d}, got {x.shape}")
 
     y, w, s, iters, resid, converged = splitting.metric_prox_admm(
-        op, inner.prox, xs, tol, max_iter, rho
+        op, inner.prox, xs, tol, max_iter
     )
     objective = None
     if inner.function is not None:
         tx_ty = op.matrix @ (xs - y)
         objective = 0.5 * np.sum(tx_ty * tx_ty, axis=0) + 0.5 * np.sum(w * w, axis=0)
         objective = objective + np.asarray(inner.function(s))
-        objective = float(objective[0]) if squeeze else objective
+        objective = objective if x.ndim == 2 else float(objective[0])
     return SolveReport(
-        minimizer=y[:, 0] if squeeze else y,
+        minimizer=y.reshape(x.shape),
         objective=objective,
         iterations=iters,
         residual=resid,

@@ -28,6 +28,16 @@ BLOCK = 1024
 SCALES = np.array([0.1, 1.0, 10.0])
 
 
+def _generator(seed: int, block: int = 0) -> np.random.Generator:
+    """Counter block ``block`` of the Philox stream keyed by ``seed``.
+
+    Raises ValueError naming the seed unless it fits the 64-bit key.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside the range 0 .. 2**64 - 1")
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, block]))
+
+
 def sample_trials(seed: int, lo: int, hi: int, dim: int, columns: int = 1) -> np.ndarray:
     """Samples of trials ``lo..hi-1``, shape (columns, dim, hi - lo).
 
@@ -39,8 +49,7 @@ def sample_trials(seed: int, lo: int, hi: int, dim: int, columns: int = 1) -> np
     for b in range(lo // BLOCK, -(-hi // BLOCK)):
         start = b * BLOCK
         stop = min(hi, start + BLOCK)
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, b]))
-        draws = rng.standard_normal((stop - start, columns, dim))
+        draws = _generator(seed, b).standard_normal((stop - start, columns, dim))
         parts.append(draws[max(lo, start) - start:])
     scaled = np.concatenate(parts) * SCALES[np.arange(lo, hi) % len(SCALES), None, None]
     # C order: a strided view here would slow every solver the samples feed

@@ -85,16 +85,26 @@ def frame_prox(fs: FrameShrinkage, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InducedRegularizer:
-    """The function whose prox, in the T metric, is the frame shrinkage."""
+    """The function whose prox, in the T metric, is the frame shrinkage.
+
+    Its inner function g is the shrinkage's own ``inner_prox.function``, so
+    the two can never disagree.
+    """
 
     shrinkage: FrameShrinkage
-    g: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        if self.g is None:
+            name = self.shrinkage.inner_prox.name
+            raise ValueError(f"prox map {name!r} carries no function handle")
 
     @classmethod
     def from_shrinkage(cls, fs: FrameShrinkage) -> "InducedRegularizer":
-        if fs.inner_prox.function is None:
-            raise ValueError(f"prox map {fs.inner_prox.name!r} carries no function handle")
-        return cls(shrinkage=fs, g=fs.inner_prox.function)
+        return cls(fs)
+
+    @property
+    def g(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.shrinkage.inner_prox.function
 
     def __call__(self, x, tol: float = 1e-9):
         return induced_regularizer(self, x, tol)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveLambda, NotParsevalRow
+from .errors import NotParsevalRow
 from .operators import AnalysisOperator
-from .prox import soft_shrink
+from .prox import _check_lambda, soft_shrink
 from .reports import SolveReport
 from .shrinkage import FrameShrinkage, InducedRegularizer, frame_prox, induced_regularizer
 
@@ -36,8 +36,7 @@ class AnalysisProblem:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise NonPositiveLambda(f"lambda must be positive, got {self.lam}")
+        _check_lambda(self.lam)
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if not np.isfinite(self.x).all():
             raise ValueError("data x must be finite")
@@ -108,8 +107,7 @@ def synthesis_solution(x: np.ndarray, t: np.ndarray, lam: float, row_tol: float 
     Requires T T* = I (n <= d). The minimizer of
     1/2 ||x - y||^2 + lam ||Ty||_1 is then (I - T*T) x + T* S_lam(T x).
     """
-    if not lam > 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+    _check_lambda(lam)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     n, d = t.shape

@@ -62,6 +62,14 @@ def test_verify_rank_deficient_file_is_usage_error(tmp_path, capsys):
         ("solve", "--x", "1,2"),  # wrong length for example35
         ("regularizer", "--grid", "-1e308:1e308:1e308"),  # the point count overflows
         ("regularizer", "--grid", "0:inf:1"),
+        # seeds must fit the 64-bit Philox key, including the per-check offsets
+        ("verify", "--operator", "random:6x3:1", "--trials", "5", "--seed", "-1"),
+        ("verify", "--operator", "random:6x3:-1", "--trials", "5"),
+        ("verify", "--operator", "random:6x3:1", "--trials", "5", "--seed", "18446744073709551613"),
+        ("regularizer", "--operator", "random:3x2:1", "--seed", "-4"),
+        # lambda must be finite
+        ("verify", "--operator", "random:6x3:1", "--prox", "soft:inf", "--trials", "5"),
+        ("solve", "--operator", "example35", "--x", "1", "--lambda", "inf"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -226,14 +234,6 @@ def test_example_command(capsys):
     assert "soft shrinkage" in out
     assert "branch point" in out
     assert "0.4" in out
-
-
-def test_bench_command(capsys):
-    code, out, _ = run(capsys, "bench", "--seed", "2")
-    assert code == 0
-    doc = json.loads(out)
-    assert all(v >= 0 for v in doc.values())
-    assert any(k.startswith("frame_prox") for k in doc)
 
 
 def test_verify_csv_format(capsys):

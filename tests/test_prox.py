@@ -38,7 +38,7 @@ def test_soft_shrink_scalar_returns_float():
 
 
 @pytest.mark.parametrize("fn", [soft_shrink, huber_envelope, shrink_potential])
-@pytest.mark.parametrize("lam", [0.0, -1.0])
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.inf])
 def test_nonpositive_lambda_rejected(fn, lam):
     with pytest.raises(NonPositiveLambda):
         fn(np.array([1.0]), lam)
@@ -157,6 +157,21 @@ def test_numeric_prox_componentwise_random(rng):
     x = rng.standard_normal(8) * 3
     rep = numeric_prox(soft_shrink_map(lam), x, tol=tol)
     np.testing.assert_allclose(rep.minimizer, soft_shrink(x, lam), atol=10 * tol)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.6, 1.0, 3.0])
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+def test_numeric_prox_euclidean_within_tol_of_closed_form(rng, lam, tol):
+    # a converged Euclidean oracle lands within tol of soft shrinkage, signal
+    # by signal and as one column block
+    xs = rng.standard_normal((8, 25)) * 3
+    for x in xs.T:
+        rep = numeric_prox(soft_shrink_map(lam), x, tol=tol)
+        assert rep.converged
+        assert np.max(np.abs(rep.minimizer - soft_shrink(x, lam))) <= tol
+    block = numeric_prox(soft_shrink_map(lam), xs, tol=tol)
+    assert block.converged and block.objective.shape == (25,)
+    assert np.max(np.abs(block.minimizer - soft_shrink(xs, lam))) <= tol
 
 
 def test_numeric_prox_not_converged_flag():

@@ -9,6 +9,7 @@ from proxframe import (
     FrameShrinkage,
     InducedRegularizer,
     NotConverged,
+    ProxMap,
     build_operator,
     example_operator,
     example_regularizer_closed_form,
@@ -194,6 +195,17 @@ def test_induced_regularizer_dimension_mismatch():
     reg = InducedRegularizer.from_shrinkage(example_shrinkage())
     with pytest.raises(DimensionMismatch):
         induced_regularizer(reg, np.array([1.0, 2.0]))
+
+
+def test_induced_regularizer_reads_g_from_its_shrinkage():
+    fs = example_shrinkage()
+    reg = InducedRegularizer.from_shrinkage(fs)
+    assert reg.g is fs.inner_prox.function
+    with pytest.raises(TypeError):
+        InducedRegularizer(fs, g=lambda v: 0.0)
+    bare = FrameShrinkage(example_operator(), ProxMap("bare", 1.0, lambda v, t=1.0: v))
+    with pytest.raises(ValueError, match="no function"):
+        InducedRegularizer.from_shrinkage(bare)
 
 
 def test_induced_regularizer_identity_inner_is_zero(rng):
