@@ -181,6 +181,8 @@ def verify_operator_identities(
 
     Failures are reported in the returned record, never raised.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     t, pinv, proj = op.matrix, op.pinv, op.range_proj
     a, b = op.frame_bounds
 

@@ -116,6 +116,8 @@ def _fista_points(proj, c, prox_g):
     The smooth part's gradient (I - P) u - c is 1-Lipschitz. Carrying
     r = (I - P) u next to u keeps each iteration at one product with P.
     Yields (u, r, q) every _GAP_STRIDE iterations, u a subgradient of g at q.
+    The caller may send back a boolean mask of the columns to keep (None
+    keeps all); the others leave c and the iteration state at once.
     """
     u = r = y = r_y = np.zeros_like(c)
     t = np.ones(c.shape[1])
@@ -133,7 +135,9 @@ def _fista_points(proj, c, prox_g):
             y = u_new + beta * (u_new - u)
             r_y = r_new + beta * (r_new - r)
             u, r = u_new, r_new
-        yield u, r, q
+        keep = yield u, r, q
+        if keep is not None:
+            c, u, r, y, r_y, t = (a[..., keep] for a in (c, u, r, y, r_y, t))
 
 
 def _admm_points(proj, c, prox_g, rho):
@@ -147,7 +151,8 @@ def _admm_points(proj, c, prox_g, rho):
 
     rho is balanced against the primal and dual residuals (Boyd et al.
     2011, 3.4.1). Yields (v, (I - P) v, q) every _GAP_STRIDE iterations, v a
-    subgradient of g at q.
+    subgradient of g at q, and takes a mask of the columns to keep as
+    ``_fista_points`` does.
     """
     v = m = np.zeros_like(c)
     while True:
@@ -159,7 +164,9 @@ def _admm_points(proj, c, prox_g, rho):
             q = prox_g(rho * a, rho)
             v_prev, v = v, a - q / rho
             m = a - v
-        yield v, v - proj @ v, q
+        keep = yield v, v - proj @ v, q
+        if keep is not None:
+            c, v, m, u, v_prev, rho = (a[..., keep] for a in (c, v, m, u, v_prev, rho))
         primal_res = np.sum((u - v) ** 2, axis=0)
         dual_res = rho * rho * np.sum((v - v_prev) ** 2, axis=0)
         step = np.where(primal_res > 100.0 * dual_res, 2.0,
@@ -196,6 +203,10 @@ def induced_regularizer(
     floor of 64 ulps of 1 + |g(c)| + ||u||^2, the scale at which float64
     rounding of the gap's terms sets in. The result therefore satisfies
     dual <= f(x) <= result <= g(Tx), with result - dual within that bound.
+    A frozen column leaves c and the state of every solver, so later
+    iterations cost only the columns still open. Their values match a
+    one-column evaluation up to the certified gap: BLAS may round a product
+    differently at another column count.
 
     Raises ValueError on non-finite input and NotConverged if some column is
     not certified within ``max_iter`` iterations.
@@ -220,26 +231,30 @@ def induced_regularizer(
         """Freeze the columns ``cols`` as the solvers certify them; return the rest.
 
         Each column takes the lowest primal and the highest dual value that
-        any of the solvers reaches at a check.
+        any of the solvers reaches at a check. A frozen column leaves the
+        solvers, which then iterate the open columns only.
         """
         c_sub, g_sub = c[:, cols], g_c[cols]
-        open_ = np.ones(cols.size, dtype=bool)
+        keep = None
         for _ in range(iters // _GAP_STRIDE):
             primal, dual, scale = g_sub, -np.inf, 1.0 + np.abs(g_sub)
             for points in solvers:
-                u, r, q = next(points)
+                u, r, q = points.send(keep)
                 half_sq = 0.5 * np.sum(u * r, axis=0)
                 primal = np.minimum(primal, half_sq + g(c_sub - r))
                 g_star = np.sum(u * q, axis=0) - g(q)
                 dual = np.maximum(dual, np.sum(u * c_sub, axis=0) - g_star - half_sq)
                 scale = scale + np.sum(u * u, axis=0)
             gap[cols] = primal - dual
-            fresh = open_ & (gap[cols] <= np.maximum(tol, _GAP_FLOOR * scale))
+            fresh = gap[cols] <= np.maximum(tol, _GAP_FLOOR * scale)
             vals[cols[fresh]] = primal[fresh]
-            open_ &= ~fresh
-            if not open_.any():
-                break
-        return cols[open_]
+            keep = None
+            if fresh.any():
+                keep = ~fresh
+                cols, c_sub, g_sub = cols[keep], c_sub[:, keep], g_sub[keep]
+                if not cols.size:
+                    break
+        return cols
 
     cols = np.arange(c.shape[1])
     cols = certify([_fista_points(proj, c, prox_g)], cols, min(max_iter, _FISTA_ITERS))

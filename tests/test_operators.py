@@ -138,6 +138,12 @@ def test_verify_identities_random_gaussian(rng):
     assert rep.trials == 100
 
 
+@pytest.mark.parametrize("trials", [0, -4])
+def test_verify_identities_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_operator_identities(build_operator(np.eye(3)), trials=trials)
+
+
 def test_verify_identities_identity_is_exact():
     rep = verify_operator_identities(build_operator(np.eye(4)), tol=1e-10)
     assert rep.passed

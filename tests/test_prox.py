@@ -19,6 +19,7 @@ from proxframe import (
     verify_firm_nonexpansive,
     verify_moreau_characterization,
 )
+from proxframe.prox import _central_diff
 from support import central_diff, golden_section
 
 lambdas = st.floats(min_value=0.05, max_value=10.0)
@@ -133,9 +134,29 @@ def test_moreau_characterization_identity():
 
 def test_moreau_characterization_wrong_potential_fails():
     pm = soft_shrink_map(1.0)
-    l1 = lambda v: float(np.sum(np.abs(v)))
+    l1 = lambda v: np.sum(np.abs(v), axis=0)
     rep = verify_moreau_characterization(pm, l1, dim=3, trials=300, tol=1e-6)
     assert not rep.passed
+
+
+def test_moreau_characterization_scalar_potential_raises():
+    # the potential is evaluated on blocks of shifted points and must return
+    # one value per column; a total over the whole block is refused by shape
+    pm = soft_shrink_map(1.0)
+    l1 = lambda v: float(np.sum(np.abs(v)))
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        verify_moreau_characterization(pm, l1, dim=3, trials=5, tol=1e-6)
+
+
+@pytest.mark.parametrize("pm", [soft_shrink_map(0.3), identity_map()], ids=["soft", "identity"])
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 31, 32, 33, 64, 129, 400])
+def test_block_central_diff_is_bit_identical(pm, dim):
+    # the block evaluation must give the very bits of one potential call per
+    # shifted point; a C-ordered block sums its columns in another order
+    rng = np.random.default_rng(dim)
+    for scale in (0.1, 1.0, 10.0):
+        x = scale * rng.standard_normal(dim)
+        assert np.array_equal(_central_diff(pm.potential, x), central_diff(pm.potential, x))
 
 
 def test_numeric_prox_euclidean_matches_soft():

@@ -28,6 +28,7 @@ from proxframe import (
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
 )
+from proxframe import shrinkage as shrinkage_module
 from support import central_diff, golden_section
 
 
@@ -189,6 +190,37 @@ def test_induced_regularizer_deep_in_dead_zone(rng):
     tight = induced_regularizer(reg, xs, tol=1e-10)
     assert np.all(loose >= 0.0) and np.all(loose <= reg.g(op.matrix @ xs))
     assert np.all(np.abs(loose - tight) <= 1e-7)
+
+
+def test_induced_regularizer_compaction_across_both_phases(rng, monkeypatch):
+    # ordinary columns are certified by FISTA and leave the block while the
+    # deep-dead-zone ones go on to the ADMM phase and leave it one by one;
+    # each column must still come back as its own single-column evaluation
+    op = random_operator(9, 2, rng)
+    fs = FrameShrinkage(op, soft_shrink_map(10.0))
+    reg = InducedRegularizer.from_shrinkage(fs)
+    tol = 1e-9
+    x = rng.standard_normal((2, 12))
+    x[:, ::2] *= 1e-9
+    admm_cols = []
+    admm_points = shrinkage_module._admm_points
+
+    def spy(proj, c, prox_g, rho):
+        admm_cols.append(c.shape[1])
+        return admm_points(proj, c, prox_g, rho)
+
+    monkeypatch.setattr(shrinkage_module, "_admm_points", spy)
+    vals = induced_regularizer(reg, x, tol=tol)
+    assert admm_cols and 0 < admm_cols[0] < x.shape[1]
+
+    tx = op.matrix @ x
+    u = tx - soft_shrink(tx, 10.0)
+    g_tx = reg.g(tx)
+    # the rounding slack of test_induced_regularizer_gap_certificate
+    slack = 1e-12 * (1.0 + g_tx + np.sum(u * u, axis=0))
+    singles = np.array([induced_regularizer(reg, x[:, j], tol=tol) for j in range(12)])
+    assert np.all(np.abs(vals - singles) <= tol + slack)
+    assert np.all(vals <= g_tx)
 
 
 def test_induced_regularizer_dimension_mismatch():
