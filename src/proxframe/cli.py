@@ -325,7 +325,7 @@ def main(argv=None) -> int:
 
     try:
         return ns.handler(ns)
-    except (ProxFrameError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ProxFrameError, ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -169,40 +169,53 @@ def verify_firm_nonexpansive(
     return report_pass(f"firm_nonexpansive:{prox_map.name}", trials, worst, tol)
 
 
-# Coordinates per block of shifted points. It cuts the potential calls per
-# sample from 2 * dim to about dim / 32 while a block stays at 64 columns
-# (200 kB at dim 400); one (dim, 2 * dim) block raised the peak memory of
-# the benchmark's CLI verify runs by 16% and made them slower, not faster.
-_FD_BLOCK = 32
+# Doubles per block of shifted points (200 kB): 64 columns, the shifted
+# points of 32 coordinates, at dimension 400, the largest the benchmark's CLI
+# verify runs use. Small dimensions put the shifted points of many trials
+# into one potential call; one unbounded (dim, 2 * dim) block per trial
+# raised the peak memory of those runs by 16% and made them slower.
+_FD_BLOCK = 2 * 32 * 400
+
+
+def _column_values(fun, block: np.ndarray) -> np.ndarray:
+    """``fun`` of each column of ``block``; anything else raises ValueError."""
+    vals = np.asarray(fun(block), dtype=float)
+    if vals.shape != (block.shape[1],):
+        raise ValueError(
+            f"potential must return one value per column: got shape "
+            f"{vals.shape} for a block of shape {block.shape}"
+        )
+    return vals
 
 
 def _central_diff(fun, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient with per-coordinate steps.
+    """Central finite-difference gradient of ``fun`` at each column of x.
 
-    The shifted points x + h_i e_i and x - h_i e_i of ``_FD_BLOCK``
-    coordinates are the columns of one Fortran-ordered block, and ``fun``
-    (which must reduce over axis 0) is called once per block. Fortran order
-    keeps each column contiguous, so its axis-0 sum is the pairwise sum a
-    1-D call makes and the gradient is bit-identical to one evaluated a
-    coordinate at a time.
+    Steps are per coordinate, h = 1e-6 max(1, |x|). The (column, coordinate)
+    pairs are taken column by column, and the shifted points x + h_i e_i and
+    x - h_i e_i of as many pairs as fit ``_FD_BLOCK`` doubles are the columns
+    of one Fortran-ordered block, so ``fun`` (which must reduce over axis 0)
+    is called once per block. Fortran order keeps each column contiguous, so
+    its axis-0 sum is the pairwise sum a 1-D call makes and the gradient is
+    bit-identical to one evaluated a point at a time. A 1-D x is one column.
     """
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    grad = np.empty_like(x)
-    for lo in range(0, x.size, _FD_BLOCK):
-        hi = min(lo + _FD_BLOCK, x.size)
-        k = np.arange(hi - lo)
-        block = np.empty((x.size, 2 * k.size), order="F")
-        block[:] = x[:, None]
-        block[lo + k, k] = x[lo:hi] + h[lo:hi]
-        block[lo + k, k.size + k] = x[lo:hi] - h[lo:hi]
-        vals = np.asarray(fun(block), dtype=float)
-        if vals.shape != (block.shape[1],):
-            raise ValueError(
-                f"potential must return one value per column: got shape "
-                f"{vals.shape} for a block of shape {block.shape}"
-            )
-        grad[lo:hi] = (vals[: k.size] - vals[k.size:]) / (2.0 * h[lo:hi])
-    return grad
+    x = np.asarray(x, dtype=float)
+    cols = x.reshape(x.shape[0], -1)
+    dim, count = cols.shape
+    h = 1e-6 * np.maximum(1.0, np.abs(cols))
+    grad = np.empty(dim * count)
+    step = max(1, _FD_BLOCK // (2 * dim))
+    for lo in range(0, grad.size, step):
+        pair = np.arange(lo, min(lo + step, grad.size))
+        col, coord = np.divmod(pair, dim)
+        at, hp, m = cols[coord, col], h[coord, col], pair.size
+        block = np.empty((dim, 2 * m), order="F")
+        block[:, :m] = block[:, m:] = cols[:, col]
+        block[coord, np.arange(m)] = at + hp
+        block[coord, np.arange(m, 2 * m)] = at - hp
+        vals = _column_values(fun, block)
+        grad[pair] = (vals[:m] - vals[m:]) / (2.0 * hp)
+    return grad.reshape(count, dim).T.reshape(x.shape)
 
 
 def verify_moreau_characterization(
@@ -215,34 +228,42 @@ def verify_moreau_characterization(
 ) -> VerifyReport:
     """Check the three ingredients that characterize a proximity operator.
 
-    (a) nonexpansiveness on random pairs, (b) agreement of the map with the
-    finite-difference gradient of ``potential`` (relative error per sample),
-    and (c) midpoint convexity of ``potential``. Samples landing within 10
+    (a) nonexpansiveness, ||Px - Py|| - ||x - y||, on random pairs; (b)
+    agreement of the map with the finite-difference gradient of
+    ``potential`` at x, as a relative error per sample; (c) midpoint
+    convexity of ``potential``. Samples with a coordinate within 10
     finite-difference steps of a breakpoint are skipped in (b).
 
+    Each block of trials is one array computation: the map is applied to
+    the x and y columns at once, (a) takes column sums, (c) calls the
+    potential once each on the midpoints, x and y, and (b) is one
+    ``_central_diff`` over every kept column, in which the shifted points of
+    several trials share a potential call.
+
     ``potential`` must reduce over axis 0, as ``ProxMap.potential`` does:
-    one value for a vector, one value per column for a (dim, k) block. The
-    finite differences evaluate it on blocks of shifted points; a result of
-    any other shape raises ValueError naming that shape.
+    one value for a vector, one value per column for a (dim, k) block. It is
+    only called on Fortran-ordered blocks, whose columns it sums in the
+    order of a 1-D call; a result of any other shape raises ValueError
+    naming that shape.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     def chunk(lo: int, hi: int) -> float:
-        found = []
-        for x, y in sample_trials(seed, lo, hi, dim, 2).transpose(2, 0, 1):
-            px = np.asarray(prox_map(x))
-            py = np.asarray(prox_map(y))
-            found.append(float(np.linalg.norm(px - py) - np.linalg.norm(x - y)))
-            mid = float(potential(0.5 * (x + y)))
-            found.append(mid - 0.5 * (float(potential(x)) + float(potential(y))))
+        x, y = sample_trials(seed, lo, hi, dim, 2)
+        px = np.asarray(prox_map(x))
+        dp, dx = px - np.asarray(prox_map(y)), x - y
+        expand = np.sqrt(_colsum(dp * dp)) - np.sqrt(_colsum(dx * dx))
+        pot = lambda a: _column_values(potential, np.asfortranarray(a))
+        convex = pot(0.5 * (x + y)) - 0.5 * (pot(x) + pot(y))
+        keep = np.ones(hi - lo, dtype=bool)
+        if prox_map.breakpoint_gap is not None:
             h = 1e-6 * np.maximum(1.0, np.abs(x))
-            if prox_map.breakpoint_gap is not None:
-                if np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h):
-                    continue
-            fd = _central_diff(potential, x)
-            found.append(float(np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px)))))
-        return float(np.max(found))
+            keep = ~np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h, axis=0)
+        fd = _central_diff(potential, x[:, keep])
+        pk = px[:, keep]
+        grad_err = np.max(np.abs(fd - pk), axis=0) / np.maximum(1.0, np.max(np.abs(pk), axis=0))
+        return float(np.max(np.concatenate([expand, convex, grad_err])))
 
     worst = max_over_chunks(chunk, trials)
     return report_pass(f"moreau_characterization:{prox_map.name}", trials, worst, tol)

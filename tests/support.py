@@ -48,3 +48,29 @@ def central_diff(fun, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
         e[i] = h[i]
         grad[i] = (float(fun(x + e)) - float(fun(x - e))) / (2.0 * h[i])
     return grad
+
+
+def moreau_trial_violations(prox_map, potential, dim: int, trials: int, seed: int = 0) -> np.ndarray:
+    """Worst violation of the Moreau check in each trial, one trial at a time.
+
+    Per pair (x, y) of the block sampler: ||Px - Py|| - ||x - y||, the
+    midpoint-convexity gap of the potential, and, unless a coordinate of x
+    lies within 10 steps of a breakpoint, the relative error of P(x) against
+    the finite-difference gradient of the potential.
+    """
+    from proxframe.sampling import sample_trials
+
+    worst = []
+    for x, y in sample_trials(seed, 0, trials, dim, 2).transpose(2, 0, 1):
+        px = np.asarray(prox_map(x))
+        py = np.asarray(prox_map(y))
+        found = [float(np.linalg.norm(px - py) - np.linalg.norm(x - y))]
+        mid = float(potential(0.5 * (x + y)))
+        found.append(mid - 0.5 * (float(potential(x)) + float(potential(y))))
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        gap = prox_map.breakpoint_gap
+        if gap is None or not np.any(np.asarray(gap(x)) < 10.0 * h):
+            fd = central_diff(potential, x)
+            found.append(float(np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px)))))
+        worst.append(np.max(found))
+    return np.array(worst)

@@ -70,6 +70,8 @@ def test_verify_rank_deficient_file_is_usage_error(tmp_path, capsys):
         # lambda must be finite
         ("verify", "--operator", "random:6x3:1", "--prox", "soft:inf", "--trials", "5"),
         ("solve", "--operator", "example35", "--x", "1", "--lambda", "inf"),
+        # a 728 TiB operator cannot be allocated under any overcommit setting
+        ("verify", "--operator", "random:10000000x10000000:1", "--trials", "1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -19,8 +19,8 @@ from proxframe import (
     verify_firm_nonexpansive,
     verify_moreau_characterization,
 )
-from proxframe.prox import _central_diff
-from support import central_diff, golden_section
+from proxframe.prox import _FD_BLOCK, _central_diff
+from support import central_diff, golden_section, moreau_trial_violations
 
 lambdas = st.floats(min_value=0.05, max_value=10.0)
 points = st.floats(min_value=-30.0, max_value=30.0)
@@ -137,6 +137,19 @@ def test_moreau_characterization_wrong_potential_fails():
     l1 = lambda v: np.sum(np.abs(v), axis=0)
     rep = verify_moreau_characterization(pm, l1, dim=3, trials=300, tol=1e-6)
     assert not rep.passed
+    assert rep.max_violation == np.max(moreau_trial_violations(pm, l1, dim=3, trials=300))
+
+
+@pytest.mark.parametrize("pm", [soft_shrink_map(1.0), identity_map()], ids=["soft", "identity"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 20, 33, 129])
+def test_moreau_characterization_matches_per_trial_reference(pm, dim):
+    # the block evaluation reports the very bits of a per-trial loop; 1025
+    # trials reach into a second sampling block, and by the prefix property
+    # shorter runs see the first trials of the longest one
+    ref = moreau_trial_violations(pm, pm.potential, dim, 1025, seed=dim)
+    for trials in (1, 200, 1025):
+        rep = verify_moreau_characterization(pm, pm.potential, dim, trials, tol=1e-6, seed=dim)
+        assert rep.max_violation == np.max(ref[:trials])
 
 
 def test_moreau_characterization_scalar_potential_raises():
@@ -157,6 +170,16 @@ def test_block_central_diff_is_bit_identical(pm, dim):
     for scale in (0.1, 1.0, 10.0):
         x = scale * rng.standard_normal(dim)
         assert np.array_equal(_central_diff(pm.potential, x), central_diff(pm.potential, x))
+    # columns whose (column, coordinate) pairs fill more than one block; unless
+    # dim divides the pairs per block, the column holding pair number
+    # ``per_block`` has its coordinates split between two blocks
+    per_block = max(1, _FD_BLOCK // (2 * dim))
+    count = per_block // dim + 2
+    cols = np.array([0.1, 1.0, 10.0])[np.arange(count) % 3] * rng.standard_normal((dim, count))
+    fd = _central_diff(pm.potential, cols)
+    assert fd.shape == cols.shape
+    for j in range(count):
+        assert np.array_equal(fd[:, j], central_diff(pm.potential, cols[:, j]))
 
 
 def test_numeric_prox_euclidean_matches_soft():

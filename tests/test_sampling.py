@@ -6,6 +6,7 @@ from proxframe import (
     random_operator,
     soft_shrink_map,
     verify_firm_nonexpansive,
+    verify_moreau_characterization,
     verify_operator_identities,
     verify_t_firm_nonexpansive,
 )
@@ -55,5 +56,7 @@ def test_sampled_checks_identical_under_fanout(monkeypatch):
             verify_firm_nonexpansive(fs.inner_prox, dim=op.n, trials=trials, tol=1e-12,
                                      seed=5).to_json(),
             verify_operator_identities(op, tol=1e-10, trials=trials, seed=6).to_json(),
+            verify_moreau_characterization(fs.inner_prox, fs.inner_prox.potential, dim=op.n,
+                                           trials=trials, tol=1e-6, seed=7).to_json(),
         ]
     assert lines["1"] == lines["2"] == lines["3"]

@@ -394,12 +394,3 @@ def test_shrinkage_json_roundtrip():
 def test_shrinkage_json_malformed(doc):
     with pytest.raises(ValueError):
         shrinkage_from_json(doc)
-
-
-def test_metric_must_match_operator(rng):
-    from proxframe import TMetric
-
-    op1 = random_operator(4, 2, rng)
-    op2 = random_operator(4, 2, rng)
-    with pytest.raises(ValueError):
-        FrameShrinkage(op1, soft_shrink_map(1.0), TMetric(op2))
