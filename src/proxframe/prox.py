@@ -288,6 +288,10 @@ def numeric_prox(
     metric is the Euclidean one and f is g itself, so it minimizes
     ``1/2 ||x - y||^2 + g(y)``.
 
+    Each column stops once a certificate puts it within ``tol`` of the true
+    prox in T-norm; ``residual`` is the largest certificate. A column whose
+    ``tol`` is below the rounding of its certificate stops unconverged.
+
     ``x`` may be a (d, k) column block; the report then carries a (d, k)
     minimizer and per-column objectives. Non-convergence is reported through
     the ``converged`` flag, not raised.
@@ -313,14 +317,11 @@ def numeric_prox(
     if x.ndim > 2 or xs.shape[0] != op.d:
         raise DimensionMismatch(f"expected signals of dimension {op.d}, got {x.shape}")
 
-    y, w, s, iters, resid, converged = splitting.metric_prox_admm(
-        op, inner.prox, xs, tol, max_iter
-    )
+    y, u, iters, resid, converged = splitting.metric_prox_admm(op, inner.prox, xs, tol, max_iter)
     objective = None
     if inner.function is not None:
-        tx_ty = op.matrix @ (xs - y)
-        objective = 0.5 * np.sum(tx_ty * tx_ty, axis=0) + 0.5 * np.sum(w * w, axis=0)
-        objective = objective + np.asarray(inner.function(s))
+        # 1/2 ||x - y||_T^2 + 1/2 ||w||^2 is 1/2 ||u - T x||^2 at y = T^+ u, w = B^T u
+        objective = 0.5 * np.sum((u - op.matrix @ xs) ** 2, axis=0) + inner.function(u)
         objective = objective if x.ndim == 2 else float(objective[0])
     return SolveReport(
         minimizer=y.reshape(x.shape),

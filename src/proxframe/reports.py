@@ -45,7 +45,7 @@ class SolveReport:
     """Result of an iterative solve.
 
     ``residual`` holds the solver's own termination quantity (duality gap,
-    iterate change, ...); ``tolerance`` the threshold it was compared against.
+    certified error bound, ...); ``tolerance`` the threshold it was compared against.
     """
 
     minimizer: np.ndarray

@@ -5,7 +5,7 @@ regularizer induced by an inner prox and T; the Euclidean oracle is its
 T = I case, where f is the inner function itself. The induced regularizer
 is evaluated by a dual solve in ``shrinkage``. The iteration works on
 column blocks: a (d, k) iterate runs k instances of the scheme in lockstep.
-Each column is frozen at its own first tolerance crossing, so the numbers a
+Each column is frozen at its own first certified iterate, so the numbers a
 column produces do not depend on which other columns share the block;
 verification runs may therefore batch or fan out trials arbitrarily without
 changing any reported value.
@@ -19,19 +19,28 @@ import numpy as np
 # the first cycle would reproduce the closed-form composition verbatim; a
 # non-unit one keeps the oracle an independent numerical solve.
 RHO = 2.5
+# Over operators of condition 1 to 1e3, shapes 1x1 to 400x250 and soft
+# shrinkage at lam 0.1 to 10, the certificate stalled at no more than
+# 2 eps (||u|| + ||T x|| + RHO ||mu||) + 1.4 max RHO ||m - v||, the max taken
+# on every eighth iteration, where the floor is checked.
+_CERT_FLOOR = 4.0
+_FLOOR_STRIDE = 8
 
 
-def _below_resolution(thresh: float, data: np.ndarray) -> np.ndarray:
-    """Columns whose stopping threshold is finer than one ulp of their data.
+def _norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(a * a, axis=0))
 
-    Such a threshold cannot be told apart from rounding, so a column reaching
-    it would certify nothing: it is reported unconverged without iterating.
+
+def _below_resolution(tol: float, u, tx_norm, mu, defect) -> np.ndarray:
+    """Columns whose ``tol`` is below ``_CERT_FLOOR`` times their certificate's rounding.
+
+    The certificate u - T x + RHO mu sums three terms, each rounded at eps of
+    its size; at the iteration's fixed point it equals RHO (m - v), where
+    m = T T^+ v + B B^T v is v up to the rounding of the stored factors and
+    ``defect`` is the largest RHO ||m - v|| seen so far.
     """
-    return thresh < np.finfo(float).eps * np.max(np.abs(data), axis=0)
-
-
-def _residual(resid: np.ndarray, lost: np.ndarray) -> float:
-    return float(np.max(np.where(lost, np.inf, resid)))
+    scale = np.finfo(float).eps * (_norms(u) + tx_norm + RHO * _norms(mu))
+    return tol < _CERT_FLOOR * (scale + defect)
 
 
 def metric_prox_admm(op, prox_scaled, x: np.ndarray, tol: float, max_iter: int):
@@ -47,55 +56,44 @@ def metric_prox_admm(op, prox_scaled, x: np.ndarray, tol: float, max_iter: int):
 
         y <- (x + rho T^+ v) / (1 + rho),   w <- rho B^T v / (1 + rho),
 
-    with v the shifted dual variable and rho = RHO, and the u update is one
-    prox call at scale 1/rho. The y block converges to the minimizer of
-    1/2 ||x - y||_T^2 + f(y) with f the induced regularizer.
+    with v the shifted dual variable and rho = RHO, so T y + B w is
+    (T x + rho m) / (1 + rho) with m = T T^+ v + B B^T v. After the u update,
+    one prox call at scale 1/rho, rho mu is a subgradient of g at u. In
+    z = T y + B w the problem is min_z 1/2 ||z - T x||^2 + g(z), 1-strongly
+    convex, so the certificate ||u - T x + rho mu|| bounds ||u - z*|| and the
+    T-norm error of y = T^+ u.
 
-    ``x`` is a (d, k) column block. Returns (y, w, s, iterations, residual,
-    converged) with s = T y + B w; the per-column residual is the max over
-    iterate change and consensus gap, and each column is frozen at its first
-    crossing of a threshold one decade below ``tol`` (the iterate-change
-    criterion does not see the geometric tail). A column whose threshold is
-    below one ulp of its ``T x`` is not iterated and counts as unconverged.
+    ``x`` is a (d, k) column block. Returns (y, u, iterations, residual,
+    converged); each column is frozen at its first u certified within
+    ``tol``, the residual being the largest certificate. A column whose tol
+    is below its certificate's rounding (``_below_resolution``) stops there
+    as unconverged; its threshold is never widened.
     """
-    t = op.matrix
-    pinv = op.pinv
-    basis = op.null_basis
-    k = x.shape[1]
-
-    u = np.zeros((t.shape[0], k))
-    mu = np.zeros_like(u)
-    y = np.array(x, dtype=float)
-    w = np.zeros((basis.shape[1], k))
-    s = t @ x
-    out_y, out_w, out_s = np.array(y), np.array(w), np.array(s)
-    resid = np.full(k, np.inf)
-    mix = RHO / (1.0 + RHO)
-    thresh = 0.1 * tol
-    lost = _below_resolution(thresh, s)
+    t, pinv, basis = op.matrix, op.pinv, op.null_basis
+    tx = t @ x
+    tx_norm = _norms(tx)
+    u, mu, out = np.zeros_like(tx), np.zeros_like(tx), np.zeros_like(tx)
+    cert, defect = np.full(x.shape[1], np.inf), np.zeros(x.shape[1])
+    lost = _below_resolution(tol, u, tx_norm, mu, defect)
     done = lost.copy()
     iters = 0
     while not done.all() and iters < max_iter:
         iters += 1
         v = u - mu
-        y_new = (x + RHO * (pinv @ v)) / (1.0 + RHO)
-        w_new = mix * (basis.T @ v)
-        s = t @ y_new + basis @ w_new
+        m = t @ (pinv @ v) + basis @ (basis.T @ v)
+        s = (tx + RHO * m) / (1.0 + RHO)
         u = prox_scaled(s + mu, 1.0 / RHO)
         mu = mu + s - u
-        resid = np.max(np.abs(s - u), axis=0)
-        resid = np.maximum(resid, np.max(np.abs(y_new - y), axis=0))
-        if w.size:
-            resid = np.maximum(resid, np.max(np.abs(w_new - w), axis=0))
-        y, w = y_new, w_new
-        crossed = (resid <= thresh) & ~done
-        if np.any(crossed):
-            out_y[:, crossed] = y[:, crossed]
-            out_w[:, crossed] = w[:, crossed]
-            out_s[:, crossed] = s[:, crossed]
-            done |= crossed
-    if not done.all():
-        out_y[:, ~done] = y[:, ~done]
-        out_w[:, ~done] = w[:, ~done]
-        out_s[:, ~done] = s[:, ~done]
-    return out_y, out_w, out_s, iters, _residual(resid, lost), bool(done.all() and not lost.any())
+        now = _norms(u - tx + RHO * mu)
+        fresh = (now <= tol) & ~done
+        if iters % _FLOOR_STRIDE == 0:
+            defect = np.maximum(defect, RHO * _norms(m - v))
+            lost |= ~fresh & ~done & _below_resolution(tol, u, tx_norm, mu, defect)
+            fresh |= lost & ~done
+        if np.any(fresh):
+            out[:, fresh], cert[fresh] = u[:, fresh], now[fresh]
+            done |= fresh
+    if iters:
+        out[:, ~done], cert[~done] = u[:, ~done], now[~done]
+    resid = float(np.max(np.where(lost, np.inf, cert)))
+    return pinv @ out, out, iters, resid, bool(done.all() and not lost.any())

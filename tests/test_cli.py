@@ -117,6 +117,17 @@ def test_verify_large_lambda(capsys):
     assert all(json.loads(line)["pass"] for line in out.strip().splitlines())
 
 
+def test_verify_prox_identity_on_200x100(capsys):
+    # the certified oracle is within a tenth of the tolerance of the closed
+    # form here; an iterate-change stop rule once reported 1.42e-6 > 1e-6
+    code, out, err = run(capsys, "verify", "--operator", "random:200x100:2", "--prox", "soft:1",
+                         "--trials", "100", "--seed", "1")
+    assert code == 0, err
+    prox_identity = [json.loads(line) for line in out.strip().splitlines()][4]
+    assert prox_identity["property"] == "prox_identity"
+    assert prox_identity["max_violation"] <= 1e-7
+
+
 def test_verify_runs_are_byte_identical(capsys):
     args = ("verify", "--operator", "random:5x3:9", "--prox", "soft:0.5",
             "--trials", "30", "--seed", "42")

@@ -19,7 +19,9 @@ from proxframe import (
     verify_firm_nonexpansive,
     verify_moreau_characterization,
 )
+from proxframe.cli import load_named_matrix
 from proxframe.prox import _FD_BLOCK, _central_diff
+from proxframe.sampling import sample_trials
 from support import central_diff, golden_section, moreau_trial_violations
 
 lambdas = st.floats(min_value=0.05, max_value=10.0)
@@ -140,6 +142,24 @@ def test_moreau_characterization_wrong_potential_fails():
     assert rep.max_violation == np.max(moreau_trial_violations(pm, l1, dim=3, trials=300))
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_moreau_characterization_skips_trials_near_a_breakpoint(seed):
+    # lam puts the first coordinate of the only trial 5 finite-difference
+    # steps outside the kink of soft shrinkage, inside the 10-step band the
+    # gradient term skips; the report is then the larger of the
+    # nonexpansive and convexity terms alone, both negative here, while any
+    # gradient error is >= 0
+    dim = 3
+    x, y = sample_trials(seed, 0, 1, dim, 2)
+    h = 1e-6 * max(1.0, abs(x[0, 0]))
+    pm = soft_shrink_map(abs(x[0, 0]) - 5.0 * h)
+    dp, dx = pm(x) - pm(y), x - y
+    expand = np.sqrt(np.sum(dp * dp, axis=0)) - np.sqrt(np.sum(dx * dx, axis=0))
+    convex = pm.potential(0.5 * (x + y)) - 0.5 * (pm.potential(x) + pm.potential(y))
+    rep = verify_moreau_characterization(pm, pm.potential, dim, trials=1, tol=1e-6, seed=seed)
+    assert rep.max_violation == max(expand[0], convex[0]) < 0.0
+
+
 @pytest.mark.parametrize("pm", [soft_shrink_map(1.0), identity_map()], ids=["soft", "identity"])
 @pytest.mark.parametrize("dim", [1, 3, 8, 20, 33, 129])
 def test_moreau_characterization_matches_per_trial_reference(pm, dim):
@@ -237,6 +257,25 @@ def test_numeric_prox_below_float_resolution_fails_at_once():
     # an all-zero column has nothing to resolve, and lands exactly
     rep = numeric_prox(soft_shrink_map(1.0), np.zeros(3), tol=0.0)
     assert rep.converged
+
+
+@pytest.mark.parametrize("spec", ["random:12x5:7", "random:200x100:2"])
+def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec):
+    # thresholds a few ulps of max |Tx| above float resolution: where rounding
+    # stalls the certificate above them, the column stops as unconverged at
+    # once instead of iterating to the cap
+    from proxframe import FrameShrinkage, InducedRegularizer
+
+    op = build_operator(load_named_matrix(spec))
+    x = np.random.default_rng(7).standard_normal((op.d, 6)) * [0.1, 1.0, 10.0, 0.1, 1.0, 10.0]
+    ulp = np.finfo(float).eps * np.max(np.abs(op.matrix @ x))
+    for lam in (0.1, 1.0, 10.0):
+        fs = FrameShrinkage(op, soft_shrink_map(lam))
+        reg = InducedRegularizer.from_shrinkage(fs)
+        for k in (1.5, 4, 16, 64, 256):
+            rep = numeric_prox(reg, x, metric=fs.metric, tol=k * ulp, max_iter=2000)
+            assert rep.iterations < 2000, (lam, k, rep.residual)
+            assert rep.converged == (rep.residual <= k * ulp)
 
 
 def test_numeric_prox_metric_flagship():

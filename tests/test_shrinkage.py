@@ -18,6 +18,7 @@ from proxframe import (
     huber_envelope,
     identity_map,
     induced_regularizer,
+    numeric_prox,
     random_operator,
     shrinkage_from_json,
     shrinkage_to_json,
@@ -29,6 +30,7 @@ from proxframe import (
     weaker_regularizer_check,
 )
 from proxframe import shrinkage as shrinkage_module
+from proxframe.cli import load_named_matrix
 from support import central_diff, golden_section
 
 
@@ -277,6 +279,36 @@ def test_verify_prox_identity_random_operator(rng):
         reg = InducedRegularizer.from_shrinkage(fs)
         rep = verify_prox_identity(fs, reg, trials=30, tol=1e-5, seed=11)
         assert rep.passed, rep
+
+
+@pytest.mark.parametrize("spec", ["random:12x5:3", "random:100x60:3", "random:30x12:2"])
+def test_verify_prox_identity_catches_a_wrong_regularizer(spec, monkeypatch):
+    # a gap floor of 1e300 certifies every column of the dual solve at its
+    # first check, so f comes out wrong; the envelope identity at the
+    # shrinkage point must see it, while the unmutated check passes
+    fs = FrameShrinkage(build_operator(load_named_matrix(spec)), soft_shrink_map(1.0))
+    reg = InducedRegularizer.from_shrinkage(fs)
+    assert verify_prox_identity(fs, reg, trials=50, tol=1e-6, seed=4).passed
+    monkeypatch.setattr(shrinkage_module, "_GAP_FLOOR", 1e300)
+    rep = verify_prox_identity(fs, reg, trials=50, tol=1e-6, seed=4)
+    assert not rep.passed and rep.max_violation > 1e-3
+
+
+def test_numeric_prox_lands_within_its_certified_tolerance(rng):
+    # a converged T-metric oracle is within tol of the closed-form
+    # composition in T-norm; random:200x100:2 is where an iterate-change
+    # stop rule missed 1e-7 by 1.42e-6
+    ops = [build_operator(load_named_matrix("random:200x100:2"))]
+    ops += [random_operator(n, d, rng, cond=c) for n, d, c in ((9, 2, 1e3), (30, 12, 30.0), (60, 30, None))]
+    for op in ops:
+        x = rng.standard_normal((op.d, 12)) * np.repeat([0.1, 1.0, 10.0], 4)
+        for lam, tol in ((0.1, 1e-6), (1.0, 1e-7), (10.0, 1e-9)):
+            fs = FrameShrinkage(op, soft_shrink_map(lam))
+            reg = InducedRegularizer.from_shrinkage(fs)
+            rep = numeric_prox(reg, x, metric=fs.metric, tol=tol)
+            assert rep.converged and rep.residual <= tol
+            gap = op.matrix @ (rep.minimizer - frame_prox(fs, x))
+            assert np.max(np.sqrt(np.sum(gap * gap, axis=0))) <= tol, (op.matrix.shape, lam)
 
 
 def test_t_firm_nonexpansive_flagship():
