@@ -123,8 +123,8 @@ def test_verify_prox_identity_on_200x100(capsys):
     code, out, err = run(capsys, "verify", "--operator", "random:200x100:2", "--prox", "soft:1",
                          "--trials", "100", "--seed", "1")
     assert code == 0, err
-    prox_identity = [json.loads(line) for line in out.strip().splitlines()][4]
-    assert prox_identity["property"] == "prox_identity"
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    prox_identity = next(r for r in reports if r["property"] == "prox_identity")
     assert prox_identity["max_violation"] <= 1e-7
 
 
