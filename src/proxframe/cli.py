@@ -115,6 +115,8 @@ def _report_line(report, fmt: str) -> str:
 
 def _tol(args: argparse.Namespace, default: float) -> float:
     """The --tol value as given (0 included), else the check's default."""
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     return default if args.tol is None else args.tol
 
 

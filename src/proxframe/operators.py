@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient
-from .reports import VerifyReport, report_pass
-from .sampling import max_over_chunks, sample_trials
+from .reports import VerifyReport
+from .sampling import sampled_check
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -149,6 +149,23 @@ def _check_vector(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
+    """T x for a signal or (d, k) block of signals; every entry must be finite.
+
+    A non-finite signal always gives a non-finite T x (T has no zero
+    column), so one check covers NaN and inf input as well as overflow.
+    """
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.ndim > 2 or arr.shape[0] != op.d:
+        raise DimensionMismatch(f"expected signals of dimension {op.d}, got {arr.shape}")
+    tx = op.matrix @ arr
+    finite = np.isfinite(tx)
+    if not finite.all():
+        col = int(np.flatnonzero(~finite.reshape(op.n, -1).all(axis=0))[0])
+        raise ValueError(f"signal column {col} is not finite, or overflows under T")
+    return tx
+
+
 def t_inner(metric: TMetric, x: np.ndarray, y: np.ndarray) -> float:
     """<x, y>_T = <Tx, Ty>."""
     op = metric.operator
@@ -181,27 +198,23 @@ def verify_operator_identities(
 
     Failures are reported in the returned record, never raised.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     t, pinv, proj = op.matrix, op.pinv, op.range_proj
     a, b = op.frame_bounds
-
-    def chunk(lo: int, hi: int) -> float:
-        x = sample_trials(seed, lo, hi, op.d)[0]
-        x /= np.sqrt(np.sum(x * x, axis=0))
-        nx2 = np.sum(x * x, axis=0)
-        tx = t @ x
-        tx2 = np.sum(tx * tx, axis=0)
-        return float(np.max(np.maximum(a * nx2 - tx2, tx2 - b * nx2)))
-
-    worst = np.max([
+    exact = max(
         np.max(np.abs(pinv @ t - np.eye(op.d))),
         np.max(np.abs(proj @ proj - proj)),
         np.max(np.abs(proj.T - proj)),
         np.max(np.abs(pinv - pinv @ proj)),
-        max_over_chunks(chunk, trials),
-    ])
-    return report_pass("operator_identities", trials, float(worst), tol)
+    )
+
+    def violations(x: np.ndarray) -> np.ndarray:
+        x /= np.sqrt(np.sum(x * x, axis=0))
+        nx2 = np.sum(x * x, axis=0)
+        tx = t @ x
+        tx2 = np.sum(tx * tx, axis=0)
+        return np.maximum(np.maximum(a * nx2 - tx2, tx2 - b * nx2), exact)
+
+    return sampled_check("operator_identities", trials, tol, seed, op.d, violations)
 
 
 # --- matrix I/O ------------------------------------------------------------
@@ -241,13 +254,24 @@ def save_matrix_json(matrix: np.ndarray, path: str | Path) -> None:
     Path(path).write_text(f'{{"rows": {n}, "cols": {d}, "data": [{data}]}}\n')
 
 
+def _json_matrix(doc) -> np.ndarray:
+    """The matrix of a JSON matrix document; rows and cols must be JSON integers
+    >= 1 and data a flat list of rows * cols numbers, or ValueError is raised."""
+    try:
+        n, d, data = doc["rows"], doc["cols"], doc["data"]
+        if not all(type(v) is int and v >= 1 for v in (n, d)):
+            raise ValueError(f"rows and cols must be integers >= 1, got {n!r} and {d!r}")
+        arr = np.asarray(data, dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"missing or malformed field: {exc!r}") from exc
+    if arr.shape != (n * d,):
+        raise ValueError(f"declares {n}x{d} but data has shape {arr.shape}")
+    return arr.reshape(n, d)
+
+
 def load_matrix_json(path: str | Path) -> np.ndarray:
     doc = json.loads(Path(path).read_text())
     try:
-        n, d, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError) as exc:
+        return _json_matrix(doc)
+    except ValueError as exc:
         raise ValueError(f"malformed matrix JSON in {path}: {exc}") from exc
-    arr = np.asarray([float(v) for v in data], dtype=float)
-    if arr.size != n * d:
-        raise ValueError(f"matrix JSON in {path} declares {n}x{d} but has {arr.size} entries")
-    return arr.reshape(n, d)

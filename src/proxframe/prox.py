@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveLambda
-from .operators import TMetric, build_operator
-from .reports import SolveReport, VerifyReport, report_pass
-from .sampling import max_over_chunks, sample_trials
+from .operators import TMetric, _analysis, build_operator
+from .reports import SolveReport, VerifyReport
+from .sampling import sampled_check
 from . import splitting
 
 
@@ -156,17 +156,12 @@ def verify_firm_nonexpansive(
     Proximity operators keep this quantity nonpositive; the report carries
     the largest sampled value.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def chunk(lo: int, hi: int) -> float:
-        x, y = sample_trials(seed, lo, hi, dim, 2)
+    def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dp = np.asarray(prox_map(x)) - np.asarray(prox_map(y))
-        viol = _colsum(dp * dp) - _colsum((x - y) * dp)
-        return float(np.max(viol))
+        return _colsum(dp * dp) - _colsum((x - y) * dp)
 
-    worst = max_over_chunks(chunk, trials)
-    return report_pass(f"firm_nonexpansive:{prox_map.name}", trials, worst, tol)
+    return sampled_check(f"firm_nonexpansive:{prox_map.name}", trials, tol, seed, dim,
+                         violations, columns=2)
 
 
 # Doubles per block of shifted points (200 kB): 64 columns, the shifted
@@ -246,27 +241,25 @@ def verify_moreau_characterization(
     order of a 1-D call; a result of any other shape raises ValueError
     naming that shape.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def chunk(lo: int, hi: int) -> float:
-        x, y = sample_trials(seed, lo, hi, dim, 2)
+    def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         px = np.asarray(prox_map(x))
         dp, dx = px - np.asarray(prox_map(y)), x - y
         expand = np.sqrt(_colsum(dp * dp)) - np.sqrt(_colsum(dx * dx))
         pot = lambda a: _column_values(potential, np.asfortranarray(a))
         convex = pot(0.5 * (x + y)) - 0.5 * (pot(x) + pot(y))
-        keep = np.ones(hi - lo, dtype=bool)
+        keep = np.ones(x.shape[1], dtype=bool)
         if prox_map.breakpoint_gap is not None:
             h = 1e-6 * np.maximum(1.0, np.abs(x))
             keep = ~np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h, axis=0)
         fd = _central_diff(potential, x[:, keep])
         pk = px[:, keep]
         grad_err = np.max(np.abs(fd - pk), axis=0) / np.maximum(1.0, np.max(np.abs(pk), axis=0))
-        return float(np.max(np.concatenate([expand, convex, grad_err])))
+        viol = np.maximum(expand, convex)
+        viol[keep] = np.maximum(viol[keep], grad_err)
+        return viol
 
-    worst = max_over_chunks(chunk, trials)
-    return report_pass(f"moreau_characterization:{prox_map.name}", trials, worst, tol)
+    return sampled_check(f"moreau_characterization:{prox_map.name}", trials, tol, seed, dim,
+                         violations, columns=2)
 
 
 def numeric_prox(
@@ -294,10 +287,11 @@ def numeric_prox(
 
     ``x`` may be a (d, k) column block; the report then carries a (d, k)
     minimizer and per-column objectives. Non-convergence is reported through
-    the ``converged`` flag, not raised.
+    the ``converged`` flag, not raised; a NaN or inf signal raises ValueError
+    naming its column, as ``frame_prox`` and ``induced_regularizer`` do.
     """
     x = np.asarray(x, dtype=float)
-    xs = x.reshape(x.shape[0] if x.ndim else 1, -1)
+    xs = x.reshape(-1, 1) if x.ndim < 2 else x
     if metric is None:
         if not isinstance(g, ProxMap):
             raise TypeError("numeric_prox without a metric expects a ProxMap")
@@ -314,14 +308,12 @@ def numeric_prox(
         raise TypeError("numeric_prox with a metric expects a shrinkage-like g or ProxMap")
 
     op = metric.operator
-    if x.ndim > 2 or xs.shape[0] != op.d:
-        raise DimensionMismatch(f"expected signals of dimension {op.d}, got {x.shape}")
-
-    y, u, iters, resid, converged = splitting.metric_prox_admm(op, inner.prox, xs, tol, max_iter)
+    tx = _analysis(op, xs)
+    y, u, iters, resid, converged = splitting.metric_prox_admm(op, inner.prox, tx, tol, max_iter)
     objective = None
     if inner.function is not None:
         # 1/2 ||x - y||_T^2 + 1/2 ||w||^2 is 1/2 ||u - T x||^2 at y = T^+ u, w = B^T u
-        objective = 0.5 * np.sum((u - op.matrix @ xs) ** 2, axis=0) + inner.function(u)
+        objective = 0.5 * np.sum((u - tx) ** 2, axis=0) + inner.function(u)
         objective = objective if x.ndim == 2 else float(objective[0])
     return SolveReport(
         minimizer=y.reshape(x.shape),

@@ -6,6 +6,9 @@ Both records serialize to the documented JSON shapes:
   "tolerance": float, "pass": bool}``
 * ``SolveReport``: ``{"minimizer": [...], "objective": float,
   "iterations": int, "converged": bool}``
+
+Sampled checks get their ``VerifyReport`` from ``sampling.sampled_check``,
+the one place that sets ``passed``.
 """
 
 from __future__ import annotations
@@ -70,14 +73,3 @@ class SolveReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-def report_pass(name: str, trials: int, max_violation: float, tol: float) -> VerifyReport:
-    """Build a VerifyReport whose pass flag is ``max_violation <= tol``."""
-    return VerifyReport(
-        property_name=name,
-        trials=trials,
-        max_violation=float(max_violation),
-        tolerance=float(tol),
-        passed=bool(max_violation <= tol),
-    )

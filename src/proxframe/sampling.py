@@ -9,7 +9,9 @@ many trials the run draws (the prefix property).
 ``max_over_chunks`` hands each block to one ``fn(lo, hi)`` call, serially or
 on a thread, so every sample and every matrix product acts on the same
 columns under any PROXFRAME_THREADS: fan-out never changes a reported digit,
-and a NaN from any block makes the result NaN.
+and a NaN from any block makes the result NaN. ``sampled_check`` drives every
+sampled verification on top of both: a check supplies only the per-trial
+violations of a block of samples.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .reports import VerifyReport
 
 # Trials per counter stream, and the unit of fan-out.
 BLOCK = 1024
@@ -72,8 +76,6 @@ def max_over_chunks(fn, trials: int, workers: int | None = None) -> float:
     partition cannot affect the result; below BLOCK trials there is a single
     block and nothing to fan out. A NaN from any block makes the result NaN.
     """
-    if trials <= 0:
-        return 0.0
     jobs = [(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
     workers = min(worker_count() if workers is None else workers, len(jobs))
     if workers <= 1:
@@ -82,3 +84,23 @@ def max_over_chunks(fn, trials: int, workers: int | None = None) -> float:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda b: fn(*b), jobs))
     return float(np.max(parts))
+
+
+def sampled_check(
+    name: str, trials: int, tol: float, seed: int, dim: int, violations, columns: int = 1
+) -> VerifyReport:
+    """Report the largest violation over ``trials`` trials; pass if it is <= ``tol``.
+
+    Each block's ``sample_trials(seed, lo, hi, dim, columns)`` is passed as
+    ``violations(*samples)``, which returns the block's per-trial violations.
+    A NaN violation makes the maximum NaN, which fails. Raises ValueError if
+    ``trials`` < 1.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+    def block(lo: int, hi: int) -> float:
+        return np.max(violations(*sample_trials(seed, lo, hi, dim, columns)))
+
+    worst = max_over_chunks(block, trials)
+    return VerifyReport(name, trials, worst, float(tol), bool(worst <= tol))

@@ -22,11 +22,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged
-from .operators import AnalysisOperator, TMetric, build_operator
+from .errors import NotConverged
+from .operators import AnalysisOperator, TMetric, _analysis, _json_matrix, build_operator
 from .prox import ProxMap, numeric_prox, prox_map_by_name, soft_shrink_map
-from .reports import VerifyReport, report_pass
-from .sampling import max_over_chunks, sample_trials
+from .reports import VerifyReport
+from .sampling import sampled_check
 
 # A duality-gap check costs about as much as an iteration of the dual solve;
 # checking on every eighth keeps that small without delaying the stop much.
@@ -49,26 +49,6 @@ class FrameShrinkage:
     @property
     def metric(self) -> TMetric:
         return TMetric(self.operator)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return frame_prox(self, x)
-
-
-def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
-    """T x for signals x of dimension op.d; every entry must be finite.
-
-    A non-finite signal always gives a non-finite T x (T has no zero
-    column), so one check covers NaN and inf input as well as overflow.
-    """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape[0] != op.d:
-        raise DimensionMismatch(f"expected signals of dimension {op.d}, got {arr.shape}")
-    tx = op.matrix @ arr
-    finite = np.isfinite(tx)
-    if not finite.all():
-        col = int(np.flatnonzero(~finite.reshape(op.n, -1).all(axis=0))[0])
-        raise ValueError(f"signal column {col} is not finite, or overflows under T")
-    return tx
 
 
 def frame_prox(fs: FrameShrinkage, x: np.ndarray) -> np.ndarray:
@@ -102,9 +82,6 @@ class InducedRegularizer:
     @property
     def g(self) -> Callable[[np.ndarray], np.ndarray]:
         return self.shrinkage.inner_prox.function
-
-    def __call__(self, x, tol: float = 1e-9):
-        return induced_regularizer(self, x, tol)
 
 
 def _fista_points(proj, c, prox_g):
@@ -317,13 +294,10 @@ def verify_prox_identity(
     numeric prox did not converge reports an infinite violation, so the
     check fails.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     op = fs.operator
     inner_tol = tol / 10.0
 
-    def chunk(lo: int, hi: int) -> float:
-        x = sample_trials(seed, lo, hi, op.d)[0]
+    def violations(x: np.ndarray) -> np.ndarray:
         oracle = numeric_prox(reg, x, metric=fs.metric, tol=inner_tol)
         if not oracle.converged:
             return np.inf
@@ -334,29 +308,23 @@ def verify_prox_identity(
         envelope = 0.5 * np.sum((tx - p) ** 2, axis=0) + fs.inner_prox.function(p)
         value = 0.5 * np.sum((op.matrix @ (x - y1)) ** 2, axis=0)
         value = value + induced_regularizer(reg, y1, tol=inner_tol)
-        return float(np.max(np.maximum(dist, np.abs(value - envelope))))
+        return np.maximum(dist, np.abs(value - envelope))
 
-    worst = max_over_chunks(chunk, trials)
-    return report_pass("prox_identity", trials, worst, tol)
+    return sampled_check("prox_identity", trials, tol, seed, op.d, violations)
 
 
 def verify_t_firm_nonexpansive(
     fs: FrameShrinkage, trials: int, tol: float, seed: int = 0
 ) -> VerifyReport:
     """Sample firm nonexpansiveness of the shrinkage in the T metric."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     op = fs.operator
 
-    def chunk(lo: int, hi: int) -> float:
-        x, y = sample_trials(seed, lo, hi, op.d, 2)
+    def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         df = op.matrix @ (frame_prox(fs, x) - frame_prox(fs, y))
         dx = op.matrix @ (x - y)
-        viol = np.sum(df * df, axis=0) - np.sum(dx * df, axis=0)
-        return float(np.max(viol))
+        return np.sum(df * df, axis=0) - np.sum(dx * df, axis=0)
 
-    worst = max_over_chunks(chunk, trials)
-    return report_pass("t_firm_nonexpansive", trials, worst, tol)
+    return sampled_check("t_firm_nonexpansive", trials, tol, seed, op.d, violations, columns=2)
 
 
 def weaker_regularizer_check(
@@ -370,18 +338,13 @@ def weaker_regularizer_check(
     value of f; an evaluation that cannot be certified raises NotConverged
     instead of reporting, and a finite f that is too low passes.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     op = reg.shrinkage.operator
 
-    def chunk(lo: int, hi: int) -> float:
-        x = sample_trials(seed, lo, hi, op.d)[0]
+    def violations(x: np.ndarray) -> np.ndarray:
         f_vals = np.atleast_1d(induced_regularizer(reg, x, tol=min(tol * 1e-2, 1e-10)))
-        g_vals = np.asarray(reg.g(op.matrix @ x))
-        return float(np.max(f_vals - g_vals))
+        return f_vals - np.asarray(reg.g(op.matrix @ x))
 
-    worst = max_over_chunks(chunk, trials)
-    return report_pass("weaker_regularizer", trials, worst, tol)
+    return sampled_check("weaker_regularizer", trials, tol, seed, op.d, violations)
 
 
 # --- JSON shrinkage spec ------------------------------------------------------
@@ -405,8 +368,7 @@ def shrinkage_from_json(doc: str | dict) -> FrameShrinkage:
     if isinstance(doc, str):
         doc = json.loads(doc)
     try:
-        om = doc["operator"]
-        matrix = np.asarray(om["data"], dtype=float).reshape(om["rows"], om["cols"])
+        matrix = _json_matrix(doc["operator"])
         prox = prox_map_by_name(doc["prox"]["name"], float(doc["prox"].get("lambda", 1.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed shrinkage spec: {exc}") from exc

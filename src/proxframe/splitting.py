@@ -43,7 +43,7 @@ def _below_resolution(tol: float, u, tx_norm, mu, defect) -> np.ndarray:
     return tol < _CERT_FLOOR * (scale + defect)
 
 
-def metric_prox_admm(op, prox_scaled, x: np.ndarray, tol: float, max_iter: int):
+def metric_prox_admm(op, prox_scaled, tx: np.ndarray, tol: float, max_iter: int):
     """Prox in the T metric of the regularizer induced by an inner prox.
 
     Solves, jointly over the signal y and null-space coefficients w,
@@ -63,17 +63,16 @@ def metric_prox_admm(op, prox_scaled, x: np.ndarray, tol: float, max_iter: int):
     convex, so the certificate ||u - T x + rho mu|| bounds ||u - z*|| and the
     T-norm error of y = T^+ u.
 
-    ``x`` is a (d, k) column block. Returns (y, u, iterations, residual,
+    ``tx`` is T x for a (d, k) column block x. Returns (y, u, iterations, residual,
     converged); each column is frozen at its first u certified within
     ``tol``, the residual being the largest certificate. A column whose tol
     is below its certificate's rounding (``_below_resolution``) stops there
     as unconverged; its threshold is never widened.
     """
     t, pinv, basis = op.matrix, op.pinv, op.null_basis
-    tx = t @ x
     tx_norm = _norms(tx)
     u, mu, out = np.zeros_like(tx), np.zeros_like(tx), np.zeros_like(tx)
-    cert, defect = np.full(x.shape[1], np.inf), np.zeros(x.shape[1])
+    cert, defect = np.full(tx.shape[1], np.inf), np.zeros(tx.shape[1])
     lost = _below_resolution(tol, u, tx_norm, mu, defect)
     done = lost.copy()
     iters = 0

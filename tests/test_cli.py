@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from proxframe import ProxMap, save_matrix_csv, save_matrix_json, verify_firm_nonexpansive
+from proxframe import (
+    FrameShrinkage,
+    ProxMap,
+    build_operator,
+    save_matrix_csv,
+    save_matrix_json,
+    verify_firm_nonexpansive,
+    verify_t_firm_nonexpansive,
+)
 from proxframe.cli import main
 from proxframe.sampling import max_over_chunks
 
@@ -72,6 +80,13 @@ def test_verify_rank_deficient_file_is_usage_error(tmp_path, capsys):
         ("solve", "--operator", "example35", "--x", "1", "--lambda", "inf"),
         # a 728 TiB operator cannot be allocated under any overcommit setting
         ("verify", "--operator", "random:10000000x10000000:1", "--trials", "1"),
+        # a tolerance must be finite and >= 0; each is refused before any solve
+        ("verify", "--operator", "random:12x5:3", "--trials", "20", "--seed", "1", "--tol", "nan"),
+        ("verify", "--operator", "random:12x5:3", "--trials", "20", "--seed", "1", "--tol", "inf"),
+        ("verify", "--operator", "random:12x5:3", "--trials", "20", "--seed", "1", "--tol", "-1"),
+        ("solve", "--operator", "random:40x20:1", "--x", ",".join(["1"] * 20), "--tol", "inf"),
+        ("regularizer", "--tol", "inf"),
+        ("regularizer", "--tol", "-1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -165,12 +180,18 @@ def test_nan_violation_fails_under_any_fanout(monkeypatch):
         assert np.isnan(max_over_chunks(chunk, 32, workers=workers))
 
     nan_map = ProxMap("nan_above_2", 1.0, lambda v, t=1.0: np.where(np.abs(v) > 2.0, np.nan, v))
+    fs = FrameShrinkage(build_operator(np.array([[1.0], [2.0]])), nan_map)
     lines = []
     for workers in ("1", "2"):
         monkeypatch.setenv("PROXFRAME_THREADS", workers)
-        rep = verify_firm_nonexpansive(nan_map, dim=3, trials=32, tol=1e-12, seed=5)
-        assert not rep.passed and np.isnan(rep.max_violation)
-        lines.append(rep.to_json())
+        reports = [
+            verify_firm_nonexpansive(nan_map, dim=3, trials=32, tol=1e-12, seed=5),
+            # two blocks, so two workers really split the trials
+            verify_t_firm_nonexpansive(fs, trials=1100, tol=1e-12, seed=5),
+        ]
+        for rep in reports:
+            assert not rep.passed and np.isnan(rep.max_violation)
+        lines.append([rep.to_json() for rep in reports])
     assert lines[0] == lines[1]
 
 

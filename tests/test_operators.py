@@ -5,6 +5,8 @@ import pytest
 
 from proxframe import (
     DimensionMismatch,
+    FrameShrinkage,
+    InducedRegularizer,
     RankDeficient,
     TMetric,
     build_operator,
@@ -13,9 +15,15 @@ from proxframe import (
     random_operator,
     save_matrix_csv,
     save_matrix_json,
+    soft_shrink_map,
     t_gradient,
     t_inner,
+    verify_firm_nonexpansive,
+    verify_moreau_characterization,
     verify_operator_identities,
+    verify_prox_identity,
+    verify_t_firm_nonexpansive,
+    weaker_regularizer_check,
 )
 
 
@@ -140,8 +148,23 @@ def test_verify_identities_random_gaussian(rng):
 
 @pytest.mark.parametrize("trials", [0, -4])
 def test_verify_identities_rejects_nonpositive_trials(trials):
-    with pytest.raises(ValueError, match="trials must be >= 1"):
-        verify_operator_identities(build_operator(np.eye(3)), trials=trials)
+    # every sampled check runs through one driver, which owns this rule
+    op = build_operator(np.array([[1.0], [2.0]]))
+    fs = FrameShrinkage(op, soft_shrink_map(1.0))
+    reg = InducedRegularizer.from_shrinkage(fs)
+    prox = fs.inner_prox
+    checks = [
+        lambda: verify_operator_identities(build_operator(np.eye(3)), trials=trials),
+        lambda: verify_firm_nonexpansive(prox, dim=2, trials=trials, tol=1e-12),
+        lambda: verify_moreau_characterization(prox, prox.potential, dim=2, trials=trials,
+                                               tol=1e-6),
+        lambda: verify_t_firm_nonexpansive(fs, trials=trials, tol=1e-12),
+        lambda: verify_prox_identity(fs, reg, trials=trials, tol=1e-6),
+        lambda: weaker_regularizer_check(reg, trials=trials),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check()
 
 
 def test_verify_identities_identity_is_exact():
@@ -192,9 +215,20 @@ def test_matrix_io_malformed(tmp_path):
     with pytest.raises(ValueError):
         load_matrix_csv(ragged)
     bad = tmp_path / "bad.json"
-    bad.write_text('{"rows": 2, "cols": 2, "data": [1, 2, 3]}')
-    with pytest.raises(ValueError):
-        load_matrix_json(bad)
+    for doc in (
+        '{"rows": 2, "cols": 2, "data": [1, 2, 3]}',
+        # rows and cols are JSON integers >= 1, never truncated or coerced
+        '{"rows": 2.7, "cols": 1, "data": [1, 2]}',
+        '{"rows": true, "cols": 2, "data": [1, 2]}',
+        '{"rows": "2", "cols": 1, "data": [1, 2]}',
+        '{"rows": 0, "cols": 3, "data": []}',
+        '{"rows": 2, "cols": 1, "data": [[1], [2]]}',
+        '{"rows": 2, "cols": 1, "data": {"a": 1}}',
+        '[1, 2]',
+    ):
+        bad.write_text(doc)
+        with pytest.raises(ValueError):
+            load_matrix_json(bad)
     empty = tmp_path / "empty.csv"
     empty.write_text("\n")
     with pytest.raises(ValueError):

@@ -259,6 +259,19 @@ def test_numeric_prox_below_float_resolution_fails_at_once():
     assert rep.converged
 
 
+def test_numeric_prox_rejects_nonfinite_signals_at_once():
+    from proxframe import InducedRegularizer, example_shrinkage
+
+    with pytest.raises(ValueError, match="column 0"):
+        numeric_prox(soft_shrink_map(1.0), np.array([np.nan]))
+    fs = example_shrinkage()
+    reg = InducedRegularizer.from_shrinkage(fs)
+    with pytest.raises(ValueError, match="column 1"):
+        numeric_prox(reg, np.array([[1.0, np.inf, 0.5]]), metric=fs.metric)
+    with pytest.raises(DimensionMismatch):
+        numeric_prox(soft_shrink_map(1.0), np.zeros((2, 2, 2)))
+
+
 @pytest.mark.parametrize("spec", ["random:12x5:7", "random:200x100:2"])
 def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec):
     # thresholds a few ulps of max |Tx| above float resolution: where rounding

@@ -421,6 +421,11 @@ def test_shrinkage_json_roundtrip():
         '{"prox": {"name": "soft_shrink", "lambda": 1}}',
         '{"operator": {"rows": 2, "cols": 1, "data": [1, 2]}, "prox": {"name": "nope"}}',
         '{"operator": {"rows": 2, "cols": 1}, "prox": {"name": "soft_shrink"}}',
+        # reshape would infer a 3x2 operator from the -1
+        '{"operator": {"rows": -1, "cols": 2, "data": [1, 2, 3, 4, 5, 6]}, '
+        '"prox": {"name": "soft_shrink"}}',
+        '{"operator": {"rows": true, "cols": 1, "data": [5]}, "prox": {"name": "soft_shrink"}}',
+        '{"operator": {"rows": 2, "cols": 1, "data": [[1], [2]]}, "prox": {"name": "soft_shrink"}}',
     ],
 )
 def test_shrinkage_json_malformed(doc):
