@@ -12,8 +12,6 @@ loaded from .csv / .json matrix files. Runs are reproducible: the seed fully
 determines every sample, and reports are emitted in a fixed order with fixed
 key order, so identical configurations produce byte-identical streams. Seeds
 are integers in [0, 2**64); verify also draws on seed + 1 .. seed + 5.
-PROXFRAME_THREADS caps the worker count used to fan verification trials out;
-it never changes any reported number.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import numpy as np
 
 from .errors import ProxFrameError
 from .operators import (
+    _json_floats,
     build_operator,
     load_matrix_csv,
     load_matrix_json,
@@ -212,8 +211,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.problem:
         with open(args.problem) as fh:
             doc = json.load(fh)
-        x = np.asarray(doc["x"], dtype=float)
-        lam = float(doc.get("lambda", lam))
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.problem} must hold a JSON object")
+        x = _json_floats(doc["x"])
+        lam = float(_json_floats([doc.get("lambda", lam)])[0])
     elif args.x:
         x = np.asarray([float(v) for v in args.x.split(",")], dtype=float)
     else:

@@ -254,6 +254,17 @@ def save_matrix_json(matrix: np.ndarray, path: str | Path) -> None:
     Path(path).write_text(f'{{"rows": {n}, "cols": {d}, "data": [{data}]}}\n')
 
 
+def _json_floats(values) -> np.ndarray:
+    """A JSON list of numbers as floats; ValueError if ``values`` is not a list
+    or holds anything but numbers (a string, a boolean, null, a list)."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected a list of numbers, got {values!r}")
+    for v in values:
+        if type(v) not in (int, float):
+            raise ValueError(f"expected numbers only, got {v!r}")
+    return np.array(values, dtype=float)
+
+
 def _json_matrix(doc) -> np.ndarray:
     """The matrix of a JSON matrix document; rows and cols must be JSON integers
     >= 1 and data a flat list of rows * cols numbers, or ValueError is raised."""
@@ -261,7 +272,7 @@ def _json_matrix(doc) -> np.ndarray:
         n, d, data = doc["rows"], doc["cols"], doc["data"]
         if not all(type(v) is int and v >= 1 for v in (n, d)):
             raise ValueError(f"rows and cols must be integers >= 1, got {n!r} and {d!r}")
-        arr = np.asarray(data, dtype=float)
+        arr = _json_floats(data)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing or malformed field: {exc!r}") from exc
     if arr.shape != (n * d,):

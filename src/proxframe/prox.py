@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveLambda
-from .operators import TMetric, _analysis, build_operator
+from .errors import NonPositiveLambda
+from .operators import _analysis, build_operator
 from .reports import SolveReport, VerifyReport
 from .sampling import sampled_check
 from . import splitting
@@ -265,21 +265,19 @@ def verify_moreau_characterization(
 def numeric_prox(
     g,
     x: np.ndarray,
-    metric=None,
     tol: float = 1e-9,
     max_iter: int = 100000,
 ) -> SolveReport:
     """Numerical prox oracle: ADMM in the T metric.
 
     Minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the regularizer induced
-    by composing the supplied prox with T: g may be a FrameShrinkage, an
-    InducedRegularizer, or the inner ProxMap itself. The problem is solved
-    jointly in the signal and null-space coefficients, so every subproblem
-    uses only closed-form handles; see ``splitting.metric_prox_admm``.
-
-    Without a metric, g must be a ProxMap and the oracle runs at T = I: the
-    metric is the Euclidean one and f is g itself, so it minimizes
-    ``1/2 ||x - y||^2 + g(y)``.
+    by composing an inner prox with T. g may be a FrameShrinkage or an
+    InducedRegularizer, which carry T, or a bare ProxMap, for which T = I:
+    the metric is then the Euclidean one and f is g itself, so the oracle
+    minimizes ``1/2 ||x - y||^2 + g(y)``. Any other g raises TypeError. The
+    problem is solved jointly in the signal and null-space coefficients, so
+    every subproblem uses only closed-form handles; see
+    ``splitting.metric_prox_admm``.
 
     Each column stops once a certificate puts it within ``tol`` of the true
     prox in T-norm; ``residual`` is the largest certificate. A column whose
@@ -292,22 +290,14 @@ def numeric_prox(
     """
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, 1) if x.ndim < 2 else x
-    if metric is None:
-        if not isinstance(g, ProxMap):
-            raise TypeError("numeric_prox without a metric expects a ProxMap")
-        metric = TMetric(build_operator(np.eye(xs.shape[0])))
-
-    inner = g
-    if hasattr(inner, "shrinkage"):
-        inner = inner.shrinkage
+    inner = g.shrinkage if hasattr(g, "shrinkage") else g
     if hasattr(inner, "inner_prox"):
-        if inner.operator is not metric.operator:
-            raise DimensionMismatch("metric and shrinkage use different operators")
-        inner = inner.inner_prox
-    if not isinstance(inner, ProxMap):
-        raise TypeError("numeric_prox with a metric expects a shrinkage-like g or ProxMap")
+        op, inner = inner.operator, inner.inner_prox
+    elif isinstance(inner, ProxMap):
+        op = build_operator(np.eye(xs.shape[0]))
+    else:
+        raise TypeError("numeric_prox expects a FrameShrinkage, InducedRegularizer or ProxMap")
 
-    op = metric.operator
     tx = _analysis(op, xs)
     y, u, iters, resid, converged = splitting.metric_prox_admm(op, inner.prox, tx, tol, max_iter)
     objective = None

@@ -6,24 +6,19 @@ counter ``b``. A block's draws are laid out trial-major, so trial ``i``'s
 values depend only on the seed, ``i`` and the sample shape, never on how
 many trials the run draws (the prefix property).
 
-``max_over_chunks`` hands each block to one ``fn(lo, hi)`` call, serially or
-on a thread, so every sample and every matrix product acts on the same
-columns under any PROXFRAME_THREADS: fan-out never changes a reported digit,
-and a NaN from any block makes the result NaN. ``sampled_check`` drives every
-sampled verification on top of both: a check supplies only the per-trial
+``sampled_check`` drives every sampled verification: it walks the blocks in
+order, hands each block's samples to one call of the check's ``violations``
+and keeps the NaN-propagating maximum. A check supplies only the per-trial
 violations of a block of samples.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .reports import VerifyReport
 
-# Trials per counter stream, and the unit of fan-out.
+# Trials per counter stream, and per call of a check's ``violations``.
 BLOCK = 1024
 
 # Magnitudes swept by the samplers, trial i scaled by SCALES[i % 3]; chosen
@@ -60,32 +55,6 @@ def sample_trials(seed: int, lo: int, hi: int, dim: int, columns: int = 1) -> np
     return np.ascontiguousarray(scaled.transpose(1, 2, 0))
 
 
-def worker_count() -> int:
-    """Worker cap from PROXFRAME_THREADS (default 1)."""
-    raw = os.environ.get("PROXFRAME_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def max_over_chunks(fn, trials: int, workers: int | None = None) -> float:
-    """Max of ``fn(lo, hi)`` over the BLOCK-aligned blocks of range(trials).
-
-    Each block is exactly one call, whatever the worker count, so the
-    partition cannot affect the result; below BLOCK trials there is a single
-    block and nothing to fan out. A NaN from any block makes the result NaN.
-    """
-    jobs = [(lo, min(lo + BLOCK, trials)) for lo in range(0, trials, BLOCK)]
-    workers = min(worker_count() if workers is None else workers, len(jobs))
-    if workers <= 1:
-        parts = [fn(lo, hi) for lo, hi in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: fn(*b), jobs))
-    return float(np.max(parts))
-
-
 def sampled_check(
     name: str, trials: int, tol: float, seed: int, dim: int, violations, columns: int = 1
 ) -> VerifyReport:
@@ -93,14 +62,14 @@ def sampled_check(
 
     Each block's ``sample_trials(seed, lo, hi, dim, columns)`` is passed as
     ``violations(*samples)``, which returns the block's per-trial violations.
-    A NaN violation makes the maximum NaN, which fails. Raises ValueError if
-    ``trials`` < 1.
+    The blocks are the BLOCK-aligned ranges of range(trials), one call each.
+    A NaN violation in any block makes the maximum NaN, which fails. Raises
+    ValueError if ``trials`` < 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    def block(lo: int, hi: int) -> float:
-        return np.max(violations(*sample_trials(seed, lo, hi, dim, columns)))
-
-    worst = max_over_chunks(block, trials)
+    worst = float(np.max([
+        np.max(violations(*sample_trials(seed, lo, min(lo + BLOCK, trials), dim, columns)))
+        for lo in range(0, trials, BLOCK)
+    ]))
     return VerifyReport(name, trials, worst, float(tol), bool(worst <= tol))

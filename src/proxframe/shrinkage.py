@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotConverged
-from .operators import AnalysisOperator, TMetric, _analysis, _json_matrix, build_operator
+from .operators import AnalysisOperator, _analysis, _json_floats, _json_matrix, build_operator
 from .prox import ProxMap, numeric_prox, prox_map_by_name, soft_shrink_map
 from .reports import VerifyReport
 from .sampling import sampled_check
@@ -41,14 +41,10 @@ _GAP_FLOOR = 64 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class FrameShrinkage:
-    """T^+ o Prox o T with the metric in which it is a prox."""
+    """T^+ o Prox o T; a prox in the metric ||x||_T = ||Tx||."""
 
     operator: AnalysisOperator
     inner_prox: ProxMap
-
-    @property
-    def metric(self) -> TMetric:
-        return TMetric(self.operator)
 
 
 def frame_prox(fs: FrameShrinkage, x: np.ndarray) -> np.ndarray:
@@ -298,7 +294,7 @@ def verify_prox_identity(
     inner_tol = tol / 10.0
 
     def violations(x: np.ndarray) -> np.ndarray:
-        oracle = numeric_prox(reg, x, metric=fs.metric, tol=inner_tol)
+        oracle = numeric_prox(reg, x, tol=inner_tol)
         if not oracle.converged:
             return np.inf
         y1 = frame_prox(fs, x)
@@ -369,7 +365,8 @@ def shrinkage_from_json(doc: str | dict) -> FrameShrinkage:
         doc = json.loads(doc)
     try:
         matrix = _json_matrix(doc["operator"])
-        prox = prox_map_by_name(doc["prox"]["name"], float(doc["prox"].get("lambda", 1.0)))
+        lam = float(_json_floats([doc["prox"].get("lambda", 1.0)])[0])
+        prox = prox_map_by_name(doc["prox"]["name"], lam)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed shrinkage spec: {exc}") from exc
     return FrameShrinkage(build_operator(matrix), prox)

@@ -6,9 +6,7 @@ T = I case, where f is the inner function itself. The induced regularizer
 is evaluated by a dual solve in ``shrinkage``. The iteration works on
 column blocks: a (d, k) iterate runs k instances of the scheme in lockstep.
 Each column is frozen at its own first certified iterate, so the numbers a
-column produces do not depend on which other columns share the block;
-verification runs may therefore batch or fan out trials arbitrarily without
-changing any reported value.
+column produces do not depend on which other columns share the block.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def test_criterion_2_prox_identity_random_operators():
             fs = FrameShrinkage(op, soft_shrink_map(lam))
             reg = InducedRegularizer.from_shrinkage(fs)
             y1 = frame_prox(fs, x_block)
-            rep = numeric_prox(reg, x_block, metric=fs.metric, tol=1e-6)
+            rep = numeric_prox(reg, x_block, tol=1e-6)
             assert rep.converged
             gap = op.matrix @ (y1 - rep.minimizer)
             worst = max(worst, float(np.max(np.sqrt(np.sum(gap * gap, axis=0)))))

@@ -14,7 +14,6 @@ from proxframe import (
     verify_t_firm_nonexpansive,
 )
 from proxframe.cli import main
-from proxframe.sampling import max_over_chunks
 
 
 def run(capsys, *argv):
@@ -59,6 +58,18 @@ def test_verify_rank_deficient_file_is_usage_error(tmp_path, capsys):
     assert "injective" in err or "rank" in err
 
 
+# JSON inputs that a float() conversion would accept: "1" and true are not numbers
+JSON_INPUTS = {
+    "data_string_bool.json": '{"rows": 2, "cols": 1, "data": ["1", true]}',
+    "data_bool.json": '{"rows": 2, "cols": 1, "data": [1, true]}',
+    "x_string.json": '{"x": ["1"], "lambda": 1}',
+    "x_bool.json": '{"x": [true]}',
+    "lambda_string.json": '{"x": [1], "lambda": "1"}',
+    "lambda_bool.json": '{"x": [1], "lambda": true}',
+    "not_an_object.json": '[1]',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -87,9 +98,20 @@ def test_verify_rank_deficient_file_is_usage_error(tmp_path, capsys):
         ("solve", "--operator", "random:40x20:1", "--x", ",".join(["1"] * 20), "--tol", "inf"),
         ("regularizer", "--tol", "inf"),
         ("regularizer", "--tol", "-1"),
+        # JSON inputs hold numbers only, in an object (files from JSON_INPUTS)
+        ("verify", "--operator", "data_string_bool.json", "--trials", "5"),
+        ("verify", "--operator", "data_bool.json", "--trials", "5"),
+        ("solve", "--problem", "x_string.json"),
+        ("solve", "--problem", "x_bool.json"),
+        ("solve", "--problem", "lambda_string.json"),
+        ("solve", "--problem", "lambda_bool.json"),
+        ("solve", "--problem", "not_an_object.json"),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in JSON_INPUTS.items():
+        (tmp_path / name).write_text(doc)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
@@ -151,48 +173,34 @@ def test_verify_runs_are_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_verify_byte_identical_under_thread_fanout(capsys, monkeypatch):
+def test_verify_of_two_blocks_is_byte_identical(capsys):
+    # 1100 trials make two blocks of 1024 and 76 in the full-count checks
     args = ("verify", "--operator", "random:6x3:4", "--prox", "soft:1",
-            "--trials", "32", "--seed", "5")
-    monkeypatch.delenv("PROXFRAME_THREADS", raising=False)
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("PROXFRAME_THREADS", "4")
-    _, threaded, _ = run(capsys, *args)
-    assert serial == threaded
+            "--trials", "1100", "--seed", "5")
+    _, out1, _ = run(capsys, *args)
+    _, out2, _ = run(capsys, *args)
+    assert out1 == out2
+    assert [json.loads(line)["trials"] for line in out1.splitlines()].count(1100) == 4
 
 
-def test_verify_same_bytes_at_one_two_three_threads(capsys, monkeypatch):
-    args = ("verify", "--operator", "random:20x10:5", "--prox", "soft:0.1",
-            "--trials", "40", "--seed", "3")
-    outs = []
-    for workers in ("1", "2", "3"):
-        monkeypatch.setenv("PROXFRAME_THREADS", workers)
-        outs.append(run(capsys, *args)[1])
-    assert outs[0] == outs[1] == outs[2]
-
-
-def test_nan_violation_fails_under_any_fanout(monkeypatch):
-    # NaN only in the last chunk: a reduction with Python's max would drop it
-    def chunk(lo, hi):
-        return float("nan") if hi == 32 else 0.0
-
-    for workers in (1, 2):
-        assert np.isnan(max_over_chunks(chunk, 32, workers=workers))
-
+def test_nan_violation_in_last_block_fails():
+    # a NaN only in the last block: a reduction with Python's max would drop it
     nan_map = ProxMap("nan_above_2", 1.0, lambda v, t=1.0: np.where(np.abs(v) > 2.0, np.nan, v))
-    fs = FrameShrinkage(build_operator(np.array([[1.0], [2.0]])), nan_map)
-    lines = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("PROXFRAME_THREADS", workers)
-        reports = [
-            verify_firm_nonexpansive(nan_map, dim=3, trials=32, tol=1e-12, seed=5),
-            # two blocks, so two workers really split the trials
-            verify_t_firm_nonexpansive(fs, trials=1100, tol=1e-12, seed=5),
-        ]
-        for rep in reports:
-            assert not rep.passed and np.isnan(rep.max_violation)
-        lines.append([rep.to_json() for rep in reports])
-    assert lines[0] == lines[1]
+    rep = verify_firm_nonexpansive(nan_map, dim=3, trials=32, tol=1e-12, seed=5)
+    assert not rep.passed and np.isnan(rep.max_violation)
+
+    # frame_prox calls the inner prox on the x then the y samples of each
+    # block, so the third call onwards is the second block's
+    sizes = []
+
+    def prox(v, t=1.0):
+        sizes.append(v.shape[1])
+        return np.full_like(v, np.nan) if len(sizes) > 2 else v
+
+    fs = FrameShrinkage(build_operator(np.array([[1.0], [2.0]])), ProxMap("late_nan", 1.0, prox))
+    rep = verify_t_firm_nonexpansive(fs, trials=1100, tol=1e-12, seed=5)
+    assert sizes == [1024, 1024, 76, 76]
+    assert not rep.passed and np.isnan(rep.max_violation)
 
 
 def test_regularizer_grid_export(tmp_path, capsys):
@@ -239,6 +247,33 @@ def test_solve_inline_vector(capsys):
     frame_doc = json.loads(lines[1])
     assert abs(frame_doc["frame_prox"][0] - 0.4) <= 1e-12
     assert frame_doc["t_distance"] > 0.5
+
+
+TWENTY_ONES = ",".join(["1"] * 20)
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-15"])
+def test_solve_below_gap_rounding_stops_unconverged(capsys, tol):
+    # the gap stalls near 7e-15 here; at the first check, after 8 iterations,
+    # the rounding of its terms is 2.8e-15, above either tolerance
+    code, out, _ = run(capsys, "solve", "--operator", "random:40x20:1", "--x", TWENTY_ONES,
+                       "--tol", tol)
+    doc = json.loads(out.splitlines()[0])
+    assert code == 1 and doc["converged"] is False
+    assert doc["iterations"] <= 64
+
+
+@pytest.mark.parametrize("argv, iterations", [
+    # the gap first reaches 1e-14 after 609 iterations
+    (("--operator", "random:40x20:1", "--x", TWENTY_ONES, "--tol", "1e-14"), 1000),
+    # the gap is exactly 0 after 2 iterations, before the first rounding check
+    (("--operator", "example35", "--x", "1", "--tol", "0"), 2),
+])
+def test_solve_gap_reaching_tol_converges(capsys, argv, iterations):
+    code, out, _ = run(capsys, "solve", *argv)
+    doc = json.loads(out.splitlines()[0])
+    assert code == 0 and doc["converged"] is True
+    assert doc["iterations"] <= iterations
 
 
 def test_solve_problem_file(tmp_path, capsys):

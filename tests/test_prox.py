@@ -252,7 +252,7 @@ def test_numeric_prox_below_float_resolution_fails_at_once():
         assert not rep.converged and rep.iterations == 0
         fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
         reg = InducedRegularizer.from_shrinkage(fs)
-        rep = numeric_prox(reg, np.array([[1.0, 0.3]]), metric=fs.metric, tol=tol)
+        rep = numeric_prox(reg, np.array([[1.0, 0.3]]), tol=tol)
         assert not rep.converged and rep.iterations == 0
     # an all-zero column has nothing to resolve, and lands exactly
     rep = numeric_prox(soft_shrink_map(1.0), np.zeros(3), tol=0.0)
@@ -267,7 +267,7 @@ def test_numeric_prox_rejects_nonfinite_signals_at_once():
     fs = example_shrinkage()
     reg = InducedRegularizer.from_shrinkage(fs)
     with pytest.raises(ValueError, match="column 1"):
-        numeric_prox(reg, np.array([[1.0, np.inf, 0.5]]), metric=fs.metric)
+        numeric_prox(reg, np.array([[1.0, np.inf, 0.5]]))
     with pytest.raises(DimensionMismatch):
         numeric_prox(soft_shrink_map(1.0), np.zeros((2, 2, 2)))
 
@@ -286,33 +286,36 @@ def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec):
         fs = FrameShrinkage(op, soft_shrink_map(lam))
         reg = InducedRegularizer.from_shrinkage(fs)
         for k in (1.5, 4, 16, 64, 256):
-            rep = numeric_prox(reg, x, metric=fs.metric, tol=k * ulp, max_iter=2000)
+            rep = numeric_prox(reg, x, tol=k * ulp, max_iter=2000)
             assert rep.iterations < 2000, (lam, k, rep.residual)
             assert rep.converged == (rep.residual <= k * ulp)
 
 
 def test_numeric_prox_metric_flagship():
-    # with a metric, the oracle minimizes over the regularizer induced by
+    # given a regularizer, the oracle minimizes over it: the one induced by
     # composing the inner prox with the operator
     from proxframe import FrameShrinkage, InducedRegularizer, example_operator
 
     fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
     reg = InducedRegularizer.from_shrinkage(fs)
-    rep = numeric_prox(reg, np.array([1.0]), metric=fs.metric, tol=1e-9)
+    rep = numeric_prox(reg, np.array([1.0]), tol=1e-9)
     assert rep.converged
     assert abs(rep.minimizer[0] - 0.4) <= 1e-8
     assert np.isclose(rep.objective, 2.0, atol=1e-7)  # 2.5 * 0.36 + f(0.4) = 0.9 + 1.1
 
 
 def test_numeric_prox_metric_type_errors():
-    from proxframe import FrameShrinkage, TMetric, example_operator
+    # the operator comes from g: a shrinkage and its regularizer give the
+    # same solve, and any other g that is not a ProxMap is refused
+    from proxframe import FrameShrinkage, InducedRegularizer, example_operator
 
     fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
+    x = np.array([[1.0, -0.3]])
+    by_fs = numeric_prox(fs, x, tol=1e-9)
+    by_reg = numeric_prox(InducedRegularizer.from_shrinkage(fs), x, tol=1e-9)
+    np.testing.assert_array_equal(by_fs.minimizer, by_reg.minimizer)
     with pytest.raises(TypeError):
-        numeric_prox(lambda v: v, np.array([1.0]), metric=fs.metric)
-    other = TMetric(build_operator(np.eye(2)))
-    with pytest.raises(DimensionMismatch):
-        numeric_prox(fs, np.array([1.0, 2.0]), metric=other)
+        numeric_prox(lambda v: v, np.array([1.0]))
     with pytest.raises(TypeError):
         numeric_prox(object(), np.array([1.0]))
 

@@ -1,16 +1,6 @@
 import numpy as np
-import pytest
 
-from proxframe import (
-    FrameShrinkage,
-    random_operator,
-    soft_shrink_map,
-    verify_firm_nonexpansive,
-    verify_moreau_characterization,
-    verify_operator_identities,
-    verify_t_firm_nonexpansive,
-)
-from proxframe.sampling import BLOCK, max_over_chunks, sample_trials
+from proxframe.sampling import BLOCK, sample_trials, sampled_check
 
 
 def test_samples_are_a_prefix_of_longer_runs():
@@ -32,31 +22,17 @@ def test_samples_carry_the_trial_scales():
         assert abs(np.median(rms[i::3]) / scale - 1.0) < 0.05
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_chunks_are_whole_blocks(workers):
-    seen = []
-
-    def chunk(lo, hi):
-        seen.append((lo, hi))
-        return float(hi)
-
-    assert max_over_chunks(chunk, 2 * BLOCK + 37, workers=workers) == 2 * BLOCK + 37
-    assert sorted(seen) == [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 2 * BLOCK + 37)]
-
-
-def test_sampled_checks_identical_under_fanout(monkeypatch):
-    op = random_operator(9, 4, np.random.default_rng(12), cond=30.0)
-    fs = FrameShrinkage(op, soft_shrink_map(0.5))
+def test_sampled_check_walks_whole_blocks():
+    # one violations call per BLOCK-aligned block, in order, on that
+    # block's own samples; the report keeps the largest violation
     trials = 2 * BLOCK + 37
-    lines = {}
-    for workers in ("1", "2", "3"):
-        monkeypatch.setenv("PROXFRAME_THREADS", workers)
-        lines[workers] = [
-            verify_t_firm_nonexpansive(fs, trials=trials, tol=1e-12, seed=4).to_json(),
-            verify_firm_nonexpansive(fs.inner_prox, dim=op.n, trials=trials, tol=1e-12,
-                                     seed=5).to_json(),
-            verify_operator_identities(op, tol=1e-10, trials=trials, seed=6).to_json(),
-            verify_moreau_characterization(fs.inner_prox, fs.inner_prox.potential, dim=op.n,
-                                           trials=trials, tol=1e-6, seed=7).to_json(),
-        ]
-    assert lines["1"] == lines["2"] == lines["3"]
+    sizes = []
+
+    def violations(x, y):
+        sizes.append(x.shape[1])
+        return x[0] - y[0]
+
+    rep = sampled_check("spy", trials, 1.0, 9, 3, violations, columns=2)
+    assert sizes == [BLOCK, BLOCK, 37]
+    x, y = sample_trials(9, 0, trials, 3, columns=2)
+    assert rep.trials == trials and rep.max_violation == float(np.max(x[0] - y[0]))

@@ -10,6 +10,7 @@ from proxframe import (
     InducedRegularizer,
     NotConverged,
     ProxMap,
+    TMetric,
     build_operator,
     example_operator,
     example_regularizer_closed_form,
@@ -305,7 +306,7 @@ def test_numeric_prox_lands_within_its_certified_tolerance(rng):
         for lam, tol in ((0.1, 1e-6), (1.0, 1e-7), (10.0, 1e-9)):
             fs = FrameShrinkage(op, soft_shrink_map(lam))
             reg = InducedRegularizer.from_shrinkage(fs)
-            rep = numeric_prox(reg, x, metric=fs.metric, tol=tol)
+            rep = numeric_prox(reg, x, tol=tol)
             assert rep.converged and rep.residual <= tol
             gap = op.matrix @ (rep.minimizer - frame_prox(fs, x))
             assert np.max(np.sqrt(np.sum(gap * gap, axis=0))) <= tol, (op.matrix.shape, lam)
@@ -382,7 +383,7 @@ def test_shrinkage_is_t_gradient_of_composed_potential(rng):
         if np.min(gap) < 1e-4:
             continue
         grad = central_diff(composed, x)
-        lhs = t_gradient(fs.metric, grad)
+        lhs = t_gradient(TMetric(op), grad)
         rhs = frame_prox(fs, x)
         denom = max(1.0, np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) / denom <= 1e-5
@@ -426,6 +427,13 @@ def test_shrinkage_json_roundtrip():
         '"prox": {"name": "soft_shrink"}}',
         '{"operator": {"rows": true, "cols": 1, "data": [5]}, "prox": {"name": "soft_shrink"}}',
         '{"operator": {"rows": 2, "cols": 1, "data": [[1], [2]]}, "prox": {"name": "soft_shrink"}}',
+        # numbers only: no string or boolean stands in for one
+        '{"operator": {"rows": 2, "cols": 1, "data": ["1", 2]}, "prox": {"name": "soft_shrink"}}',
+        '{"operator": {"rows": 2, "cols": 1, "data": [1, true]}, "prox": {"name": "soft_shrink"}}',
+        '{"operator": {"rows": 2, "cols": 1, "data": [1, 2]}, '
+        '"prox": {"name": "soft_shrink", "lambda": "0.5"}}',
+        '{"operator": {"rows": 2, "cols": 1, "data": [1, 2]}, '
+        '"prox": {"name": "soft_shrink", "lambda": true}}',
     ],
 )
 def test_shrinkage_json_malformed(doc):
