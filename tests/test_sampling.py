@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from proxframe.sampling import BLOCK, sample_trials, sampled_check
 
@@ -22,10 +23,11 @@ def test_samples_carry_the_trial_scales():
         assert abs(np.median(rms[i::3]) / scale - 1.0) < 0.05
 
 
-def test_sampled_check_walks_whole_blocks():
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_chunks_are_whole_blocks(blocks):
     # one violations call per BLOCK-aligned block, in order, on that
     # block's own samples; the report keeps the largest violation
-    trials = 2 * BLOCK + 37
+    trials = blocks * BLOCK + 37
     sizes = []
 
     def violations(x, y):
@@ -33,6 +35,6 @@ def test_sampled_check_walks_whole_blocks():
         return x[0] - y[0]
 
     rep = sampled_check("spy", trials, 1.0, 9, 3, violations, columns=2)
-    assert sizes == [BLOCK, BLOCK, 37]
+    assert sizes == [BLOCK] * blocks + [37]
     x, y = sample_trials(9, 0, trials, 3, columns=2)
     assert rep.trials == trials and rep.max_violation == float(np.max(x[0] - y[0]))
