@@ -17,7 +17,6 @@ from .errors import (
 )
 from .operators import (
     AnalysisOperator,
-    TMetric,
     build_operator,
     load_matrix_csv,
     load_matrix_json,
@@ -78,7 +77,6 @@ __all__ = [
     "ProxMap",
     "RankDeficient",
     "SolveReport",
-    "TMetric",
     "VerifyReport",
     "analysis_objective",
     "build_operator",

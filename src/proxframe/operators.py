@@ -8,8 +8,7 @@ Moore-Penrose inverse is given by T^+ = (T* T)^{-1} T*.
 
 ``build_operator`` validates a matrix and caches everything downstream code
 reads repeatedly: the pseudoinverse, the orthogonal projector onto range(T),
-an orthonormal basis of null(T*), the frame bounds, and the SVD factors used
-for solves against T* T.
+the frame bounds, and the SVD factors used for solves against T* T.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ class AnalysisOperator:
     matrix: np.ndarray          # T, shape (n, d)
     pinv: np.ndarray            # T^+, shape (d, n)
     range_proj: np.ndarray      # T T^+, shape (n, n)
-    null_basis: np.ndarray      # orthonormal basis of null(T*), shape (n, n - d)
     frame_bounds: tuple[float, float]   # (sigma_min^2, sigma_max^2)
     singular_values: np.ndarray         # descending, length d
     right_vectors: np.ndarray           # V with T = U diag(s) V*, shape (d, d)
@@ -104,7 +102,6 @@ def build_operator(matrix: np.ndarray, rank_tol: float = 1e-10) -> AnalysisOpera
         matrix=_frozen(t),
         pinv=_frozen(pinv),
         range_proj=_frozen(t @ pinv),
-        null_basis=_frozen(u[:, d:]),
         frame_bounds=(float(s[-1] ** 2), float(s[0] ** 2)),
         singular_values=_frozen(s),
         right_vectors=_frozen(vt.T),
@@ -127,17 +124,6 @@ def random_operator(
     q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
     s = np.logspace(0.0, -np.log10(cond), d)
     return build_operator((q1 * s) @ q2.T)
-
-
-@dataclass(frozen=True)
-class TMetric:
-    """The signal space re-normed by ||x||_T = ||Tx||."""
-
-    operator: AnalysisOperator
-
-    def norm(self, x: np.ndarray) -> float:
-        x = _check_vector(self.operator, x)
-        return float(np.linalg.norm(self.operator.matrix @ x))
 
 
 def _check_vector(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
@@ -166,9 +152,8 @@ def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
     return tx
 
 
-def t_inner(metric: TMetric, x: np.ndarray, y: np.ndarray) -> float:
+def t_inner(op: AnalysisOperator, x: np.ndarray, y: np.ndarray) -> float:
     """<x, y>_T = <Tx, Ty>."""
-    op = metric.operator
     x = _check_vector(op, x)
     y = _check_vector(op, y)
     if x.shape != y.shape:
@@ -176,13 +161,12 @@ def t_inner(metric: TMetric, x: np.ndarray, y: np.ndarray) -> float:
     return float((op.matrix @ x) @ (op.matrix @ y))
 
 
-def t_gradient(metric: TMetric, euclidean_grad: np.ndarray) -> np.ndarray:
+def t_gradient(op: AnalysisOperator, euclidean_grad: np.ndarray) -> np.ndarray:
     """Gradient with respect to <.,.>_T: (T* T)^{-1} times the Euclidean one.
 
     The two gradients represent the same derivative in different inner
     products: <t_gradient(g), h>_T = <g, h> for every direction h.
     """
-    op = metric.operator
     g = _check_vector(op, euclidean_grad)
     return op.solve_gram(g)
 

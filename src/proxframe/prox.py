@@ -268,16 +268,17 @@ def numeric_prox(
     tol: float = 1e-9,
     max_iter: int = 100000,
 ) -> SolveReport:
-    """Numerical prox oracle: ADMM in the T metric.
+    """Numerical prox oracle in the T metric.
 
     Minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the regularizer induced
     by composing an inner prox with T. g may be a FrameShrinkage or an
     InducedRegularizer, which carry T, or a bare ProxMap, for which T = I:
     the metric is then the Euclidean one and f is g itself, so the oracle
-    minimizes ``1/2 ||x - y||^2 + g(y)``. Any other g raises TypeError. The
-    problem is solved jointly in the signal and null-space coefficients, so
-    every subproblem uses only closed-form handles; see
-    ``splitting.metric_prox_admm``.
+    minimizes ``1/2 ||x - y||^2 + g(y)``. Any other g raises TypeError. In
+    z = T y + B w, with B an orthonormal basis of null(T*), the problem is
+    min_z 1/2 ||z - T x||^2 + g(z), the prox of the inner function at T x,
+    so the oracle runs ``splitting.prox_admm`` at T x on the inner prox
+    handle alone and returns y = T^+ u.
 
     Each column stops once a certificate puts it within ``tol`` of the true
     prox in T-norm; ``residual`` is the largest certificate. A column whose
@@ -299,7 +300,8 @@ def numeric_prox(
         raise TypeError("numeric_prox expects a FrameShrinkage, InducedRegularizer or ProxMap")
 
     tx = _analysis(op, xs)
-    y, u, iters, resid, converged = splitting.metric_prox_admm(op, inner.prox, tx, tol, max_iter)
+    u, iters, resid, converged = splitting.prox_admm(inner.prox, tx, tol, max_iter)
+    y = op.pinv @ u
     objective = None
     if inner.function is not None:
         # 1/2 ||x - y||_T^2 + 1/2 ||w||^2 is 1/2 ||u - T x||^2 at y = T^+ u, w = B^T u

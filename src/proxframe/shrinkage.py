@@ -150,7 +150,7 @@ def induced_regularizer(
 ):
     """Evaluate the induced regularizer at x (or at each column of x).
 
-    For square T the value is g(Tx). Otherwise, with c = Tx and B the stored
+    For square T the value is g(Tx). Otherwise, with c = Tx and B an
     orthonormal basis of null(T*), f(x) = min_w 1/2 ||w||^2 + g(c + B w),
     whose dual is
 

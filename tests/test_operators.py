@@ -8,7 +8,6 @@ from proxframe import (
     FrameShrinkage,
     InducedRegularizer,
     RankDeficient,
-    TMetric,
     build_operator,
     load_matrix_csv,
     load_matrix_json,
@@ -32,25 +31,17 @@ def test_build_one_two_column():
     assert op.n == 2 and op.d == 1
     np.testing.assert_allclose(op.pinv, [[0.2, 0.4]], rtol=1e-13)
     np.testing.assert_allclose(op.frame_bounds, (5.0, 5.0), rtol=1e-13)
-    b = op.null_basis[:, 0]
-    assert np.isclose(np.linalg.norm(b), 1.0, atol=1e-14)
-    assert abs(op.matrix[:, 0] @ b) < 1e-14
-    expected_dir = np.array([-2.0, 1.0]) / np.sqrt(5.0)
-    assert np.isclose(abs(b @ expected_dir), 1.0, atol=1e-13)
 
 
 def test_build_identity():
     op = build_operator(np.eye(3))
     np.testing.assert_allclose(op.pinv, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(op.frame_bounds, (1.0, 1.0), atol=1e-14)
-    assert op.null_basis.shape == (3, 0)
 
 
 def test_build_padded_identity():
     op = build_operator([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_allclose(op.pinv, [[1, 0, 0], [0, 1, 0]], atol=1e-14)
-    assert op.null_basis.shape == (3, 1)
-    np.testing.assert_allclose(np.abs(op.null_basis[:, 0]), [0, 0, 1], atol=1e-14)
 
 
 def test_rank_deficient_rejected():
@@ -73,22 +64,22 @@ def test_build_rejects_bad_rank_tol():
 
 
 def test_t_inner_examples():
-    m = TMetric(build_operator([[1.0], [2.0]]))
+    m = build_operator([[1.0], [2.0]])
     assert np.isclose(t_inner(m, [1.0], [1.0]), 5.0, rtol=1e-14)
     assert t_inner(m, [0.0], [3.0]) == 0.0
-    m2 = TMetric(build_operator(np.eye(2)))
+    m2 = build_operator(np.eye(2))
     assert np.isclose(t_inner(m2, [1.0, 2.0], [3.0, 4.0]), 11.0, rtol=1e-14)
     with pytest.raises(DimensionMismatch):
         t_inner(m2, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 def test_t_gradient_examples():
-    m = TMetric(build_operator([[1.0], [2.0]]))
+    m = build_operator([[1.0], [2.0]])
     np.testing.assert_allclose(t_gradient(m, [5.0]), [1.0], rtol=1e-13)
-    m2 = TMetric(build_operator(np.eye(4)))
+    m2 = build_operator(np.eye(4))
     v = np.array([1.0, -2.0, 0.5, 3.0])
     np.testing.assert_allclose(t_gradient(m2, v), v, atol=1e-14)
-    m3 = TMetric(build_operator([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    m3 = build_operator([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_allclose(t_gradient(m3, [4.0, 3.0]), [1.0, 3.0], rtol=1e-13)
     with pytest.raises(DimensionMismatch):
         t_gradient(m3, [1.0, 2.0, 3.0])
@@ -98,21 +89,19 @@ def test_t_gradient_represents_euclidean_derivative(rng):
     # <t_gradient(g), h>_T must equal <g, h> for every direction h
     for _ in range(20):
         op = random_operator(7, 4, rng)
-        metric = TMetric(op)
         g = rng.standard_normal(4)
         h = rng.standard_normal(4)
-        lhs = t_inner(metric, t_gradient(metric, g), h)
+        lhs = t_inner(op, t_gradient(op, g), h)
         assert np.isclose(lhs, g @ h, rtol=1e-9, atol=1e-12)
 
 
 def test_norm_equivalence(rng):
     for _ in range(20):
         op = random_operator(8, 5, rng, cond=rng.uniform(1, 100))
-        metric = TMetric(op)
         s = op.singular_values
         x = rng.standard_normal(5) * 10 ** rng.uniform(-1, 1)
         nx = np.linalg.norm(x)
-        nt = metric.norm(x)
+        nt = np.sqrt(t_inner(op, x, x))
         assert nt / s[0] <= nx * (1 + 1e-12)
         assert nx <= nt / s[-1] * (1 + 1e-12)
 
@@ -130,14 +119,6 @@ def test_tight_frame_norm_identity(rng):
     op = build_operator([[1.0], [2.0]])
     for x in rng.standard_normal(50) * 10:
         assert np.isclose(np.sum((op.matrix @ [x]) ** 2), 5 * x * x, rtol=1e-13)
-
-
-def test_null_basis_properties(rng):
-    op = random_operator(10, 6, rng)
-    basis = op.null_basis
-    np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-12)
-    assert np.max(np.abs(op.matrix.T @ basis)) < 1e-12
-    assert np.max(np.abs(op.range_proj @ basis)) < 1e-12
 
 
 def test_verify_identities_random_gaussian(rng):

@@ -13,6 +13,7 @@ from proxframe import (
     huber_envelope,
     identity_map,
     numeric_prox,
+    random_operator,
     shrink_potential,
     soft_shrink,
     soft_shrink_map,
@@ -289,6 +290,49 @@ def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec):
             rep = numeric_prox(reg, x, tol=k * ulp, max_iter=2000)
             assert rep.iterations < 2000, (lam, k, rep.residual)
             assert rep.converged == (rep.residual <= k * ulp)
+
+
+@pytest.mark.parametrize("spec", ["example35", "random:12x5:3", "random:30x12:2", "random:200x100:2"])
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+def test_numeric_prox_is_pinv_of_the_inner_prox_at_tx(spec, lam):
+    # the T-metric oracle is the Euclidean prox of the inner function at T x,
+    # mapped back by T^+: the same iterates and the same stop, bit for bit
+    from proxframe import FrameShrinkage
+
+    op = build_operator(load_named_matrix(spec))
+    x = np.random.default_rng(5).standard_normal((op.d, 9)) * np.repeat([0.1, 1.0, 10.0], 3)
+    fs = FrameShrinkage(op, soft_shrink_map(lam))
+    rep = numeric_prox(fs, x)
+    euclidean = numeric_prox(fs.inner_prox, op.matrix @ x)
+    np.testing.assert_array_equal(rep.minimizer, op.pinv @ euclidean.minimizer)
+    assert (rep.iterations, rep.converged) == (euclidean.iterations, euclidean.converged)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_operator(load_named_matrix("random:12x5:7")),
+        lambda: build_operator(load_named_matrix("random:200x100:2")),
+        lambda: random_operator(9, 2, np.random.default_rng(3), cond=1e3),
+        lambda: random_operator(60, 30, np.random.default_rng(4), cond=1e3),
+    ],
+    ids=["random:12x5:7", "random:200x100:2", "9x2-cond1e3", "60x30-cond1e3"],
+)
+def test_numeric_prox_converges_sixteen_ulps_above_its_terms(make):
+    # the certificate u - T x + rho mu tends to S(T x) - T x + (T x - S(T x)):
+    # a tol of 16 ulps of the largest column's terms is above its rounding
+    # on every operator, however far T^+ T is from I in the last bits
+    from proxframe import FrameShrinkage
+
+    op = make()
+    x = np.random.default_rng(7).standard_normal((op.d, 6)) * [0.1, 1.0, 10.0, 0.1, 1.0, 10.0]
+    tx = op.matrix @ x
+    norms = lambda a: np.sqrt(np.sum(a * a, axis=0))
+    for lam in (0.1, 1.0, 10.0):
+        s = soft_shrink(tx, lam)
+        tol = 16 * np.finfo(float).eps * np.max(norms(tx) + norms(s) + norms(tx - s))
+        rep = numeric_prox(FrameShrinkage(op, soft_shrink_map(lam)), x, tol=tol)
+        assert rep.converged, (lam, tol, rep.residual, rep.iterations)
 
 
 def test_numeric_prox_metric_flagship():

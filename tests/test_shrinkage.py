@@ -10,7 +10,6 @@ from proxframe import (
     InducedRegularizer,
     NotConverged,
     ProxMap,
-    TMetric,
     build_operator,
     example_operator,
     example_regularizer_closed_form,
@@ -383,7 +382,7 @@ def test_shrinkage_is_t_gradient_of_composed_potential(rng):
         if np.min(gap) < 1e-4:
             continue
         grad = central_diff(composed, x)
-        lhs = t_gradient(TMetric(op), grad)
+        lhs = t_gradient(op, grad)
         rhs = frame_prox(fs, x)
         denom = max(1.0, np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) / denom <= 1e-5
