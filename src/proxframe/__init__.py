@@ -57,7 +57,6 @@ from .shrinkage import (
 from .solvers import (
     AnalysisProblem,
     analysis_objective,
-    forward_backward_t_metric,
     solve_analysis_dual,
     synthesis_solution,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "example_operator",
     "example_regularizer_closed_form",
     "example_shrinkage",
-    "forward_backward_t_metric",
     "frame_prox",
     "huber_envelope",
     "identity_map",

@@ -135,21 +135,30 @@ def _check_vector(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _signals(x: np.ndarray, d: int) -> np.ndarray:
+    """x as a float signal of dimension d or (d, k) block of them."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.ndim > 2 or arr.shape[0] != d:
+        raise DimensionMismatch(f"expected signals of dimension {d}, got {arr.shape}")
+    return arr
+
+
+def _finite_columns(v: np.ndarray) -> np.ndarray:
+    """v itself; raises ValueError naming the first column with a non-finite entry."""
+    finite = np.isfinite(v)
+    if not finite.all():
+        col = int(np.flatnonzero(~finite.reshape(v.shape[0], -1).all(axis=0))[0])
+        raise ValueError(f"signal column {col} is not finite, or overflows under T")
+    return v
+
+
 def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
     """T x for a signal or (d, k) block of signals; every entry must be finite.
 
     A non-finite signal always gives a non-finite T x (T has no zero
     column), so one check covers NaN and inf input as well as overflow.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim > 2 or arr.shape[0] != op.d:
-        raise DimensionMismatch(f"expected signals of dimension {op.d}, got {arr.shape}")
-    tx = op.matrix @ arr
-    finite = np.isfinite(tx)
-    if not finite.all():
-        col = int(np.flatnonzero(~finite.reshape(op.n, -1).all(axis=0))[0])
-        raise ValueError(f"signal column {col} is not finite, or overflows under T")
-    return tx
+    return _finite_columns(op.matrix @ _signals(x, op.d))
 
 
 def t_inner(op: AnalysisOperator, x: np.ndarray, y: np.ndarray) -> float:

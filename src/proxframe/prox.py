@@ -8,7 +8,9 @@ both as a shrinkage ingredient and inside the numeric prox oracle.
 
 Every map here is componentwise, so a ProxMap applied to an (m, k) array
 acts column by column; the verification routines and batched solvers rely
-on that convention.
+on that convention. Every potential is a sum of per-entry terms, so called
+on a (1, N) row it returns the N terms: the Moreau check differentiates it
+entry by entry and fails a potential that is not such a sum.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveLambda
-from .operators import _analysis, build_operator
+from .operators import _analysis, _finite_columns, _signals
 from .reports import SolveReport, VerifyReport
 from .sampling import sampled_check
 from . import splitting
@@ -84,9 +86,11 @@ class ProxMap:
     the handle must broadcast over the trailing axis. ``function`` and
     ``potential`` (g and the convex potential whose gradient is the prox)
     reduce over axis 0, so they return one value per column for matrix
-    input. ``breakpoint_gap`` gives each component's distance to the nearest
-    kink of the potential and is used to keep finite-difference checks away
-    from breakpoints.
+    input. ``potential`` must also be a sum of per-entry terms, so that on a
+    (1, N) row it returns each entry's term; ``verify_moreau_characterization``
+    relies on this and fails a potential that breaks it. ``breakpoint_gap``
+    gives each component's distance to the nearest kink of the potential and
+    is used to keep finite-difference checks away from breakpoints.
     """
 
     name: str
@@ -164,14 +168,6 @@ def verify_firm_nonexpansive(
                          violations, columns=2)
 
 
-# Doubles per block of shifted points (200 kB): 64 columns, the shifted
-# points of 32 coordinates, at dimension 400, the largest the benchmark's CLI
-# verify runs use. Small dimensions put the shifted points of many trials
-# into one potential call; one unbounded (dim, 2 * dim) block per trial
-# raised the peak memory of those runs by 16% and made them slower.
-_FD_BLOCK = 2 * 32 * 400
-
-
 def _column_values(fun, block: np.ndarray) -> np.ndarray:
     """``fun`` of each column of ``block``; anything else raises ValueError."""
     vals = np.asarray(fun(block), dtype=float)
@@ -181,36 +177,6 @@ def _column_values(fun, block: np.ndarray) -> np.ndarray:
             f"{vals.shape} for a block of shape {block.shape}"
         )
     return vals
-
-
-def _central_diff(fun, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient of ``fun`` at each column of x.
-
-    Steps are per coordinate, h = 1e-6 max(1, |x|). The (column, coordinate)
-    pairs are taken column by column, and the shifted points x + h_i e_i and
-    x - h_i e_i of as many pairs as fit ``_FD_BLOCK`` doubles are the columns
-    of one Fortran-ordered block, so ``fun`` (which must reduce over axis 0)
-    is called once per block. Fortran order keeps each column contiguous, so
-    its axis-0 sum is the pairwise sum a 1-D call makes and the gradient is
-    bit-identical to one evaluated a point at a time. A 1-D x is one column.
-    """
-    x = np.asarray(x, dtype=float)
-    cols = x.reshape(x.shape[0], -1)
-    dim, count = cols.shape
-    h = 1e-6 * np.maximum(1.0, np.abs(cols))
-    grad = np.empty(dim * count)
-    step = max(1, _FD_BLOCK // (2 * dim))
-    for lo in range(0, grad.size, step):
-        pair = np.arange(lo, min(lo + step, grad.size))
-        col, coord = np.divmod(pair, dim)
-        at, hp, m = cols[coord, col], h[coord, col], pair.size
-        block = np.empty((dim, 2 * m), order="F")
-        block[:, :m] = block[:, m:] = cols[:, col]
-        block[coord, np.arange(m)] = at + hp
-        block[coord, np.arange(m, 2 * m)] = at - hp
-        vals = _column_values(fun, block)
-        grad[pair] = (vals[:m] - vals[m:]) / (2.0 * hp)
-    return grad.reshape(count, dim).T.reshape(x.shape)
 
 
 def verify_moreau_characterization(
@@ -231,32 +197,36 @@ def verify_moreau_characterization(
 
     Each block of trials is one array computation: the map is applied to
     the x and y columns at once, (a) takes column sums, (c) calls the
-    potential once each on the midpoints, x and y, and (b) is one
-    ``_central_diff`` over every kept column, in which the shifted points of
-    several trials share a potential call.
+    potential once each on the midpoints, x and y, and (b) takes central
+    differences entry by entry, (phi(x + h) - phi(x - h)) / 2h with
+    h = 1e-6 max(1, |x|), from two potential calls on the shifted block
+    laid out as one (1, dim * k) row.
 
     ``potential`` must reduce over axis 0, as ``ProxMap.potential`` does:
-    one value for a vector, one value per column for a (dim, k) block. It is
-    only called on Fortran-ordered blocks, whose columns it sums in the
-    order of a 1-D call; a result of any other shape raises ValueError
-    naming that shape.
+    one value per column for a (dim, k) block, and so one value per entry
+    for a row; a result of any other shape raises ValueError naming that
+    shape. It must also be a sum of per-entry terms. One more call on the
+    row at x guards this: each column's potential is compared with the sum
+    of its entries' values, relative to max(1, |potential|), and that
+    difference joins the reported maximum, so a potential that is not such
+    a sum fails the check instead of being differentiated wrongly.
     """
     def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         px = np.asarray(prox_map(x))
         dp, dx = px - np.asarray(prox_map(y)), x - y
         expand = np.sqrt(_colsum(dp * dp)) - np.sqrt(_colsum(dx * dx))
-        pot = lambda a: _column_values(potential, np.asfortranarray(a))
-        convex = pot(0.5 * (x + y)) - 0.5 * (pot(x) + pot(y))
-        keep = np.ones(x.shape[1], dtype=bool)
+        pot = lambda a: _column_values(potential, a)
+        entries = lambda a: pot(a.reshape(1, -1)).reshape(a.shape)
+        at_x = pot(x)
+        convex = pot(0.5 * (x + y)) - 0.5 * (at_x + pot(y))
+        split = np.abs(at_x - _colsum(entries(x))) / np.maximum(1.0, np.abs(at_x))
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        fd = (entries(x + h) - entries(x - h)) / (2.0 * h)
+        grad_err = np.max(np.abs(fd - px), axis=0) / np.maximum(1.0, np.max(np.abs(px), axis=0))
         if prox_map.breakpoint_gap is not None:
-            h = 1e-6 * np.maximum(1.0, np.abs(x))
-            keep = ~np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h, axis=0)
-        fd = _central_diff(potential, x[:, keep])
-        pk = px[:, keep]
-        grad_err = np.max(np.abs(fd - pk), axis=0) / np.maximum(1.0, np.max(np.abs(pk), axis=0))
-        viol = np.maximum(expand, convex)
-        viol[keep] = np.maximum(viol[keep], grad_err)
-        return viol
+            near = np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h, axis=0)
+            grad_err[near] = -np.inf
+        return np.maximum(np.maximum(expand, convex), np.maximum(split, grad_err))
 
     return sampled_check(f"moreau_characterization:{prox_map.name}", trials, tol, seed, dim,
                          violations, columns=2)
@@ -274,7 +244,8 @@ def numeric_prox(
     by composing an inner prox with T. g may be a FrameShrinkage or an
     InducedRegularizer, which carry T, or a bare ProxMap, for which T = I:
     the metric is then the Euclidean one and f is g itself, so the oracle
-    minimizes ``1/2 ||x - y||^2 + g(y)``. Any other g raises TypeError. In
+    minimizes ``1/2 ||x - y||^2 + g(y)`` and runs on x itself, building no
+    operator. Any other g raises TypeError. In
     z = T y + B w, with B an orthonormal basis of null(T*), the problem is
     min_z 1/2 ||z - T x||^2 + g(z), the prox of the inner function at T x,
     so the oracle runs ``splitting.prox_admm`` at T x on the inner prox
@@ -294,14 +265,14 @@ def numeric_prox(
     inner = g.shrinkage if hasattr(g, "shrinkage") else g
     if hasattr(inner, "inner_prox"):
         op, inner = inner.operator, inner.inner_prox
+        tx = _analysis(op, xs)
     elif isinstance(inner, ProxMap):
-        op = build_operator(np.eye(xs.shape[0]))
+        op, tx = None, _finite_columns(_signals(xs, xs.shape[0]))
     else:
         raise TypeError("numeric_prox expects a FrameShrinkage, InducedRegularizer or ProxMap")
 
-    tx = _analysis(op, xs)
     u, iters, resid, converged = splitting.prox_admm(inner.prox, tx, tol, max_iter)
-    y = op.pinv @ u
+    y = u if op is None else op.pinv @ u
     objective = None
     if inner.function is not None:
         # 1/2 ||x - y||_T^2 + 1/2 ||w||^2 is 1/2 ||u - T x||^2 at y = T^+ u, w = B^T u

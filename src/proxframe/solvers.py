@@ -1,4 +1,4 @@
-"""Baseline solvers for the analysis-sparsity problem and a T-metric loop.
+"""Baseline solvers for the analysis-sparsity problem.
 
 The analysis problem  min_y 1/2 ||x - y||^2 + lam ||Ty||_1  has closed-form
 solutions only for special T (orthogonal, or orthonormal rows); the dual
@@ -6,12 +6,6 @@ projected-gradient solver here is the reference for everything else. It also
 documents that frame shrinkage is *not* that minimizer: the shrinkage is the
 prox of its induced regularizer in the T metric, which is a different
 objective.
-
-``forward_backward_t_metric`` iterates gradient steps in the T geometry
-against the shrinkage as backward step. Because the shrinkage is the
-T-metric prox of the induced regularizer f at unit scale, the fixed points
-minimize step * h + f; run it with step = 1 (valid whenever the T-metric
-Lipschitz constant of h is at most 1) to minimize h + f itself.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from .errors import NotParsevalRow
 from .operators import AnalysisOperator
 from .prox import _check_lambda, soft_shrink
 from .reports import SolveReport
-from .shrinkage import FrameShrinkage, InducedRegularizer, frame_prox, induced_regularizer
 
 
 @dataclass(frozen=True)
@@ -123,57 +116,3 @@ def synthesis_solution(x: np.ndarray, t: np.ndarray, lam: float, row_tol: float 
         raise NotParsevalRow(f"T T* deviates from identity by {gram_err:.3e}")
     tx = t @ x
     return x + t.T @ (soft_shrink(tx, lam) - tx)
-
-
-def forward_backward_t_metric(
-    grad_h,
-    fs: FrameShrinkage,
-    x0: np.ndarray,
-    step: float,
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-    h=None,
-    callback=None,
-) -> SolveReport:
-    """Forward-backward iteration in the T metric with the shrinkage backward step.
-
-    ``grad_h`` supplies the Euclidean gradient of the smooth term; each
-    iteration converts it to the T-metric gradient, steps, and applies the
-    shrinkage:  x <- frame_prox(x - step * (T*T)^{-1} grad_h(x)).  Stops when
-    the T-norm of the iterate change reaches ``tol``. ``step`` must not
-    exceed the reciprocal of the T-metric Lipschitz constant of grad_h, and
-    equals 1 when the target objective is h plus the induced regularizer.
-
-    With ``h`` given, the report's objective is h plus the induced
-    regularizer at the final iterate. ``callback(x)`` runs once per iteration.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    op = fs.operator
-    x = np.asarray(x0, dtype=float).copy()
-    change = np.inf
-    it = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        grad_t = op.solve_gram(np.asarray(grad_h(x), dtype=float))
-        x_new = frame_prox(fs, x - step * grad_t)
-        change = float(np.linalg.norm(op.matrix @ (x_new - x)))
-        x = x_new
-        if callback is not None:
-            callback(x)
-        if change <= tol:
-            converged = True
-            break
-
-    objective = None
-    if h is not None and fs.inner_prox.function is not None:
-        reg = InducedRegularizer.from_shrinkage(fs)
-        objective = float(h(x)) + float(induced_regularizer(reg, x, tol=1e-10))
-    return SolveReport(
-        minimizer=x,
-        objective=objective,
-        iterations=it,
-        residual=change,
-        tolerance=tol,
-        converged=converged,
-    )

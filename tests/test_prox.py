@@ -21,9 +21,8 @@ from proxframe import (
     verify_moreau_characterization,
 )
 from proxframe.cli import load_named_matrix
-from proxframe.prox import _FD_BLOCK, _central_diff
 from proxframe.sampling import sample_trials
-from support import central_diff, golden_section, moreau_trial_violations
+from support import central_diff, entry_terms, golden_section, moreau_trial_violations
 
 lambdas = st.floats(min_value=0.05, max_value=10.0)
 points = st.floats(min_value=-30.0, max_value=30.0)
@@ -147,60 +146,91 @@ def test_moreau_characterization_wrong_potential_fails():
 def test_moreau_characterization_skips_trials_near_a_breakpoint(seed):
     # lam puts the first coordinate of the only trial 5 finite-difference
     # steps outside the kink of soft shrinkage, inside the 10-step band the
-    # gradient term skips; the report is then the larger of the
-    # nonexpansive and convexity terms alone, both negative here, while any
-    # gradient error is >= 0
+    # gradient term skips; the report is then the largest of the
+    # nonexpansive, convexity and per-entry-sum terms alone, which stays
+    # below the gradient term the skip leaves out
     dim = 3
     x, y = sample_trials(seed, 0, 1, dim, 2)
-    h = 1e-6 * max(1.0, abs(x[0, 0]))
-    pm = soft_shrink_map(abs(x[0, 0]) - 5.0 * h)
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    pm = soft_shrink_map(abs(x[0, 0]) - 5.0 * h[0, 0])
     dp, dx = pm(x) - pm(y), x - y
     expand = np.sqrt(np.sum(dp * dp, axis=0)) - np.sqrt(np.sum(dx * dx, axis=0))
-    convex = pm.potential(0.5 * (x + y)) - 0.5 * (pm.potential(x) + pm.potential(y))
+    at_x = pm.potential(x)
+    convex = pm.potential(0.5 * (x + y)) - 0.5 * (at_x + pm.potential(y))
+    x0, h0 = x[:, 0], h[:, 0]
+    split = abs(at_x[0] - np.sum(entry_terms(pm.potential, x0))) / max(1.0, abs(at_x[0]))
+    fd = (entry_terms(pm.potential, x0 + h0) - entry_terms(pm.potential, x0 - h0)) / (2.0 * h0)
+    px = pm(x0)
+    grad_err = np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px)))
     rep = verify_moreau_characterization(pm, pm.potential, dim, trials=1, tol=1e-6, seed=seed)
-    assert rep.max_violation == max(expand[0], convex[0]) < 0.0
+    assert rep.max_violation == max(expand[0], convex[0], split)
+    assert rep.max_violation < grad_err
 
 
 @pytest.mark.parametrize("pm", [soft_shrink_map(1.0), identity_map()], ids=["soft", "identity"])
-@pytest.mark.parametrize("dim", [1, 3, 8, 20, 33, 129])
+@pytest.mark.parametrize("dim", [1, 3, 7, 8, 9, 20, 31, 32, 33, 64, 129, 400])
 def test_moreau_characterization_matches_per_trial_reference(pm, dim):
-    # the block evaluation reports the very bits of a per-trial loop; 1025
-    # trials reach into a second sampling block, and by the prefix property
-    # shorter runs see the first trials of the longest one
-    ref = moreau_trial_violations(pm, pm.potential, dim, 1025, seed=dim)
-    for trials in (1, 200, 1025):
+    # the block evaluation reports the very bits of a per-trial loop that
+    # calls the potential once per scalar entry; 1025 trials reach into a
+    # second sampling block, and by the prefix property shorter runs see the
+    # first trials of the longest one. At dim 400 the reference's 1200
+    # potential calls per trial keep it to 200 trials
+    runs = (1, 200, 1025) if dim <= 129 else (1, 200)
+    ref = moreau_trial_violations(pm, pm.potential, dim, runs[-1], seed=dim)
+    for trials in runs:
         rep = verify_moreau_characterization(pm, pm.potential, dim, trials, tol=1e-6, seed=dim)
         assert rep.max_violation == np.max(ref[:trials])
 
 
 def test_moreau_characterization_scalar_potential_raises():
-    # the potential is evaluated on blocks of shifted points and must return
-    # one value per column; a total over the whole block is refused by shape
+    # the potential is evaluated on blocks and rows and must return one value
+    # per column; a total over the whole block is refused by shape
     pm = soft_shrink_map(1.0)
     l1 = lambda v: float(np.sum(np.abs(v)))
     with pytest.raises(ValueError, match=r"shape \(\)"):
         verify_moreau_characterization(pm, l1, dim=3, trials=5, tol=1e-6)
 
 
-@pytest.mark.parametrize("pm", [soft_shrink_map(0.3), identity_map()], ids=["soft", "identity"])
-@pytest.mark.parametrize("dim", [1, 7, 8, 9, 31, 32, 33, 64, 129, 400])
-def test_block_central_diff_is_bit_identical(pm, dim):
-    # the block evaluation must give the very bits of one potential call per
-    # shifted point; a C-ordered block sums its columns in another order
-    rng = np.random.default_rng(dim)
-    for scale in (0.1, 1.0, 10.0):
-        x = scale * rng.standard_normal(dim)
-        assert np.array_equal(_central_diff(pm.potential, x), central_diff(pm.potential, x))
-    # columns whose (column, coordinate) pairs fill more than one block; unless
-    # dim divides the pairs per block, the column holding pair number
-    # ``per_block`` has its coordinates split between two blocks
-    per_block = max(1, _FD_BLOCK // (2 * dim))
-    count = per_block // dim + 2
-    cols = np.array([0.1, 1.0, 10.0])[np.arange(count) % 3] * rng.standard_normal((dim, count))
-    fd = _central_diff(pm.potential, cols)
-    assert fd.shape == cols.shape
-    for j in range(count):
-        assert np.array_equal(fd[:, j], central_diff(pm.potential, cols[:, j]))
+def block_soft_map(lam: float) -> ProxMap:
+    """v max(0, 1 - lam / ||v||): the prox of lam ||.||_2, whose potential
+    1/2 (||v|| - lam)_+^2 is not a sum of per-entry terms."""
+    norm = lambda v: np.sqrt(np.sum(np.square(v), axis=0))
+    return ProxMap(
+        name="block_soft",
+        lam=lam,
+        prox=lambda v, t=1.0: v * np.maximum(0.0, 1.0 - lam * t / np.maximum(norm(v), 1e-300)),
+        potential=lambda v: 0.5 * np.maximum(norm(v) - lam, 0.0) ** 2,
+        breakpoint_gap=lambda v: np.broadcast_to(np.abs(norm(v) - lam), np.shape(v)),
+    )
+
+
+@pytest.mark.parametrize("dim, passes", [(1, True), (3, False), (40, False)])
+def test_moreau_characterization_refuses_a_potential_that_is_not_per_entry(dim, passes):
+    # block soft thresholding is a prox, but its potential couples the
+    # entries: per-entry differences would check the wrong gradient, so the
+    # check must fail it wherever the potential is not a per-entry sum, and
+    # at dim 1, where it is soft shrinkage, pass it
+    pm = block_soft_map(1.0)
+    rep = verify_moreau_characterization(pm, pm.potential, dim, trials=300, tol=1e-6)
+    assert rep.passed == passes, rep.max_violation
+
+
+def test_moreau_characterization_guard_sees_a_coupling_term():
+    # max - min of a column is convex and vanishes on every one-entry row, so
+    # the per-entry differences match the identity and only the per-entry-sum
+    # guard can see that this is not the identity's potential
+    pm = identity_map()
+    coupled = lambda v: pm.potential(v) + np.ptp(v, axis=0)
+    rep = verify_moreau_characterization(pm, coupled, dim=3, trials=300, tol=1e-6)
+    assert not rep.passed and rep.max_violation > 0.1
+
+
+@pytest.mark.parametrize("pm", [soft_shrink_map(1.0), identity_map()], ids=["soft", "identity"])
+def test_moreau_characterization_rounding_does_not_grow_with_dim(pm):
+    # a per-entry difference rounds at the scale of one entry, not of a sum
+    # of 400 of them
+    rep = verify_moreau_characterization(pm, pm.potential, dim=400, trials=200, tol=1e-6, seed=3)
+    assert rep.max_violation <= 1e-9
 
 
 def test_numeric_prox_euclidean_matches_soft():
@@ -208,6 +238,19 @@ def test_numeric_prox_euclidean_matches_soft():
     assert rep.converged
     assert abs(rep.minimizer[0] - 1.0) <= 1e-8
     assert np.isclose(rep.objective, 1.5, atol=1e-8)
+
+
+def test_numeric_prox_euclidean_builds_no_operator(monkeypatch):
+    # T = I needs no SVD: the Euclidean oracle runs on x itself
+    import proxframe.operators
+
+    calls = []
+    monkeypatch.setattr(proxframe.operators, "build_operator", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+    x = np.random.default_rng(1).standard_normal((200, 3))
+    rep = numeric_prox(soft_shrink_map(1.0), x, tol=1e-9)
+    assert rep.converged and calls == []
+    np.testing.assert_allclose(rep.minimizer, soft_shrink(x, 1.0), rtol=0, atol=1e-9)
 
 
 def test_numeric_prox_zero_function_is_identity():
@@ -368,6 +411,15 @@ def test_solve_report_json_shape():
     rep = numeric_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-10)
     doc = json.loads(rep.to_json())
     assert list(doc) == ["minimizer", "objective", "iterations", "converged"]
+
+
+def test_solve_report_objective_none_without_function():
+    # a ProxMap without ``function`` has no objective to report
+    pm = ProxMap(name="bare_soft", lam=1.0, prox=lambda v, t=1.0: soft_shrink(v, t))
+    rep = numeric_prox(pm, np.array([2.0]), tol=1e-10)
+    assert rep.converged
+    assert rep.objective is None
+    assert rep.to_dict()["objective"] is None
 
 
 def test_prox_map_eval_is_unit_scale_prox():

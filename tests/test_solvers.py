@@ -3,17 +3,13 @@ import pytest
 
 from proxframe import (
     AnalysisProblem,
-    FrameShrinkage,
     NonPositiveLambda,
     NotParsevalRow,
     analysis_objective,
     build_operator,
     example_operator,
-    example_regularizer_closed_form,
     example_shrinkage,
-    forward_backward_t_metric,
     frame_prox,
-    identity_map,
     random_operator,
     soft_shrink,
     solve_analysis_dual,
@@ -116,58 +112,3 @@ def test_synthesis_random_parseval_instances(rng):
         rep = solve_analysis_dual(AnalysisProblem(x, t, lam), tol=1e-14)
         assert rep.converged
         np.testing.assert_allclose(out, rep.minimizer, atol=1e-6)
-
-
-def test_forward_backward_quadratic_t_objective(rng):
-    op = random_operator(6, 3, rng)
-    fs = FrameShrinkage(op, identity_map())
-    b = rng.standard_normal(3)
-    gram = op.matrix.T @ op.matrix
-    rep = forward_backward_t_metric(lambda v: gram @ (v - b), fs, np.zeros(3), step=1.0, tol=1e-12)
-    assert rep.converged
-    np.testing.assert_allclose(rep.minimizer, b, atol=1e-8)
-
-
-def test_forward_backward_zero_gradient_reaches_fixed_point():
-    fs = example_shrinkage()
-    rep = forward_backward_t_metric(lambda v: np.zeros_like(v), fs, np.array([2.0]), step=1.0, tol=1e-12)
-    m = np.asarray(rep.minimizer)
-    again = frame_prox(fs, m)
-    assert np.linalg.norm(fs.operator.matrix @ (again - m)) <= 2e-12
-
-
-def test_forward_backward_flagship_composite(rng):
-    # minimize 1/2 (y - 1)^2 + f(y); the composite subdifferential pins y* = 0
-    fs = example_shrinkage()
-    iterates = []
-    rep = forward_backward_t_metric(
-        lambda v: v - 1.0,
-        fs,
-        np.array([1.0]),
-        step=1.0,
-        tol=1e-12,
-        h=lambda v: 0.5 * float((v[0] - 1.0) ** 2),
-        callback=lambda v: iterates.append(float(v[0])),
-    )
-    assert rep.converged
-    y_grid, _ = grid_min(
-        lambda y: 0.5 * (y - 1.0) ** 2 + example_regularizer_closed_form(y), -2.0, 2.0
-    )
-    assert abs(rep.minimizer[0] - y_grid) <= 1e-4
-    assert abs(rep.minimizer[0]) <= 1e-5
-    assert np.isclose(rep.objective, 0.5, atol=1e-8)
-    # composite objective is monotonically nonincreasing along the iterates
-    objs = [0.5 * (y - 1.0) ** 2 + example_regularizer_closed_form(y) for y in iterates]
-    assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-
-
-def test_forward_backward_rejects_bad_step():
-    with pytest.raises(ValueError):
-        forward_backward_t_metric(lambda v: v, example_shrinkage(), np.array([0.0]), step=0.0)
-
-
-def test_solve_report_objective_none_without_h():
-    fs = example_shrinkage()
-    rep = forward_backward_t_metric(lambda v: np.zeros_like(v), fs, np.array([2.0]), step=1.0)
-    assert rep.objective is None
-    assert rep.to_dict()["objective"] is None
