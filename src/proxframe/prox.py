@@ -179,6 +179,23 @@ def _column_values(fun, block: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _entry_values(fun, a: np.ndarray) -> np.ndarray:
+    """``fun`` of each entry of ``a``, from one call on ``a`` laid out as a (1, N) row."""
+    return _column_values(fun, a.reshape(1, -1)).reshape(a.shape)
+
+
+def _central_diff(fun, x: np.ndarray) -> np.ndarray:
+    """Per-entry central differences of a per-entry potential at x.
+
+    (fun(x + h) - fun(x - h)) / 2h entry by entry, h = 1e-6 max(1, |x|),
+    from two calls on the shifted array laid out as one row; x may be a
+    vector or a (dim, k) block.
+    """
+    x = np.asarray(x, dtype=float)
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    return (_entry_values(fun, x + h) - _entry_values(fun, x - h)) / (2.0 * h)
+
+
 def verify_moreau_characterization(
     prox_map: ProxMap,
     potential: Callable[[np.ndarray], np.ndarray],
@@ -197,10 +214,10 @@ def verify_moreau_characterization(
 
     Each block of trials is one array computation: the map is applied to
     the x and y columns at once, (a) takes column sums, (c) calls the
-    potential once each on the midpoints, x and y, and (b) takes central
-    differences entry by entry, (phi(x + h) - phi(x - h)) / 2h with
-    h = 1e-6 max(1, |x|), from two potential calls on the shifted block
-    laid out as one (1, dim * k) row.
+    potential once each on the midpoints, x and y, and (b) is one
+    ``_central_diff``: differences entry by entry, (phi(x + h) - phi(x - h))
+    / 2h with h = 1e-6 max(1, |x|), from two potential calls on the shifted
+    block laid out as one (1, dim * k) row.
 
     ``potential`` must reduce over axis 0, as ``ProxMap.potential`` does:
     one value per column for a (dim, k) block, and so one value per entry
@@ -216,14 +233,13 @@ def verify_moreau_characterization(
         dp, dx = px - np.asarray(prox_map(y)), x - y
         expand = np.sqrt(_colsum(dp * dp)) - np.sqrt(_colsum(dx * dx))
         pot = lambda a: _column_values(potential, a)
-        entries = lambda a: pot(a.reshape(1, -1)).reshape(a.shape)
         at_x = pot(x)
         convex = pot(0.5 * (x + y)) - 0.5 * (at_x + pot(y))
-        split = np.abs(at_x - _colsum(entries(x))) / np.maximum(1.0, np.abs(at_x))
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        fd = (entries(x + h) - entries(x - h)) / (2.0 * h)
+        split = np.abs(at_x - _colsum(_entry_values(potential, x))) / np.maximum(1.0, np.abs(at_x))
+        fd = _central_diff(potential, x)
         grad_err = np.max(np.abs(fd - px), axis=0) / np.maximum(1.0, np.max(np.abs(px), axis=0))
         if prox_map.breakpoint_gap is not None:
+            h = 1e-6 * np.maximum(1.0, np.abs(x))
             near = np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h, axis=0)
             grad_err[near] = -np.inf
         return np.maximum(np.maximum(expand, convex), np.maximum(split, grad_err))

@@ -21,6 +21,7 @@ from proxframe import (
     verify_moreau_characterization,
 )
 from proxframe.cli import load_named_matrix
+from proxframe.prox import _central_diff
 from proxframe.sampling import sample_trials
 from support import central_diff, entry_terms, golden_section, moreau_trial_violations
 
@@ -180,6 +181,27 @@ def test_moreau_characterization_matches_per_trial_reference(pm, dim):
     for trials in runs:
         rep = verify_moreau_characterization(pm, pm.potential, dim, trials, tol=1e-6, seed=dim)
         assert rep.max_violation == np.max(ref[:trials])
+
+
+@pytest.mark.parametrize("pm", [soft_shrink_map(0.3), identity_map()], ids=["soft", "identity"])
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 31, 32, 33, 64, 129, 400])
+def test_block_central_diff_is_bit_identical(pm, dim):
+    # the row evaluation must give the very bits of one potential call per
+    # shifted entry, for a vector and for every column of a block
+    rng = np.random.default_rng(dim)
+
+    def per_entry(x):
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        return (entry_terms(pm.potential, x + h) - entry_terms(pm.potential, x - h)) / (2.0 * h)
+
+    for scale in (0.1, 1.0, 10.0):
+        x = scale * rng.standard_normal(dim)
+        assert np.array_equal(_central_diff(pm.potential, x), per_entry(x))
+    cols = np.array([0.1, 1.0, 10.0])[np.arange(5) % 3] * rng.standard_normal((dim, 5))
+    fd = _central_diff(pm.potential, cols)
+    assert fd.shape == cols.shape
+    for j in range(cols.shape[1]):
+        assert np.array_equal(fd[:, j], per_entry(cols[:, j]))
 
 
 def test_moreau_characterization_scalar_potential_raises():
