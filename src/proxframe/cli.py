@@ -267,15 +267,14 @@ def cmd_example(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, fmt: str) -> None:
-    p.add_argument("--operator", default="example35",
-                   help="example35 | identity:D | random:NxD:SEED | matrix .csv/.json")
-    p.add_argument("--prox", default="soft:1", help="NAME:LAMBDA, e.g. soft:0.5 or identity")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--trials", type=int, default=100, help="sampling trials per check")
-    p.add_argument("--seed", type=int, default=0, help="seed pinning all sampling")
-    p.add_argument("--out", default=None, help="mirror output to this file")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=fmt)
+_OPTIONS = {
+    "operator": dict(default="example35",
+                     help="example35 | identity:D | random:NxD:SEED | matrix .csv/.json"),
+    "prox": dict(default="soft:1", help="NAME:LAMBDA, e.g. soft:0.5 or identity"),
+    "tol": dict(type=float, default=None, help="tolerance override"),
+    "trials": dict(type=int, default=100, help="sampling trials per check"),
+    "seed": dict(type=int, default=0, help="seed pinning all sampling"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,15 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, help_text in (
-        ("verify", cmd_verify, "run the verification suites"),
-        ("example", cmd_example, "print the packaged worked example"),
-        ("regularizer", cmd_regularizer, "export induced-regularizer values over a grid"),
-        ("solve", cmd_solve, "solve the analysis-sparsity problem"),
+    # each subcommand registers only the options it reads, so any other is a usage error
+    for name, handler, help_text, options, fmt in (
+        ("verify", cmd_verify, "run the verification suites",
+         ("operator", "prox", "tol", "trials", "seed"), "json"),
+        ("example", cmd_example, "print the packaged worked example", (), None),
+        ("regularizer", cmd_regularizer, "export induced-regularizer values over a grid",
+         ("operator", "prox", "tol", "seed"), "csv"),
+        ("solve", cmd_solve, "solve the analysis-sparsity problem", ("operator", "prox", "tol"), None),
     ):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        _add_common(p, fmt="csv" if name == "regularizer" else "json")
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+        p.add_argument("--out", default=None, help="mirror output to this file")
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=fmt)
         if name == "regularizer":
             p.add_argument("--grid", default="-2:2:0.01", help="LO:HI:STEP")
         if name == "solve":

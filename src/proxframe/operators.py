@@ -126,15 +126,6 @@ def random_operator(
     return build_operator((q1 * s) @ q2.T)
 
 
-def _check_vector(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.shape[0] != op.d:
-        raise DimensionMismatch(f"expected leading dimension {op.d}, got {x.shape}")
-    return x
-
-
 def _signals(x: np.ndarray, d: int) -> np.ndarray:
     """x as a float signal of dimension d or (d, k) block of them."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -163,8 +154,7 @@ def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
 
 def t_inner(op: AnalysisOperator, x: np.ndarray, y: np.ndarray) -> float:
     """<x, y>_T = <Tx, Ty>."""
-    x = _check_vector(op, x)
-    y = _check_vector(op, y)
+    x, y = _signals(x, op.d), _signals(y, op.d)
     if x.shape != y.shape:
         raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
     return float((op.matrix @ x) @ (op.matrix @ y))
@@ -176,8 +166,7 @@ def t_gradient(op: AnalysisOperator, euclidean_grad: np.ndarray) -> np.ndarray:
     The two gradients represent the same derivative in different inner
     products: <t_gradient(g), h>_T = <g, h> for every direction h.
     """
-    g = _check_vector(op, euclidean_grad)
-    return op.solve_gram(g)
+    return op.solve_gram(_signals(euclidean_grad, op.d))
 
 
 def verify_operator_identities(

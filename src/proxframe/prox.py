@@ -4,7 +4,11 @@ The catalog is small by design: soft shrinkage (the prox of ``lam * l1``)
 with its envelope and potential, and the identity (the prox of the zero
 function). ``ProxMap`` bundles an operator with the scaled-prox handle the
 splitting solvers consume, so anything placed in a ``ProxMap`` can be used
-both as a shrinkage ingredient and inside the numeric prox oracle.
+both as a shrinkage ingredient and inside the numeric prox oracle. The
+induced regularizer, though, is evaluated for the catalog maps only: for
+soft shrinkage through its box-constrained dual (the conjugate of
+``lam * l1`` is the indicator of the box [-lam, lam]^n), and for the
+identity as 0.
 
 Every map here is componentwise, so a ProxMap applied to an (m, k) array
 acts column by column; the verification routines and batched solvers rely

@@ -61,15 +61,20 @@ class InducedRegularizer:
     """The function whose prox, in the T metric, is the frame shrinkage.
 
     Its inner function g is the shrinkage's own ``inner_prox.function``, so
-    the two can never disagree.
+    the two can never disagree. Only the catalog maps are accepted: soft
+    shrinkage, whose f ``induced_regularizer`` evaluates through a
+    box-constrained dual, and the identity, whose f is 0; any other map
+    raises ValueError naming it.
     """
 
     shrinkage: FrameShrinkage
 
     def __post_init__(self):
+        name = self.shrinkage.inner_prox.name
         if self.g is None:
-            name = self.shrinkage.inner_prox.name
             raise ValueError(f"prox map {name!r} carries no function handle")
+        if name not in ("soft_shrink", "identity"):
+            raise ValueError(f"no induced regularizer for prox map {name!r}: not in the catalog")
 
     @classmethod
     def from_shrinkage(cls, fs: FrameShrinkage) -> "InducedRegularizer":
@@ -80,22 +85,21 @@ class InducedRegularizer:
         return self.shrinkage.inner_prox.function
 
 
-def _fista_points(proj, c, prox_g):
-    """FISTA with gradient restart on the dual of f, at unit step.
+def _fista_points(proj, c, lam):
+    """FISTA with gradient restart on the box-constrained dual of f, at unit step.
 
-    The smooth part's gradient (I - P) u - c is 1-Lipschitz. Carrying
-    r = (I - P) u next to u keeps each iteration at one product with P.
-    Yields (u, r, q) every _GAP_STRIDE iterations, u a subgradient of g at q.
-    The caller may send back a boolean mask of the columns to keep (None
-    keeps all); the others leave c and the iteration state at once.
+    The smooth part's gradient (I - P) u - c is 1-Lipschitz, so a step from
+    y is the clip of P y + c onto [-lam, lam]. Carrying r = (I - P) u next to
+    u keeps each iteration at one product with P. Yields (u, r) every
+    _GAP_STRIDE iterations. The caller may send back a boolean mask of the
+    columns to keep (None keeps all); the others leave c and the iteration
+    state at once.
     """
     u = r = y = r_y = np.zeros_like(c)
     t = np.ones(c.shape[1])
     while True:
         for _ in range(_GAP_STRIDE):
-            a = y - r_y + c             # gradient step from y: P y + c
-            q = prox_g(a, 1.0)
-            u_new = a - q
+            u_new = np.clip(y - r_y + c, -lam, lam)
             r_new = u_new - proj @ u_new
             # gradient restart: drop a column's momentum once it points uphill
             restart = np.sum((y - u_new) * (u_new - u), axis=0) > 0.0
@@ -105,24 +109,23 @@ def _fista_points(proj, c, prox_g):
             y = u_new + beta * (u_new - u)
             r_y = r_new + beta * (r_new - r)
             u, r = u_new, r_new
-        keep = yield u, r, q
+        keep = yield u, r
         if keep is not None:
             c, u, r, y, r_y, t = (a[..., keep] for a in (c, u, r, y, r_y, t))
 
 
-def _admm_points(proj, c, prox_g, rho):
-    """ADMM on the dual of f, split u = v between its quadratic part and g*.
+def _admm_points(proj, c, lam, rho):
+    """ADMM on the box-constrained dual of f, split u = v between its two terms.
 
     With scaled multiplier m and a per-column penalty rho:
 
         u <- P b + c / rho + rho / (1 + rho) (I - P) b,      b = v - m
-        v <- prox_{g*/rho}(u + m) = a - prox_{rho g}(rho a) / rho,   a = u + m
+        v <- clip(a, -lam, lam),                             a = u + m
         m <- a - v
 
     rho is balanced against the primal and dual residuals (Boyd et al.
-    2011, 3.4.1). Yields (v, (I - P) v, q) every _GAP_STRIDE iterations, v a
-    subgradient of g at q, and takes a mask of the columns to keep as
-    ``_fista_points`` does.
+    2011, 3.4.1). Yields (v, (I - P) v) every _GAP_STRIDE iterations and
+    takes a mask of the columns to keep as ``_fista_points`` does.
     """
     v = m = np.zeros_like(c)
     while True:
@@ -131,10 +134,9 @@ def _admm_points(proj, c, prox_g, rho):
             pb = proj @ b
             u = pb + c / rho + rho / (1.0 + rho) * (b - pb)
             a = u + m
-            q = prox_g(rho * a, rho)
-            v_prev, v = v, a - q / rho
+            v_prev, v = v, np.clip(a, -lam, lam)
             m = a - v
-        keep = yield v, v - proj @ v, q
+        keep = yield v, v - proj @ v
         if keep is not None:
             c, v, m, u, v_prev, rho = (a[..., keep] for a in (c, v, m, u, v_prev, rho))
         primal_res = np.sum((u - v) ** 2, axis=0)
@@ -150,21 +152,22 @@ def induced_regularizer(
 ):
     """Evaluate the induced regularizer at x (or at each column of x).
 
-    For square T the value is g(Tx). Otherwise, with c = Tx and B an
-    orthonormal basis of null(T*), f(x) = min_w 1/2 ||w||^2 + g(c + B w),
-    whose dual is
+    ``InducedRegularizer`` admits the catalog maps only. For square T, and
+    for the identity map (g = 0), the value is g(Tx). Otherwise g is
+    lam ||.||_1 (soft shrinkage) and, with c = Tx and B an orthonormal basis
+    of null(T*), f(x) = min_w 1/2 ||w||^2 + g(c + B w). The conjugate of g
+    is the indicator of the box [-lam, lam]^n, so the dual is the
+    box-constrained QP
 
-        max_u  <u, c> - g*(u) - 1/2 ||B^T u||^2,   ||B^T u||^2 = <u, (I - P) u>
+        max_{|u_i| <= lam}  <u, c> - 1/2 ||B^T u||^2,   ||B^T u||^2 = <u, (I - P) u>
 
     with P the range projector. It is solved by FISTA at unit step
-    (``_fista_points``). A column still open after ``_FISTA_ITERS``
-    iterations typically has Tx far inside the region where the prox of g
-    is flat (|Tx| << lam for soft shrinkage); there unit-step FISTA creeps
-    along range(T) at a speed set by |Tx|. Such columns get ADMM
-    (``_admm_points``), whose penalty starts at max|Tx| / lam and follows
-    that scale, run beside a fresh FISTA. Both solvers reach g* through the
-    ProxMap alone: each dual iterate is a subgradient of g at a prox output,
-    so g* follows from the Fenchel-Young equality.
+    (``_fista_points``), whose every step is a clip onto the box. A column
+    still open after ``_FISTA_ITERS`` iterations typically has Tx far inside
+    the dead zone (|Tx| << lam); there unit-step FISTA creeps along range(T)
+    at a speed set by |Tx|. Such columns get ADMM (``_admm_points``), whose
+    penalty starts at max|Tx| / lam and follows that scale, run beside a
+    fresh FISTA.
 
     Every eight iterations each open column takes the lowest primal value
     (at w = -B^T u for a solver's dual iterate u, or at w = 0, where it is
@@ -189,11 +192,11 @@ def induced_regularizer(
     g = reg.g
     g_c = np.atleast_1d(np.asarray(g(c), dtype=float))
 
-    if op.n == op.d:
+    if op.n == op.d or fs.inner_prox.name == "identity":
         return float(g_c[0]) if squeeze else g_c
 
     proj = op.range_proj
-    prox_g = fs.inner_prox.prox
+    lam = fs.inner_prox.lam
     vals = np.array(g_c)
     gap = np.full(c.shape[1], np.inf)
 
@@ -209,11 +212,10 @@ def induced_regularizer(
         for _ in range(iters // _GAP_STRIDE):
             primal, dual, scale = g_sub, -np.inf, 1.0 + np.abs(g_sub)
             for points in solvers:
-                u, r, q = points.send(keep)
+                u, r = points.send(keep)
                 half_sq = 0.5 * np.sum(u * r, axis=0)
                 primal = np.minimum(primal, half_sq + g(c_sub - r))
-                g_star = np.sum(u * q, axis=0) - g(q)
-                dual = np.maximum(dual, np.sum(u * c_sub, axis=0) - g_star - half_sq)
+                dual = np.maximum(dual, np.sum(u * c_sub, axis=0) - half_sq)
                 scale = scale + np.sum(u * u, axis=0)
             gap[cols] = primal - dual
             fresh = gap[cols] <= np.maximum(tol, _GAP_FLOOR * scale)
@@ -227,12 +229,12 @@ def induced_regularizer(
         return cols
 
     cols = np.arange(c.shape[1])
-    cols = certify([_fista_points(proj, c, prox_g)], cols, min(max_iter, _FISTA_ITERS))
+    cols = certify([_fista_points(proj, c, lam)], cols, min(max_iter, _FISTA_ITERS))
     if cols.size:
         c_open = c[:, cols]
         c_max = np.max(np.abs(c_open), axis=0)
-        rho = np.where(c_max > 0.0, c_max / fs.inner_prox.lam, 1.0)
-        solvers = [_fista_points(proj, c_open, prox_g), _admm_points(proj, c_open, prox_g, rho)]
+        rho = np.where(c_max > 0.0, c_max / lam, 1.0)
+        solvers = [_fista_points(proj, c_open, lam), _admm_points(proj, c_open, lam, rho)]
         cols = certify(solvers, cols, max_iter - _FISTA_ITERS)
     if cols.size:
         raise NotConverged(
@@ -289,6 +291,11 @@ def verify_prox_identity(
     run an order of magnitude tighter than ``tol``. A block in which the
     numeric prox did not converge reports an infinite violation, so the
     check fails.
+
+    The envelope term carries the paper's claim: it ties f to the
+    shrinkage. The distance term does not, since the oracle solves the prox
+    of g at Tx and T enters both sides the same way; it tests the
+    composition code and the inner map's scaled prox handle.
     """
     op = fs.operator
     inner_tol = tol / 10.0

@@ -83,3 +83,24 @@ def moreau_trial_violations(prox_map, potential, dim: int, trials: int, seed: in
             found.append(float(np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px)))))
         worst.append(np.max(found))
     return np.array(worst)
+
+
+def line_regularizer(c: np.ndarray, b: np.ndarray, lam: float) -> float:
+    """Exact min over the scalar w of 1/2 w^2 + lam ||c + b w||_1.
+
+    This is the induced regularizer of soft shrinkage at y for a (d+1) x d
+    operator T, with c = Ty and b a unit vector spanning null(T^T). The
+    objective is convex and piecewise quadratic in w, with kinks at the
+    breakpoints -c_i / b_i; on a piece where the signs of c + b w are s, its
+    stationary point is -lam <s, b>. The minimizer is a breakpoint or the
+    stationary point of its piece, so the least value over all of these
+    points is exact.
+    """
+    def objective(w):
+        return 0.5 * w * w + lam * np.sum(np.abs(c[:, None] + b[:, None] * w), axis=0)
+
+    kinks = np.sort(-c[b != 0] / b[b != 0])
+    # one point inside each piece gives that piece's signs
+    inside = np.concatenate([[kinks[0] - 1.0], 0.5 * (kinks[1:] + kinks[:-1]), [kinks[-1] + 1.0]])
+    stationary = -lam * (b @ np.sign(c[:, None] + b[:, None] * inside))
+    return float(np.min(objective(np.concatenate([kinks, stationary]))))

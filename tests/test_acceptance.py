@@ -50,7 +50,13 @@ def test_criterion_1_closed_form_grid():
 
 
 def test_criterion_2_prox_identity_random_operators():
-    """Shrinkage equals the T-metric numeric prox of f across 50 operators."""
+    """Shrinkage equals the T-metric numeric prox of f across 50 operators.
+
+    This is the distance term of ``verify_prox_identity`` alone. The oracle
+    solves the prox of g at Tx, so it tests the composition code and the
+    scaled prox handle; the envelope term of that check is what ties f to
+    the shrinkage.
+    """
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     worst = 0.0

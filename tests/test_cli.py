@@ -106,6 +106,17 @@ JSON_INPUTS = {
         ("solve", "--problem", "lambda_string.json"),
         ("solve", "--problem", "lambda_bool.json"),
         ("solve", "--problem", "not_an_object.json"),
+        # each subcommand takes only the options it reads
+        ("example", "--operator", "random:6x3:1"),
+        ("example", "--prox", "soft:2"),
+        ("example", "--tol", "1e-9"),
+        ("example", "--trials", "5"),
+        ("example", "--seed", "1"),
+        ("example", "--format", "csv"),
+        ("solve", "--x", "1", "--trials", "5"),
+        ("solve", "--x", "1", "--seed", "1"),
+        ("solve", "--x", "1", "--format", "csv"),
+        ("regularizer", "--trials", "5"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):

@@ -31,7 +31,7 @@ from proxframe import (
 )
 from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import load_named_matrix
-from support import central_diff, golden_section
+from support import central_diff, golden_section, line_regularizer
 
 
 def random_orthogonal(d, rng):
@@ -207,9 +207,9 @@ def test_induced_regularizer_compaction_across_both_phases(rng, monkeypatch):
     admm_cols = []
     admm_points = shrinkage_module._admm_points
 
-    def spy(proj, c, prox_g, rho):
+    def spy(proj, c, lam, rho):
         admm_cols.append(c.shape[1])
-        return admm_points(proj, c, prox_g, rho)
+        return admm_points(proj, c, lam, rho)
 
     monkeypatch.setattr(shrinkage_module, "_admm_points", spy)
     vals = induced_regularizer(reg, x, tol=tol)
@@ -223,6 +223,28 @@ def test_induced_regularizer_compaction_across_both_phases(rng, monkeypatch):
     singles = np.array([induced_regularizer(reg, x[:, j], tol=tol) for j in range(12)])
     assert np.all(np.abs(vals - singles) <= tol + slack)
     assert np.all(vals <= g_tx)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_induced_regularizer_matches_exact_line_reference(d):
+    # for a (d+1) x d operator the inner problem is one-dimensional, and
+    # support.line_regularizer solves it exactly from its breakpoints; the
+    # evaluation must land within its certified gap of that value
+    rng = np.random.default_rng(100 + d)
+    tol = 1e-10
+    for cond in (1.0, 1e3):
+        op = random_operator(d + 1, d, rng, cond=cond)
+        b = np.linalg.svd(op.matrix)[0][:, d]
+        x = rng.standard_normal((d, 5)) * np.array([1e-3, 1e-2, 1e-1, 1.0, 10.0])
+        c = op.matrix @ x
+        for lam in (0.1, 1.0, 10.0):
+            reg = InducedRegularizer.from_shrinkage(FrameShrinkage(op, soft_shrink_map(lam)))
+            vals = induced_regularizer(reg, x, tol=tol)
+            ref = np.array([line_regularizer(c[:, j], b, lam) for j in range(5)])
+            # the gap floor, 64 ulps of at most 1 + g(Tx) + (d+1) lam^2, and
+            # the reference's own rounding
+            slack = 1e-13 * (1.0 + reg.g(c) + (d + 1) * lam * lam)
+            assert np.all(np.abs(vals - ref) <= tol + slack), (cond, lam, vals - ref)
 
 
 def test_induced_regularizer_dimension_mismatch():
@@ -240,9 +262,19 @@ def test_induced_regularizer_reads_g_from_its_shrinkage():
     bare = FrameShrinkage(example_operator(), ProxMap("bare", 1.0, lambda v, t=1.0: v))
     with pytest.raises(ValueError, match="no function"):
         InducedRegularizer.from_shrinkage(bare)
+    # f is evaluated for the catalog maps only, even given a function handle
+    l1 = ProxMap("scaled_l1", 2.0, lambda v, t=1.0: soft_shrink(v, 2.0 * t),
+                 function=lambda v: 2.0 * np.sum(np.abs(v), axis=0))
+    with pytest.raises(ValueError, match="scaled_l1"):
+        InducedRegularizer.from_shrinkage(FrameShrinkage(example_operator(), l1))
 
 
-def test_induced_regularizer_identity_inner_is_zero(rng):
+def test_induced_regularizer_identity_inner_is_zero(rng, monkeypatch):
+    # g = 0, so f = 0 at once on a rectangular T, with no dual solve
+    def no_solve(*args):
+        raise AssertionError("the identity map must not start a dual solve")
+
+    monkeypatch.setattr(shrinkage_module, "_fista_points", no_solve)
     op = random_operator(5, 2, rng)
     reg = InducedRegularizer.from_shrinkage(FrameShrinkage(op, identity_map()))
     assert induced_regularizer(reg, rng.standard_normal(2)) == 0.0
