@@ -152,12 +152,13 @@ def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
     return _finite_columns(op.matrix @ _signals(x, op.d))
 
 
-def t_inner(op: AnalysisOperator, x: np.ndarray, y: np.ndarray) -> float:
-    """<x, y>_T = <Tx, Ty>."""
+def t_inner(op: AnalysisOperator, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """<x, y>_T = <Tx, Ty>; for (d, k) blocks, one inner product per column."""
     x, y = _signals(x, op.d), _signals(y, op.d)
     if x.shape != y.shape:
         raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
-    return float((op.matrix @ x) @ (op.matrix @ y))
+    inner = np.sum((op.matrix @ x) * (op.matrix @ y), axis=0)
+    return float(inner) if x.ndim == 1 else inner
 
 
 def t_gradient(op: AnalysisOperator, euclidean_grad: np.ndarray) -> np.ndarray:

@@ -263,10 +263,11 @@ def test_solve_inline_vector(capsys):
 TWENTY_ONES = ",".join(["1"] * 20)
 
 
-@pytest.mark.parametrize("tol", ["0", "1e-15"])
+@pytest.mark.parametrize("tol", ["0", "1e-15", "3e-15"])
 def test_solve_below_gap_rounding_stops_unconverged(capsys, tol):
-    # the gap stalls near 7e-15 here; at the first check, after 8 iterations,
-    # the rounding of its terms is 2.8e-15, above either tolerance
+    # after the first iteration the rounding of the gap's terms is 3.7e-29,
+    # which stops tol 0; the gap then stalls near 1e-14 and the dual objective
+    # stops falling at iteration 6, which stops the other two
     code, out, _ = run(capsys, "solve", "--operator", "random:40x20:1", "--x", TWENTY_ONES,
                        "--tol", tol)
     doc = json.loads(out.splitlines()[0])
@@ -275,9 +276,9 @@ def test_solve_below_gap_rounding_stops_unconverged(capsys, tol):
 
 
 @pytest.mark.parametrize("argv, iterations", [
-    # the gap first reaches 1e-14 after 609 iterations
+    # the gap first reaches 1e-14 after 6 iterations
     (("--operator", "random:40x20:1", "--x", TWENTY_ONES, "--tol", "1e-14"), 1000),
-    # the gap is exactly 0 after 2 iterations, before the first rounding check
+    # the gap is exactly 0 after the first iteration
     (("--operator", "example35", "--x", "1", "--tol", "0"), 2),
 ])
 def test_solve_gap_reaching_tol_converges(capsys, argv, iterations):

@@ -73,6 +73,20 @@ def test_t_inner_examples():
         t_inner(m2, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
+def test_t_inner_blocks(rng):
+    # one inner product per column of a (d, k) block; a vector gives a float
+    op = random_operator(6, 3, rng)
+    for k in (1, 2, 6):
+        x, y = rng.standard_normal((3, k)), rng.standard_normal((3, k))
+        got = t_inner(op, x, y)
+        assert got.shape == (k,)
+        expected = [float((op.matrix @ x[:, j]) @ (op.matrix @ y[:, j])) for j in range(k)]
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+    assert type(t_inner(op, x[:, 0], y[:, 0])) is float
+    with pytest.raises(DimensionMismatch):
+        t_inner(op, np.ones((3, 2)), np.ones((3, 6)))
+
+
 def test_t_gradient_examples():
     m = build_operator([[1.0], [2.0]])
     np.testing.assert_allclose(t_gradient(m, [5.0]), [1.0], rtol=1e-13)

@@ -62,10 +62,50 @@ def test_dual_solver_duality_gap_reported(rng):
 
 
 def test_dual_solver_not_converged_flag(rng):
+    # one iteration leaves a gap of 0.08 here; the second certifies 1e-14
     op = random_operator(8, 5, rng)
     prob = AnalysisProblem(rng.standard_normal(5), op, 0.5)
-    rep = solve_analysis_dual(prob, tol=1e-14, max_iter=2)
+    rep = solve_analysis_dual(prob, tol=1e-14, max_iter=1)
     assert not rep.converged
+    assert rep.iterations == 1
+
+
+def test_dual_solver_single_column_closed_form(rng):
+    # for T = t in R^{n x 1}, lam ||Ty||_1 = lam ||t||_1 |y|: the minimizer is
+    # soft shrinkage of x at lam ||t||_1; a gap of tol bounds |y - y*| by sqrt(2 tol)
+    for n in range(1, 41):
+        op = random_operator(n, 1, rng)
+        x = 3.0 * rng.standard_normal(1)
+        lam = float(rng.choice([0.1, 0.5, 1.0]))
+        rep = solve_analysis_dual(AnalysisProblem(x, op, lam), tol=1e-12)
+        assert rep.converged and rep.residual <= 1e-12
+        expected = soft_shrink(x, lam * np.sum(np.abs(op.matrix)))
+        np.testing.assert_allclose(rep.minimizer, expected, rtol=0, atol=np.sqrt(2e-12))
+
+
+def random_problems(count=100):
+    """Random analysis problems: 2 <= n < 60, 1 <= d <= n, condition 1-1e3."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        n = rng.integers(2, 60)
+        d = rng.integers(1, n + 1)
+        cond = 10 ** rng.uniform(0, 3)
+        op = random_operator(n, d, rng, cond=cond)
+        x = rng.standard_normal(d) * 10 ** rng.uniform(-2, 1)
+        lam = rng.choice([0.1, 0.5, 1, 10])
+        yield AnalysisProblem(x, op, lam)
+
+
+# draws of random_problems on which 200000 steps of plain projected gradient
+# stay above a gap of 1e-10
+@pytest.mark.parametrize("index", [6, 27, 50, 62])
+def test_dual_solver_certifies_slow_projected_gradient_cases(index):
+    prob = list(random_problems(index + 1))[index]
+    rep = solve_analysis_dual(prob, tol=1e-10)
+    assert rep.converged and rep.residual <= 1e-10
+    ref = solve_analysis_dual(prob, tol=1e-12)
+    assert ref.converged
+    assert rep.objective <= ref.objective + 1e-10
 
 
 def test_analysis_problem_requires_positive_lambda():
