@@ -50,10 +50,11 @@ def soft_shrink(x, lam):
     Maps x to x - lam above the threshold, x + lam below -lam, and 0 on the
     dead zone [-lam, lam]. This is the prox of ``lam * l1``. ``lam`` may be
     an array broadcastable against x (used for per-column solver steps).
+    As x - clip(x, -lam, lam) the dead zone gives +0.0.
     """
     lam = _check_lambda(lam)
     a = np.asarray(x, dtype=float)
-    out = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
+    out = a - np.clip(a, -lam, lam)
     return float(out) if np.isscalar(x) else out
 
 
@@ -268,12 +269,15 @@ def numeric_prox(
     operator. Any other g raises TypeError. In
     z = T y + B w, with B an orthonormal basis of null(T*), the problem is
     min_z 1/2 ||z - T x||^2 + g(z), the prox of the inner function at T x,
-    so the oracle runs ``splitting.prox_admm`` at T x on the inner prox
-    handle alone and returns y = T^+ u.
+    so the oracle runs forward-backward, z <- prox_{g/2}((z + T x) / 2)
+    (``splitting.prox_forward_backward``), on the inner prox handle alone
+    and returns y = T^+ z.
 
-    Each column stops once a certificate puts it within ``tol`` of the true
-    prox in T-norm; ``residual`` is the largest certificate. A column whose
-    ``tol`` is below the rounding of its certificate stops unconverged.
+    Each column stops once its step length ||z - z+||, the norm of a
+    subgradient of the 1-strongly convex objective, puts it within ``tol``
+    of the true prox in T-norm; ``residual`` is the largest certificate. A
+    column whose ``tol`` is below the rounding of its iterate stops
+    unconverged.
 
     ``x`` may be a (d, k) column block; the report then carries a (d, k)
     minimizer and per-column objectives. Non-convergence is reported through
@@ -291,12 +295,12 @@ def numeric_prox(
     else:
         raise TypeError("numeric_prox expects a FrameShrinkage, InducedRegularizer or ProxMap")
 
-    u, iters, resid, converged = splitting.prox_admm(inner.prox, tx, tol, max_iter)
-    y = u if op is None else op.pinv @ u
+    z, iters, resid, converged = splitting.prox_forward_backward(inner.prox, tx, tol, max_iter)
+    y = z if op is None else op.pinv @ z
     objective = None
     if inner.function is not None:
-        # 1/2 ||x - y||_T^2 + 1/2 ||w||^2 is 1/2 ||u - T x||^2 at y = T^+ u, w = B^T u
-        objective = 0.5 * np.sum((u - tx) ** 2, axis=0) + inner.function(u)
+        # 1/2 ||x - y||_T^2 + 1/2 ||w||^2 is 1/2 ||z - T x||^2 at y = T^+ z, w = B^T z
+        objective = 0.5 * np.sum((z - tx) ** 2, axis=0) + inner.function(z)
         objective = objective if x.ndim == 2 else float(objective[0])
     return SolveReport(
         minimizer=y.reshape(x.shape),

@@ -89,29 +89,30 @@ def _fista_points(proj, c, lam):
     """FISTA with gradient restart on the box-constrained dual of f, at unit step.
 
     The smooth part's gradient (I - P) u - c is 1-Lipschitz, so a step from
-    y is the clip of P y + c onto [-lam, lam]. Carrying r = (I - P) u next to
-    u keeps each iteration at one product with P. Yields (u, r) every
-    _GAP_STRIDE iterations. The caller may send back a boolean mask of the
-    columns to keep (None keeps all); the others leave c and the iteration
-    state at once.
+    y is the clip of P y + c onto [-lam, lam]. Carrying q = P u and q_y = P y
+    next to u and y keeps each iteration at one product with P. Yields
+    (u, (I - P) u) every _GAP_STRIDE iterations. The caller may send back a
+    boolean mask of the columns to keep (None keeps all); the others leave c
+    and the iteration state at once.
     """
-    u = r = y = r_y = np.zeros_like(c)
+    u = q = y = q_y = np.zeros_like(c)
     t = np.ones(c.shape[1])
     while True:
         for _ in range(_GAP_STRIDE):
-            u_new = np.clip(y - r_y + c, -lam, lam)
-            r_new = u_new - proj @ u_new
+            u_new = np.clip(q_y + c, -lam, lam)
+            q_new = proj @ u_new
+            du = u_new - u
             # gradient restart: drop a column's momentum once it points uphill
-            restart = np.sum((y - u_new) * (u_new - u), axis=0) > 0.0
+            restart = np.sum((y - u_new) * du, axis=0) > 0.0
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             beta = np.where(restart, 0.0, (t - 1.0) / t_new)
             t = np.where(restart, 1.0, t_new)
-            y = u_new + beta * (u_new - u)
-            r_y = r_new + beta * (r_new - r)
-            u, r = u_new, r_new
-        keep = yield u, r
+            y = u_new + beta * du
+            q_y = q_new + beta * (q_new - q)
+            u, q = u_new, q_new
+        keep = yield u, u - q
         if keep is not None:
-            c, u, r, y, r_y, t = (a[..., keep] for a in (c, u, r, y, r_y, t))
+            c, u, q, y, q_y, t = (a[..., keep] for a in (c, u, q, y, q_y, t))
 
 
 def _admm_points(proj, c, lam, rho):
