@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -88,28 +89,9 @@ def parse_grid(spec: str) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
-class _Emitter:
-    """Write lines to stdout and optionally mirror them to a file."""
-
-    def __init__(self, out: str | None):
-        self.lines: list[str] = []
-        self.out = out
-
-    def line(self, text: str) -> None:
-        self.lines.append(text)
-        sys.stdout.write(text + "\n")
-
-    def close(self) -> None:
-        if self.out:
-            with open(self.out, "w") as fh:
-                fh.write("\n".join(self.lines) + ("\n" if self.lines else ""))
-
-
-def _report_line(report, fmt: str) -> str:
-    if fmt == "csv":
-        d = report.to_dict()
-        return ",".join(str(d[k]).lower() if isinstance(d[k], bool) else repr(d[k]) if isinstance(d[k], float) else str(d[k]) for k in d)
-    return report.to_json()
+def _csv_row(values) -> str:
+    """One CSV line: booleans as true/false, floats by repr, anything else by str."""
+    return ",".join(str(v).lower() if isinstance(v, bool) else repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
 def _tol(args: argparse.Namespace, default: float) -> float:
@@ -119,12 +101,16 @@ def _tol(args: argparse.Namespace, default: float) -> float:
     return default if args.tol is None else args.tol
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    matrix = load_named_matrix(args.operator)
-    op = build_operator(matrix)
-    prox = parse_prox(args.prox)
-    fs = FrameShrinkage(op, prox)
-    reg = InducedRegularizer.from_shrinkage(fs)
+def _shrinkage(args: argparse.Namespace) -> InducedRegularizer:
+    """The regularizer induced by --operator and --prox; its shrinkage is ``.shrinkage``."""
+    fs = FrameShrinkage(build_operator(load_named_matrix(args.operator)), parse_prox(args.prox))
+    return InducedRegularizer.from_shrinkage(fs)
+
+
+def cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    reg = _shrinkage(args)
+    fs = reg.shrinkage
+    op, prox = fs.operator, fs.inner_prox
 
     reports = [
         verify_operator_identities(op, tol=_tol(args, 1e-10), trials=args.trials, seed=args.seed),
@@ -137,75 +123,47 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 tol=_tol(args, 1e-6), seed=args.seed + 2,
             )
         )
-    reports.append(
-        verify_t_firm_nonexpansive(fs, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 3)
-    )
-    reports.append(
-        verify_prox_identity(fs, reg, trials=min(args.trials, 200), tol=_tol(args, 1e-6), seed=args.seed + 4)
-    )
-    reports.append(
-        weaker_regularizer_check(reg, trials=args.trials, tol=_tol(args, 1e-9), seed=args.seed + 5)
-    )
-
-    emit = _Emitter(args.out)
+    reports += [
+        verify_t_firm_nonexpansive(fs, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 3),
+        verify_prox_identity(fs, reg, trials=min(args.trials, 200), tol=_tol(args, 1e-6), seed=args.seed + 4),
+        weaker_regularizer_check(reg, trials=args.trials, tol=_tol(args, 1e-9), seed=args.seed + 5),
+    ]
     for rep in reports:
-        emit.line(_report_line(rep, args.fmt))
-    emit.close()
+        emit(_csv_row(rep.to_dict().values()) if args.fmt == "csv" else rep.to_json())
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_regularizer(args: argparse.Namespace) -> int:
-    matrix = load_named_matrix(args.operator)
-    op = build_operator(matrix)
-    prox = parse_prox(args.prox)
-    fs = FrameShrinkage(op, prox)
-    reg = InducedRegularizer.from_shrinkage(fs)
+def cmd_regularizer(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    reg = _shrinkage(args)
+    op, prox = reg.shrinkage.operator, reg.shrinkage.inner_prox
     grid = parse_grid(args.grid)
     tol = _tol(args, 1e-9)
 
-    is_example = (
-        op.d == 1
-        and op.matrix.shape == (2, 1)
-        and np.array_equal(op.matrix, EXAMPLE_MATRIX)
-        and prox.name == "soft_shrink"
-        and prox.lam == 1.0
-    )
-
     if op.d == 1:
         points = grid[None, :]
-        axis = grid
     else:
         # multi-dimensional signal space: evaluate along a seeded direction
         direction = _generator(args.seed).standard_normal(op.d)
         direction /= np.linalg.norm(direction)
         points = direction[:, None] * grid[None, :]
-        axis = grid
 
-    f_num = np.atleast_1d(induced_regularizer(reg, points, tol=tol))
-    f_closed = example_regularizer_closed_form(axis) if is_example else None
-    half_step = 0.5 * float(axis[1] - axis[0]) if axis.size > 1 else 0.0
-    at_branch = (np.abs(np.abs(axis) - 0.4) <= half_step) if is_example else np.zeros(axis.size, bool)
+    columns = {"x": grid, "f_numeric": np.atleast_1d(induced_regularizer(reg, points, tol=tol))}
+    if np.array_equal(op.matrix, EXAMPLE_MATRIX) and prox.name == "soft_shrink" and prox.lam == 1.0:
+        half_step = 0.5 * float(grid[1] - grid[0]) if grid.size > 1 else 0.0
+        columns["f_closed_form"] = example_regularizer_closed_form(grid)
+        columns["at_branch"] = (np.abs(np.abs(grid) - 0.4) <= half_step).astype(int)
 
-    emit = _Emitter(args.out)
+    table = {name: col.tolist() for name, col in columns.items()}
     if args.fmt == "json":
-        doc = {"x": axis.tolist(), "f_numeric": f_num.tolist()}
-        if f_closed is not None:
-            doc["f_closed_form"] = np.asarray(f_closed).tolist()
-            doc["at_branch"] = [int(b) for b in at_branch]
-        emit.line(json.dumps(doc))
+        emit(json.dumps(table))
     else:
-        header = "x,f_numeric" + (",f_closed_form,at_branch" if f_closed is not None else "")
-        emit.line(header)
-        for i in range(axis.size):
-            row = f"{float(axis[i])!r},{float(f_num[i])!r}"
-            if f_closed is not None:
-                row += f",{float(np.asarray(f_closed).ravel()[i])!r},{int(at_branch[i])}"
-            emit.line(row)
-    emit.close()
+        emit(",".join(table))
+        for row in zip(*table.values()):
+            emit(_csv_row(row))
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     matrix = load_named_matrix(args.operator)
     lam = args.lam
     if args.problem:
@@ -225,45 +183,40 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report = solve_analysis_dual(
         AnalysisProblem(x, matrix, lam), tol=_tol(args, 1e-10)
     )
-    emit = _Emitter(args.out)
-    emit.line(report.to_json())
+    emit(report.to_json())
 
     # contrast with the frame shrinkage point when the matrix is a frame
     if matrix.shape[0] >= matrix.shape[1]:
         try:
             op = build_operator(matrix)
         except ProxFrameError:
-            op = None
-        if op is not None:
-            fs = FrameShrinkage(op, parse_prox(args.prox))
-            y = frame_prox(fs, x)
+            pass
+        else:
+            y = frame_prox(FrameShrinkage(op, parse_prox(args.prox)), x)
             dist = float(np.linalg.norm(op.matrix @ (np.asarray(report.minimizer) - y)))
-            emit.line(json.dumps({"frame_prox": np.atleast_1d(y).tolist(), "t_distance": dist}))
-    emit.close()
+            emit(json.dumps({"frame_prox": np.atleast_1d(y).tolist(), "t_distance": dist}))
     return 0 if report.converged else 1
 
 
-def cmd_example(args: argparse.Namespace) -> int:
-    emit = _Emitter(args.out)
-    emit.line("soft shrinkage, envelope and potential at lam = 1")
-    emit.line("x        S_1(x)   envelope  potential")
+def cmd_example(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    emit("soft shrinkage, envelope and potential at lam = 1")
+    emit("x        S_1(x)   envelope  potential")
     from .prox import huber_envelope, shrink_potential, soft_shrink
 
     for x in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0):
-        emit.line(
+        emit(
             f"{x:+.2f}   {soft_shrink(x, 1.0) + 0.0:+.3f}   "
             f"{huber_envelope(x, 1.0):.4f}    {shrink_potential(x, 1.0):.4f}"
         )
-    emit.line("")
-    emit.line("induced regularizer for T = (1, 2)^T with S_1 (branch point |y| = 2/5)")
-    emit.line("y        f(y)")
+    emit("")
+    emit("induced regularizer for T = (1, 2)^T with S_1 (branch point |y| = 2/5)")
+    emit("y        f(y)")
     for y in (-1.0, -0.4, -0.2, 0.0, 0.2, 0.4, 1.0, 2.0):
-        emit.line(f"{y:+.2f}   {example_regularizer_closed_form(y):.6f}")
-    emit.line("")
-    emit.line("at x = 1: frame shrinkage gives 0.4, the analysis problem's")
-    emit.line("minimizer is 0.0; the shrinkage is the prox of f in the T metric,")
-    emit.line("not the minimizer of the analysis objective.")
-    emit.close()
+        emit(f"{y:+.2f}   {example_regularizer_closed_form(y):.6f}")
+    emit("")
+    emit("at x = 1: frame shrinkage gives 0.4, the analysis problem's")
+    emit("minimizer is 0.0; the shrinkage is the prox of f in the T metric,")
+    emit("not the minimizer of the analysis objective.")
     return 0
 
 
@@ -332,11 +285,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    lines: list[str] = []
+
+    def emit(text: str) -> None:
+        lines.append(text)
+        sys.stdout.write(text + "\n")
+
+    # --out mirrors stdout once the handler returns, so a run that fails writes no file
     try:
-        return ns.handler(ns)
+        code = ns.handler(ns, emit)
+        if ns.out:
+            with open(ns.out, "w") as fh:
+                fh.write("".join(line + "\n" for line in lines))
     except (ProxFrameError, ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

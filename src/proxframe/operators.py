@@ -8,7 +8,7 @@ Moore-Penrose inverse is given by T^+ = (T* T)^{-1} T*.
 
 ``build_operator`` validates a matrix and caches everything downstream code
 reads repeatedly: the pseudoinverse, the orthogonal projector onto range(T),
-the frame bounds, and the SVD factors used for solves against T* T.
+and the frame bounds.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ class AnalysisOperator:
     pinv: np.ndarray            # T^+, shape (d, n)
     range_proj: np.ndarray      # T T^+, shape (n, n)
     frame_bounds: tuple[float, float]   # (sigma_min^2, sigma_max^2)
-    singular_values: np.ndarray         # descending, length d
-    right_vectors: np.ndarray           # V with T = U diag(s) V*, shape (d, d)
 
     @property
     def n(self) -> int:
@@ -53,30 +51,23 @@ class AnalysisOperator:
     def d(self) -> int:
         return self.matrix.shape[1]
 
-    def solve_gram(self, g: np.ndarray) -> np.ndarray:
-        """Solve (T* T) z = g through the stored SVD factors."""
-        v = self.right_vectors
-        s2 = self.singular_values ** 2
-        if g.ndim == 1:
-            return v @ ((v.T @ g) / s2)
-        return v @ ((v.T @ g) / s2[:, None])
+
+# relative numerical-rank cutoff: a matrix with sigma_min <= _RANK_TOL sigma_max is rejected
+_RANK_TOL = 1e-10
 
 
-def build_operator(matrix: np.ndarray, rank_tol: float = 1e-10) -> AnalysisOperator:
+def build_operator(matrix: np.ndarray) -> AnalysisOperator:
     """Validate a candidate analysis operator and cache its derived data.
 
     Parameters
     ----------
     matrix : array, shape (n, d) with n >= d >= 1
         Candidate operator; all entries must be finite.
-    rank_tol : float
-        Relative numerical-rank cutoff. The matrix is rejected when
-        sigma_min <= rank_tol * sigma_max.
 
     Raises
     ------
     RankDeficient
-        If the matrix does not have full column rank at the tolerance, i.e.
+        If the matrix does not have full column rank at ``_RANK_TOL``, i.e.
         it is not the analysis operator of a frame.
     """
     t = np.asarray(matrix, dtype=float)
@@ -87,14 +78,12 @@ def build_operator(matrix: np.ndarray, rank_tol: float = 1e-10) -> AnalysisOpera
         raise ValueError(f"operator must be n x d with n >= d >= 1, got {n} x {d}")
     if not np.all(np.isfinite(t)):
         raise ValueError("operator entries must be finite")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
 
     u, s, vt = np.linalg.svd(t, full_matrices=True)
-    if s[-1] <= rank_tol * s[0]:
+    if s[-1] <= _RANK_TOL * s[0]:
         raise RankDeficient(
             f"smallest singular value {s[-1]:.3e} is below rank tolerance "
-            f"{rank_tol:.1e} * {s[0]:.3e}; matrix is not injective"
+            f"{_RANK_TOL:.1e} * {s[0]:.3e}; matrix is not injective"
         )
 
     pinv = (vt.T / s) @ u[:, :d].T
@@ -103,8 +92,6 @@ def build_operator(matrix: np.ndarray, rank_tol: float = 1e-10) -> AnalysisOpera
         pinv=_frozen(pinv),
         range_proj=_frozen(t @ pinv),
         frame_bounds=(float(s[-1] ** 2), float(s[0] ** 2)),
-        singular_values=_frozen(s),
-        right_vectors=_frozen(vt.T),
     )
 
 
@@ -165,9 +152,10 @@ def t_gradient(op: AnalysisOperator, euclidean_grad: np.ndarray) -> np.ndarray:
     """Gradient with respect to <.,.>_T: (T* T)^{-1} times the Euclidean one.
 
     The two gradients represent the same derivative in different inner
-    products: <t_gradient(g), h>_T = <g, h> for every direction h.
+    products: <t_gradient(g), h>_T = <g, h> for every direction h. Since
+    (T* T)^{-1} = T^+ (T^+)*, this is T^+ (T^+)* g, from the cached T^+.
     """
-    return op.solve_gram(_signals(euclidean_grad, op.d))
+    return op.pinv @ (op.pinv.T @ _signals(euclidean_grad, op.d))
 
 
 def verify_operator_identities(

@@ -31,16 +31,13 @@ from .sampling import sampled_check
 from . import splitting
 
 
-def _check_lambda(lam):
-    """``lam`` as a float (or float array); every entry must be finite and > 0."""
-    if np.ndim(lam) == 0:
-        lam = float(lam)
-        if not 0 < lam < np.inf:
-            raise NonPositiveLambda(f"lambda must be positive and finite, got {lam}")
-        return lam
-    lam = np.asarray(lam, dtype=float)
-    if not np.all((lam > 0) & (lam < np.inf)):
-        raise NonPositiveLambda("lambda must be positive and finite")
+def _check_lambda(lam) -> float:
+    """``lam`` as a float; it must be a scalar (TypeError otherwise), finite and > 0."""
+    if np.ndim(lam) != 0:
+        raise TypeError(f"lambda must be a scalar, got shape {np.shape(lam)}")
+    lam = float(lam)
+    if not 0 < lam < np.inf:
+        raise NonPositiveLambda(f"lambda must be positive and finite, got {lam}")
     return lam
 
 
@@ -48,9 +45,8 @@ def soft_shrink(x, lam):
     """Componentwise soft shrinkage with threshold ``lam``.
 
     Maps x to x - lam above the threshold, x + lam below -lam, and 0 on the
-    dead zone [-lam, lam]. This is the prox of ``lam * l1``. ``lam`` may be
-    an array broadcastable against x (used for per-column solver steps).
-    As x - clip(x, -lam, lam) the dead zone gives +0.0.
+    dead zone [-lam, lam]. This is the prox of ``lam * l1``; ``lam`` is a
+    scalar. As x - clip(x, -lam, lam) the dead zone gives +0.0.
     """
     lam = _check_lambda(lam)
     a = np.asarray(x, dtype=float)
@@ -84,18 +80,17 @@ def shrink_potential(x, lam: float) -> float:
 class ProxMap:
     """A named proximity operator together with its optional calculus.
 
-    ``prox(v, t)`` must return the prox of ``t * g`` at v, where g is the
-    underlying function with the scale ``lam`` already absorbed; the plain
-    evaluation map is ``prox(v, 1)``, available as ``P(v)``. The splitting
-    solvers may pass ``t`` as a per-column array when v holds columns, so
-    the handle must broadcast over the trailing axis. ``function`` and
-    ``potential`` (g and the convex potential whose gradient is the prox)
-    reduce over axis 0, so they return one value per column for matrix
-    input. ``potential`` must also be a sum of per-entry terms, so that on a
-    (1, N) row it returns each entry's term; ``verify_moreau_characterization``
-    relies on this and fails a potential that breaks it. ``breakpoint_gap``
-    gives each component's distance to the nearest kink of the potential and
-    is used to keep finite-difference checks away from breakpoints.
+    ``prox(v, t)`` must return the prox of ``t * g`` at v for a scalar t,
+    where g is the underlying function with the scale ``lam`` already
+    absorbed; the plain evaluation map is ``prox(v, 1)``, available as
+    ``P(v)``. ``function`` and ``potential`` (g and the convex potential
+    whose gradient is the prox) reduce over axis 0, so they return one
+    value per column for matrix input. ``potential`` must also be a sum of
+    per-entry terms, so that on a (1, N) row it returns each entry's term;
+    ``verify_moreau_characterization`` relies on this and fails a potential
+    that breaks it. ``breakpoint_gap`` gives each component's distance to
+    the nearest kink of the potential and is used to keep finite-difference
+    checks away from breakpoints.
     """
 
     name: str

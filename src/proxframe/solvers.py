@@ -38,6 +38,8 @@ class AnalysisProblem:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if not np.isfinite(self.x).all():
             raise ValueError("data x must be finite")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("operator entries must be finite")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -126,10 +128,14 @@ def solve_analysis_dual(
     )
 
 
-def synthesis_solution(x: np.ndarray, t: np.ndarray, lam: float, row_tol: float = 1e-10) -> np.ndarray:
+# largest entry of T T* - I that synthesis_solution accepts as orthonormal rows
+_ROW_TOL = 1e-10
+
+
+def synthesis_solution(x: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
     """Closed-form analysis minimizer for matrices with orthonormal rows.
 
-    Requires T T* = I (n <= d). The minimizer of
+    Requires T T* = I (n <= d) to within ``_ROW_TOL``. The minimizer of
     1/2 ||x - y||^2 + lam ||Ty||_1 is then (I - T*T) x + T* S_lam(T x).
     """
     _check_lambda(lam)
@@ -139,7 +145,7 @@ def synthesis_solution(x: np.ndarray, t: np.ndarray, lam: float, row_tol: float 
     if n > d:
         raise NotParsevalRow(f"expected n <= d for row-orthonormal T, got {n} x {d}")
     gram_err = float(np.max(np.abs(t @ t.T - np.eye(n))))
-    if gram_err > row_tol:
+    if gram_err > _ROW_TOL:
         raise NotParsevalRow(f"T T* deviates from identity by {gram_err:.3e}")
     tx = t @ x
     return x + t.T @ (soft_shrink(tx, lam) - tx)

@@ -24,7 +24,14 @@ _FLOOR_STRIDE = 8
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=0))
+    """Column 2-norms; a column whose sum of squares overflows is rescaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(a * a, axis=0))
+    big = np.isinf(norms)
+    if big.any():
+        scale = np.max(np.abs(a[:, big]), axis=0)
+        norms[big] = scale * np.sqrt(np.sum((a[:, big] / scale) ** 2, axis=0))
+    return norms
 
 
 def prox_forward_backward(prox_scaled, v: np.ndarray, tol: float, max_iter: int):

@@ -149,11 +149,15 @@ def test_verify_tol_zero_is_used_as_given(capsys):
     assert prox_identity["pass"] is False
 
 
-def test_nonfinite_data_is_usage_error(capsys):
+def test_nonfinite_data_is_usage_error(tmp_path, capsys):
+    # a NaN or inf in x or in the matrix is refused before the solve
     for value in ("nan", "inf"):
-        code, out, err = run(capsys, "solve", "--operator", "example35", "--x", value)
-        assert code == 2
-        assert "finite" in err and not out
+        path = tmp_path / f"{value}.csv"
+        path.write_text(f"1,2\n{value},0.5\n3,1\n")
+        for argv in (("--operator", "example35", "--x", value), ("--operator", str(path), "--x", "1,2")):
+            code, out, err = run(capsys, "solve", *argv)
+            assert code == 2
+            assert "finite" in err and not out
 
 
 def test_verify_large_lambda(capsys):
@@ -228,6 +232,34 @@ def test_regularizer_grid_export(tmp_path, capsys):
     assert worst <= 1e-6
     branch_marks = sorted(round(float(r["x"]), 2) for r in rows if r["at_branch"] == "1")
     assert branch_marks == [-0.4, 0.4]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--operator", "random:12x5:3", "--trials", "10", "--seed", "1"),
+    ("verify", "--operator", "random:12x5:3", "--trials", "10", "--seed", "1", "--format", "csv"),
+    ("verify", "--operator", "random:30x12:2", "--prox", "identity", "--trials", "10"),  # exits 1
+    ("solve", "--operator", "example35", "--x", "1"),
+    ("solve", "--operator", "random:6x3:2", "--x", "1,2,3", "--lambda", "0.5"),
+    ("example",),
+])
+def test_out_file_mirrors_stdout(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code in (0, 1) and out
+    assert out_path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--operator", "random:12x5:3", "--tol", "nan"),
+    ("regularizer", "--grid", "1:0:1"),
+    ("solve", "--operator", "example35", "--x", "1,2"),
+    ("example", "--tol", "1"),
+])
+def test_failed_run_writes_no_out_file(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.txt"
+    code, _, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert not out_path.exists()
 
 
 def test_regularizer_json_format(capsys):

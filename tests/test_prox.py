@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -67,11 +68,9 @@ def test_soft_shrink_kernel_matches_the_sign_formula(rng):
         check(np.array(edges), lam)
     assert dead_seen > 0
     assert soft_shrink(np.nextafter(1.0, 2.0), 1.0) == np.spacing(1.0)
-    # a per-column threshold broadcasts over the columns of a block
-    block = rng.standard_normal((50, 6)) * 3.0
-    lams = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-    check(block, lams)
-    np.testing.assert_array_equal(soft_shrink(block, lams)[:, 2], soft_shrink(block[:, 2], 1.0))
+    # the threshold is a scalar: an array of them is refused
+    with pytest.raises(TypeError, match="scalar"):
+        soft_shrink(rng.standard_normal((50, 6)), np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0]))
     # a scalar input still returns a float, +0.0 on the dead zone
     for x, lam, want in ((-2.5, 1.0, -1.5), (0.3, 1.0, 0.0), (-0.3, 1.0, 0.0)):
         out = soft_shrink(x, lam)
@@ -345,6 +344,17 @@ def test_numeric_prox_not_converged_flag():
     rep = numeric_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-14, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
+
+
+def test_numeric_prox_column_norms_do_not_overflow():
+    # ||(1e160, 1)||^2 overflows; its norm does not, and the oracle certifies
+    # as it does one scale down, with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big, tol in ((1e150, 1e140), (1e160, 1e150)):
+            rep = numeric_prox(soft_shrink_map(1.0), np.array([big, 1.0]), tol=tol)
+            assert rep.converged and rep.iterations == 34 and rep.residual <= tol
+            assert np.linalg.norm(rep.minimizer - [big - 1.0, 0.0]) <= tol
 
 
 def test_numeric_prox_below_float_resolution_fails_at_once():

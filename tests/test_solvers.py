@@ -113,6 +113,13 @@ def test_analysis_problem_requires_positive_lambda():
         AnalysisProblem(np.array([1.0]), example_operator(), 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_analysis_problem_requires_finite_operator(bad):
+    matrix = np.array([[1.0, 2.0], [bad, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        AnalysisProblem(np.array([1.0, 2.0]), matrix, 1.0)
+
+
 def test_synthesis_identity_case(rng):
     x = rng.standard_normal(5)
     out = synthesis_solution(x, np.eye(5), 0.4)
