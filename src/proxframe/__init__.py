@@ -21,10 +21,7 @@ from .operators import (
     load_matrix_csv,
     load_matrix_json,
     random_operator,
-    save_matrix_csv,
-    save_matrix_json,
     t_gradient,
-    t_inner,
     verify_operator_identities,
 )
 from .prox import (
@@ -48,8 +45,6 @@ from .shrinkage import (
     example_shrinkage,
     frame_prox,
     induced_regularizer,
-    shrinkage_from_json,
-    shrinkage_to_json,
     verify_prox_identity,
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
@@ -91,17 +86,12 @@ __all__ = [
     "numeric_prox",
     "prox_map_by_name",
     "random_operator",
-    "save_matrix_csv",
-    "save_matrix_json",
     "shrink_potential",
-    "shrinkage_from_json",
-    "shrinkage_to_json",
     "soft_shrink",
     "soft_shrink_map",
     "solve_analysis_dual",
     "synthesis_solution",
     "t_gradient",
-    "t_inner",
     "verify_firm_nonexpansive",
     "verify_moreau_characterization",
     "verify_operator_identities",

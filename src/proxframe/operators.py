@@ -34,8 +34,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class AnalysisOperator:
     """An injective n x d matrix with its cached derived quantities.
 
-    Immutable after construction (arrays are write-protected); safe to share
-    across threads.
+    Immutable after construction (arrays are write-protected).
     """
 
     matrix: np.ndarray          # T, shape (n, d)
@@ -139,15 +138,6 @@ def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
     return _finite_columns(op.matrix @ _signals(x, op.d))
 
 
-def t_inner(op: AnalysisOperator, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """<x, y>_T = <Tx, Ty>; for (d, k) blocks, one inner product per column."""
-    x, y = _signals(x, op.d), _signals(y, op.d)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
-    inner = np.sum((op.matrix @ x) * (op.matrix @ y), axis=0)
-    return float(inner) if x.ndim == 1 else inner
-
-
 def t_gradient(op: AnalysisOperator, euclidean_grad: np.ndarray) -> np.ndarray:
     """Gradient with respect to <.,.>_T: (T* T)^{-1} times the Euclidean one.
 
@@ -194,16 +184,6 @@ def verify_operator_identities(
 # both the CSV form (no header, comma-separated rows) and the JSON form
 # {"rows": n, "cols": d, "data": [row-major]}.
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def save_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(_fmt(v) for v in row) for row in m]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_matrix_csv(path: str | Path) -> np.ndarray:
     rows = []
     for line in Path(path).read_text().splitlines():
@@ -216,13 +196,6 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
     if len(widths) != 1:
         raise ValueError(f"ragged rows in {path}")
     return np.array(rows, dtype=float)
-
-
-def save_matrix_json(matrix: np.ndarray, path: str | Path) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n, d = m.shape
-    data = ", ".join(_fmt(v) for v in m.ravel())
-    Path(path).write_text(f'{{"rows": {n}, "cols": {d}, "data": [{data}]}}\n')
 
 
 def _json_floats(values) -> np.ndarray:

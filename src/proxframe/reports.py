@@ -4,7 +4,7 @@ Both records serialize to the documented JSON shapes:
 
 * ``VerifyReport``: ``{"property": str, "trials": int, "max_violation": float,
   "tolerance": float, "pass": bool}``
-* ``SolveReport``: ``{"minimizer": [...], "objective": float,
+* ``SolveReport``: ``{"minimizer": [...], "objective": float or null,
   "iterations": int, "converged": bool}``
 
 Sampled checks get their ``VerifyReport`` from ``sampling.sampled_check``,

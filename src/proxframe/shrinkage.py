@@ -16,15 +16,14 @@ identities and report the worst violation found.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NotConverged
-from .operators import AnalysisOperator, _analysis, _json_floats, _json_matrix, build_operator
-from .prox import ProxMap, numeric_prox, prox_map_by_name, soft_shrink_map
+from .operators import AnalysisOperator, _analysis, build_operator
+from .prox import ProxMap, numeric_prox, soft_shrink_map
 from .reports import VerifyReport
 from .sampling import sampled_check
 
@@ -349,32 +348,3 @@ def weaker_regularizer_check(
         return f_vals - np.asarray(reg.g(op.matrix @ x))
 
     return sampled_check("weaker_regularizer", trials, tol, seed, op.d, violations)
-
-
-# --- JSON shrinkage spec ------------------------------------------------------
-
-def shrinkage_to_json(fs: FrameShrinkage) -> str:
-    """Serialize as {"operator": <matrix JSON>, "prox": {"name", "lambda"}}."""
-    m = fs.operator.matrix
-    return json.dumps(
-        {
-            "operator": {
-                "rows": m.shape[0],
-                "cols": m.shape[1],
-                "data": [float(v) for v in m.ravel()],
-            },
-            "prox": {"name": fs.inner_prox.name, "lambda": fs.inner_prox.lam},
-        }
-    )
-
-
-def shrinkage_from_json(doc: str | dict) -> FrameShrinkage:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    try:
-        matrix = _json_matrix(doc["operator"])
-        lam = float(_json_floats([doc["prox"].get("lambda", 1.0)])[0])
-        prox = prox_map_by_name(doc["prox"]["name"], lam)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed shrinkage spec: {exc}") from exc
-    return FrameShrinkage(build_operator(matrix), prox)

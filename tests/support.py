@@ -1,11 +1,17 @@
-"""Independent oracles used by the tests.
+"""Independent oracles and fixture helpers used by the tests.
 
 These deliberately avoid the library's own solvers: golden-section search
 and dense grids are the reference answers the package implementations are
-checked against.
+checked against. The matrix writers produce the files the loaders read, and
+``t_inner`` is the T inner product the metric tests are stated in.
 """
 
+from pathlib import Path
+
 import numpy as np
+
+from proxframe import DimensionMismatch
+from proxframe.operators import _signals
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -104,3 +110,32 @@ def line_regularizer(c: np.ndarray, b: np.ndarray, lam: float) -> float:
     inside = np.concatenate([[kinks[0] - 1.0], 0.5 * (kinks[1:] + kinks[:-1]), [kinks[-1] + 1.0]])
     stationary = -lam * (b @ np.sign(c[:, None] + b[:, None] * inside))
     return float(np.min(objective(np.concatenate([kinks, stationary]))))
+
+
+def t_inner(op, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """<x, y>_T = <Tx, Ty>; for (d, k) blocks, one inner product per column."""
+    x, y = _signals(x, op.d), _signals(y, op.d)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
+    inner = np.sum((op.matrix @ x) * (op.matrix @ y), axis=0)
+    return float(inner) if x.ndim == 1 else inner
+
+
+# Decimal text with 17 significant digits round-trips float64 bit-exactly, so
+# the loaders read back exactly the matrix these wrote.
+
+def _fmt(v: float) -> str:
+    return format(float(v), ".17g")
+
+
+def save_matrix_csv(matrix: np.ndarray, path) -> None:
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    lines = [",".join(_fmt(v) for v in row) for row in m]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def save_matrix_json(matrix: np.ndarray, path) -> None:
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    n, d = m.shape
+    data = ", ".join(_fmt(v) for v in m.ravel())
+    Path(path).write_text(f'{{"rows": {n}, "cols": {d}, "data": [{data}]}}\n')

@@ -8,12 +8,11 @@ from proxframe import (
     FrameShrinkage,
     ProxMap,
     build_operator,
-    save_matrix_csv,
-    save_matrix_json,
     verify_firm_nonexpansive,
     verify_t_firm_nonexpansive,
 )
 from proxframe.cli import main
+from support import save_matrix_csv, save_matrix_json
 
 
 def run(capsys, *argv):
@@ -117,6 +116,12 @@ JSON_INPUTS = {
         ("solve", "--x", "1", "--seed", "1"),
         ("solve", "--x", "1", "--format", "csv"),
         ("regularizer", "--trials", "5"),
+        # lambda must be finite and positive for every catalog map, the identity included
+        ("verify", "--operator", "random:12x5:3", "--prox", "identity:nan", "--trials", "5"),
+        ("verify", "--operator", "random:12x5:3", "--prox", "identity:inf", "--trials", "5"),
+        ("verify", "--operator", "random:12x5:3", "--prox", "identity:0", "--trials", "5"),
+        ("verify", "--operator", "random:12x5:3", "--prox", "identity:-5", "--trials", "5"),
+        ("regularizer", "--operator", "random:12x5:3", "--prox", "identity:nan"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):

@@ -12,11 +12,8 @@ from proxframe import (
     load_matrix_csv,
     load_matrix_json,
     random_operator,
-    save_matrix_csv,
-    save_matrix_json,
     soft_shrink_map,
     t_gradient,
-    t_inner,
     verify_firm_nonexpansive,
     verify_moreau_characterization,
     verify_operator_identities,
@@ -24,6 +21,7 @@ from proxframe import (
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
 )
+from support import save_matrix_csv, save_matrix_json, t_inner
 
 
 def test_build_one_two_column():
@@ -221,8 +219,14 @@ def test_matrix_io_malformed(tmp_path):
         '{"rows": true, "cols": 2, "data": [1, 2]}',
         '{"rows": "2", "cols": 1, "data": [1, 2]}',
         '{"rows": 0, "cols": 3, "data": []}',
+        # reshape would infer a 3x2 matrix from the -1
+        '{"rows": -1, "cols": 2, "data": [1, 2, 3, 4, 5, 6]}',
+        '{"rows": 2, "cols": 1}',
         '{"rows": 2, "cols": 1, "data": [[1], [2]]}',
         '{"rows": 2, "cols": 1, "data": {"a": 1}}',
+        # numbers only: no string or boolean stands in for one
+        '{"rows": 2, "cols": 1, "data": ["1", 2]}',
+        '{"rows": 2, "cols": 1, "data": [1, true]}',
         '[1, 2]',
     ):
         bad.write_text(doc)

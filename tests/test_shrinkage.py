@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +18,6 @@ from proxframe import (
     induced_regularizer,
     numeric_prox,
     random_operator,
-    shrinkage_from_json,
-    shrinkage_to_json,
     soft_shrink,
     soft_shrink_map,
     t_gradient,
@@ -434,39 +430,3 @@ def test_envelope_value_splits_at_shrinkage_point(rng):
         rhs = 0.5 * d @ d + induced_regularizer(reg, y, tol=1e-10)
         assert abs(lhs - rhs) <= 1e-8
 
-
-def test_shrinkage_json_roundtrip():
-    fs = example_shrinkage()
-    doc = shrinkage_to_json(fs)
-    parsed = json.loads(doc)
-    assert parsed["prox"] == {"name": "soft_shrink", "lambda": 1.0}
-    assert parsed["operator"]["rows"] == 2 and parsed["operator"]["cols"] == 1
-    back = shrinkage_from_json(doc)
-    np.testing.assert_array_equal(back.operator.matrix, fs.operator.matrix)
-    assert back.inner_prox.name == "soft_shrink"
-    assert back.inner_prox.lam == 1.0
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        '{"prox": {"name": "soft_shrink", "lambda": 1}}',
-        '{"operator": {"rows": 2, "cols": 1, "data": [1, 2]}, "prox": {"name": "nope"}}',
-        '{"operator": {"rows": 2, "cols": 1}, "prox": {"name": "soft_shrink"}}',
-        # reshape would infer a 3x2 operator from the -1
-        '{"operator": {"rows": -1, "cols": 2, "data": [1, 2, 3, 4, 5, 6]}, '
-        '"prox": {"name": "soft_shrink"}}',
-        '{"operator": {"rows": true, "cols": 1, "data": [5]}, "prox": {"name": "soft_shrink"}}',
-        '{"operator": {"rows": 2, "cols": 1, "data": [[1], [2]]}, "prox": {"name": "soft_shrink"}}',
-        # numbers only: no string or boolean stands in for one
-        '{"operator": {"rows": 2, "cols": 1, "data": ["1", 2]}, "prox": {"name": "soft_shrink"}}',
-        '{"operator": {"rows": 2, "cols": 1, "data": [1, true]}, "prox": {"name": "soft_shrink"}}',
-        '{"operator": {"rows": 2, "cols": 1, "data": [1, 2]}, '
-        '"prox": {"name": "soft_shrink", "lambda": "0.5"}}',
-        '{"operator": {"rows": 2, "cols": 1, "data": [1, 2]}, '
-        '"prox": {"name": "soft_shrink", "lambda": true}}',
-    ],
-)
-def test_shrinkage_json_malformed(doc):
-    with pytest.raises(ValueError):
-        shrinkage_from_json(doc)
