@@ -44,7 +44,7 @@ from .shrinkage import (
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
 )
-from .solvers import AnalysisProblem, solve_analysis_dual
+from .solvers import AnalysisProblem, _scale, solve_analysis_dual
 
 
 def load_named_matrix(spec: str) -> np.ndarray:
@@ -193,7 +193,10 @@ def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
             pass
         else:
             y = frame_prox(FrameShrinkage(op, parse_prox(args.prox)), x)
-            dist = float(np.linalg.norm(op.matrix @ (np.asarray(report.minimizer) - y)))
+            diff = op.matrix @ (np.asarray(report.minimizer) - y)
+            # taken on diff / s, whose square cannot overflow; exact for a power of two
+            s = _scale(diff)
+            dist = s * float(np.linalg.norm(diff / s))
             emit(json.dumps({"frame_prox": np.atleast_1d(y).tolist(), "t_distance": dist}))
     return 0 if report.converged else 1
 

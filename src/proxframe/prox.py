@@ -19,6 +19,7 @@ entry by entry and fails a potential that is not such a sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,6 +39,12 @@ def _check_lambda(lam) -> float:
     if not 0 < lam < np.inf:
         raise NonPositiveLambda(f"lambda must be positive and finite, got {lam}")
     return lam
+
+
+def _check_tol(tol) -> None:
+    """Refuse a NaN tolerance, which no gap or certificate meets: a solve would run to its cap."""
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
 
 
 def soft_shrink(x, lam):
@@ -309,8 +316,10 @@ def numeric_prox(
     The report carries a minimizer of x's shape and no objective.
     Non-convergence is reported through the ``converged`` flag, not raised;
     a NaN or inf signal raises ValueError naming its column, as
-    ``frame_prox`` and ``induced_regularizer`` do.
+    ``frame_prox`` and ``induced_regularizer`` do, and a NaN ``tol`` raises
+    ValueError at once.
     """
+    _check_tol(tol)
     x = np.asarray(x, dtype=float)
     xs = x.reshape(-1, 1) if x.ndim < 2 else x
     inner = g.shrinkage if hasattr(g, "shrinkage") else g

@@ -16,6 +16,7 @@ identities and report the worst violation found.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import NotConverged
 from .operators import AnalysisOperator, _analysis, build_operator
-from .prox import ProxMap, numeric_prox, soft_shrink_map
+from .prox import ProxMap, _check_tol, numeric_prox, soft_shrink_map
 from .reports import VerifyReport
 from .sampling import sampled_check
 
@@ -84,34 +85,70 @@ class InducedRegularizer:
         return self.shrinkage.inner_prox.function
 
 
+# _momentum's table, shared by every solve since entry m depends on m alone;
+# it starts at one entry and grows on demand
+_momentum_table = np.zeros(1)
+
+
+def _momentum(size: int) -> np.ndarray:
+    """FISTA's momentum after m iterations since the last restart, for m < ``size``.
+
+    Entry m >= 1 is (t_{m-1} - 1) / t_m for t_0 = 1 and
+    t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2 (Beck & Teboulle 2009); entry 0,
+    the step of a restart, is 0. The table is built by that recursion and
+    grows, at least doubling, whenever a longer one is asked for.
+    """
+    global _momentum_table
+    table = _momentum_table
+    if table.size < size:
+        table, t = np.zeros(max(size, 2 * table.size)), 1.0
+        for m in range(1, table.size):
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            table[m] = (t - 1.0) / t_next
+            t = t_next
+        _momentum_table = table
+    # the local table: another thread may have swapped in a shorter one
+    return table
+
+
 def _fista_points(proj, c, lam):
     """FISTA with gradient restart on the box-constrained dual of f, at unit step.
 
     The smooth part's gradient (I - P) u - c is 1-Lipschitz, so a step from
-    y is the clip of P y + c onto [-lam, lam]. Carrying q = P u and q_y = P y
-    next to u and y keeps each iteration at one product with P. Yields
-    (u, (I - P) u) every _GAP_STRIDE iterations. The caller may send back a
-    boolean mask of the columns to keep (None keeps all); the others leave c
-    and the iteration state at once.
+    y is the clip of P y + c onto [-lam, lam]. The iteration carries the
+    iterate u, the extrapolated point y and, per column, the number m of
+    iterations since its last restart, which picks its momentum
+    ``_momentum()[m]``; a column restarts (m = 0) once its step points
+    uphill (O'Donoghue & Candes 2015). Each iteration takes one product
+    with P, for P y, and works in place in three buffers that trade roles.
+    Every _GAP_STRIDE iterations one more product forms (I - P) u, and
+    (u, (I - P) u) is yielded; u is overwritten once iterating resumes. The
+    caller may send back a boolean mask of the columns to keep (None keeps
+    all); the others leave c and the iteration state at once.
     """
-    u = q = y = q_y = np.zeros_like(c)
-    t = np.ones(c.shape[1])
+    u, y, u_new = np.zeros_like(c), np.zeros_like(c), np.empty_like(c)
+    m = np.zeros(c.shape[1], dtype=np.intp)
+    done = 0
     while True:
+        momentum = _momentum(done + _GAP_STRIDE + 1)
         for _ in range(_GAP_STRIDE):
-            u_new = np.clip(q_y + c, -lam, lam)
-            q_new = proj @ u_new
-            du = u_new - u
-            # gradient restart: drop a column's momentum once it points uphill
-            restart = np.sum((y - u_new) * du, axis=0) > 0.0
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            beta = np.where(restart, 0.0, (t - 1.0) / t_new)
-            t = np.where(restart, 1.0, t_new)
-            y = u_new + beta * du
-            q_y = q_new + beta * (q_new - q)
-            u, q = u_new, q_new
-        keep = yield u, u - q
+            np.matmul(proj, y, out=u_new)
+            u_new += c
+            np.minimum(u_new, lam, out=u_new)
+            np.maximum(u_new, -lam, out=u_new)
+            du = np.subtract(u_new, u, out=u)
+            # gradient restart: drop a column's momentum once <y - u_new, du> > 0
+            y -= u_new
+            y *= du
+            m = np.where(y.sum(0) > 0.0, 0, m + 1)
+            du *= momentum[m]
+            du += u_new
+            u, y, u_new = u_new, du, y
+        done += _GAP_STRIDE
+        keep = yield u, u - proj @ u
         if keep is not None:
-            c, u, q, y, q_y, t = (a[..., keep] for a in (c, u, q, y, q_y, t))
+            c, u, y, m = (a[..., keep] for a in (c, u, y, m))
+            u_new = np.empty_like(u)
 
 
 def _admm_points(proj, c, lam, rho):
@@ -181,9 +218,10 @@ def induced_regularizer(
     one-column evaluation up to the certified gap: BLAS may round a product
     differently at another column count.
 
-    Raises ValueError on non-finite input and NotConverged if some column is
-    not certified within ``max_iter`` iterations.
+    Raises ValueError on non-finite input or a NaN ``tol``, and NotConverged
+    if some column is not certified within ``max_iter`` iterations.
     """
+    _check_tol(tol)
     fs = reg.shrinkage
     op = fs.operator
     squeeze = np.ndim(x) < 2

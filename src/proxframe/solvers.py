@@ -15,13 +15,14 @@ is a different objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotParsevalRow
 from .operators import AnalysisOperator
-from .prox import _check_lambda, soft_shrink
+from .prox import _check_lambda, _check_tol, soft_shrink
 from .reports import SolveReport
 
 
@@ -48,11 +49,22 @@ class AnalysisProblem:
         return np.asarray(self.operator, dtype=float)
 
 
+def _scale(x: np.ndarray) -> float:
+    """A power of two s >= 1 with max|x| / s in [1, 2) when max|x| >= 1.
+
+    Dividing by s is exact, so a computation that is homogeneous in x gives
+    the same bits on x / s, scaled back, as on x, and squares of x / s
+    cannot overflow.
+    """
+    return math.ldexp(1.0, max(math.frexp(float(np.max(np.abs(x))))[1] - 1, 0))
+
+
 def analysis_objective(problem: AnalysisProblem, y: np.ndarray) -> float:
-    t = problem.matrix
-    return float(
-        0.5 * np.sum((problem.x - y) ** 2) + problem.lam * np.sum(np.abs(t @ y))
-    )
+    return _objective(problem.x, problem.matrix, problem.lam, y)
+
+
+def _objective(x: np.ndarray, t: np.ndarray, lam: float, y: np.ndarray) -> float:
+    return float(0.5 * np.sum((x - y) ** 2) + lam * np.sum(np.abs(t @ y)))
 
 
 _EPS = np.finfo(float).eps
@@ -80,9 +92,17 @@ def solve_analysis_dual(
     terms at that iterate, or if it did not strictly lower 1/2 ||y||^2, so
     a ``tol`` below where the gap stalls ends there; a ``tol`` of 0 thus
     stops at once unless the gap is exactly 0.
+
+    The iteration runs on x / s and lam / s, for ``_scale``'s power of two
+    s near max|x|, and compares the gap with tol / s^2: the scaling is exact,
+    so the iterates are those of the unscaled problem divided by s, and
+    squares of large data do not overflow. The minimizer is scaled back.
+    A NaN ``tol`` raises ValueError at once.
     """
+    _check_tol(tol)
     t = problem.matrix
-    x, lam = problem.x, problem.lam
+    s = _scale(problem.x)
+    x, lam, tol_s = problem.x / s, problem.lam / s, tol / s / s
     if isinstance(problem.operator, AnalysisOperator):
         sigma_max_sq = problem.operator.frame_bounds[1]
     else:
@@ -115,14 +135,15 @@ def solve_analysis_dual(
         ty = t @ y
         l1 = lam * np.sum(np.abs(ty))
         gap = float(l1 - p @ ty)
-        converged = gap <= tol
-        if converged or tol < _EPS * (l1 + np.abs(p) @ np.abs(ty)) or obj >= last:
+        converged = gap <= tol_s
+        if converged or tol_s < _EPS * (l1 + np.abs(p) @ np.abs(ty)) or obj >= last:
             break
     return SolveReport(
-        minimizer=y,
-        objective=analysis_objective(problem, y),
+        minimizer=y * s,
+        # Python floats: past the float64 range the product is inf, without a warning
+        objective=_objective(x, t, lam, y) * s * s,
         iterations=k,
-        residual=gap,
+        residual=gap * s * s,
         tolerance=tol,
         converged=converged,
     )

@@ -1,9 +1,10 @@
 """Independent oracles and fixture helpers used by the tests.
 
-These deliberately avoid the library's own solvers: golden-section search
-and dense grids are the reference answers the package implementations are
-checked against. The matrix writers produce the files the loaders read, and
-``t_inner`` is the T inner product the metric tests are stated in.
+These deliberately avoid the library's own solvers: golden-section search,
+dense grids and a plain dual FISTA are the reference answers the package
+implementations are checked against. The matrix writers produce the files
+the loaders read, and ``t_inner`` is the T inner product the metric tests
+are stated in.
 """
 
 from pathlib import Path
@@ -89,6 +90,36 @@ def moreau_trial_violations(prox_map, potential, dim: int, trials: int, seed: in
             found.append(float(np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px)))))
         worst.append(np.max(found))
     return np.array(worst)
+
+
+def fista_points_reference(proj, c, lam):
+    """The dual FISTA of ``shrinkage._fista_points`` in its plain form.
+
+    It carries q = P u and q_y = P y beside u and y, extrapolates both, and
+    recomputes the momentum t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2 of every
+    column on every iteration. It yields (u, (I - P) u) every
+    ``_GAP_STRIDE`` iterations and takes a mask of the columns to keep, as
+    the kernel does.
+    """
+    from proxframe.shrinkage import _GAP_STRIDE
+
+    u = q = y = q_y = np.zeros_like(c)
+    t = np.ones(c.shape[1])
+    while True:
+        for _ in range(_GAP_STRIDE):
+            u_new = np.clip(q_y + c, -lam, lam)
+            q_new = proj @ u_new
+            du = u_new - u
+            restart = np.sum((y - u_new) * du, axis=0) > 0.0
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = np.where(restart, 0.0, (t - 1.0) / t_new)
+            t = np.where(restart, 1.0, t_new)
+            y = u_new + beta * du
+            q_y = q_new + beta * (q_new - q)
+            u, q = u_new, q_new
+        keep = yield u, u - q
+        if keep is not None:
+            c, u, q, y, q_y, t = (a[..., keep] for a in (c, u, q, y, q_y, t))
 
 
 def line_regularizer(c: np.ndarray, b: np.ndarray, lam: float) -> float:

@@ -325,6 +325,23 @@ def test_solve_gap_reaching_tol_converges(capsys, argv, iterations):
     assert doc["iterations"] <= iterations
 
 
+@pytest.mark.parametrize("tol, code", [((), 1), (("--tol", "1e305"), 0)])
+def test_solve_large_data_does_not_overflow(capsys, tol, code):
+    # pyproject's filterwarnings fails this test on an overflow or
+    # invalid-value warning. The solve runs on x and lambda divided by a
+    # power of two near max|x|; the objective, about 1.5e319, is out of
+    # float64 range and prints as Infinity. The default tol 1e-10 lies far
+    # below the float64 rounding of the gap at this scale, about 1e303, so
+    # that solve stops unconverged; at 1e305 the gap certifies
+    argv = ("--operator", "random:6x3:1", "--x", "1e160,1,-3e159", "--lambda", "3e159")
+    exit_code, out, _ = run(capsys, "solve", *argv, *tol)
+    solve_doc, frame_doc = (json.loads(line) for line in out.splitlines())
+    assert exit_code == code and solve_doc["converged"] is (code == 0)
+    assert np.all(np.isfinite(solve_doc["minimizer"]))
+    assert solve_doc["objective"] == np.inf
+    assert np.isfinite(frame_doc["t_distance"])
+
+
 def test_solve_problem_file(tmp_path, capsys):
     prob = tmp_path / "prob.json"
     prob.write_text(json.dumps({"x": [2.0, 0.0, -1.0], "lambda": 0.5}))

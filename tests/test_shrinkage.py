@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxframe import (
+    AnalysisProblem,
     DimensionMismatch,
     FrameShrinkage,
     InducedRegularizer,
@@ -20,6 +21,7 @@ from proxframe import (
     random_operator,
     soft_shrink,
     soft_shrink_map,
+    solve_analysis_dual,
     t_gradient,
     verify_prox_identity,
     verify_t_firm_nonexpansive,
@@ -27,7 +29,8 @@ from proxframe import (
 )
 from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import load_named_matrix
-from support import central_diff, golden_section, line_regularizer
+from proxframe.sampling import sample_trials
+from support import central_diff, fista_points_reference, golden_section, line_regularizer
 
 
 def random_orthogonal(d, rng):
@@ -241,6 +244,96 @@ def test_induced_regularizer_matches_exact_line_reference(d):
             # the reference's own rounding
             slack = 1e-13 * (1.0 + reg.g(c) + (d + 1) * lam * lam)
             assert np.all(np.abs(vals - ref) <= tol + slack), (cond, lam, vals - ref)
+
+
+def fista_phase(points, reg, c, tol):
+    """The check at which each column is certified, and its value, by FISTA alone.
+
+    Follows ``induced_regularizer``'s first phase: at each check a column
+    takes the primal value min(g(c), 1/2 <u, r> + g(c - r)) and is certified
+    once that is within max(tol, _GAP_FLOOR (1 + |g(c)| + ||u||^2)) of the
+    dual <u, c> - 1/2 <u, r>; a certified column leaves the block. A column
+    not certified within _FISTA_ITERS iterations gets check -1 and value NaN.
+    """
+    proj, lam = reg.shrinkage.operator.range_proj, reg.shrinkage.inner_prox.lam
+    points = points(proj, c, lam)
+    check, value = np.full(c.shape[1], -1), np.full(c.shape[1], np.nan)
+    cols, keep = np.arange(c.shape[1]), None
+    for i in range(shrinkage_module._FISTA_ITERS // shrinkage_module._GAP_STRIDE):
+        u, r = points.send(keep)
+        c_sub = c[:, cols]
+        g_sub = reg.g(c_sub)
+        half_sq = 0.5 * np.sum(u * r, axis=0)
+        primal = np.minimum(g_sub, half_sq + reg.g(c_sub - r))
+        dual = np.sum(u * c_sub, axis=0) - half_sq
+        floor = shrinkage_module._GAP_FLOOR * (1.0 + np.abs(g_sub) + np.sum(u * u, axis=0))
+        fresh = primal - dual <= np.maximum(tol, floor)
+        check[cols[fresh]], value[cols[fresh]] = i, primal[fresh]
+        keep = ~fresh if fresh.any() else None
+        cols = cols[~fresh]
+        if not cols.size:
+            break
+    return check, value
+
+
+def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
+    # the kernel forms P y by its own product, clips in place and reads the
+    # momentum from a table it grows from one entry here; each column must
+    # be certified at the plain reference's check, give or take one, at its
+    # value up to tol and the rounding slack of the gap-certificate test.
+    # Blocks: f(y1) of the random:200x100:2 CLI regression at tol 1e-7, and
+    # the 9x2 block at lam = 10 half deep in the dead zone of
+    # test_induced_regularizer_compaction_across_both_phases
+    monkeypatch.setattr(shrinkage_module, "_momentum_table", np.zeros(1))
+    op = build_operator(load_named_matrix("random:200x100:2"))
+    regression = FrameShrinkage(op, soft_shrink_map(1.0))
+    y1 = frame_prox(regression, sample_trials(5, 0, 100, 100)[0])
+    dead_zone = FrameShrinkage(random_operator(9, 2, rng), soft_shrink_map(10.0))
+    x = rng.standard_normal((2, 12))
+    x[:, ::2] *= 1e-9
+    for fs, y, tol in ((regression, y1, 1e-7), (dead_zone, x, 1e-9)):
+        reg = InducedRegularizer.from_shrinkage(fs)
+        c = fs.operator.matrix @ y
+        u = c - soft_shrink(c, fs.inner_prox.lam)
+        slack = 1e-12 * (1.0 + reg.g(c) + np.sum(u * u, axis=0))
+        check, value = fista_phase(shrinkage_module._fista_points, reg, c, tol)
+        ref_check, ref_value = fista_phase(fista_points_reference, reg, c, tol)
+        np.testing.assert_array_equal(check < 0, ref_check < 0)
+        assert np.all(np.abs(check - ref_check) <= 1), (check, ref_check)
+        done = check >= 0
+        assert np.all(np.abs(value - ref_value)[done] <= tol + slack[done])
+        # through both phases, ADMM's included
+        vals = induced_regularizer(reg, y, tol=tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(shrinkage_module, "_fista_points", fista_points_reference)
+            ref = induced_regularizer(reg, y, tol=tol)
+        assert np.all(np.abs(vals - ref) <= tol + slack)
+    assert not np.all(check >= 0), "the dead-zone columns should need the ADMM phase"
+
+
+def test_momentum_table_follows_the_recursion_as_it_grows(monkeypatch):
+    # the table starts at one entry and doubles on demand, with no cap; every
+    # entry must be the momentum of the recursion the reference runs per column
+    monkeypatch.setattr(shrinkage_module, "_momentum_table", np.zeros(1))
+    sizes = [shrinkage_module._momentum(n).size for n in (9, 5000, 9000)]
+    assert sizes == [9, 5000, 10000]
+    t, expected = np.float64(1.0), [0.0]
+    for _ in range(sizes[-1] - 1):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        expected.append((t - 1.0) / t_next)
+        t = t_next
+    np.testing.assert_array_equal(shrinkage_module._momentum(1), expected)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda tol: induced_regularizer(InducedRegularizer.from_shrinkage(example_shrinkage()), [1.0], tol=tol),
+    lambda tol: numeric_prox(example_shrinkage(), np.array([1.0]), tol=tol),
+    lambda tol: solve_analysis_dual(AnalysisProblem(np.array([1.0]), example_operator(), 1.0), tol=tol),
+], ids=["induced_regularizer", "numeric_prox", "solve_analysis_dual"])
+def test_nan_tol_is_refused_at_once(solve):
+    # no gap or certificate compares <= NaN, so the solve would run to its cap
+    with pytest.raises(ValueError, match="NaN"):
+        solve(np.nan)
 
 
 def test_induced_regularizer_dimension_mismatch():

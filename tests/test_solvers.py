@@ -15,6 +15,7 @@ from proxframe import (
     solve_analysis_dual,
     synthesis_solution,
 )
+from proxframe.cli import load_named_matrix
 from support import grid_min
 
 
@@ -59,6 +60,24 @@ def test_dual_solver_duality_gap_reported(rng):
     assert rep.converged
     assert rep.residual <= 1e-10
     assert rep.iterations >= 1
+
+
+@pytest.mark.parametrize("k", [-3, 5, 531])
+def test_dual_solver_power_of_two_scaling_is_exact(k):
+    # data and lam scaled by 2^k, and tol by 4^k, give the same iterations
+    # and the minimizer scaled by 2^k, bit for bit; at k = 531 the squares of
+    # the data overflow float64, and so does the objective, which reports inf
+    t = load_named_matrix("random:6x3:1")
+    x, lam, tol = np.array([1.25, 2.0**-30, -0.25]), 0.375, 1e-14
+    small = solve_analysis_dual(AnalysisProblem(x, t, lam), tol=tol)
+    scaled = solve_analysis_dual(
+        AnalysisProblem(np.ldexp(x, k), t, np.ldexp(lam, k)), tol=np.ldexp(tol, 2 * k)
+    )
+    assert small.converged and scaled.converged
+    assert scaled.iterations == small.iterations
+    np.testing.assert_array_equal(scaled.minimizer, np.ldexp(small.minimizer, k))
+    assert scaled.residual == np.ldexp(small.residual, 2 * k)
+    assert scaled.objective == (np.inf if k == 531 else np.ldexp(small.objective, 2 * k))
 
 
 def test_dual_solver_not_converged_flag(rng):
