@@ -194,7 +194,8 @@ def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         else:
             y = frame_prox(FrameShrinkage(op, parse_prox(args.prox)), x)
             diff = op.matrix @ (np.asarray(report.minimizer) - y)
-            # taken on diff / s, whose square cannot overflow; exact for a power of two
+            # taken on diff / s, whose square neither overflows nor underflows;
+            # exact for a power of two
             s = _scale(diff)
             dist = s * float(np.linalg.norm(diff / s))
             emit(json.dumps({"frame_prox": np.atleast_1d(y).tolist(), "t_distance": dist}))

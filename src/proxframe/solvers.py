@@ -49,18 +49,26 @@ class AnalysisProblem:
         return np.asarray(self.operator, dtype=float)
 
 
-def _scale(x: np.ndarray) -> float:
-    """A power of two s >= 1 with max|x| / s in [1, 2) when max|x| >= 1.
+def _scale(x: np.ndarray, lam: float = 0.0) -> float:
+    """A power of two s with max|x| / s in [1, 2), but no smaller than about lam 2^-500.
 
-    Dividing by s is exact, so a computation that is homogeneous in x gives
-    the same bits on x / s, scaled back, as on x, and squares of x / s
-    cannot overflow.
+    Dividing by s is exact, so a computation that is homogeneous in x (and
+    lam) gives the same bits on x / s, scaled back, as on x; the square of
+    max|x / s| neither overflows nor underflows, and lam / s stays below
+    2^501.
     """
-    return math.ldexp(1.0, max(math.frexp(float(np.max(np.abs(x))))[1] - 1, 0))
+    exponent = math.frexp(float(np.max(np.abs(x))))[1] - 1
+    if lam:
+        exponent = max(exponent, math.frexp(lam)[1] - 501)
+    return math.ldexp(1.0, exponent)
 
 
 def analysis_objective(problem: AnalysisProblem, y: np.ndarray) -> float:
-    return _objective(problem.x, problem.matrix, problem.lam, y)
+    """1/2 ||x - y||^2 + lam ||Ty||_1, taken on x, lam and y divided by a power of two."""
+    y = np.asarray(y, dtype=float)
+    s = max(_scale(problem.x, problem.lam), _scale(y))
+    # Python floats: past the float64 range the product is inf, without a warning
+    return _objective(problem.x / s, problem.matrix, problem.lam / s, y / s) * s * s
 
 
 def _objective(x: np.ndarray, t: np.ndarray, lam: float, y: np.ndarray) -> float:
@@ -94,15 +102,17 @@ def solve_analysis_dual(
     stops at once unless the gap is exactly 0.
 
     The iteration runs on x / s and lam / s, for ``_scale``'s power of two
-    s near max|x|, and compares the gap with tol / s^2: the scaling is exact,
-    so the iterates are those of the unscaled problem divided by s, and
-    squares of large data do not overflow. The minimizer is scaled back.
+    s near max|x| (no smaller than about lam 2^-500, so lam / s stays
+    finite), and compares the gap with tol / s^2: the scaling is exact, so
+    the iterates are those of the unscaled problem divided by s, squares of
+    large data do not overflow and those of tiny data do not underflow
+    into a zero gap. The minimizer is scaled back.
     A NaN ``tol`` raises ValueError at once.
     """
     _check_tol(tol)
     t = problem.matrix
-    s = _scale(problem.x)
-    x, lam, tol_s = problem.x / s, problem.lam / s, tol / s / s
+    s = _scale(problem.x, problem.lam)
+    x, lam, tol_s = problem.x / s, problem.lam / s, float(tol) / s / s
     if isinstance(problem.operator, AnalysisOperator):
         sigma_max_sq = problem.operator.frame_bounds[1]
     else:

@@ -350,13 +350,16 @@ def test_numeric_prox_not_converged_flag():
 def test_numeric_prox_column_norms_do_not_overflow():
     # ||(1e160, 1)||^2 overflows; its norm does not, and the oracle certifies
     # as it does one scale down, with no overflow warning; at a tol below 4
-    # ulps of 1e160 it stops unconverged at z = 0, again with no warning
+    # ulps of 1e160 it stops unconverged at z = 0, again with no warning.
+    # The certificate's difference z - z+ rounds at eps ||z||, so the error
+    # is within tol plus eps (||z|| + ||T x||), as the floor's comment states
+    eps = np.finfo(float).eps
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for big, tol in ((1e150, 1e140), (1e160, 1e150)):
             rep = numeric_prox(soft_shrink_map(1.0), np.array([big, 1.0]), tol=tol)
-            assert rep.converged and rep.iterations == 34 and rep.residual <= tol
-            assert np.linalg.norm(rep.minimizer - [big - 1.0, 0.0]) <= tol
+            assert rep.converged and rep.iterations == 10 and rep.residual <= tol
+            assert np.linalg.norm(rep.minimizer - [big - 1.0, 0.0]) <= tol + eps * 2 * big
         rep = numeric_prox(soft_shrink_map(1.0), np.array([1e160, 1.0]), tol=1e-6)
         assert not rep.converged
 
@@ -435,7 +438,7 @@ def test_numeric_prox_is_pinv_of_the_inner_prox_at_tx(spec, lam):
     ids=["random:12x5:7", "random:200x100:2", "9x2-cond1e3", "60x30-cond1e3"],
 )
 def test_numeric_prox_converges_sixteen_ulps_above_its_terms(make):
-    # the certificate ||z - z+|| is the length of a forward-backward step,
+    # the certificate ||z - z+|| / 9 is a ninth of a forward-backward step,
     # and its floor is 4 ulps of ||z|| + ||T x||, with z tending to S(T x):
     # a tol of 16 ulps of the largest column's terms is above it on every
     # operator, however far T^+ T is from I in the last bits
@@ -479,16 +482,16 @@ def test_numeric_prox_columns_do_not_depend_on_the_block(shape, pm, tol):
 
 
 @pytest.mark.parametrize("pm", [soft_shrink_map(1.0), identity_map()], ids=["soft1", "identity"])
-def test_numeric_prox_regression_certifies_within_forty_iterations(pm):
-    # forward-backward at step 1/2 contracts active coordinates by 1/2 per
-    # iteration: the CLI regression's 100 samples certify at tol 1e-7 in 34
+def test_numeric_prox_regression_certifies_within_twelve_iterations(pm):
+    # forward-backward at step 9/10 contracts active coordinates by 1/10 per
+    # iteration: the CLI regression's 100 samples certify at tol 1e-7 in 11
     # iterations, for soft shrinkage and for the identity alike
     from proxframe import FrameShrinkage
 
     op = build_operator(load_named_matrix("random:200x100:2"))
     x = sample_trials(5, 0, 100, 100)[0]
     rep = numeric_prox(FrameShrinkage(op, pm), x, tol=1e-7)
-    assert rep.converged and rep.iterations <= 40, rep.iterations
+    assert rep.converged and rep.iterations <= 12, rep.iterations
 
 
 def test_numeric_prox_metric_flagship():

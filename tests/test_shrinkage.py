@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -413,6 +415,27 @@ def test_verify_prox_identity_catches_a_wrong_regularizer(spec, monkeypatch):
     monkeypatch.setattr(shrinkage_module, "_GAP_FLOOR", 1e300)
     rep = verify_prox_identity(fs, reg, trials=50, tol=1e-6, seed=4)
     assert not rep.passed and rep.max_violation > 1e-3
+
+
+@pytest.mark.parametrize("spec", ["example35", "random:12x5:3", "random:200x100:2"])
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+def test_verify_prox_identity_catches_a_prox_handle_that_ignores_its_scale(spec, lam):
+    # the oracle reaches g only through prox(v, t) at t = 9/10, and the
+    # composition only through prox(v, 1); a handle that returns prox_g for
+    # every t moves the oracle's fixed point by lam / 9 on each active
+    # coordinate, which the distance term sees (1.5e-2 at the least here),
+    # while the true handle passes
+    good = soft_shrink_map(lam)
+    bad = dataclasses.replace(good, prox=lambda v, t=1.0: soft_shrink(v, lam))
+    op = build_operator(load_named_matrix(spec))
+
+    def check(pm):
+        fs = FrameShrinkage(op, pm)
+        return verify_prox_identity(fs, InducedRegularizer.from_shrinkage(fs), trials=20, tol=1e-6, seed=3)
+
+    assert check(good).passed
+    rep = check(bad)
+    assert not rep.passed and rep.max_violation > 1e-2 * lam, rep
 
 
 def test_numeric_prox_lands_within_its_certified_tolerance(rng):

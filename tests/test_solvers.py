@@ -62,11 +62,12 @@ def test_dual_solver_duality_gap_reported(rng):
     assert rep.iterations >= 1
 
 
-@pytest.mark.parametrize("k", [-3, 5, 531])
+@pytest.mark.parametrize("k", [-400, -3, 5, 531])
 def test_dual_solver_power_of_two_scaling_is_exact(k):
     # data and lam scaled by 2^k, and tol by 4^k, give the same iterations
-    # and the minimizer scaled by 2^k, bit for bit; at k = 531 the squares of
-    # the data overflow float64, and so does the objective, which reports inf
+    # and the minimizer scaled by 2^k, bit for bit, whether the solve scales
+    # them down or up; at k = 531 the squares of the data overflow float64,
+    # and so does the objective, which reports inf
     t = load_named_matrix("random:6x3:1")
     x, lam, tol = np.array([1.25, 2.0**-30, -0.25]), 0.375, 1e-14
     small = solve_analysis_dual(AnalysisProblem(x, t, lam), tol=tol)
@@ -78,6 +79,35 @@ def test_dual_solver_power_of_two_scaling_is_exact(k):
     np.testing.assert_array_equal(scaled.minimizer, np.ldexp(small.minimizer, k))
     assert scaled.residual == np.ldexp(small.residual, 2 * k)
     assert scaled.objective == (np.inf if k == 531 else np.ldexp(small.objective, 2 * k))
+
+
+def test_dual_solver_tiny_data_certifies_no_underflowed_gap():
+    # near 1e-170 the gap's terms underflow to 0 unless the solve scales the
+    # data up: at tol 0 it then stops unconverged at its first iterate, as
+    # the problem one scale up does, and lands on that iterate scaled down
+    t = load_named_matrix("random:6x3:1")
+    x, lam = np.array([1.25, 0.5, -0.25]), 0.375
+    ref = solve_analysis_dual(AnalysisProblem(x, t, lam), tol=0.0)
+    rep = solve_analysis_dual(AnalysisProblem(x * 1e-170, t, lam * 1e-170), tol=0.0)
+    assert not ref.converged and not rep.converged
+    assert rep.iterations == ref.iterations == 1
+    scale = np.max(np.abs(ref.minimizer))
+    np.testing.assert_allclose(rep.minimizer / 1e-170, ref.minimizer, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analysis_objective_scales_its_data_by_a_power_of_two():
+    # the squares of data near 1e160 overflow float64: the objective is
+    # taken on the data divided by a power of two and reports inf without an
+    # overflow warning; at any power-of-two scale it is exact
+    t = load_named_matrix("random:6x3:1")
+    big = AnalysisProblem(np.array([1e160, 1.0, -3e159]), t, 3e159)
+    assert analysis_objective(big, np.array([1.0, 0.0, 0.0])) == np.inf
+    x, y, lam = np.array([1.25, 2.0**-30, -0.25]), np.array([0.5, -3.0, 0.125]), 0.375
+    value = analysis_objective(AnalysisProblem(x, t, lam), y)
+    for k in (-400, -3, 5, 400):
+        scaled = AnalysisProblem(np.ldexp(x, k), t, np.ldexp(lam, k))
+        assert analysis_objective(scaled, np.ldexp(y, k)) == np.ldexp(value, 2 * k)
 
 
 def test_dual_solver_not_converged_flag(rng):
