@@ -260,13 +260,14 @@ def verify_moreau_characterization(
 _STEP = 0.9
 # Over operators of condition 1 to 1e3, shapes 1x1 to 400x250, soft
 # shrinkage at lam 0.1 to 10 and the identity, and signals of norm 0.01 to
-# 100 (3.9e5 columns), the certificate at step 9/10 fell to exactly 0, a
-# fixed point of the rounded iteration, by iteration 18 on every column; no
-# iterate was farther from the exact prox than its certificate plus 0.76
-# eps (||z|| + ||Tx||), the worst on columns of length 2. The floor,
-# checked on every eighth iteration, is 4 eps (||z|| + ||Tx||): a tol below
-# it would be within a few times that excess, so the column stops
-# unconverged there.
+# 100 (3.9e5 columns), the step term (1/t - 1) ||z - z+|| at step 9/10 fell
+# to exactly 0, a fixed point of the rounded iteration, by iteration 18 on
+# every column; no iterate was farther from the exact prox than its step
+# term plus 0.76 eps (||z|| + ||Tx||), the worst on columns of length 2.
+# The certificate adds eps (||z|| + ||Tx||) to the step term to cover that
+# rounding. The floor, checked on every eighth iteration, is
+# 4 eps (||z|| + ||Tx||): a tol below it is within a few times the rounding
+# term, so the column stops unconverged there.
 _CERT_FLOOR = 4.0
 _FLOOR_STRIDE = 8
 
@@ -306,10 +307,12 @@ def numeric_prox(
 
     and returns y = T^+ z. (z - z+) / t - (z - T x) is a subgradient of g at
     z+, so the objective has the subgradient (1/t - 1)(z - z+) at z+. The
-    problem is 1-strongly convex, so the certificate (1/t - 1) ||z - z+||,
-    ||z - z+|| / 9, bounds ||z+ - z*||, the T-norm error of y. Active
-    coordinates of a shrinkage contract by 1 - t = 1/10 per iteration;
-    dead-zone ones land on exact zeros. At t = 1 this would be the closed
+    problem is 1-strongly convex, so (1/t - 1) ||z - z+||, ||z - z+|| / 9,
+    bounds ||z+ - z*||, the T-norm error of y, in exact arithmetic; the
+    certificate adds eps (||z+|| + ||T x||) for the rounding of the step
+    (measured, see ``_CERT_FLOOR``). Active coordinates of a shrinkage
+    contract by 1 - t = 1/10 per iteration; dead-zone ones land on exact
+    zeros. At t = 1 this would be the closed
     form prox_g(T x); at t < 1 it stays a numerical solve.
 
     The columns of a (d, k) block run in lockstep. Each column stops at its
@@ -348,11 +351,12 @@ def numeric_prox(
     while cols.size and iters < max_iter:
         iters += 1
         z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
-        now = (1.0 / _STEP - 1.0) * _norms(z - z_new)
+        terms = _norms(z_new) + v_norm
+        now = (1.0 / _STEP - 1.0) * _norms(z - z_new) + eps * terms
         z = z_new
         stop = (now <= tol) | (iters == max_iter)
         if iters % _FLOOR_STRIDE == 0:
-            below = ~stop & (tol < _CERT_FLOOR * eps * (_norms(z) + v_norm))
+            below = ~stop & (tol < _CERT_FLOOR * eps * terms)
             lost[cols[below]] = True
             stop |= below
         if stop.any():

@@ -64,11 +64,18 @@ def _scale(x: np.ndarray, lam: float = 0.0) -> float:
 
 
 def analysis_objective(problem: AnalysisProblem, y: np.ndarray) -> float:
-    """1/2 ||x - y||^2 + lam ||Ty||_1, taken on x, lam and y divided by a power of two."""
+    """1/2 ||x - y||^2 + lam ||Ty||_1, each term taken on data divided by its own power of two.
+
+    The quadratic is taken on (x - y) / s for s = ``_scale`` of x and y, and
+    the l1 term on y / s_y, so neither squares nor lam ||Ty||_1 leave the
+    float64 range before the scales are multiplied back.
+    """
     y = np.asarray(y, dtype=float)
-    s = max(_scale(problem.x, problem.lam), _scale(y))
+    s, s_y = max(_scale(problem.x), _scale(y)), _scale(y)
+    quad = float(0.5 * np.sum((problem.x / s - y / s) ** 2))
+    l1 = float(np.sum(np.abs(problem.matrix @ (y / s_y))))
     # Python floats: past the float64 range the product is inf, without a warning
-    return _objective(problem.x / s, problem.matrix, problem.lam / s, y / s) * s * s
+    return quad * s * s + problem.lam * l1 * s_y
 
 
 def _objective(x: np.ndarray, t: np.ndarray, lam: float, y: np.ndarray) -> float:
@@ -106,7 +113,8 @@ def solve_analysis_dual(
     finite), and compares the gap with tol / s^2: the scaling is exact, so
     the iterates are those of the unscaled problem divided by s, squares of
     large data do not overflow and those of tiny data do not underflow
-    into a zero gap. The minimizer is scaled back.
+    into a zero gap. The minimizer is scaled back; a positive gap whose
+    product with s^2 underflows reports the smallest positive float.
     A NaN ``tol`` raises ValueError at once.
     """
     _check_tol(tol)
@@ -153,7 +161,7 @@ def solve_analysis_dual(
         # Python floats: past the float64 range the product is inf, without a warning
         objective=_objective(x, t, lam, y) * s * s,
         iterations=k,
-        residual=gap * s * s,
+        residual=max(gap * s * s, math.ulp(0.0)) if gap > 0 else gap * s * s,
         tolerance=tol,
         converged=converged,
     )

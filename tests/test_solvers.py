@@ -84,13 +84,16 @@ def test_dual_solver_power_of_two_scaling_is_exact(k):
 def test_dual_solver_tiny_data_certifies_no_underflowed_gap():
     # near 1e-170 the gap's terms underflow to 0 unless the solve scales the
     # data up: at tol 0 it then stops unconverged at its first iterate, as
-    # the problem one scale up does, and lands on that iterate scaled down
+    # the problem one scale up does, and lands on that iterate scaled down;
+    # its gap, scaled back, is below the smallest subnormal, and the report
+    # keeps it above tol rather than rounding it to 0
     t = load_named_matrix("random:6x3:1")
     x, lam = np.array([1.25, 0.5, -0.25]), 0.375
     ref = solve_analysis_dual(AnalysisProblem(x, t, lam), tol=0.0)
     rep = solve_analysis_dual(AnalysisProblem(x * 1e-170, t, lam * 1e-170), tol=0.0)
     assert not ref.converged and not rep.converged
     assert rep.iterations == ref.iterations == 1
+    assert rep.residual > rep.tolerance
     scale = np.max(np.abs(ref.minimizer))
     np.testing.assert_allclose(rep.minimizer / 1e-170, ref.minimizer, rtol=0, atol=1e-14 * scale)
 
@@ -99,10 +102,15 @@ def test_dual_solver_tiny_data_certifies_no_underflowed_gap():
 def test_analysis_objective_scales_its_data_by_a_power_of_two():
     # the squares of data near 1e160 overflow float64: the objective is
     # taken on the data divided by a power of two and reports inf without an
-    # overflow warning; at any power-of-two scale it is exact
+    # overflow warning; at any power-of-two scale it is exact. A lam far
+    # above y scales the l1 term apart from y, so y / lam does not underflow
     t = load_named_matrix("random:6x3:1")
     big = AnalysisProblem(np.array([1e160, 1.0, -3e159]), t, 3e159)
     assert analysis_objective(big, np.array([1.0, 0.0, 0.0])) == np.inf
+    e1 = np.array([1.0, 0.0, 0.0])
+    l1 = np.sum(np.abs(t @ e1))
+    value = analysis_objective(AnalysisProblem(1e-280 * e1, t, 1e200), 1e-280 * e1)
+    assert value == pytest.approx(1e-80 * l1, rel=1e-14, abs=0)
     x, y, lam = np.array([1.25, 2.0**-30, -0.25]), np.array([0.5, -3.0, 0.125]), 0.375
     value = analysis_objective(AnalysisProblem(x, t, lam), y)
     for k in (-400, -3, 5, 400):
