@@ -28,7 +28,6 @@ from .prox import (
     ProxMap,
     huber_envelope,
     identity_map,
-    numeric_prox,
     prox_map_by_name,
     shrink_potential,
     soft_shrink,
@@ -45,6 +44,7 @@ from .shrinkage import (
     example_shrinkage,
     frame_prox,
     induced_regularizer,
+    numeric_prox,
     verify_prox_identity,
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,

@@ -3,12 +3,12 @@
 The catalog is small by design: soft shrinkage (the prox of ``lam * l1``)
 with its envelope and potential, and the identity (the prox of the zero
 function). ``ProxMap`` bundles an operator with its scaled-prox handle, so
-anything placed in a ``ProxMap`` can be used both as a shrinkage ingredient
-and inside the numeric prox oracle. The
-induced regularizer, though, is evaluated for the catalog maps only: for
-soft shrinkage through its box-constrained dual (the conjugate of
-``lam * l1`` is the indicator of the box [-lam, lam]^n), and for the
-identity as 0.
+anything placed in a ``ProxMap`` can be used as a shrinkage ingredient, and
+so inside the numeric prox oracle of ``shrinkage``, which reaches g only
+through that handle. The induced regularizer, though, is evaluated for the
+catalog maps only: for soft shrinkage through its box-constrained dual (the
+conjugate of ``lam * l1`` is the indicator of the box [-lam, lam]^n), and
+for the identity as 0.
 
 Every map here is componentwise, so a ProxMap applied to an (m, k) array
 acts column by column; the verification routines and batched solvers rely
@@ -26,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonPositiveLambda
-from .operators import _analysis, _finite_columns, _signals
-from .reports import SolveReport, VerifyReport
+from .reports import VerifyReport
 from .sampling import sampled_check
 
 
@@ -42,9 +41,11 @@ def _check_lambda(lam) -> float:
 
 
 def _check_tol(tol) -> None:
-    """Refuse a NaN tolerance, which no gap or certificate meets: a solve would run to its cap."""
+    """Refuse a NaN or negative tol, which no gap or certificate meets: a solve would run to its cap."""
     if math.isnan(tol):
         raise ValueError("tol must not be NaN")
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 def soft_shrink(x, lam):
@@ -253,124 +254,3 @@ def verify_moreau_characterization(
 
     return sampled_check(f"moreau_characterization:{prox_map.name}", trials, tol, seed, dim,
                          violations, columns=2)
-
-
-# the oracle's forward-backward step t: any t < 1 keeps the certificate, and
-# active coordinates contract by 1 - t per iteration
-_STEP = 0.9
-# Over operators of condition 1 to 1e3, shapes 1x1 to 400x250, soft
-# shrinkage at lam 0.1 to 10 and the identity, and signals of norm 0.01 to
-# 100 (3.9e5 columns), the step term (1/t - 1) ||z - z+|| at step 9/10 fell
-# to exactly 0, a fixed point of the rounded iteration, by iteration 18 on
-# every column; no iterate was farther from the exact prox than its step
-# term plus 0.76 eps (||z|| + ||Tx||), the worst on columns of length 2.
-# The certificate adds eps (||z|| + ||Tx||) to the step term to cover that
-# rounding. The floor, checked on every eighth iteration, is
-# 4 eps (||z|| + ||Tx||): a tol below it is within a few times the rounding
-# term, so the column stops unconverged there.
-_CERT_FLOOR = 4.0
-_FLOOR_STRIDE = 8
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Column 2-norms; a column whose sum of squares overflows is rescaled by its largest entry."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(a * a, axis=0))
-    big = np.isinf(norms)
-    if big.any():
-        scale = np.max(np.abs(a[:, big]), axis=0)
-        norms[big] = scale * np.sqrt(np.sum((a[:, big] / scale) ** 2, axis=0))
-    return norms
-
-
-def numeric_prox(
-    g,
-    x: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 100000,
-) -> SolveReport:
-    """Numerical prox oracle in the T metric.
-
-    Minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the regularizer induced
-    by composing an inner prox with T. g may be a FrameShrinkage or an
-    InducedRegularizer, which carry T, or a bare ProxMap, for which T = I:
-    the metric is then the Euclidean one and f is g itself, so the oracle
-    minimizes ``1/2 ||x - y||^2 + g(y)`` and runs on x itself, building no
-    operator. Any other g raises TypeError. In
-    z = T y + B w, with B an orthonormal basis of null(T*), the problem is
-    min_z 1/2 ||z - T x||^2 + g(z), the prox of the inner function at T x.
-    The oracle solves it by forward-backward at step t = ``_STEP`` = 9/10
-    from z = 0, a gradient step on the quadratic and a prox step on g
-    through the inner map's scaled handle alone,
-
-        z+ <- prox_{t g}((1 - t) z + t T x),
-
-    and returns y = T^+ z. (z - z+) / t - (z - T x) is a subgradient of g at
-    z+, so the objective has the subgradient (1/t - 1)(z - z+) at z+. The
-    problem is 1-strongly convex, so (1/t - 1) ||z - z+||, ||z - z+|| / 9,
-    bounds ||z+ - z*||, the T-norm error of y, in exact arithmetic; the
-    certificate adds eps (||z+|| + ||T x||) for the rounding of the step
-    (measured, see ``_CERT_FLOOR``). Active coordinates of a shrinkage
-    contract by 1 - t = 1/10 per iteration; dead-zone ones land on exact
-    zeros. At t = 1 this would be the closed
-    form prox_g(T x); at t < 1 it stays a numerical solve.
-
-    The columns of a (d, k) block run in lockstep. Each column stops at its
-    first z+ certified within ``tol`` and leaves the block, so its numbers
-    do not depend on which other columns share the block; ``residual`` is
-    the largest certificate. A column whose ``tol`` is below
-    ``_CERT_FLOOR`` eps (||z|| + ||T x||), the rounding of its iterate,
-    stops there unconverged, at once if that holds at z = 0.
-
-    The report carries a minimizer of x's shape and no objective.
-    Non-convergence is reported through the ``converged`` flag, not raised;
-    a NaN or inf signal raises ValueError naming its column, as
-    ``frame_prox`` and ``induced_regularizer`` do, and a NaN ``tol`` raises
-    ValueError at once.
-    """
-    _check_tol(tol)
-    x = np.asarray(x, dtype=float)
-    xs = x.reshape(-1, 1) if x.ndim < 2 else x
-    inner = g.shrinkage if hasattr(g, "shrinkage") else g
-    if hasattr(inner, "inner_prox"):
-        op, inner = inner.operator, inner.inner_prox
-        tx = _analysis(op, xs)
-    elif isinstance(inner, ProxMap):
-        op, tx = None, _finite_columns(_signals(xs, xs.shape[0]))
-    else:
-        raise TypeError("numeric_prox expects a FrameShrinkage, InducedRegularizer or ProxMap")
-
-    eps = np.finfo(float).eps
-    v_norm = _norms(tx)
-    z_out = np.zeros_like(tx)
-    cert = np.full(tx.shape[1], np.inf)
-    lost = tol < _CERT_FLOOR * eps * v_norm
-    cols = np.flatnonzero(~lost)
-    z, tv, v_norm = np.zeros((tx.shape[0], cols.size)), _STEP * tx[:, cols], v_norm[cols]
-    iters = 0
-    while cols.size and iters < max_iter:
-        iters += 1
-        z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
-        terms = _norms(z_new) + v_norm
-        now = (1.0 / _STEP - 1.0) * _norms(z - z_new) + eps * terms
-        z = z_new
-        stop = (now <= tol) | (iters == max_iter)
-        if iters % _FLOOR_STRIDE == 0:
-            below = ~stop & (tol < _CERT_FLOOR * eps * terms)
-            lost[cols[below]] = True
-            stop |= below
-        if stop.any():
-            z_out[:, cols[stop]], cert[cols[stop]] = z[:, stop], now[stop]
-            keep = ~stop
-            cols, z, tv, v_norm = cols[keep], z[:, keep], tv[:, keep], v_norm[keep]
-    resid = float(np.max(np.where(lost, np.inf, cert)))
-
-    y = z_out if op is None else op.pinv @ z_out
-    return SolveReport(
-        minimizer=y.reshape(x.shape),
-        objective=None,
-        iterations=iters,
-        residual=resid,
-        tolerance=tol,
-        converged=bool(resid <= tol),
-    )

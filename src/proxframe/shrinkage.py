@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import NotConverged
 from .operators import AnalysisOperator, _analysis, build_operator
-from .prox import ProxMap, _check_tol, numeric_prox, soft_shrink_map
-from .reports import VerifyReport
+from .prox import ProxMap, _check_tol, soft_shrink_map
+from .reports import SolveReport, VerifyReport
 from .sampling import sampled_check
 
 # A duality-gap check costs about as much as an iteration of the dual solve;
@@ -107,7 +107,6 @@ def _momentum(size: int) -> np.ndarray:
             table[m] = (t - 1.0) / t_next
             t = t_next
         _momentum_table = table
-    # the local table: another thread may have swapped in a shorter one
     return table
 
 
@@ -305,6 +304,110 @@ def example_regularizer_closed_form(y):
 
 def example_shrinkage() -> FrameShrinkage:
     return FrameShrinkage(example_operator(), soft_shrink_map(1.0))
+
+
+# --- the prox oracle in the T metric ------------------------------------------
+
+# the oracle's forward-backward step t: any t < 1 keeps the certificate, and
+# active coordinates contract by 1 - t per iteration. Over operators of
+# condition 1 to 1e3, shapes 1x1 to 400x250, soft shrinkage at lam 0.1 to 10
+# and the identity, and signals of norm 0.01 to 100 (3.9e5 columns), no
+# iterate at this step was farther from the exact prox than its step term
+# plus 0.76 eps (||z|| + ||Tx||), the rounding term the certificate adds.
+_STEP = 0.9
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Column 2-norms; a column whose sum of squares overflows is rescaled by its largest entry."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(a * a, axis=0))
+    big = np.isinf(norms)
+    if big.any():
+        scale = np.max(np.abs(a[:, big]), axis=0)
+        norms[big] = scale * np.sqrt(np.sum((a[:, big] / scale) ** 2, axis=0))
+    return norms
+
+
+def numeric_prox(
+    g,
+    x: np.ndarray,
+    tol: float = 1e-9,
+    max_iter: int = 100000,
+) -> SolveReport:
+    """Numerical prox oracle in the T metric.
+
+    Minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the regularizer induced
+    by composing an inner prox with T. g is a FrameShrinkage or an
+    InducedRegularizer, which carry T; any other g, a bare ProxMap included,
+    raises TypeError. The Euclidean oracle is the case T = I,
+    ``FrameShrinkage(build_operator(np.eye(d)), g)``. In
+    z = T y + B w, with B an orthonormal basis of null(T*), the problem is
+    min_z 1/2 ||z - T x||^2 + g(z), the prox of the inner function at T x.
+    The oracle solves it by forward-backward at step t = ``_STEP`` = 9/10
+    from z = 0, a gradient step on the quadratic and a prox step on g
+    through the inner map's scaled handle alone,
+
+        z+ <- prox_{t g}((1 - t) z + t T x),
+
+    and returns y = T^+ z. (z - z+) / t - (z - T x) is a subgradient of g at
+    z+, so the objective has the subgradient (1/t - 1)(z - z+) at z+. The
+    problem is 1-strongly convex, so (1/t - 1) ||z - z+||, ||z - z+|| / 9,
+    bounds ||z+ - z*||, the T-norm error of y, in exact arithmetic; the
+    certificate adds the rounding term eps (||z+|| + ||T x||) for the
+    rounding of the step (measured, see ``_STEP``). Active coordinates of a
+    shrinkage contract by 1 - t = 1/10 per iteration; dead-zone ones land on
+    exact zeros. At t = 1 this would be the closed form prox_g(T x); at
+    t < 1 it stays a numerical solve.
+
+    The columns of a (d, k) block run in lockstep. Each column stops at its
+    first z+ whose certificate is within ``tol``, or unconverged at its
+    first z+ whose rounding term alone exceeds ``tol``; ||z+|| only grows
+    from z = 0 for the catalog maps, so no later iterate could certify.
+    A stopped column leaves the block, so its numbers do not depend on
+    which other columns share it; ``residual`` is the largest certificate.
+
+    The report carries a minimizer of x's shape and no objective; an empty
+    (d, 0) block gives an empty minimizer, converged, with residual 0.
+    Non-convergence is reported through the ``converged`` flag, not raised;
+    a NaN or inf signal raises ValueError naming its column, as
+    ``frame_prox`` and ``induced_regularizer`` do, and a NaN or negative
+    ``tol`` raises ValueError at once.
+    """
+    _check_tol(tol)
+    fs = getattr(g, "shrinkage", g)
+    if not isinstance(fs, FrameShrinkage):
+        raise TypeError("numeric_prox expects a FrameShrinkage or an InducedRegularizer")
+    op, inner = fs.operator, fs.inner_prox
+    x = np.asarray(x, dtype=float)
+    tx = _analysis(op, x.reshape(-1, 1) if x.ndim < 2 else x)
+
+    eps = np.finfo(float).eps
+    z_out = np.zeros_like(tx)
+    cert = np.full(tx.shape[1], np.inf)
+    cols = np.arange(tx.shape[1])
+    z, tv, tx_norm = np.zeros_like(tx), _STEP * tx, _norms(tx)
+    iters = 0
+    while cols.size and iters < max_iter:
+        iters += 1
+        z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
+        rounding = eps * (_norms(z_new) + tx_norm)
+        now = (1.0 / _STEP - 1.0) * _norms(z - z_new) + rounding
+        z = z_new
+        stop = (now <= tol) | (tol < rounding) | (iters == max_iter)
+        if stop.any():
+            z_out[:, cols[stop]], cert[cols[stop]] = z[:, stop], now[stop]
+            keep = ~stop
+            cols, z, tv, tx_norm = cols[keep], z[:, keep], tv[:, keep], tx_norm[keep]
+    resid = float(np.max(cert, initial=0.0))
+
+    return SolveReport(
+        minimizer=(op.pinv @ z_out).reshape(x.shape),
+        objective=None,
+        iterations=iters,
+        residual=resid,
+        tolerance=tol,
+        converged=bool(resid <= tol),
+    )
 
 
 # --- verification ------------------------------------------------------------

@@ -115,7 +115,9 @@ def solve_analysis_dual(
     large data do not overflow and those of tiny data do not underflow
     into a zero gap. The minimizer is scaled back; a positive gap whose
     product with s^2 underflows reports the smallest positive float.
-    A NaN ``tol`` raises ValueError at once.
+    A zero T, or one with no rows, takes zero steps and certifies y = x
+    with gap 0 at the first iteration. A NaN or negative ``tol`` raises
+    ValueError at once.
     """
     _check_tol(tol)
     t = problem.matrix
@@ -125,7 +127,8 @@ def solve_analysis_dual(
         sigma_max_sq = problem.operator.frame_bounds[1]
     else:
         sigma_max_sq = float(np.linalg.norm(t, 2) ** 2)
-    step = 1.0 / sigma_max_sq
+    # a zero (or row-less) T maps every y to 0, so p = 0, y = x is exact
+    step = 1.0 / sigma_max_sq if sigma_max_sq > 0 else 0.0
 
     p = np.zeros(t.shape[0])
     y = x - t.T @ p

@@ -325,6 +325,19 @@ def test_solve_gap_reaching_tol_converges(capsys, argv, iterations):
     assert doc["iterations"] <= iterations
 
 
+@pytest.mark.parametrize("operator, x", [("zeros.csv", "1,2"), ("random:0x3:1", "1,2,3")])
+def test_solve_zero_or_rowless_matrix_certifies_the_data(tmp_path, capsys, operator, x):
+    # T y = 0 for every y: the data is the minimizer, with gap 0, and the
+    # solve neither divides by sigma_max(T) = 0 nor builds a frame from T
+    if operator.endswith(".csv"):
+        operator = str(tmp_path / operator)
+        save_matrix_csv(np.zeros((3, 2)), operator)
+    code, out, _ = run(capsys, "solve", "--operator", operator, "--x", x)
+    doc = json.loads(out.splitlines()[0])
+    assert code == 0 and doc["converged"] is True and doc["iterations"] == 1
+    assert doc["minimizer"] == [float(v) for v in x.split(",")]
+
+
 @pytest.mark.parametrize("tol, code", [((), 1), (("--tol", "1e305"), 0)])
 def test_solve_large_data_does_not_overflow(capsys, tol, code):
     # pyproject's filterwarnings fails this test on an overflow or

@@ -24,7 +24,13 @@ from proxframe import (
 from proxframe.cli import load_named_matrix
 from proxframe.prox import _central_diff
 from proxframe.sampling import sample_trials
-from support import central_diff, entry_terms, golden_section, moreau_trial_violations
+from support import (
+    central_diff,
+    entry_terms,
+    euclidean_prox,
+    golden_section,
+    moreau_trial_violations,
+)
 
 lambdas = st.floats(min_value=0.05, max_value=10.0)
 points = st.floats(min_value=-30.0, max_value=30.0)
@@ -292,29 +298,16 @@ def test_moreau_characterization_rounding_does_not_grow_with_dim(pm):
 
 
 def test_numeric_prox_euclidean_matches_soft():
-    rep = numeric_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-10)
+    rep = euclidean_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-10)
     assert rep.converged
     y = rep.minimizer[0]
     assert abs(y - 1.0) <= 1e-8
     assert np.isclose(0.5 * (2.0 - y) ** 2 + abs(y), 1.5, atol=1e-8)
 
 
-def test_numeric_prox_euclidean_builds_no_operator(monkeypatch):
-    # T = I needs no SVD: the Euclidean oracle runs on x itself
-    import proxframe.operators
-
-    calls = []
-    monkeypatch.setattr(proxframe.operators, "build_operator", lambda *a, **k: calls.append(a))
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
-    x = np.random.default_rng(1).standard_normal((200, 3))
-    rep = numeric_prox(soft_shrink_map(1.0), x, tol=1e-9)
-    assert rep.converged and calls == []
-    np.testing.assert_allclose(rep.minimizer, soft_shrink(x, 1.0), rtol=0, atol=1e-9)
-
-
 def test_numeric_prox_zero_function_is_identity():
     x = np.array([3.0, -1.0, 0.2])
-    rep = numeric_prox(identity_map(), x, tol=1e-12)
+    rep = euclidean_prox(identity_map(), x, tol=1e-12)
     np.testing.assert_allclose(rep.minimizer, x, atol=1e-10)
 
 
@@ -322,7 +315,7 @@ def test_numeric_prox_componentwise_random(rng):
     lam = 0.6
     tol = 1e-9
     x = rng.standard_normal(8) * 3
-    rep = numeric_prox(soft_shrink_map(lam), x, tol=tol)
+    rep = euclidean_prox(soft_shrink_map(lam), x, tol=tol)
     np.testing.assert_allclose(rep.minimizer, soft_shrink(x, lam), atol=10 * tol)
 
 
@@ -333,49 +326,53 @@ def test_numeric_prox_euclidean_within_tol_of_closed_form(rng, lam, tol):
     # by signal and as one column block
     xs = rng.standard_normal((8, 25)) * 3
     for x in xs.T:
-        rep = numeric_prox(soft_shrink_map(lam), x, tol=tol)
+        rep = euclidean_prox(soft_shrink_map(lam), x, tol=tol)
         assert rep.converged
         assert np.max(np.abs(rep.minimizer - soft_shrink(x, lam))) <= tol
-    block = numeric_prox(soft_shrink_map(lam), xs, tol=tol)
+    block = euclidean_prox(soft_shrink_map(lam), xs, tol=tol)
     assert block.converged
     assert np.max(np.abs(block.minimizer - soft_shrink(xs, lam))) <= tol
 
 
 def test_numeric_prox_not_converged_flag():
-    rep = numeric_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-14, max_iter=3)
+    rep = euclidean_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-14, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
 
 
 def test_numeric_prox_column_norms_do_not_overflow():
     # ||(1e160, 1)||^2 overflows; its norm does not, and the oracle certifies
-    # as it does one scale down, with no overflow warning; at a tol below 4
-    # ulps of 1e160 it stops unconverged at z = 0, again with no warning.
+    # as it does one scale down, with no overflow warning; at a tol below 1
+    # ulp of 1e160 it stops unconverged, again with no warning.
     # The step term alone reaches tol at iteration 10 with the iterate
     # 0.24 eps (||z|| + ||T x||) beyond it; the certificate's rounding term
     # holds the column to iteration 11, within tol
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for big, tol in ((1e150, 1e140), (1e160, 1e150)):
-            rep = numeric_prox(soft_shrink_map(1.0), np.array([big, 1.0]), tol=tol)
+            rep = euclidean_prox(soft_shrink_map(1.0), np.array([big, 1.0]), tol=tol)
             assert rep.converged and rep.iterations == 11 and rep.residual <= tol
             assert np.linalg.norm(rep.minimizer - [big - 1.0, 0.0]) <= tol
-        rep = numeric_prox(soft_shrink_map(1.0), np.array([1e160, 1.0]), tol=1e-6)
+        rep = euclidean_prox(soft_shrink_map(1.0), np.array([1e160, 1.0]), tol=1e-6)
         assert not rep.converged
 
 
 def test_numeric_prox_below_float_resolution_fails_at_once():
     from proxframe import FrameShrinkage, InducedRegularizer, example_operator
 
+    # a tol below the rounding term of the first iterate is unreachable: the
+    # column stops there, unconverged, with that iterate's finite certificate
     for tol in (0.0, 1e-30):
-        rep = numeric_prox(soft_shrink_map(1.0), np.array([2.0, -0.5]), tol=tol)
-        assert not rep.converged and rep.iterations == 0
+        rep = euclidean_prox(soft_shrink_map(1.0), np.array([2.0, -0.5]), tol=tol)
+        assert not rep.converged and rep.iterations == 1
+        assert tol < rep.residual < np.inf
         fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
         reg = InducedRegularizer.from_shrinkage(fs)
         rep = numeric_prox(reg, np.array([[1.0, 0.3]]), tol=tol)
-        assert not rep.converged and rep.iterations == 0
+        assert not rep.converged and rep.iterations == 1
+        assert tol < rep.residual < np.inf
     # an all-zero column has nothing to resolve, and lands exactly
-    rep = numeric_prox(soft_shrink_map(1.0), np.zeros(3), tol=0.0)
+    rep = euclidean_prox(soft_shrink_map(1.0), np.zeros(3), tol=0.0)
     assert rep.converged
 
 
@@ -383,20 +380,21 @@ def test_numeric_prox_rejects_nonfinite_signals_at_once():
     from proxframe import InducedRegularizer, example_shrinkage
 
     with pytest.raises(ValueError, match="column 0"):
-        numeric_prox(soft_shrink_map(1.0), np.array([np.nan]))
+        euclidean_prox(soft_shrink_map(1.0), np.array([np.nan]))
     fs = example_shrinkage()
     reg = InducedRegularizer.from_shrinkage(fs)
     with pytest.raises(ValueError, match="column 1"):
         numeric_prox(reg, np.array([[1.0, np.inf, 0.5]]))
     with pytest.raises(DimensionMismatch):
-        numeric_prox(soft_shrink_map(1.0), np.zeros((2, 2, 2)))
+        euclidean_prox(soft_shrink_map(1.0), np.zeros((2, 2, 2)))
 
 
 @pytest.mark.parametrize("spec", ["random:12x5:7", "random:200x100:2"])
 def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec):
-    # thresholds a few ulps of max |Tx| above float resolution: where rounding
-    # stalls the certificate above them, the column stops as unconverged at
-    # once instead of iterating to the cap
+    # thresholds from 1 to 256 ulps of max |Tx|: where the certificate's
+    # rounding term exceeds one, the column stops unconverged instead of
+    # iterating to the cap, and a column reports converged exactly when its
+    # certificate is within tol
     from proxframe import FrameShrinkage, InducedRegularizer
 
     op = build_operator(load_named_matrix(spec))
@@ -405,7 +403,7 @@ def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec):
     for lam in (0.1, 1.0, 10.0):
         fs = FrameShrinkage(op, soft_shrink_map(lam))
         reg = InducedRegularizer.from_shrinkage(fs)
-        for k in (1.5, 4, 16, 64, 256):
+        for k in (1, 1.5, 2, 4, 16, 64, 256):
             rep = numeric_prox(reg, x, tol=k * ulp, max_iter=2000)
             assert rep.iterations < 2000, (lam, k, rep.residual)
             assert rep.converged == (rep.residual <= k * ulp)
@@ -422,7 +420,7 @@ def test_numeric_prox_is_pinv_of_the_inner_prox_at_tx(spec, lam):
     x = np.random.default_rng(5).standard_normal((op.d, 9)) * np.repeat([0.1, 1.0, 10.0], 3)
     fs = FrameShrinkage(op, soft_shrink_map(lam))
     rep = numeric_prox(fs, x)
-    euclidean = numeric_prox(fs.inner_prox, op.matrix @ x)
+    euclidean = euclidean_prox(fs.inner_prox, op.matrix @ x)
     np.testing.assert_array_equal(rep.minimizer, op.pinv @ euclidean.minimizer)
     assert (rep.iterations, rep.converged) == (euclidean.iterations, euclidean.converged)
 
@@ -439,9 +437,9 @@ def test_numeric_prox_is_pinv_of_the_inner_prox_at_tx(spec, lam):
 )
 def test_numeric_prox_converges_sixteen_ulps_above_its_terms(make):
     # the certificate is a ninth of a forward-backward step plus 1 ulp of
-    # ||z|| + ||T x||, and its floor is 4 ulps of that, with z tending to S(T x):
-    # a tol of 16 ulps of the largest column's terms is above it on every
-    # operator, however far T^+ T is from I in the last bits
+    # ||z|| + ||T x||, with z tending to S(T x): a tol of 16 ulps of the
+    # largest column's terms is above it on every operator, however far
+    # T^+ T is from I in the last bits
     from proxframe import FrameShrinkage
 
     op = make()
@@ -462,15 +460,16 @@ def test_numeric_prox_converges_sixteen_ulps_above_its_terms(make):
 def test_numeric_prox_columns_do_not_depend_on_the_block(shape, pm, tol):
     # each column leaves the block at its own first certified iterate, so a
     # column of a mixed-scale block is bit for bit its single-column solve;
-    # at tol 1e-13 the large columns stop below the rounding floor instead.
+    # at tol 1e-13 the large columns stop unconverged instead, once their
+    # rounding term exceeds tol.
     # The T-metric oracle is this one at T x, mapped back by T^+ (pinned
     # above); BLAS may round those products differently at another column
     # count, so blocks are compared here in the Euclidean metric
     rng = np.random.default_rng(11)
     k = shape[1]
     x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=k)
-    block = numeric_prox(pm, x, tol=tol)
-    singles = [numeric_prox(pm, x[:, j], tol=tol) for j in range(k)]
+    block = euclidean_prox(pm, x, tol=tol)
+    singles = [euclidean_prox(pm, x[:, j], tol=tol) for j in range(k)]
     for j, rep in enumerate(singles):
         np.testing.assert_array_equal(block.minimizer[:, j], rep.minimizer)
     assert block.converged == all(rep.converged for rep in singles)
@@ -517,7 +516,7 @@ def test_numeric_prox_metric_flagship():
 
 def test_numeric_prox_metric_type_errors():
     # the operator comes from g: a shrinkage and its regularizer give the
-    # same solve, and any other g that is not a ProxMap is refused
+    # same solve, and any other g, a bare ProxMap included, is refused
     from proxframe import FrameShrinkage, InducedRegularizer, example_operator
 
     fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
@@ -529,10 +528,12 @@ def test_numeric_prox_metric_type_errors():
         numeric_prox(lambda v: v, np.array([1.0]))
     with pytest.raises(TypeError):
         numeric_prox(object(), np.array([1.0]))
+    with pytest.raises(TypeError):
+        numeric_prox(soft_shrink_map(1.0), np.array([1.0]))
 
 
 def test_solve_report_json_shape():
-    rep = numeric_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-10)
+    rep = euclidean_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-10)
     doc = json.loads(rep.to_json())
     assert list(doc) == ["minimizer", "objective", "iterations", "converged"]
 
@@ -542,7 +543,7 @@ def test_solve_report_objective_none_without_function():
     # for the catalog maps alike
     bare = ProxMap(name="bare_soft", lam=1.0, prox=lambda v, t=1.0: soft_shrink(v, t))
     for pm in (bare, soft_shrink_map(1.0), identity_map()):
-        rep = numeric_prox(pm, np.array([2.0]), tol=1e-10)
+        rep = euclidean_prox(pm, np.array([2.0]), tol=1e-10)
         assert rep.converged
         assert rep.objective is None
         assert rep.to_dict()["objective"] is None

@@ -327,15 +327,39 @@ def test_momentum_table_follows_the_recursion_as_it_grows(monkeypatch):
     np.testing.assert_array_equal(shrinkage_module._momentum(1), expected)
 
 
-@pytest.mark.parametrize("solve", [
+SOLVES = pytest.mark.parametrize("solve", [
     lambda tol: induced_regularizer(InducedRegularizer.from_shrinkage(example_shrinkage()), [1.0], tol=tol),
     lambda tol: numeric_prox(example_shrinkage(), np.array([1.0]), tol=tol),
     lambda tol: solve_analysis_dual(AnalysisProblem(np.array([1.0]), example_operator(), 1.0), tol=tol),
 ], ids=["induced_regularizer", "numeric_prox", "solve_analysis_dual"])
+
+
+@SOLVES
 def test_nan_tol_is_refused_at_once(solve):
     # no gap or certificate compares <= NaN, so the solve would run to its cap
     with pytest.raises(ValueError, match="NaN"):
         solve(np.nan)
+
+
+@SOLVES
+def test_negative_tol_is_refused_at_once(solve):
+    # no certificate is negative; the CLI refuses --tol -1 the same way
+    with pytest.raises(ValueError, match=">= 0"):
+        solve(-1.0)
+
+
+@pytest.mark.parametrize("op", [example_operator(), build_operator(np.eye(4)[:, :3])],
+                         ids=["example35", "4x3"])
+def test_empty_block_gives_empty_results(op):
+    # a (d, 0) block has no column to certify
+    fs = FrameShrinkage(op, soft_shrink_map(1.0))
+    reg = InducedRegularizer.from_shrinkage(fs)
+    empty = np.zeros((op.d, 0))
+    assert frame_prox(fs, empty).shape == (op.d, 0)
+    assert induced_regularizer(reg, empty).shape == (0,)
+    rep = numeric_prox(reg, empty)
+    assert rep.minimizer.shape == (op.d, 0)
+    assert rep.converged and rep.residual == 0.0 and rep.iterations == 0
 
 
 def test_induced_regularizer_dimension_mismatch():

@@ -127,6 +127,17 @@ def test_dual_solver_not_converged_flag(rng):
     assert rep.iterations == 1
 
 
+@pytest.mark.parametrize("matrix", [np.zeros((3, 2)), np.zeros((0, 2))], ids=["zeros3x2", "rowless"])
+def test_dual_solver_zero_matrix_certifies_the_data(matrix):
+    # T y = 0 for every y, so y = x is the minimizer, with a duality gap of 0;
+    # sigma_max(T) = 0 gives a zero step instead of a division by zero
+    x = np.array([1.0, -2.0])
+    rep = solve_analysis_dual(AnalysisProblem(x, matrix, 1.0), tol=0.0)
+    assert rep.converged and rep.iterations == 1 and rep.residual == 0.0
+    np.testing.assert_array_equal(rep.minimizer, x)
+    assert rep.objective == 0.0
+
+
 def test_dual_solver_single_column_closed_form(rng):
     # for T = t in R^{n x 1}, lam ||Ty||_1 = lam ||t||_1 |y|: the minimizer is
     # soft shrinkage of x at lam ||t||_1; a gap of tol bounds |y - y*| by sqrt(2 tol)
