@@ -218,7 +218,10 @@ def induced_regularizer(
     differently at another column count.
 
     Raises ValueError on non-finite input or a NaN ``tol``, and NotConverged
-    if some column is not certified within ``max_iter`` iterations.
+    if some column is not certified within ``max_iter`` iterations. The gap
+    is checked every ``_GAP_STRIDE`` iterations, so the solve runs at most
+    ``max_iter`` rounded down to a multiple of it, and the message names the
+    iterations run and the gap reached (inf if none ran).
     """
     _check_tol(tol)
     fs = reg.shrinkage
@@ -274,9 +277,10 @@ def induced_regularizer(
         solvers = [_fista_points(proj, c_open, lam), _admm_points(proj, c_open, lam, rho)]
         cols = certify(solvers, cols, max_iter - _FISTA_ITERS)
     if cols.size:
+        # every check ran: max_iter rounded down to a multiple of the stride
         raise NotConverged(
-            f"regularizer evaluation left a duality gap of {np.max(gap[cols]):.3e} "
-            f"after {max_iter} iterations"
+            f"regularizer evaluation left a duality gap of {np.max(gap[cols]):.3e} after "
+            f"{max_iter - max_iter % _GAP_STRIDE} iterations (checked every {_GAP_STRIDE})"
         )
     return float(vals[0]) if squeeze else vals
 
@@ -363,8 +367,12 @@ def numeric_prox(
     first z+ whose certificate is within ``tol``, or unconverged at its
     first z+ whose rounding term alone exceeds ``tol``; ||z+|| only grows
     from z = 0 for the catalog maps, so no later iterate could certify.
-    A stopped column leaves the block, so its numbers do not depend on
-    which other columns share it; ``residual`` is the largest certificate.
+    A stopped column leaves the block; ``residual`` is the largest
+    certificate. A column's numbers match a one-column call up to rounding
+    only: numpy sums a block's squares, and forms T x, in an order set by
+    the block's width, so a norm can differ in the last bit (in 106 of the
+    490 columns of one (9, 490) standard-normal block), and a certificate
+    within an ulp of ``tol`` can stop the column an iteration apart.
 
     The report carries a minimizer of x's shape and no objective; an empty
     (d, 0) block gives an empty minimizer, converged, with residual 0.

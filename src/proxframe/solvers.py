@@ -2,13 +2,13 @@
 
 The analysis problem  min_y 1/2 ||x - y||^2 + lam ||Ty||_1  has closed-form
 solutions only for special T (orthogonal, or orthonormal rows); the dual
-active-set solver here is the reference for everything else. Each of its
-iterations takes one projected-gradient step on the box-constrained dual,
-which identifies a face, minimizes exactly over that face by one
-least-squares solve, and moves toward that minimizer by a projected,
-backtracking step. It stops on the certified duality gap, on the gap's
-float64 rounding, or on an iteration that does not lower the dual
-objective. It also documents that frame shrinkage is *not* that minimizer:
+solver here is the reference for everything else. Its box-constrained dual
+is a bounded-variable least-squares problem, solved by BVLS (Stark &
+Parker 1995), which moves one coordinate at a time between the free and
+the bound set and keeps the least-squares point of the free set inside
+the box. It stops on a certified duality gap, on the gap's float64
+rounding, or once no bound coordinate can move into the box. It also
+documents that frame shrinkage is *not* that minimizer:
 the shrinkage is the prox of its induced regularizer in the T metric, which
 is a different objective.
 """
@@ -75,96 +75,103 @@ def analysis_objective(problem: AnalysisProblem, y: np.ndarray) -> float:
     quad = float(0.5 * np.sum((problem.x / s - y / s) ** 2))
     l1 = float(np.sum(np.abs(problem.matrix @ (y / s_y))))
     # Python floats: past the float64 range the product is inf, without a warning
-    return quad * s * s + problem.lam * l1 * s_y
-
-
-def _objective(x: np.ndarray, t: np.ndarray, lam: float, y: np.ndarray) -> float:
-    return float(0.5 * np.sum((x - y) ** 2) + lam * np.sum(np.abs(t @ y)))
+    return quad * s * s + float(problem.lam) * l1 * s_y
 
 
 _EPS = np.finfo(float).eps
 
 
+def _times_square(value: float, scale: float) -> float:
+    """value scale^2 in Python floats: inf past the float64 range, and a positive value stays positive."""
+    out = value * scale * scale
+    return max(out, math.ulp(0.0)) if value > 0 else out
+
+
 def solve_analysis_dual(
     problem: AnalysisProblem, tol: float = 1e-10, max_iter: int = 200000
 ) -> SolveReport:
-    """Minimize 1/2 ||x - y||^2 + lam ||Ty||_1 by an active-set method on the dual.
+    """Minimize 1/2 ||x - y||^2 + lam ||Ty||_1 by bounded-variable least squares on the dual.
 
-    The dual is min { 1/2 ||y||^2 : y = x - T* p, ||p||_inf <= lam }, and the
-    primal point is that y. Each iteration (Moré & Toraldo 1991) takes the
-    projected-gradient step p <- clip(p + Ty / sigma_max(T)^2, -lam, lam),
-    which identifies a face; minimizes exactly over its free coordinates
-    F = {|p_i| < lam} by one least-squares solve delta = lstsq(T_F*, y); and
-    moves p_F to clip(p_F + alpha delta) for the first alpha in 1, 1/2, 1/4,
-    ... that strictly lowers 1/2 ||y||^2. If none does before the clipped
-    point stops moving, the projected-gradient point stands. ``iterations``
-    counts these iterations.
+    The dual is min { 1/2 ||y||^2 : y = x - T* p, ||p||_inf <= lam }, a
+    bounded-variable least-squares problem, and the primal point is that y.
+    BVLS (Stark & Parker 1995) starts at the least-squares point lstsq(T*, x)
+    clipped into the box; the coordinates the clip left inside are free,
+    the others bound. Each iteration solves least squares over the free
+    coordinates with the bound ones held fixed and, while that point leaves
+    the box, moves toward it until the first free coordinate reaches its
+    bound, binds it, and solves again. It then frees the bound coordinate
+    whose (Ty)_i points furthest into the box for the next iteration.
+    ``iterations`` counts these iterations.
 
-    Terminates when the duality gap lam ||Ty||_1 - <p, Ty> drops to ``tol``;
-    non-convergence is flagged on the report. An iteration whose gap is
-    above ``tol`` also stops, unconverged, if ``tol`` is below
+    Terminates when the duality gap lam ||Ty||_1 - <p, Ty> drops to ``tol``,
+    or when 1/2 ||y||^2, the gap of the primal point 0 against the same p,
+    does; the report takes the smaller of the two, with the minimizer y or
+    0. Non-convergence is flagged on the report. An iteration whose gaps
+    are above ``tol`` also stops, unconverged, if ``tol`` is below
     eps (lam ||Ty||_1 + |p| . |Ty|), the float64 rounding of the gap's two
-    terms at that iterate, or if it did not strictly lower 1/2 ||y||^2, so
-    a ``tol`` below where the gap stalls ends there; a ``tol`` of 0 thus
-    stops at once unless the gap is exactly 0.
+    terms at that iterate, so a ``tol`` of 0 stops at once unless a gap is
+    exactly 0; if no bound coordinate points into the box, which in exact
+    arithmetic makes p optimal; or if the coordinate it would free is the
+    one the last iteration freed, bound again at the same value, which only
+    rounding does and which would repeat that iteration.
 
     The iteration runs on x / s and lam / s, for ``_scale``'s power of two
     s near max|x| (no smaller than about lam 2^-500, so lam / s stays
     finite), and compares the gap with tol / s^2: the scaling is exact, so
     the iterates are those of the unscaled problem divided by s, squares of
     large data do not overflow and those of tiny data do not underflow
-    into a zero gap. The minimizer is scaled back; a positive gap whose
-    product with s^2 underflows reports the smallest positive float.
-    A zero T, or one with no rows, takes zero steps and certifies y = x
-    with gap 0 at the first iteration. A NaN or negative ``tol`` raises
-    ValueError at once.
+    into a zero gap. 1/2 ||y||^2 is taken on y divided by its own power of
+    two, so it does not underflow when y is far below x. The minimizer is
+    scaled back; a positive gap whose product with s^2 underflows reports
+    the smallest positive float. A zero T, or one with no rows, certifies
+    y = x with gap 0 at the first iteration. A NaN or negative ``tol``
+    raises ValueError at once.
     """
     _check_tol(tol)
     t = problem.matrix
     s = _scale(problem.x, problem.lam)
     x, lam, tol_s = problem.x / s, problem.lam / s, float(tol) / s / s
-    if isinstance(problem.operator, AnalysisOperator):
-        sigma_max_sq = problem.operator.frame_bounds[1]
-    else:
-        sigma_max_sq = float(np.linalg.norm(t, 2) ** 2)
-    # a zero (or row-less) T maps every y to 0, so p = 0, y = x is exact
-    step = 1.0 / sigma_max_sq if sigma_max_sq > 0 else 0.0
-
-    p = np.zeros(t.shape[0])
-    y = x - t.T @ p
-    obj = 0.5 * (y @ y)
-    gap, k, converged = np.inf, 0, False
+    p = np.clip(np.linalg.lstsq(t.T, x, rcond=None)[0], -lam, lam)
+    free, y, freed = np.abs(p) < lam, x, None
+    gap, zero_gap, k, converged = np.inf, np.inf, 0, False
     for k in range(1, max_iter + 1):
-        last = obj
-        p = np.clip(p + step * (t @ y), -lam, lam)
-        y = x - t.T @ p
-        obj = 0.5 * (y @ y)
+        while free.any():
+            step = np.zeros_like(p)
+            step[free] = np.linalg.lstsq(t[free].T, x - t.T @ p, rcond=None)[0]
+            out = np.abs(p + step) > lam
+            if not out.any():
+                p += step
+                break
+            # the fraction of the step at which each leaving coordinate meets its bound
+            ratio = (np.copysign(lam, step[out]) - p[out]) / step[out]
+            first = np.flatnonzero(out)[np.argmin(ratio)]
+            p = np.clip(p + ratio.min() * step, -lam, lam)
+            p[first] = np.copysign(lam, step[first])
+            free = np.abs(p) < lam
         free = np.abs(p) < lam
-        if free.any():
-            delta = np.linalg.lstsq(t[free].T, y, rcond=None)[0]
-            p_free, trial, alpha = p[free], p.copy(), 1.0
-            while True:
-                trial[free] = np.clip(p_free + alpha * delta, -lam, lam)
-                if np.array_equal(trial[free], p_free):
-                    break
-                y_trial = x - t.T @ trial
-                obj_trial = 0.5 * (y_trial @ y_trial)
-                if obj_trial < obj:
-                    p, y, obj = trial, y_trial, obj_trial
-                    break
-                alpha *= 0.5
+        y = x - t.T @ p
         ty = t @ y
         l1 = lam * np.sum(np.abs(ty))
         gap = float(l1 - p @ ty)
-        converged = gap <= tol_s
-        if converged or tol_s < _EPS * (l1 + np.abs(p) @ np.abs(ty)) or obj >= last:
+        s_y = _scale(y)
+        zero_gap = _times_square(0.5 * float(np.sum((y / s_y) ** 2)), s_y * s)
+        converged = gap <= tol_s or zero_gap <= tol
+        # how far each bound coordinate's (Ty)_i points into the box
+        inward = np.where(free, 0.0, -np.sign(p) * ty)
+        if converged or tol_s < _EPS * (l1 + np.abs(p) @ np.abs(ty)) or inward.max() <= 0:
             break
+        i = int(np.argmax(inward))
+        # the coordinate freed last, bound again at the same value: freeing it repeats that step
+        if freed == (i, p[i]):
+            break
+        freed, free[i] = (i, p[i]), True
+    residual = _times_square(gap, s)
+    minimizer = y * s if residual <= zero_gap else np.zeros_like(y)
     return SolveReport(
-        minimizer=y * s,
-        # Python floats: past the float64 range the product is inf, without a warning
-        objective=_objective(x, t, lam, y) * s * s,
+        minimizer=minimizer,
+        objective=analysis_objective(problem, minimizer),
         iterations=k,
-        residual=max(gap * s * s, math.ulp(0.0)) if gap > 0 else gap * s * s,
+        residual=min(residual, zero_gap),
         tolerance=tol,
         converged=converged,
     )

@@ -300,20 +300,22 @@ def test_solve_inline_vector(capsys):
 TWENTY_ONES = ",".join(["1"] * 20)
 
 
-@pytest.mark.parametrize("tol", ["0", "1e-15", "3e-15"])
+@pytest.mark.parametrize("tol", ["0", "1e-15", "3e-15", "1e-14"])
 def test_solve_below_gap_rounding_stops_unconverged(capsys, tol):
-    # after the first iteration the rounding of the gap's terms is 3.7e-29,
-    # which stops tol 0; the gap then stalls near 1e-14 and the dual objective
-    # stops falling at iteration 6, which stops the other two
-    code, out, _ = run(capsys, "solve", "--operator", "random:40x20:1", "--x", TWENTY_ONES,
-                       "--tol", tol)
+    # the minimizer is not 0 here. After the first iteration the rounding of
+    # the gap's terms is 3.0e-15, which stops the three smaller tols; a tol
+    # just above it runs on, and the gap stalls at 2.8e-14 at iteration 5,
+    # where no bound coordinate points into the box, which stops 1e-14
+    twos = ",".join(["2"] * 20)
+    code, out, _ = run(capsys, "solve", "--operator", "random:40x20:2", "--x", twos,
+                       "--lambda", "0.5", "--tol", tol)
     doc = json.loads(out.splitlines()[0])
     assert code == 1 and doc["converged"] is False
     assert doc["iterations"] <= 64
 
 
 @pytest.mark.parametrize("argv, iterations", [
-    # the gap first reaches 1e-14 after 6 iterations
+    # the minimizer is 0, and the gap of 0, 1/2 ||y||^2, certifies it at once
     (("--operator", "random:40x20:1", "--x", TWENTY_ONES, "--tol", "1e-14"), 1000),
     # the gap is exactly 0 after the first iteration
     (("--operator", "example35", "--x", "1", "--tol", "0"), 2),
@@ -328,7 +330,7 @@ def test_solve_gap_reaching_tol_converges(capsys, argv, iterations):
 @pytest.mark.parametrize("operator, x", [("zeros.csv", "1,2"), ("random:0x3:1", "1,2,3")])
 def test_solve_zero_or_rowless_matrix_certifies_the_data(tmp_path, capsys, operator, x):
     # T y = 0 for every y: the data is the minimizer, with gap 0, and the
-    # solve neither divides by sigma_max(T) = 0 nor builds a frame from T
+    # solve does not build a frame from T
     if operator.endswith(".csv"):
         operator = str(tmp_path / operator)
         save_matrix_csv(np.zeros((3, 2)), operator)

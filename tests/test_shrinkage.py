@@ -128,6 +128,17 @@ def test_induced_regularizer_not_converged():
         induced_regularizer(reg, np.array([1.0]), tol=1e-12, max_iter=2)
 
 
+@pytest.mark.parametrize("max_iter, message", [
+    # the gap is checked every 8 iterations: below 8 none runs, and 12 runs 8
+    (5, "duality gap of inf after 0 iterations"),
+    (12, r"duality gap of \d\.\d{3}e-0\d after 8 iterations"),
+])
+def test_induced_regularizer_not_converged_names_the_iterations_run(max_iter, message):
+    reg = InducedRegularizer.from_shrinkage(example_shrinkage())
+    with pytest.raises(NotConverged, match=message):
+        induced_regularizer(reg, 0.3, max_iter=max_iter)
+
+
 def test_nonfinite_signals_rejected(rng):
     fs = FrameShrinkage(random_operator(6, 3, rng), soft_shrink_map(1.0))
     reg = InducedRegularizer.from_shrinkage(fs)

@@ -118,19 +118,19 @@ def test_analysis_objective_scales_its_data_by_a_power_of_two():
         assert analysis_objective(scaled, np.ldexp(y, k)) == np.ldexp(value, 2 * k)
 
 
-def test_dual_solver_not_converged_flag(rng):
-    # one iteration leaves a gap of 0.08 here; the second certifies 1e-14
-    op = random_operator(8, 5, rng)
-    prob = AnalysisProblem(rng.standard_normal(5), op, 0.5)
-    rep = solve_analysis_dual(prob, tol=1e-14, max_iter=1)
+def test_dual_solver_not_converged_flag():
+    # the first draw of random_problems takes 46 BVLS steps to certify 1e-10;
+    # one step leaves it uncertified
+    prob = next(random_problems(1))
+    assert solve_analysis_dual(prob, tol=1e-10).iterations >= 2
+    rep = solve_analysis_dual(prob, tol=1e-10, max_iter=1)
     assert not rep.converged
     assert rep.iterations == 1
 
 
 @pytest.mark.parametrize("matrix", [np.zeros((3, 2)), np.zeros((0, 2))], ids=["zeros3x2", "rowless"])
 def test_dual_solver_zero_matrix_certifies_the_data(matrix):
-    # T y = 0 for every y, so y = x is the minimizer, with a duality gap of 0;
-    # sigma_max(T) = 0 gives a zero step instead of a division by zero
+    # T y = 0 for every y, so y = x is the minimizer, with a duality gap of 0
     x = np.array([1.0, -2.0])
     rep = solve_analysis_dual(AnalysisProblem(x, matrix, 1.0), tol=0.0)
     assert rep.converged and rep.iterations == 1 and rep.residual == 0.0
@@ -174,6 +174,48 @@ def test_dual_solver_certifies_slow_projected_gradient_cases(index):
     ref = solve_analysis_dual(prob, tol=1e-12)
     assert ref.converged
     assert rep.objective <= ref.objective + 1e-10
+
+
+def test_dual_solver_certifies_every_random_problem_within_60_iterations():
+    # BVLS moves one coordinate from the bound to the free set per step; the
+    # worst of the 100 draws takes 46 steps
+    for index, prob in enumerate(random_problems()):
+        rep = solve_analysis_dual(prob, tol=1e-10)
+        assert rep.converged and rep.residual <= 1e-10, index
+        assert rep.iterations <= 60, index
+
+
+def test_dual_solver_repeated_and_negated_rows_certify():
+    # rows repeated, negated or zero make the least-squares problem on the
+    # free set rank-deficient and tie coordinates; integer entries make the
+    # ties exact
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        d, m = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+        base = rng.standard_normal((m, d))
+        if rng.random() < 0.5:
+            base = np.round(base)
+        t = np.vstack([base, -base, base[: m // 2], np.zeros((int(rng.integers(0, 3)), d))])
+        t = t[rng.permutation(t.shape[0])]
+        x = np.round(rng.standard_normal(d) * 4) / 2
+        lam = float(rng.choice([0.125, 0.5, 1, 4]))
+        rep = solve_analysis_dual(AnalysisProblem(x, t, lam), tol=1e-10, max_iter=400)
+        assert rep.converged and rep.iterations <= 30
+
+
+def test_dual_solver_certifies_a_zero_minimizer_by_its_own_gap():
+    # at lam = 1e300 the minimizer is 0: the dual point solving T* p = x lies
+    # inside the box. The usual gap lam ||Ty||_1 - <p, Ty> rounds to about
+    # 1e285 there, but the gap of the primal point 0, 1/2 ||x - T* p||^2,
+    # certifies it; taken on y divided by its own power of two, that square
+    # does not underflow to 0
+    t = load_named_matrix("random:6x3:1")
+    x = np.array([1.25, 0.5, -0.25])
+    rep = solve_analysis_dual(AnalysisProblem(x, t, 1e300), tol=1e-10)
+    assert rep.converged and rep.iterations == 1
+    assert 0.0 < rep.residual <= 1e-10
+    np.testing.assert_array_equal(rep.minimizer, np.zeros(3))
+    assert rep.objective == 0.5 * float(x @ x)
 
 
 def test_analysis_problem_requires_positive_lambda():
