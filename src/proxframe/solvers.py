@@ -6,11 +6,10 @@ solver here is the reference for everything else. Its box-constrained dual
 is a bounded-variable least-squares problem, solved by BVLS (Stark &
 Parker 1995), which moves one coordinate at a time between the free and
 the bound set and keeps the least-squares point of the free set inside
-the box. It stops on a certified duality gap, on the gap's float64
-rounding, or once no bound coordinate can move into the box. It also
-documents that frame shrinkage is *not* that minimizer:
-the shrinkage is the prox of its induced regularizer in the T metric, which
-is a different objective.
+the box. It stops on a certified duality gap, or once no bound
+coordinate can move into the box. It also documents that frame shrinkage
+is *not* that minimizer: the shrinkage is the prox of its induced
+regularizer in the T metric, which is a different objective.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ def analysis_objective(problem: AnalysisProblem, y: np.ndarray) -> float:
     return quad * s * s + float(problem.lam) * l1 * s_y
 
 
-_EPS = np.finfo(float).eps
-
-
 def _times_square(value: float, scale: float) -> float:
     """value scale^2 in Python floats: inf past the float64 range, and a positive value stays positive."""
     out = value * scale * scale
@@ -107,13 +103,13 @@ def solve_analysis_dual(
     or when 1/2 ||y||^2, the gap of the primal point 0 against the same p,
     does; the report takes the smaller of the two, with the minimizer y or
     0. Non-convergence is flagged on the report. An iteration whose gaps
-    are above ``tol`` also stops, unconverged, if ``tol`` is below
-    eps (lam ||Ty||_1 + |p| . |Ty|), the float64 rounding of the gap's two
-    terms at that iterate, so a ``tol`` of 0 stops at once unless a gap is
-    exactly 0; if no bound coordinate points into the box, which in exact
-    arithmetic makes p optimal; or if the coordinate it would free is the
-    one the last iteration freed, bound again at the same value, which only
-    rounding does and which would repeat that iteration.
+    are above ``tol`` also stops, unconverged, if no bound coordinate points
+    into the box, which in exact arithmetic makes p optimal, or if the
+    coordinate it would free is the one the last iteration freed, bound
+    again at the same value, which only rounding does and which would
+    repeat that iteration. A ``tol`` below the gap's rounding, 0 included,
+    thus runs until one of these stops; it is not cut short at an early
+    iterate whose gap terms are large.
 
     The iteration runs on x / s and lam / s, for ``_scale``'s power of two
     s near max|x| (no smaller than about lam 2^-500, so lam / s stays
@@ -151,14 +147,13 @@ def solve_analysis_dual(
         free = np.abs(p) < lam
         y = x - t.T @ p
         ty = t @ y
-        l1 = lam * np.sum(np.abs(ty))
-        gap = float(l1 - p @ ty)
+        gap = float(lam * np.sum(np.abs(ty)) - p @ ty)
         s_y = _scale(y)
         zero_gap = _times_square(0.5 * float(np.sum((y / s_y) ** 2)), s_y * s)
         converged = gap <= tol_s or zero_gap <= tol
         # how far each bound coordinate's (Ty)_i points into the box
         inward = np.where(free, 0.0, -np.sign(p) * ty)
-        if converged or tol_s < _EPS * (l1 + np.abs(p) @ np.abs(ty)) or inward.max() <= 0:
+        if converged or inward.max() <= 0:
             break
         i = int(np.argmax(inward))
         # the coordinate freed last, bound again at the same value: freeing it repeats that step

@@ -302,10 +302,9 @@ TWENTY_ONES = ",".join(["1"] * 20)
 
 @pytest.mark.parametrize("tol", ["0", "1e-15", "3e-15", "1e-14"])
 def test_solve_below_gap_rounding_stops_unconverged(capsys, tol):
-    # the minimizer is not 0 here. After the first iteration the rounding of
-    # the gap's terms is 3.0e-15, which stops the three smaller tols; a tol
-    # just above it runs on, and the gap stalls at 2.8e-14 at iteration 5,
-    # where no bound coordinate points into the box, which stops 1e-14
+    # the minimizer is not 0 here. The gap stalls at 2.8e-14 at iteration 5,
+    # where no bound coordinate points into the box, which stops all four
+    # tols unconverged
     twos = ",".join(["2"] * 20)
     code, out, _ = run(capsys, "solve", "--operator", "random:40x20:2", "--x", twos,
                        "--lambda", "0.5", "--tol", tol)
@@ -319,6 +318,10 @@ def test_solve_below_gap_rounding_stops_unconverged(capsys, tol):
     (("--operator", "random:40x20:1", "--x", TWENTY_ONES, "--tol", "1e-14"), 1000),
     # the gap is exactly 0 after the first iteration
     (("--operator", "example35", "--x", "1", "--tol", "0"), 2),
+    # the first iterate's gap, 1.9, is far above its rounding; the gap
+    # certifies 1.8e-15 at iteration 6
+    (("--operator", "random:40x20:1", "--x", ",".join(["2"] * 20), "--lambda", "0.2",
+      "--tol", "3e-15"), 6),
 ])
 def test_solve_gap_reaching_tol_converges(capsys, argv, iterations):
     code, out, _ = run(capsys, "solve", *argv)

@@ -342,7 +342,8 @@ SOLVES = pytest.mark.parametrize("solve", [
     lambda tol: induced_regularizer(InducedRegularizer.from_shrinkage(example_shrinkage()), [1.0], tol=tol),
     lambda tol: numeric_prox(example_shrinkage(), np.array([1.0]), tol=tol),
     lambda tol: solve_analysis_dual(AnalysisProblem(np.array([1.0]), example_operator(), 1.0), tol=tol),
-], ids=["induced_regularizer", "numeric_prox", "solve_analysis_dual"])
+    lambda tol: weaker_regularizer_check(InducedRegularizer.from_shrinkage(example_shrinkage()), 3, tol=tol),
+], ids=["induced_regularizer", "numeric_prox", "solve_analysis_dual", "weaker_regularizer_check"])
 
 
 @SOLVES
@@ -534,6 +535,86 @@ def test_weaker_regularizer_bijective_equality(rng):
     reg = InducedRegularizer.from_shrinkage(FrameShrinkage(build_operator(q), soft_shrink_map(1.0)))
     x = rng.standard_normal(3)
     assert induced_regularizer(reg, x) == float(reg.g(q @ x))
+
+
+def weaker_cases():
+    """(shrinkage, trials, seed) for the pruning tests of the weaker check.
+
+    The random:200x100:2 CLI regression operator, the packaged example, and
+    criterion 2's first operator (6 x 5, rng 2024) at lam = 10.
+    """
+    rng = np.random.default_rng(2024)
+    n = int(rng.integers(2, 21))
+    d = int(rng.integers(1, min(n, 10) + 1))
+    first = random_operator(n, d, rng, cond=10.0 ** rng.uniform(0.0, 3.0))
+    return [
+        (FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0)), 100, 6),
+        (example_shrinkage(), 300, 6),
+        (FrameShrinkage(first, soft_shrink_map(10.0)), 300, 6),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["random200x100", "example35", "criterion2_lam10"])
+def test_weaker_regularizer_pruning_keeps_the_reported_maximum(case):
+    # the check drops a trial once its upper bound lies below another
+    # trial's lower bound; the maximum it reports must still be the largest
+    # one-column f(x_j) - g(Tx_j), each evaluated to the inner tolerance
+    fs, trials, seed = weaker_cases()[case]
+    reg, tol, inner_tol = InducedRegularizer.from_shrinkage(fs), 1e-9, 1e-11
+    rep = weaker_regularizer_check(reg, trials=trials, tol=tol, seed=seed)
+    x = sample_trials(seed, 0, trials, fs.operator.d)[0]
+    g_tx = reg.g(fs.operator.matrix @ x)
+    ref = max(induced_regularizer(reg, x[:, j], tol=inner_tol) - g_tx[j] for j in range(trials))
+    assert rep.passed
+    assert abs(rep.max_violation - ref) <= inner_tol
+
+
+def count_column_iterations(monkeypatch):
+    """Wrap both dual solvers of f; the returned list gathers the columns they iterate."""
+    columns = []
+
+    def counted(points):
+        def wrapper(*args):
+            inner = points(*args)
+            keep = None
+            while True:
+                u, r = inner.send(keep)
+                columns.append(u.shape[1] * shrinkage_module._GAP_STRIDE)
+                keep = yield u, r
+
+        return wrapper
+
+    for name in ("_fista_points", "_admm_points"):
+        monkeypatch.setattr(shrinkage_module, name, counted(getattr(shrinkage_module, name)))
+    return columns
+
+
+def test_weaker_regularizer_iterates_only_trials_that_can_set_the_maximum(monkeypatch):
+    # certifying every trial's f took 4608 column-iterations here; trials
+    # that cannot set the maximum leave the solve as soon as that shows
+    fs, trials, seed = weaker_cases()[0]
+    reg = InducedRegularizer.from_shrinkage(fs)
+    columns = count_column_iterations(monkeypatch)
+    assert weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed).passed
+    assert 0 < sum(columns) <= 1200
+
+
+def test_weaker_regularizer_not_converged_only_for_a_possible_maximum(monkeypatch):
+    # certifying every trial of this block to the inner tolerance takes 104
+    # iterations, settling its maximum 80; at a cap of 88 the trials still
+    # open cannot set the maximum, so the check reports as without a cap.
+    # At 16 the maximum itself is open, and the check raises
+    fs, trials, seed = weaker_cases()[0]
+    reg = InducedRegularizer.from_shrinkage(fs)
+    x = sample_trials(seed, 0, trials, fs.operator.d)[0]
+    with pytest.raises(NotConverged):
+        induced_regularizer(reg, x, tol=1e-11, max_iter=88)
+    full = weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
+    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 88)
+    assert weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed) == full
+    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 16)
+    with pytest.raises(NotConverged, match="after 16 iterations"):
+        weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
 
 
 def test_induced_regularizer_midpoint_convexity(rng):

@@ -185,6 +185,29 @@ def test_dual_solver_certifies_every_random_problem_within_60_iterations():
         assert rep.iterations <= 60, index
 
 
+def test_dual_solver_runs_past_the_rounding_of_an_early_gap():
+    # the first iterate's gap, 1.9, has terms whose rounding is above 3e-15;
+    # a later iterate certifies a gap of 1.8e-15, and at tol 0 the solve
+    # ends at that same iterate, where no bound coordinate points inward
+    prob = AnalysisProblem(np.full(20, 2.0), load_named_matrix("random:40x20:1"), 0.2)
+    rep = solve_analysis_dual(prob, tol=3e-15)
+    assert rep.converged and rep.residual <= 3e-15 and rep.iterations == 6
+    exact = solve_analysis_dual(prob, tol=0.0)
+    assert not exact.converged and exact.iterations == 6
+    np.testing.assert_array_equal(exact.minimizer, rep.minimizer)
+
+
+def test_dual_solver_tol_zero_ends_on_its_own_stops():
+    # at tol 0 only a gap of exactly 0 certifies; every draw still ends, on
+    # such a gap or once BVLS has no coordinate left to free, at a point no
+    # worse than the one certified at 1e-10. The worst takes 49 steps
+    for index, prob in enumerate(random_problems()):
+        rep = solve_analysis_dual(prob, tol=0.0)
+        assert rep.iterations <= 60, index
+        assert rep.residual <= 1e-10, index
+        assert rep.objective <= solve_analysis_dual(prob, tol=1e-10).objective + 1e-12, index
+
+
 def test_dual_solver_repeated_and_negated_rows_certify():
     # rows repeated, negated or zero make the least-squares problem on the
     # free set rank-deficient and tie coordinates; integer entries make the
