@@ -74,8 +74,8 @@ def load_named_matrix(spec: str) -> np.ndarray:
 
 
 def parse_prox(spec: str):
-    name, _, lam = spec.partition(":")
-    return prox_map_by_name(name, float(lam) if lam else 1.0)
+    name, colon, lam = spec.partition(":")
+    return prox_map_by_name(name, float(lam) if colon else 1.0)
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -115,15 +115,10 @@ def cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     reports = [
         verify_operator_identities(op, tol=_tol(args, 1e-10), trials=args.trials, seed=args.seed),
         verify_firm_nonexpansive(prox, dim=op.n, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 1),
-    ]
-    if prox.potential is not None:
-        reports.append(
-            verify_moreau_characterization(
-                prox, prox.potential, dim=op.n, trials=min(args.trials, 200),
-                tol=_tol(args, 1e-6), seed=args.seed + 2,
-            )
-        )
-    reports += [
+        verify_moreau_characterization(
+            prox, prox.potential, dim=op.n, trials=min(args.trials, 200),
+            tol=_tol(args, 1e-6), seed=args.seed + 2,
+        ),
         verify_t_firm_nonexpansive(fs, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 3),
         verify_prox_identity(fs, reg, trials=min(args.trials, 200), tol=_tol(args, 1e-6), seed=args.seed + 4),
         weaker_regularizer_check(reg, trials=args.trials, tol=_tol(args, 1e-9), seed=args.seed + 5),

@@ -185,66 +185,63 @@ def _admm_points(proj, c, lam, rho):
         m = m / step
 
 
-def _certify(reg: InducedRegularizer, c: np.ndarray, g_c: np.ndarray, drop, max_iter: int) -> None:
-    """Run f's dual solvers on the columns of c = Tx until ``drop`` has dropped each.
+def _certify(reg: InducedRegularizer, c: np.ndarray, g_c: np.ndarray, drop, max_iter: int) -> np.ndarray:
+    """f at each column of c = Tx, given g_c = g(c); ``drop`` says when a column is done.
 
-    The two phases and the bounds are ``induced_regularizer``'s (soft
-    shrinkage, T not square). At each gap check ``drop(cols, upper, lower,
-    scale)`` gets the open columns' indices, their primal and dual values,
-    lower <= f(x) <= upper, and the rounding scale 1 + |g(c)| + ||u||^2, and
-    returns a boolean mask of the columns to drop; a dropped column leaves
-    c and the state of every solver at once. Raises NotConverged if some
-    column is open after ``max_iter`` iterations, naming the iterations run
-    and the largest gap of those columns (inf if none ran).
+    Where f = g o T (square T, the identity map, whose g is 0, and a block
+    without columns) it returns g_c and runs no solver. Otherwise one loop
+    of gap checks, ``_GAP_STRIDE`` iterations apart, runs FISTA on every
+    column and, from iteration ``_FISTA_ITERS`` on, ADMM beside it on the
+    columns still open; the bounds are ``induced_regularizer``'s. At each
+    check ``drop(cols, upper, lower, scale)`` gets the open columns'
+    indices, their primal and dual values, lower <= f(x) <= upper, and the
+    rounding scale 1 + |g(c)| + ||u||^2, and returns a boolean mask of the
+    columns to drop. A dropped column leaves c and the state of every solver
+    at once, and its value is its upper bound at that check. Raises
+    NotConverged if some column is open after ``max_iter`` iterations,
+    naming the iterations run and the largest gap of those columns (inf if
+    none ran).
     """
-    proj, lam, g = reg.shrinkage.operator.range_proj, reg.shrinkage.inner_prox.lam, reg.g
-    gap = np.full(c.shape[1], np.inf)
-
-    def phase(solvers, cols, iters):
-        c_sub, g_sub = c[:, cols], g_c[cols]
-        keep = None
-        for _ in range(iters // _GAP_STRIDE):
-            primal, dual, scale = g_sub, -np.inf, 1.0 + np.abs(g_sub)
-            for points in solvers:
-                u, r = points.send(keep)
-                half_sq = 0.5 * np.sum(u * r, axis=0)
-                primal = np.minimum(primal, half_sq + g(c_sub - r))
-                dual = np.maximum(dual, np.sum(u * c_sub, axis=0) - half_sq)
-                scale = scale + np.sum(u * u, axis=0)
-            gap[cols] = primal - dual
-            out = drop(cols, primal, dual, scale)
-            keep = None
-            if out.any():
-                keep = ~out
-                cols, c_sub, g_sub = cols[keep], c_sub[:, keep], g_sub[keep]
-                if not cols.size:
-                    break
-        return cols
-
-    cols = phase([_fista_points(proj, c, lam)], np.arange(c.shape[1]), min(max_iter, _FISTA_ITERS))
-    if cols.size:
-        c_open = c[:, cols]
-        c_max = np.max(np.abs(c_open), axis=0)
-        rho = np.where(c_max > 0.0, c_max / lam, 1.0)
-        solvers = [_fista_points(proj, c_open, lam), _admm_points(proj, c_open, lam, rho)]
-        cols = phase(solvers, cols, max_iter - _FISTA_ITERS)
-    if cols.size:
-        # every check ran: max_iter rounded down to a multiple of the stride
-        raise NotConverged(
-            f"regularizer evaluation left a duality gap of {np.max(gap[cols]):.3e} after "
-            f"{max_iter - max_iter % _GAP_STRIDE} iterations (checked every {_GAP_STRIDE})"
-        )
+    op, inner, g = reg.shrinkage.operator, reg.shrinkage.inner_prox, reg.g
+    if op.n == op.d or inner.name == "identity" or not c.shape[1]:
+        return g_c
+    proj, lam = op.range_proj, inner.lam
+    vals, gap = np.empty_like(g_c), np.full(c.shape[1], np.inf)
+    cols, c_sub, g_sub = np.arange(c.shape[1]), c, g_c
+    # each solver with the keep-mask it has yet to receive: ADMM starts on
+    # columns already compacted, so it must not get FISTA's pending one
+    solvers = {_fista_points(proj, c, lam): None}
+    for check in range(max_iter // _GAP_STRIDE):
+        if check == _FISTA_ITERS // _GAP_STRIDE:
+            c_max = np.max(np.abs(c_sub), axis=0)
+            rho = np.where(c_max > 0.0, c_max / lam, 1.0)
+            solvers[_admm_points(proj, c_sub, lam, rho)] = None
+        primal, dual, scale = g_sub, -np.inf, 1.0 + np.abs(g_sub)
+        for points, keep in solvers.items():
+            u, r = points.send(keep)
+            half_sq = 0.5 * np.sum(u * r, axis=0)
+            primal = np.minimum(primal, half_sq + g(c_sub - r))
+            dual = np.maximum(dual, np.sum(u * c_sub, axis=0) - half_sq)
+            scale = scale + np.sum(u * u, axis=0)
+        gap[cols] = primal - dual
+        out = drop(cols, primal, dual, scale)
+        vals[cols[out]] = primal[out]
+        keep = ~out if out.any() else None
+        solvers = dict.fromkeys(solvers, keep)
+        if keep is not None:
+            cols, c_sub, g_sub = cols[keep], c_sub[:, keep], g_sub[keep]
+            if not cols.size:
+                return vals
+    # every check ran: max_iter rounded down to a multiple of the stride
+    raise NotConverged(
+        f"regularizer evaluation left a duality gap of {np.max(gap[cols]):.3e} after "
+        f"{max_iter - max_iter % _GAP_STRIDE} iterations (checked every {_GAP_STRIDE})"
+    )
 
 
 def _within_gap(upper, lower, scale, tol):
     """Columns whose gap is at most ``tol`` or its rounding floor, 64 ulps of ``scale``."""
     return upper - lower <= np.maximum(tol, _GAP_FLOOR * scale)
-
-
-def _solved_by_g(reg: InducedRegularizer) -> bool:
-    """True if f = g o T: for square T, and for the identity map (g = 0)."""
-    op = reg.shrinkage.operator
-    return op.n == op.d or reg.shrinkage.inner_prox.name == "identity"
 
 
 def induced_regularizer(
@@ -265,9 +262,9 @@ def induced_regularizer(
     (``_fista_points``), whose every step is a clip onto the box. A column
     still open after ``_FISTA_ITERS`` iterations typically has Tx far inside
     the dead zone (|Tx| << lam); there unit-step FISTA creeps along range(T)
-    at a speed set by |Tx|. Such columns get ADMM (``_admm_points``), whose
-    penalty starts at max|Tx| / lam and follows that scale, run beside a
-    fresh FISTA.
+    at a speed set by |Tx|. From that iteration on, ADMM (``_admm_points``),
+    whose penalty starts at max|Tx| / lam and follows that scale, runs on
+    such columns beside the same FISTA run, which goes on as before.
 
     Every eight iterations each open column takes the lowest primal value
     (at w = -B^T u for a solver's dual iterate u, or at w = 0, where it is
@@ -279,7 +276,7 @@ def induced_regularizer(
     A frozen column leaves c and the state of every solver, so later
     iterations cost only the columns still open. Their values match a
     one-column evaluation up to the certified gap: BLAS may round a product
-    differently at another column count.
+    differently at another column count. A (d, 0) block runs no solver.
 
     Raises ValueError on non-finite input or a NaN ``tol``, and NotConverged
     if some column is not certified within ``max_iter`` iterations. The gap
@@ -292,15 +289,7 @@ def induced_regularizer(
     c = _analysis(reg.shrinkage.operator, x)
     c = c[:, None] if c.ndim == 1 else c
     g_c = np.atleast_1d(np.asarray(reg.g(c), dtype=float))
-    vals = np.array(g_c)
-    if not _solved_by_g(reg):
-
-        def certified(cols, upper, lower, scale):
-            done = _within_gap(upper, lower, scale, tol)
-            vals[cols[done]] = upper[done]
-            return done
-
-        _certify(reg, c, g_c, certified, max_iter)
+    vals = _certify(reg, c, g_c, lambda cols, *bounds: _within_gap(*bounds, tol), max_iter)
     return float(vals[0]) if squeeze else vals
 
 
@@ -527,19 +516,13 @@ def weaker_regularizer_check(
     def violations(x: np.ndarray) -> np.ndarray:
         c = _analysis(op, x)
         g_c = np.asarray(reg.g(c), dtype=float)
-        if _solved_by_g(reg):
-            return g_c - g_c
-        found, best = np.empty_like(g_c), -np.inf
+        best = -np.inf
 
         def settled(cols, upper, lower, scale):
             nonlocal best
             best = np.maximum(best, np.max(lower - g_c[cols]))
-            high = upper - g_c[cols]
-            out = _within_gap(upper, lower, scale, inner_tol) | (high < best)
-            found[cols[out]] = high[out]
-            return out
+            return _within_gap(upper, lower, scale, inner_tol) | (upper - g_c[cols] < best)
 
-        _certify(reg, c, g_c, settled, _MAX_ITER)
-        return found
+        return _certify(reg, c, g_c, settled, _MAX_ITER) - g_c
 
     return sampled_check("weaker_regularizer", trials, tol, seed, op.d, violations)

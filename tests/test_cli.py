@@ -122,6 +122,8 @@ JSON_INPUTS = {
         ("verify", "--operator", "random:12x5:3", "--prox", "identity:0", "--trials", "5"),
         ("verify", "--operator", "random:12x5:3", "--prox", "identity:-5", "--trials", "5"),
         ("regularizer", "--operator", "random:12x5:3", "--prox", "identity:nan"),
+        # a colon with no LAMBDA after it; "soft" alone means lambda = 1
+        ("verify", "--operator", "random:12x5:3", "--prox", "soft:", "--trials", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):

@@ -208,24 +208,32 @@ def test_induced_regularizer_deep_in_dead_zone(rng):
 
 def test_induced_regularizer_compaction_across_both_phases(rng, monkeypatch):
     # ordinary columns are certified by FISTA and leave the block while the
-    # deep-dead-zone ones go on to the ADMM phase and leave it one by one;
-    # each column must still come back as its own single-column evaluation
+    # deep-dead-zone ones stay past _FISTA_ITERS, where ADMM joins the same
+    # FISTA run on them, and leave it one by one; each column must still
+    # come back as its own single-column evaluation
     op = random_operator(9, 2, rng)
     fs = FrameShrinkage(op, soft_shrink_map(10.0))
     reg = InducedRegularizer.from_shrinkage(fs)
     tol = 1e-9
     x = rng.standard_normal((2, 12))
     x[:, ::2] *= 1e-9
-    admm_cols = []
-    admm_points = shrinkage_module._admm_points
+    started = {"_fista_points": [], "_admm_points": []}
 
-    def spy(proj, c, lam, rho):
-        admm_cols.append(c.shape[1])
-        return admm_points(proj, c, lam, rho)
+    def spy(name):
+        points = getattr(shrinkage_module, name)
 
-    monkeypatch.setattr(shrinkage_module, "_admm_points", spy)
+        def started_on(proj, c, lam, *rho):
+            started[name].append(c.shape[1])
+            return points(proj, c, lam, *rho)
+
+        return started_on
+
+    for name in started:
+        monkeypatch.setattr(shrinkage_module, name, spy(name))
     vals = induced_regularizer(reg, x, tol=tol)
-    assert admm_cols and 0 < admm_cols[0] < x.shape[1]
+    # one FISTA run on the whole block, one ADMM run on the columns it left open
+    assert started["_fista_points"] == [x.shape[1]]
+    assert len(started["_admm_points"]) == 1 and 0 < started["_admm_points"][0] < x.shape[1]
 
     tx = op.matrix @ x
     u = tx - soft_shrink(tx, 10.0)
@@ -262,10 +270,11 @@ def test_induced_regularizer_matches_exact_line_reference(d):
 def fista_phase(points, reg, c, tol):
     """The check at which each column is certified, and its value, by FISTA alone.
 
-    Follows ``induced_regularizer``'s first phase: at each check a column
-    takes the primal value min(g(c), 1/2 <u, r> + g(c - r)) and is certified
-    once that is within max(tol, _GAP_FLOOR (1 + |g(c)| + ||u||^2)) of the
-    dual <u, c> - 1/2 <u, r>; a certified column leaves the block. A column
+    Follows ``induced_regularizer`` up to ``_FISTA_ITERS``, where ADMM
+    joins: at each check a column takes the primal value
+    min(g(c), 1/2 <u, r> + g(c - r)) and is certified once that is within
+    max(tol, _GAP_FLOOR (1 + |g(c)| + ||u||^2)) of the dual
+    <u, c> - 1/2 <u, r>; a certified column leaves the block. A column
     not certified within _FISTA_ITERS iterations gets check -1 and value NaN.
     """
     proj, lam = reg.shrinkage.operator.range_proj, reg.shrinkage.inner_prox.lam
@@ -315,13 +324,13 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
         assert np.all(np.abs(check - ref_check) <= 1), (check, ref_check)
         done = check >= 0
         assert np.all(np.abs(value - ref_value)[done] <= tol + slack[done])
-        # through both phases, ADMM's included
+        # through the whole solve, ADMM's join included
         vals = induced_regularizer(reg, y, tol=tol)
         with monkeypatch.context() as patch:
             patch.setattr(shrinkage_module, "_fista_points", fista_points_reference)
             ref = induced_regularizer(reg, y, tol=tol)
         assert np.all(np.abs(vals - ref) <= tol + slack)
-    assert not np.all(check >= 0), "the dead-zone columns should need the ADMM phase"
+    assert not np.all(check >= 0), "the dead-zone columns should need ADMM"
 
 
 def test_momentum_table_follows_the_recursion_as_it_grows(monkeypatch):
@@ -360,15 +369,18 @@ def test_negative_tol_is_refused_at_once(solve):
         solve(-1.0)
 
 
-@pytest.mark.parametrize("op", [example_operator(), build_operator(np.eye(4)[:, :3])],
-                         ids=["example35", "4x3"])
-def test_empty_block_gives_empty_results(op):
-    # a (d, 0) block has no column to certify
+@pytest.mark.parametrize("op", [example_operator(), build_operator(np.eye(4)[:, :3]),
+                                build_operator(load_named_matrix("random:200x100:2"))],
+                         ids=["example35", "4x3", "random:200x100:2"])
+def test_empty_block_gives_empty_results(op, monkeypatch):
+    # a (d, 0) block has no column to certify, so no dual solver of f takes a step
     fs = FrameShrinkage(op, soft_shrink_map(1.0))
     reg = InducedRegularizer.from_shrinkage(fs)
     empty = np.zeros((op.d, 0))
     assert frame_prox(fs, empty).shape == (op.d, 0)
+    sends = count_column_iterations(monkeypatch)
     assert induced_regularizer(reg, empty).shape == (0,)
+    assert len(sends) == 0
     rep = numeric_prox(reg, empty)
     assert rep.minimizer.shape == (op.d, 0)
     assert rep.converged and rep.residual == 0.0 and rep.iterations == 0
