@@ -17,6 +17,7 @@ are integers in [0, 2**64); verify also draws on seed + 1 .. seed + 5.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable
@@ -229,6 +230,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="proxframe", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -276,6 +278,16 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one ``proxframe`` invocation and return its exit code.
+
+    main may be called repeatedly in one process: each call parses into a
+    fresh namespace, so no option of one call reaches the next. The parser
+    is built on the first call and reused after it, and each subcommand's
+    handler (``cmd_verify`` and the others) is bound then; patching a
+    ``cmd_*`` name later does not reach the parser. The library functions
+    the handlers call are looked up on every call, and usage text and
+    errors go to the ``sys.stdout`` and ``sys.stderr`` of the moment.
+    """
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]

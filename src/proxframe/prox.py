@@ -53,12 +53,17 @@ def soft_shrink(x, lam):
 
     Maps x to x - lam above the threshold, x + lam below -lam, and 0 on the
     dead zone [-lam, lam]. This is the prox of ``lam * l1``; ``lam`` is a
-    scalar. As x - clip(x, -lam, lam) the dead zone gives +0.0.
+    scalar. As x - clip(x, -lam, lam) the dead zone gives +0.0; the clip is
+    taken as two ufuncs into the output, without np.clip's Python wrapper
+    and its temporary.
     """
     lam = _check_lambda(lam)
     a = np.asarray(x, dtype=float)
-    out = a - np.clip(a, -lam, lam)
-    return float(out) if np.isscalar(x) else out
+    out = np.maximum(a, -lam, out=np.empty_like(a))
+    np.minimum(out, lam, out=out)
+    np.subtract(a, out, out=out)
+    # out[()] gives a NumPy scalar for a 0-d array input, an array otherwise
+    return float(out) if np.isscalar(x) else out[()]
 
 
 def huber_envelope(x, lam: float) -> float:

@@ -141,7 +141,8 @@ def _fista_points(proj, c, lam):
             # gradient restart: drop a column's momentum once <y - u_new, du> > 0
             y -= u_new
             y *= du
-            m = np.where(y.sum(0) > 0.0, 0, m + 1)
+            m += 1
+            m[np.add.reduce(y, 0) > 0.0] = 0
             du *= momentum[m]
             du += u_new
             u, y, u_new = u_new, du, y
@@ -330,9 +331,11 @@ _STEP = 0.9
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Column 2-norms; a column whose sum of squares overflows is rescaled by its largest entry."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(a * a, axis=0))
+    """Column 2-norms; a column whose sum of squares overflows is rescaled by its largest entry.
+
+    The caller holds ``np.errstate(over="ignore")`` for the overflowing sum.
+    """
+    norms = np.sqrt(np.add.reduce(a * a, 0))
     big = np.isinf(norms)
     if big.any():
         scale = np.max(np.abs(a[:, big]), axis=0)
@@ -401,19 +404,21 @@ def numeric_prox(
     z_out = np.zeros_like(tx)
     cert = np.full(tx.shape[1], np.inf)
     cols = np.arange(tx.shape[1])
-    z, tv, tx_norm = np.zeros_like(tx), _STEP * tx, _norms(tx)
     iters = 0
-    while cols.size and iters < max_iter:
-        iters += 1
-        z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
-        rounding = eps * (_norms(z_new) + tx_norm)
-        now = (1.0 / _STEP - 1.0) * _norms(z - z_new) + rounding
-        z = z_new
-        stop = (now <= tol) | (tol < rounding) | (iters == max_iter)
-        if stop.any():
-            z_out[:, cols[stop]], cert[cols[stop]] = z[:, stop], now[stop]
-            keep = ~stop
-            cols, z, tv, tx_norm = cols[keep], z[:, keep], tv[:, keep], tx_norm[keep]
+    # _norms rescales a column whose sum of squares overflows
+    with np.errstate(over="ignore"):
+        z, tv, tx_norm = np.zeros_like(tx), _STEP * tx, _norms(tx)
+        while cols.size and iters < max_iter:
+            iters += 1
+            z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
+            rounding = eps * (_norms(z_new) + tx_norm)
+            now = (1.0 / _STEP - 1.0) * _norms(z - z_new) + rounding
+            z = z_new
+            stop = (now <= tol) | (tol < rounding) | (iters == max_iter)
+            if stop.any():
+                z_out[:, cols[stop]], cert[cols[stop]] = z[:, stop], now[stop]
+                keep = ~stop
+                cols, z, tv, tx_norm = cols[keep], z[:, keep], tv[:, keep], tx_norm[keep]
     resid = float(np.max(cert, initial=0.0))
 
     return SolveReport(

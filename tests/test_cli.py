@@ -11,7 +11,7 @@ from proxframe import (
     verify_firm_nonexpansive,
     verify_t_firm_nonexpansive,
 )
-from proxframe.cli import main
+from proxframe.cli import build_parser, main
 from support import save_matrix_csv, save_matrix_json
 
 
@@ -401,3 +401,28 @@ def test_verify_csv_format(capsys):
 
 def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_main_reuses_its_parser_and_leaks_no_option(tmp_path, capsys):
+    # main builds the parser once per process; every later call must exit and
+    # print as it does as the process's first call, with no --tol, --format
+    # or --out carried over from an earlier one
+    assert build_parser() is build_parser()
+    out_path = tmp_path / "out.csv"
+    calls = [
+        ("verify", "--tol", "1e-3", "--format", "csv", "--out", str(out_path)),
+        ("verify", "--prox", "soft:"),
+        ("regularizer",),
+        ("verify",),
+    ]
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(run(capsys, *argv))
+    written = out_path.read_bytes()
+    out_path.unlink()
+
+    build_parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert [code for code, _, _ in first] == [0, 2, 0, 0]
+    assert out_path.read_bytes() == written == first[0][1].encode()
