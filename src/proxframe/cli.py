@@ -32,7 +32,12 @@ from .operators import (
     load_matrix_json,
     verify_operator_identities,
 )
-from .prox import prox_map_by_name, verify_firm_nonexpansive, verify_moreau_characterization
+from .prox import (
+    prox_map_by_name,
+    soft_shrink_map,
+    verify_firm_nonexpansive,
+    verify_moreau_characterization,
+)
 from .sampling import _generator
 from .shrinkage import (
     EXAMPLE_MATRIX,
@@ -75,7 +80,10 @@ def load_named_matrix(spec: str) -> np.ndarray:
 
 
 def parse_prox(spec: str):
+    """NAME or NAME:LAMBDA as a catalog map; identity takes no LAMBDA."""
     name, colon, lam = spec.partition(":")
+    if colon and name == "identity":
+        raise ValueError(f"identity takes no LAMBDA, got {spec!r}")
     return prox_map_by_name(name, float(lam) if colon else 1.0)
 
 
@@ -167,6 +175,8 @@ def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"{args.problem} must hold a JSON object")
+        if "x" not in doc:
+            raise ValueError(f'{args.problem} has no "x" field')
         x = _json_floats(doc["x"])
         lam = float(_json_floats([doc.get("lambda", lam)])[0])
     elif args.x:
@@ -181,14 +191,14 @@ def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     )
     emit(report.to_json())
 
-    # contrast with the frame shrinkage point when the matrix is a frame
+    # contrast with the frame shrinkage at the same lambda when the matrix is a frame
     if matrix.shape[0] >= matrix.shape[1]:
         try:
             op = build_operator(matrix)
         except ProxFrameError:
             pass
         else:
-            y = frame_prox(FrameShrinkage(op, parse_prox(args.prox)), x)
+            y = frame_prox(FrameShrinkage(op, soft_shrink_map(lam)), x)
             diff = op.matrix @ (np.asarray(report.minimizer) - y)
             # taken on diff / s, whose square neither overflows nor underflows;
             # exact for a power of two
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("example", cmd_example, "print the packaged worked example", (), None),
         ("regularizer", cmd_regularizer, "export induced-regularizer values over a grid",
          ("operator", "prox", "tol", "seed"), "csv"),
-        ("solve", cmd_solve, "solve the analysis-sparsity problem", ("operator", "prox", "tol"), None),
+        ("solve", cmd_solve, "solve the analysis-sparsity problem", ("operator", "tol"), None),
     ):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
@@ -308,7 +318,7 @@ def main(argv=None) -> int:
         if ns.out:
             with open(ns.out, "w") as fh:
                 fh.write("".join(line + "\n" for line in lines))
-    except (ProxFrameError, ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as exc:
+    except (ProxFrameError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -217,37 +217,36 @@ def verify_moreau_characterization(
     tol: float,
     seed: int = 0,
 ) -> VerifyReport:
-    """Check the three ingredients that characterize a proximity operator.
+    """Check the gradient half of Moreau's characterization of a prox.
 
-    (a) nonexpansiveness, ||Px - Py|| - ||x - y||, on random pairs; (b)
-    agreement of the map with the finite-difference gradient of
-    ``potential`` at x, as a relative error per sample; (c) midpoint
-    convexity of ``potential``. Samples with a coordinate within 10
-    finite-difference steps of a breakpoint are skipped in (b).
+    A map is a proximity operator exactly when it is nonexpansive and the
+    gradient of a convex potential. This check samples the gradient half:
+    the agreement of the map with the finite-difference gradient of
+    ``potential`` at random x, as a relative error per sample. Samples with
+    a coordinate within 10 finite-difference steps of a breakpoint are
+    skipped. ``verify_firm_nonexpansive`` carries the rest: a firmly
+    nonexpansive map is nonexpansive, and it is monotone, so a potential
+    whose gradient it is must be convex.
 
     Each block of trials is one array computation: the map is applied to
-    the x and y columns at once, (a) takes column sums, (c) calls the
-    potential once each on the midpoints, x and y, and (b) is one
-    ``_central_diff``: differences entry by entry, (phi(x + h) - phi(x - h))
-    / 2h with h = 1e-6 max(1, |x|), from two potential calls on the shifted
-    block laid out as one (1, dim * k) row.
+    the x columns at once, and the gradient is one ``_central_diff``:
+    differences entry by entry, (phi(x + h) - phi(x - h)) / 2h with h =
+    1e-6 max(1, |x|), from two potential calls on the shifted block laid
+    out as one (1, dim * k) row.
 
     ``potential`` must reduce over axis 0, as ``ProxMap.potential`` does:
     one value per column for a (dim, k) block, and so one value per entry
     for a row; a result of any other shape raises ValueError naming that
-    shape. It must also be a sum of per-entry terms. One more call on the
-    row at x guards this: each column's potential is compared with the sum
-    of its entries' values, relative to max(1, |potential|), and that
-    difference joins the reported maximum, so a potential that is not such
-    a sum fails the check instead of being differentiated wrongly.
+    shape. It must also be a sum of per-entry terms. Two more calls, on the
+    block and on the row at x, guard this: each column's potential is
+    compared with the sum of its entries' values, relative to
+    max(1, |potential|), and that difference joins the reported maximum, so
+    a potential that is not such a sum fails the check instead of being
+    differentiated wrongly.
     """
-    def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def violations(x: np.ndarray) -> np.ndarray:
         px = np.asarray(prox_map(x))
-        dp, dx = px - np.asarray(prox_map(y)), x - y
-        expand = np.sqrt(_colsum(dp * dp)) - np.sqrt(_colsum(dx * dx))
-        pot = lambda a: _column_values(potential, a)
-        at_x = pot(x)
-        convex = pot(0.5 * (x + y)) - 0.5 * (at_x + pot(y))
+        at_x = _column_values(potential, x)
         split = np.abs(at_x - _colsum(_entry_values(potential, x))) / np.maximum(1.0, np.abs(at_x))
         fd = _central_diff(potential, x)
         grad_err = np.max(np.abs(fd - px), axis=0) / np.maximum(1.0, np.max(np.abs(px), axis=0))
@@ -255,7 +254,6 @@ def verify_moreau_characterization(
             h = 1e-6 * np.maximum(1.0, np.abs(x))
             near = np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h, axis=0)
             grad_err[near] = -np.inf
-        return np.maximum(np.maximum(expand, convex), np.maximum(split, grad_err))
+        return np.maximum(split, grad_err)
 
-    return sampled_check(f"moreau_characterization:{prox_map.name}", trials, tol, seed, dim,
-                         violations, columns=2)
+    return sampled_check(f"moreau_characterization:{prox_map.name}", trials, tol, seed, dim, violations)

@@ -124,6 +124,10 @@ JSON_INPUTS = {
         ("regularizer", "--operator", "random:12x5:3", "--prox", "identity:nan"),
         # a colon with no LAMBDA after it; "soft" alone means lambda = 1
         ("verify", "--operator", "random:12x5:3", "--prox", "soft:", "--trials", "3"),
+        # the identity takes no LAMBDA, not even 1
+        ("verify", "--operator", "random:12x5:3", "--prox", "identity:1", "--trials", "5"),
+        # solve has no --prox: its contrast line shrinks at --lambda
+        ("solve", "--x", "1", "--prox", "soft:1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
@@ -369,6 +373,31 @@ def test_solve_problem_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.strip().splitlines()[0])
     np.testing.assert_allclose(doc["minimizer"], [1.5, 0.0, -0.5], atol=1e-8)
+
+
+@pytest.mark.parametrize("source", ["x", "problem"])
+def test_solve_contrast_shrinks_at_the_solve_lambda(tmp_path, capsys, source):
+    # for an orthonormal T the frame shrinkage at lambda is the analysis
+    # minimizer at lambda, so the two points coincide
+    if source == "x":
+        argv = ("--x", "2,0,-1", "--lambda", "0.5")
+    else:
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({"x": [2.0, 0.0, -1.0], "lambda": 0.5}))
+        argv = ("--problem", str(prob))
+    code, out, _ = run(capsys, "solve", "--operator", "identity:3", *argv)
+    solve_doc, frame_doc = (json.loads(line) for line in out.splitlines())
+    assert code == 0
+    assert frame_doc["frame_prox"] == solve_doc["minimizer"] == [1.5, 0.0, -0.5]
+    assert frame_doc["t_distance"] == 0.0
+
+
+def test_solve_problem_without_x_names_the_field(tmp_path, capsys):
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({"lambda": 1}))
+    code, out, err = run(capsys, "solve", "--problem", str(prob))
+    assert code == 2 and not out
+    assert '"x"' in err and str(prob) in err
 
 
 def test_operator_file_loading(tmp_path, capsys, rng):

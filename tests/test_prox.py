@@ -185,28 +185,44 @@ def test_moreau_characterization_wrong_potential_fails():
     assert rep.max_violation == np.max(moreau_trial_violations(pm, l1, dim=3, trials=300))
 
 
+@pytest.mark.parametrize("scale", [2.0, -1.0], ids=["expansive", "concave"])
+def test_firm_check_fails_what_the_moreau_check_passes(scale):
+    # scale * S_1 is the gradient of scale * psi, psi soft shrinkage's
+    # potential, so the gradient test passes it; at 2 the map is expansive,
+    # at -1 it is decreasing with a concave potential, and neither is a
+    # prox: the firm check must fail both
+    pm = soft_shrink_map(1.0)
+    mutated = ProxMap(
+        name="scaled_soft",
+        lam=1.0,
+        prox=lambda v, t=1.0: scale * pm.prox(v, t),
+        potential=lambda v: scale * pm.potential(v),
+        breakpoint_gap=pm.breakpoint_gap,
+    )
+    moreau = verify_moreau_characterization(mutated, mutated.potential, dim=3, trials=300, tol=1e-6)
+    firm = verify_firm_nonexpansive(mutated, dim=3, trials=300, tol=1e-12)
+    assert moreau.passed, moreau.max_violation
+    assert not firm.passed and firm.max_violation > 1.0
+
+
 @pytest.mark.parametrize("seed", [0, 2])
 def test_moreau_characterization_skips_trials_near_a_breakpoint(seed):
     # lam puts the first coordinate of the only trial 5 finite-difference
     # steps outside the kink of soft shrinkage, inside the 10-step band the
-    # gradient term skips; the report is then the largest of the
-    # nonexpansive, convexity and per-entry-sum terms alone, which stays
-    # below the gradient term the skip leaves out
+    # gradient term skips; the report is then the per-entry-sum term alone,
+    # which stays below the gradient term the skip leaves out
     dim = 3
-    x, y = sample_trials(seed, 0, 1, dim, 2)
+    x = sample_trials(seed, 0, 1, dim)[0]
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     pm = soft_shrink_map(abs(x[0, 0]) - 5.0 * h[0, 0])
-    dp, dx = pm(x) - pm(y), x - y
-    expand = np.sqrt(np.sum(dp * dp, axis=0)) - np.sqrt(np.sum(dx * dx, axis=0))
     at_x = pm.potential(x)
-    convex = pm.potential(0.5 * (x + y)) - 0.5 * (at_x + pm.potential(y))
     x0, h0 = x[:, 0], h[:, 0]
     split = abs(at_x[0] - np.sum(entry_terms(pm.potential, x0))) / max(1.0, abs(at_x[0]))
     fd = (entry_terms(pm.potential, x0 + h0) - entry_terms(pm.potential, x0 - h0)) / (2.0 * h0)
     px = pm(x0)
     grad_err = np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px)))
     rep = verify_moreau_characterization(pm, pm.potential, dim, trials=1, tol=1e-6, seed=seed)
-    assert rep.max_violation == max(expand[0], convex[0], split)
+    assert rep.max_violation == split
     assert rep.max_violation < grad_err
 
 
