@@ -21,7 +21,6 @@ from .operators import (
     load_matrix_csv,
     load_matrix_json,
     random_operator,
-    t_gradient,
     verify_operator_identities,
 )
 from .prox import (
@@ -91,7 +90,6 @@ __all__ = [
     "soft_shrink_map",
     "solve_analysis_dual",
     "synthesis_solution",
-    "t_gradient",
     "verify_firm_nonexpansive",
     "verify_moreau_characterization",
     "verify_operator_identities",

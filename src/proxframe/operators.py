@@ -138,16 +138,6 @@ def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
     return _finite_columns(op.matrix @ _signals(x, op.d))
 
 
-def t_gradient(op: AnalysisOperator, euclidean_grad: np.ndarray) -> np.ndarray:
-    """Gradient with respect to <.,.>_T: (T* T)^{-1} times the Euclidean one.
-
-    The two gradients represent the same derivative in different inner
-    products: <t_gradient(g), h>_T = <g, h> for every direction h. Since
-    (T* T)^{-1} = T^+ (T^+)*, this is T^+ (T^+)* g, from the cached T^+.
-    """
-    return op.pinv @ (op.pinv.T @ _signals(euclidean_grad, op.d))
-
-
 def verify_operator_identities(
     op: AnalysisOperator, tol: float = 1e-10, trials: int = 100, seed: int = 0
 ) -> VerifyReport:

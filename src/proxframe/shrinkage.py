@@ -16,7 +16,6 @@ identities and report the worst violation found.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,51 +86,25 @@ class InducedRegularizer:
         return self.shrinkage.inner_prox.function
 
 
-# _momentum's table, shared by every solve since entry m depends on m alone;
-# it starts at one entry and grows on demand
-_momentum_table = np.zeros(1)
-
-
-def _momentum(size: int) -> np.ndarray:
-    """FISTA's momentum after m iterations since the last restart, for m < ``size``.
-
-    Entry m >= 1 is (t_{m-1} - 1) / t_m for t_0 = 1 and
-    t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2 (Beck & Teboulle 2009); entry 0,
-    the step of a restart, is 0. The table is built by that recursion and
-    grows, at least doubling, whenever a longer one is asked for.
-    """
-    global _momentum_table
-    table = _momentum_table
-    if table.size < size:
-        table, t = np.zeros(max(size, 2 * table.size)), 1.0
-        for m in range(1, table.size):
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            table[m] = (t - 1.0) / t_next
-            t = t_next
-        _momentum_table = table
-    return table
-
-
 def _fista_points(proj, c, lam):
     """FISTA with gradient restart on the box-constrained dual of f, at unit step.
 
     The smooth part's gradient (I - P) u - c is 1-Lipschitz, so a step from
     y is the clip of P y + c onto [-lam, lam]. The iteration carries the
     iterate u, the extrapolated point y and, per column, the number m of
-    iterations since its last restart, which picks its momentum
-    ``_momentum()[m]``; a column restarts (m = 0) once its step points
-    uphill (O'Donoghue & Candes 2015). Each iteration takes one product
-    with P, for P y, and works in place in three buffers that trade roles.
-    Every _GAP_STRIDE iterations one more product forms (I - P) u, and
-    (u, (I - P) u) is yielded; u is overwritten once iterating resumes. The
-    caller may send back a boolean mask of the columns to keep (None keeps
-    all); the others leave c and the iteration state at once.
+    iterations since its last restart. The momentum is (m - 1) / (m + 2),
+    from t_k = (k + 1) / 2 in Beck & Teboulle (2009); a column restarts
+    (m = 0) once its step points uphill (O'Donoghue & Candes 2015), so its
+    momentum is 0 on that step and the next. Each iteration takes one
+    product with P, for P y, and works in place in three buffers that trade
+    roles. Every _GAP_STRIDE iterations one more product forms (I - P) u,
+    and (u, (I - P) u) is yielded; u is overwritten once iterating resumes.
+    The caller may send back a boolean mask of the columns to keep (None
+    keeps all); the others leave c and the iteration state at once.
     """
     u, y, u_new = np.zeros_like(c), np.zeros_like(c), np.empty_like(c)
-    m = np.zeros(c.shape[1], dtype=np.intp)
-    done = 0
+    m = np.zeros(c.shape[1])
     while True:
-        momentum = _momentum(done + _GAP_STRIDE + 1)
         for _ in range(_GAP_STRIDE):
             np.matmul(proj, y, out=u_new)
             u_new += c
@@ -141,12 +114,11 @@ def _fista_points(proj, c, lam):
             # gradient restart: drop a column's momentum once <y - u_new, du> > 0
             y -= u_new
             y *= du
-            m += 1
-            m[np.add.reduce(y, 0) > 0.0] = 0
-            du *= momentum[m]
+            m += 1.0
+            m[np.add.reduce(y, 0) > 0.0] = 0.0
+            du *= np.maximum(m - 1.0, 0.0) / (m + 2.0)
             du += u_new
             u, y, u_new = u_new, du, y
-        done += _GAP_STRIDE
         keep = yield u, u - proj @ u
         if keep is not None:
             c, u, y, m = (a[..., keep] for a in (c, u, y, m))
@@ -214,8 +186,8 @@ def _certify(reg: InducedRegularizer, c: np.ndarray, g_c: np.ndarray, drop, max_
     solvers = {_fista_points(proj, c, lam): None}
     for check in range(max_iter // _GAP_STRIDE):
         if check == _FISTA_ITERS // _GAP_STRIDE:
-            c_max = np.max(np.abs(c_sub), axis=0)
-            rho = np.where(c_max > 0.0, c_max / lam, 1.0)
+            # an open column has Tx != 0: at Tx = 0, u stays 0 and the first gap is 0
+            rho = np.max(np.abs(c_sub), axis=0) / lam
             solvers[_admm_points(proj, c_sub, lam, rho)] = None
         primal, dual, scale = g_sub, -np.inf, 1.0 + np.abs(g_sub)
         for points, keep in solvers.items():

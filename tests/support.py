@@ -1,13 +1,18 @@
 """Independent oracles and fixture helpers used by the tests.
 
 These deliberately avoid the library's own solvers: golden-section search,
-dense grids and a plain dual FISTA are the reference answers the package
-implementations are checked against; ``euclidean_prox`` runs the library's
-prox oracle at T = I. The matrix writers produce the files
-the loaders read, and ``t_inner`` is the T inner product the metric tests
-are stated in.
+dense grids, a plain dual FISTA and an exact rational enumeration are the
+reference answers the package implementations are checked against;
+``euclidean_prox`` runs the library's prox oracle at T = I. The matrix
+writers produce the files the loaders read, and ``t_inner`` and
+``t_gradient`` are the T inner product and T-metric gradient the metric
+tests are stated in.
 """
 
+from fractions import Fraction
+from itertools import combinations, product
+from math import lcm
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -92,30 +97,29 @@ def fista_points_reference(proj, c, lam):
     """The dual FISTA of ``shrinkage._fista_points`` in its plain form.
 
     It carries q = P u and q_y = P y beside u and y, extrapolates both, and
-    recomputes the momentum t_{j+1} = (1 + sqrt(1 + 4 t_j^2)) / 2 of every
-    column on every iteration. It yields (u, (I - P) u) every
-    ``_GAP_STRIDE`` iterations and takes a mask of the columns to keep, as
-    the kernel does.
+    takes every column's momentum (m - 1) / (m + 2) from its count m of
+    iterations since the last restart, with momentum 0 on a restart step.
+    It yields (u, (I - P) u) every ``_GAP_STRIDE`` iterations and takes a
+    mask of the columns to keep, as the kernel does.
     """
     from proxframe.shrinkage import _GAP_STRIDE
 
     u = q = y = q_y = np.zeros_like(c)
-    t = np.ones(c.shape[1])
+    m = np.zeros(c.shape[1])
     while True:
         for _ in range(_GAP_STRIDE):
             u_new = np.clip(q_y + c, -lam, lam)
             q_new = proj @ u_new
             du = u_new - u
             restart = np.sum((y - u_new) * du, axis=0) > 0.0
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            beta = np.where(restart, 0.0, (t - 1.0) / t_new)
-            t = np.where(restart, 1.0, t_new)
+            m = np.where(restart, 0.0, m + 1.0)
+            beta = np.where(restart, 0.0, (m - 1.0) / (m + 2.0))
             y = u_new + beta * du
             q_y = q_new + beta * (q_new - q)
             u, q = u_new, q_new
         keep = yield u, u - q
         if keep is not None:
-            c, u, q, y, q_y, t = (a[..., keep] for a in (c, u, q, y, q_y, t))
+            c, u, q, y, q_y, m = (a[..., keep] for a in (c, u, q, y, q_y, m))
 
 
 def line_regularizer(c: np.ndarray, b: np.ndarray, lam: float) -> float:
@@ -139,6 +143,79 @@ def line_regularizer(c: np.ndarray, b: np.ndarray, lam: float) -> float:
     return float(np.min(objective(np.concatenate([kinks, stationary]))))
 
 
+def _rational_solve(a, b):
+    """X with a X = b for a square ``Fraction`` matrix a (lists of rows); None if a is singular."""
+    k = len(a)
+    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(k):
+            if r != col and m[r][col]:
+                m[r] = [v - m[r][col] * w for v, w in zip(m[r], m[col])]
+    return [row[k:] for row in m]
+
+
+def exact_regularizer(t, y, lam) -> Fraction:
+    """The induced regularizer of soft shrinkage at lam, in exact arithmetic.
+
+    For an integer T with n <= 7 rows, f(y) is the value of the dual
+    max_{|u_i| <= lam} <u, c> - 1/2 u^T Q u, with c = Ty and
+    Q = I - T (T^T T)^{-1} T^T. Every float is a dyadic rational, so c and Q
+    are rational, and the dual is solved exactly by enumerating the
+    lower/free/upper patterns of u: u_i = -lam or lam on the bound set B,
+    and Q_FF u_F = c_F - Q_FB u_B on the free set F. A pattern is kept when
+    u_F lies in the box and the gradient c - Qu has the sign of u on B, the
+    KKT conditions; then u is a maximizer, since the dual is concave. An
+    extreme point u of the optimal set is kept, with F its coordinates
+    inside the box: a null vector v of Q_FF has Qv = 0, since Q is positive
+    semidefinite, so u +- sv would be optimal too. So Q_FF is nonsingular,
+    and F has at most n - d entries, the rank of Q. Every kept pattern
+    must give the same value.
+    """
+    t = [[Fraction(int(v)) for v in row] for row in np.asarray(t)]
+    y, lam = [Fraction(float(v)) for v in np.ravel(y)], Fraction(float(lam))
+    n, d = len(t), len(y)
+    tt = [list(col) for col in zip(*t)]
+    # (T^T T)^{-1} T^T
+    left_inv = _rational_solve([[sum(map(mul, a, b)) for b in tt] for a in tt], tt)
+    q = [[int(i == j) - sum(map(mul, t[i], col)) for j, col in enumerate(zip(*left_inv))]
+         for i in range(n)]
+    c = [sum(map(mul, row, y)) for row in t]
+    values = set()
+    for free in (f for k in range(n - d + 1) for f in combinations(range(n), k)):
+        bound = [i for i in range(n) if i not in free]
+        rows = [[c_i] + [q_i[j] for j in bound] for c_i, q_i in zip(c, q)]
+        # rows [a | M] with u_F = a - M u_B ...
+        affine = _rational_solve([[q[i][j] for j in free] for i in free], [rows[i] for i in free])
+        if affine is None:
+            continue
+        # ... then rows [h | S] with c - Qu = h - S u_B on B
+        affine += [[v - sum(q[i][k] * row[col] for k, row in zip(free, affine))
+                    for col, v in enumerate(rows[i])] for i in bound]
+        # u_B = lam s for signs s; scaled to integers, (u_F, (c - Qu)_B) is
+        # base - slope s
+        terms = [[row[0]] + [lam * v for v in row[1:]] for row in affine]
+        scale = lcm(lam.denominator, *(v.denominator for row in terms for v in row))
+        base = [int(row[0] * scale) for row in terms]
+        slope = [[int(v * scale) for v in row[1:]] for row in terms]
+        box = int(lam * scale)
+        for signs in product((-1, 1), repeat=len(bound)):
+            r = [b - sum(map(mul, row, signs)) for b, row in zip(base, slope)]
+            inside, grad = r[:len(free)], r[len(free):]
+            if all(abs(v) <= box for v in inside) and all(s * v >= 0 for s, v in zip(signs, grad)):
+                u = dict(zip(free, (Fraction(v, scale) for v in r)))
+                u.update(zip(bound, (lam * s for s in signs)))
+                u = [u[i] for i in range(n)]
+                qu = [sum(map(mul, q_i, u)) for q_i in q]
+                values.add(sum(u_i * (c_i - qu_i / 2) for u_i, c_i, qu_i in zip(u, c, qu)))
+    (value,) = values
+    return value
+
+
 def euclidean_prox(prox_map, x, **kwargs):
     """``numeric_prox`` in the Euclidean metric: the T-metric oracle at T = I.
 
@@ -157,6 +234,16 @@ def t_inner(op, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         raise DimensionMismatch(f"shapes {x.shape} and {y.shape} differ")
     inner = np.sum((op.matrix @ x) * (op.matrix @ y), axis=0)
     return float(inner) if x.ndim == 1 else inner
+
+
+def t_gradient(op, euclidean_grad: np.ndarray) -> np.ndarray:
+    """Gradient with respect to <.,.>_T: (T* T)^{-1} times the Euclidean one.
+
+    The two gradients represent the same derivative in different inner
+    products: <t_gradient(g), h>_T = <g, h> for every direction h. Since
+    (T* T)^{-1} = T^+ (T^+)*, this is T^+ (T^+)* g, from the cached T^+.
+    """
+    return op.pinv @ (op.pinv.T @ _signals(euclidean_grad, op.d))
 
 
 # Decimal text with 17 significant digits round-trips float64 bit-exactly, so

@@ -11,6 +11,7 @@ from proxframe import (
     verify_firm_nonexpansive,
     verify_t_firm_nonexpansive,
 )
+from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import build_parser, main
 from support import save_matrix_csv, save_matrix_json
 
@@ -178,6 +179,23 @@ def test_verify_large_lambda(capsys):
                          "--trials", "40", "--seed", "3")
     assert code == 0, err
     assert all(json.loads(line)["pass"] for line in out.strip().splitlines())
+
+
+def test_verify_soft10_reaches_the_admm_join(capsys, monkeypatch):
+    # CI's console-script step runs this argv, at 100 trials, for its ADMM
+    # join: a column of f stays open past FISTA's first _FISTA_ITERS
+    # iterations, so ADMM starts on it
+    started, admm = [], shrinkage_module._admm_points
+
+    def spy(proj, c, lam, rho):
+        started.append(c.shape[1])
+        return admm(proj, c, lam, rho)
+
+    monkeypatch.setattr(shrinkage_module, "_admm_points", spy)
+    code, _, err = run(capsys, "verify", "--operator", "random:12x5:7", "--prox", "soft:10",
+                       "--trials", "20", "--seed", "3")
+    assert code == 0, err
+    assert sum(started) >= 1, started
 
 
 def test_verify_prox_identity_on_200x100(capsys):

@@ -13,7 +13,6 @@ from proxframe import (
     load_matrix_json,
     random_operator,
     soft_shrink_map,
-    t_gradient,
     verify_firm_nonexpansive,
     verify_moreau_characterization,
     verify_operator_identities,
@@ -21,7 +20,7 @@ from proxframe import (
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
 )
-from support import save_matrix_csv, save_matrix_json, t_inner
+from support import save_matrix_csv, save_matrix_json, t_gradient, t_inner
 
 
 def test_build_one_two_column():
