@@ -158,29 +158,31 @@ def _admm_points(proj, c, lam, rho):
         m = m / step
 
 
-def _certify(reg: InducedRegularizer, c: np.ndarray, g_c: np.ndarray, drop, max_iter: int) -> np.ndarray:
-    """f at each column of c = Tx, given g_c = g(c); ``drop`` says when a column is done.
+def _certify(reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, drop, max_iter: int) -> np.ndarray:
+    """f at each column of c = Ty, given a feasible primal value per column, g(c) at w = 0.
 
-    Where f = g o T (square T, the identity map, whose g is 0, and a block
-    without columns) it returns g_c and runs no solver. Otherwise one loop
-    of gap checks, ``_GAP_STRIDE`` iterations apart, runs FISTA on every
-    column and, from iteration ``_FISTA_ITERS`` on, ADMM beside it on the
-    columns still open; the bounds are ``induced_regularizer``'s. At each
-    check ``drop(cols, upper, lower, scale)`` gets the open columns'
-    indices, their primal and dual values, lower <= f(x) <= upper, and the
-    rounding scale 1 + |g(c)| + ||u||^2, and returns a boolean mask of the
-    columns to drop. A dropped column leaves c and the state of every solver
-    at once, and its value is its upper bound at that check. Raises
-    NotConverged if some column is open after ``max_iter`` iterations,
-    naming the iterations run and the largest gap of those columns (inf if
-    none ran).
+    ``feasible`` may be the primal objective 1/2 ||w||^2 + g(c + w) at any
+    w in null(T*), so it bounds f from above; it stands in for g(c)
+    wherever ``induced_regularizer`` uses g(c) as a bound or a scale. Where
+    f = g o T (square T, the identity map, whose g is 0, and a block
+    without columns) it returns ``feasible`` and runs no solver. Otherwise
+    one loop of gap checks, ``_GAP_STRIDE`` iterations apart, runs FISTA on
+    every column and, from iteration ``_FISTA_ITERS`` on, ADMM beside it on
+    the columns still open. At each check ``drop(cols, upper, lower,
+    scale)`` gets the open columns' indices, their primal and dual values,
+    lower <= f <= upper, and the rounding scale 1 + |feasible| + ||u||^2,
+    and returns a boolean mask of the columns to drop. A dropped column
+    leaves c and the state of every solver at once, and its value is its
+    upper bound at that check. Raises NotConverged if some column is open
+    after ``max_iter`` iterations, naming the iterations run and the
+    largest gap of those columns (inf if none ran).
     """
     op, inner, g = reg.shrinkage.operator, reg.shrinkage.inner_prox, reg.g
     if op.n == op.d or inner.name == "identity" or not c.shape[1]:
-        return g_c
+        return feasible
     proj, lam = op.range_proj, inner.lam
-    vals, gap = np.empty_like(g_c), np.full(c.shape[1], np.inf)
-    cols, c_sub, g_sub = np.arange(c.shape[1]), c, g_c
+    vals, gap = np.empty_like(feasible), np.inf
+    cols, c_sub, g_sub = np.arange(c.shape[1]), c, feasible
     # each solver with the keep-mask it has yet to receive: ADMM starts on
     # columns already compacted, so it must not get FISTA's pending one
     solvers = {_fista_points(proj, c, lam): None}
@@ -192,22 +194,22 @@ def _certify(reg: InducedRegularizer, c: np.ndarray, g_c: np.ndarray, drop, max_
         primal, dual, scale = g_sub, -np.inf, 1.0 + np.abs(g_sub)
         for points, keep in solvers.items():
             u, r = points.send(keep)
-            half_sq = 0.5 * np.sum(u * r, axis=0)
+            half_sq = 0.5 * np.add.reduce(u * r, 0)
             primal = np.minimum(primal, half_sq + g(c_sub - r))
-            dual = np.maximum(dual, np.sum(u * c_sub, axis=0) - half_sq)
-            scale = scale + np.sum(u * u, axis=0)
-        gap[cols] = primal - dual
+            dual = np.maximum(dual, np.add.reduce(u * c_sub, 0) - half_sq)
+            scale = scale + np.add.reduce(u * u, 0)
         out = drop(cols, primal, dual, scale)
         vals[cols[out]] = primal[out]
-        keep = ~out if out.any() else None
+        # the open columns' last gap, for the NotConverged message
+        keep, gap = (~out if out.any() else None), primal - dual
         solvers = dict.fromkeys(solvers, keep)
         if keep is not None:
-            cols, c_sub, g_sub = cols[keep], c_sub[:, keep], g_sub[keep]
+            cols, c_sub, g_sub, gap = cols[keep], c_sub[:, keep], g_sub[keep], gap[keep]
             if not cols.size:
                 return vals
     # every check ran: max_iter rounded down to a multiple of the stride
     raise NotConverged(
-        f"regularizer evaluation left a duality gap of {np.max(gap[cols]):.3e} after "
+        f"regularizer evaluation left a duality gap of {np.max(gap):.3e} after "
         f"{max_iter - max_iter % _GAP_STRIDE} iterations (checked every {_GAP_STRIDE})"
     )
 
@@ -405,6 +407,26 @@ def numeric_prox(
 
 # --- verification ------------------------------------------------------------
 
+def _feasible_value(reg: InducedRegularizer, c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """An upper bound on f at each column of c = Ty, from its primal at w = (I - P) p and at w = 0.
+
+    Any w in null(T*) gives the primal value 1/2 ||w||^2 + g(c + w) >= f,
+    so this is the lower of 1/2 ||(I - P) p||^2 + g(c + (I - P) p) and
+    g(c), for any p. At y = T^+ p, c + w is p itself; with p = Prox(Tx),
+    the paper's theorem says z = p attains f(y), so the bound is f(y)
+    exactly when the theorem holds, and only a dual bound can show it does.
+    For square T it is g(c), which is f, bit for bit (there w would be
+    rounding alone, and it lowers the bound in the last bits); for the
+    identity map it is g(c) = 0.
+    """
+    g_c = np.asarray(reg.g(c), dtype=float)
+    op = reg.shrinkage.operator
+    if op.n == op.d:
+        return g_c
+    w = p - op.range_proj @ p
+    return np.minimum(g_c, 0.5 * np.add.reduce(w * w, 0) + reg.g(c + w))
+
+
 def verify_prox_identity(
     fs: FrameShrinkage,
     reg: InducedRegularizer,
@@ -421,10 +443,18 @@ def verify_prox_identity(
 
         1/2 ||T(x - y1)||^2 + f(y1) = 1/2 ||Tx - p||^2 + g(p),   p = Prox(Tx),
 
-    which catches a wrong f. Both solves per trial, the oracle and f(y1),
-    run an order of magnitude tighter than ``tol``. A block in which the
+    which catches a wrong f. f(y1) is certified to a bracket
+    lower <= f(y1) <= upper, and the identity's violation is the larger one
+    at either end. The upper end starts at ``_feasible_value``, the primal
+    value at z = Ty1 + (I - P) p, which is p itself: since
+    ||Tx - p||^2 = ||T(x - y1)||^2 + ||(I - P) p||^2, the identity holds
+    at that end by construction, up to rounding. The lower end is f's dual
+    solve, so the identity's content is f(y1) >= that primal value, which
+    only the dual can certify; a dual stopped early leaves the bracket wide
+    and the check fails. Both solves per trial, the oracle and f(y1), run
+    an order of magnitude tighter than ``tol``. A block in which the
     numeric prox did not converge reports an infinite violation, so the
-    check fails.
+    check fails, and f raises NotConverged as ``induced_regularizer`` does.
 
     The envelope term carries the paper's claim: it ties f to the
     shrinkage. The distance term does not, since the oracle solves the prox
@@ -439,13 +469,23 @@ def verify_prox_identity(
         if not oracle.converged:
             return np.inf
         y1 = frame_prox(fs, x)
-        dist = np.sqrt(np.sum((op.matrix @ (y1 - oracle.minimizer)) ** 2, axis=0))
+        dist = np.sqrt(np.add.reduce((op.matrix @ (y1 - oracle.minimizer)) ** 2, 0))
         tx = op.matrix @ x
         p = fs.inner_prox(tx)
-        envelope = 0.5 * np.sum((tx - p) ** 2, axis=0) + fs.inner_prox.function(p)
-        value = 0.5 * np.sum((op.matrix @ (x - y1)) ** 2, axis=0)
-        value = value + induced_regularizer(reg, y1, tol=inner_tol)
-        return np.maximum(dist, np.abs(value - envelope))
+        envelope = 0.5 * np.add.reduce((tx - p) ** 2, 0) + fs.inner_prox.function(p)
+        value = 0.5 * np.add.reduce((op.matrix @ (x - y1)) ** 2, 0)
+        c = _analysis(reg.shrinkage.operator, y1)
+        feasible = _feasible_value(reg, c, p)
+        lower = feasible.copy()
+
+        def certified(cols, upper, dual, scale):
+            out = _within_gap(upper, dual, scale, inner_tol)
+            lower[cols[out]] = dual[out]
+            return out
+
+        upper = _certify(reg, c, feasible, certified, _MAX_ITER)
+        worst = np.maximum(np.abs(value + lower - envelope), np.abs(value + upper - envelope))
+        return np.maximum(dist, worst)
 
     return sampled_check("prox_identity", trials, tol, seed, op.d, violations)
 

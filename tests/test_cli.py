@@ -183,8 +183,8 @@ def test_verify_large_lambda(capsys):
 
 def test_verify_soft10_reaches_the_admm_join(capsys, monkeypatch):
     # CI's console-script step runs this argv, at 100 trials, for its ADMM
-    # join: a column of f stays open past FISTA's first _FISTA_ITERS
-    # iterations, so ADMM starts on it
+    # join: a column of prox_identity's f(y1) stays open past FISTA's first
+    # _FISTA_ITERS iterations (its solve runs 2424), so ADMM starts on it
     started, admm = [], shrinkage_module._admm_points
 
     def spy(proj, c, lam, rho):

@@ -508,7 +508,7 @@ def test_verify_prox_identity_random_operator(rng):
 @pytest.mark.parametrize("spec", ["random:12x5:3", "random:100x60:3", "random:30x12:2"])
 def test_verify_prox_identity_catches_a_wrong_regularizer(spec, monkeypatch):
     # a gap floor of 1e300 certifies every column of the dual solve at its
-    # first check, so f comes out wrong; the envelope identity at the
+    # first check, so f's bracket stays wide; the envelope identity at the
     # shrinkage point must see it, while the unmutated check passes
     fs = FrameShrinkage(build_operator(load_named_matrix(spec)), soft_shrink_map(1.0))
     reg = InducedRegularizer.from_shrinkage(fs)
@@ -516,6 +516,67 @@ def test_verify_prox_identity_catches_a_wrong_regularizer(spec, monkeypatch):
     monkeypatch.setattr(shrinkage_module, "_GAP_FLOOR", 1e300)
     rep = verify_prox_identity(fs, reg, trials=50, tol=1e-6, seed=4)
     assert not rep.passed and rep.max_violation > 1e-3
+
+
+@pytest.mark.parametrize("spec, lam", [("random:12x5:3", 1.0), ("random:100x60:3", 10.0),
+                                       ("random:30x12:2", 0.1)])
+def test_verify_prox_identity_reports_the_dual_end_of_f(spec, lam, monkeypatch):
+    # f's upper end starts at the feasible point p, where the identity holds
+    # by construction, so a check that reported it alone would read about 0
+    # under any stop rule. A dual stopped at its first gap check must fail
+    # through the bracket's lower end (measured 1.0e-2, 8.2 and 2.6e-5)
+    fs = FrameShrinkage(build_operator(load_named_matrix(spec)), soft_shrink_map(lam))
+    reg = InducedRegularizer.from_shrinkage(fs)
+    tol = 1e-6
+    assert verify_prox_identity(fs, reg, trials=50, tol=tol, seed=4).passed
+    monkeypatch.setattr(shrinkage_module, "_GAP_FLOOR", 1e300)
+    rep = verify_prox_identity(fs, reg, trials=50, tol=tol, seed=4)
+    assert not rep.passed and rep.max_violation > 10 * tol, rep
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_feasible_value_matches_exact_reference(n):
+    # at y1 = T^+ S(Tx) the primal at z = p is f(y1) itself, and the
+    # envelope identity holds at it up to rounding, whatever f's solver
+    # does. At a perturbed y it is a primal value, so never below the exact
+    # f: equal while p has no zero entry, above it on most dead-zone signals
+    # (the second column, at 1/8 the scale). Square T and the identity map
+    # keep f = g(Ty) bit for bit
+    rng = np.random.default_rng(600 + n)
+    feasible = shrinkage_module._feasible_value
+    for d in range(1, n + 1):
+        t = integer_operator(n, d, rng)
+        lam = float(rng.choice([0.5, 1.0, 2.0]))
+        fs = FrameShrinkage(build_operator(t.astype(float)), soft_shrink_map(lam))
+        reg = InducedRegularizer(fs)
+        ident = InducedRegularizer(FrameShrinkage(fs.operator, identity_map()))
+        x = rng.integers(-64, 65, size=(d, 2)) / 16.0 * [1.0, 0.125]
+        p = soft_shrink(t @ x, lam)
+        y1 = frame_prox(fs, x)
+        y2 = y1 + rng.integers(-8, 9, size=(d, 2)) / 64.0
+        value, off = feasible(reg, t @ y1, p), feasible(reg, t @ y2, p)
+        if n == d:
+            np.testing.assert_array_equal(value, reg.g(t @ y1))
+            continue
+        np.testing.assert_array_equal(feasible(ident, t @ y2, p), 0.0)
+        envelope = 0.5 * np.sum((t @ x - p) ** 2, axis=0) + reg.g(p)
+        split = 0.5 * np.sum((t @ (x - y1)) ** 2, axis=0) + value
+        assert np.all(np.abs(split - envelope) <= 1e-12 * np.maximum(1.0, envelope)), (n, d)
+        for j in range(2):
+            exact = exact_regularizer(t, y1[:, j], lam)
+            assert abs(value[j] - exact) <= 1e-12 * max(1, abs(exact)), (n, d, j)
+            assert off[j] >= exact_regularizer(t, y2[:, j], lam) - 1e-12 * max(1, off[j]), (n, d, j)
+
+
+def test_verify_prox_identity_stops_f_at_its_dual_end(monkeypatch):
+    # f(y1) on the 100-trial block of random:200x100:2 took 6168
+    # column-iterations while each column waited for FISTA's primal end;
+    # seeded at the feasible point, it stops once its dual is in reach
+    fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
+    reg = InducedRegularizer.from_shrinkage(fs)
+    columns = count_column_iterations(monkeypatch)
+    assert verify_prox_identity(fs, reg, trials=100, tol=1e-6, seed=5).passed
+    assert 0 < sum(columns) <= 4000
 
 
 @pytest.mark.parametrize("spec", ["example35", "random:12x5:3", "random:200x100:2"])
