@@ -159,10 +159,10 @@ def verify_operator_identities(
     )
 
     def violations(x: np.ndarray) -> np.ndarray:
-        x /= np.sqrt(np.sum(x * x, axis=0))
-        nx2 = np.sum(x * x, axis=0)
+        x /= np.sqrt(np.add.reduce(x * x, 0))
+        nx2 = np.add.reduce(x * x, 0)
         tx = t @ x
-        tx2 = np.sum(tx * tx, axis=0)
+        tx2 = np.add.reduce(tx * tx, 0)
         return np.maximum(np.maximum(a * nx2 - tx2, tx2 - b * nx2), exact)
 
     return sampled_check("operator_identities", trials, tol, seed, op.d, violations)
@@ -189,14 +189,18 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
 
 
 def _json_floats(values) -> np.ndarray:
-    """A JSON list of numbers as floats; ValueError if ``values`` is not a list
-    or holds anything but numbers (a string, a boolean, null, a list)."""
+    """A JSON list of numbers as floats; ValueError if ``values`` is not a list,
+    holds anything but numbers (a string, a boolean, null, a list) or holds
+    an integer beyond the float range."""
     if not isinstance(values, list):
         raise ValueError(f"expected a list of numbers, got {values!r}")
     for v in values:
         if type(v) not in (int, float):
             raise ValueError(f"expected numbers only, got {v!r}")
-    return np.array(values, dtype=float)
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise ValueError("expected numbers in the float range, got a larger integer") from exc
 
 
 def _json_matrix(doc) -> np.ndarray:

@@ -116,15 +116,10 @@ class ProxMap:
         return self.prox(x, 1.0)
 
 
-def _colsum(values: np.ndarray) -> np.ndarray:
-    # np.sum's own reduction without its Python wrapper: the same bits
-    return np.add.reduce(values, 0)
-
-
 def _potential_cols(v, lam):
     """The soft-shrinkage potential of each column of v (of v, if 1-D)."""
     outer = np.maximum(np.abs(np.atleast_1d(np.asarray(v, dtype=float))) - lam, 0.0)
-    return 0.5 * _colsum(outer * outer)
+    return 0.5 * np.add.reduce(outer * outer, 0)
 
 
 def _zero_cols(v):
@@ -139,7 +134,7 @@ def soft_shrink_map(lam: float) -> ProxMap:
         name="soft_shrink",
         lam=lam,
         prox=lambda v, t=1.0: soft_shrink(v, lam * t),
-        function=lambda v: lam * _colsum(np.abs(np.asarray(v, dtype=float))),
+        function=lambda v: lam * np.add.reduce(np.abs(np.asarray(v, dtype=float)), 0),
         potential=lambda v: _potential_cols(v, lam),
         breakpoint_gap=lambda v: np.abs(np.abs(np.asarray(v, dtype=float)) - lam),
     )
@@ -152,7 +147,7 @@ def identity_map() -> ProxMap:
         lam=1.0,
         prox=lambda v, t=1.0: np.asarray(v, dtype=float),
         function=_zero_cols,
-        potential=lambda v: 0.5 * _colsum(np.square(np.asarray(v, dtype=float))),
+        potential=lambda v: 0.5 * np.add.reduce(np.square(np.asarray(v, dtype=float)), 0),
     )
 
 
@@ -176,7 +171,7 @@ def verify_firm_nonexpansive(
     """
     def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dp = np.asarray(prox_map(x)) - np.asarray(prox_map(y))
-        return _colsum(dp * dp) - _colsum((x - y) * dp)
+        return np.add.reduce(dp * dp, 0) - np.add.reduce((x - y) * dp, 0)
 
     return sampled_check(f"firm_nonexpansive:{prox_map.name}", trials, tol, seed, dim,
                          violations, columns=2)
@@ -248,7 +243,7 @@ def verify_moreau_characterization(
     def violations(x: np.ndarray) -> np.ndarray:
         px = np.asarray(prox_map(x))
         at_x = _column_values(potential, x)
-        split = np.abs(at_x - _colsum(_entry_values(potential, x))) / np.maximum(1.0, np.abs(at_x))
+        split = np.abs(at_x - np.add.reduce(_entry_values(potential, x), 0)) / np.maximum(1.0, np.abs(at_x))
         fd = _central_diff(potential, x)
         grad_err = np.max(np.abs(fd - px), axis=0) / np.maximum(1.0, np.max(np.abs(px), axis=0))
         if prox_map.breakpoint_gap is not None:

@@ -48,14 +48,13 @@ class SolveReport:
     """Result of an iterative solve.
 
     ``residual`` holds the solver's own termination quantity (duality gap,
-    certified error bound, ...); ``tolerance`` the threshold it was compared against.
+    certified error bound, ...); ``converged`` says whether it met the tolerance.
     """
 
     minimizer: np.ndarray
     objective: float | None
     iterations: int
     residual: float
-    tolerance: float
     converged: bool
 
     def to_dict(self) -> dict:

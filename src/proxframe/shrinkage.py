@@ -150,38 +150,48 @@ def _admm_points(proj, c, lam, rho):
         keep = yield v, v - proj @ v
         if keep is not None:
             c, v, m, u, v_prev, rho = (a[..., keep] for a in (c, v, m, u, v_prev, rho))
-        primal_res = np.sum((u - v) ** 2, axis=0)
-        dual_res = rho * rho * np.sum((v - v_prev) ** 2, axis=0)
+        primal_res = np.add.reduce((u - v) ** 2, 0)
+        dual_res = rho * rho * np.add.reduce((v - v_prev) ** 2, 0)
         step = np.where(primal_res > 100.0 * dual_res, 2.0,
                         np.where(dual_res > 100.0 * primal_res, 0.5, 1.0))
         rho = rho * step
         m = m / step
 
 
-def _certify(reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, drop, max_iter: int) -> np.ndarray:
-    """f at each column of c = Ty, given a feasible primal value per column, g(c) at w = 0.
+def _certify(
+    reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, tol: float, max_iter: int,
+    prune: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (upper, lower), upper >= f >= lower, at each column of c = Ty.
 
     ``feasible`` may be the primal objective 1/2 ||w||^2 + g(c + w) at any
-    w in null(T*), so it bounds f from above; it stands in for g(c)
-    wherever ``induced_regularizer`` uses g(c) as a bound or a scale. Where
+    w in null(T*), such as g(c) at w = 0, so it bounds f from above. Where
     f = g o T (square T, the identity map, whose g is 0, and a block
-    without columns) it returns ``feasible`` and runs no solver. Otherwise
-    one loop of gap checks, ``_GAP_STRIDE`` iterations apart, runs FISTA on
-    every column and, from iteration ``_FISTA_ITERS`` on, ADMM beside it on
-    the columns still open. At each check ``drop(cols, upper, lower,
-    scale)`` gets the open columns' indices, their primal and dual values,
-    lower <= f <= upper, and the rounding scale 1 + |feasible| + ||u||^2,
-    and returns a boolean mask of the columns to drop. A dropped column
-    leaves c and the state of every solver at once, and its value is its
-    upper bound at that check. Raises NotConverged if some column is open
-    after ``max_iter`` iterations, naming the iterations run and the
-    largest gap of those columns (inf if none ran).
+    without columns) it returns (feasible, feasible) and runs no solver.
+    Otherwise one loop of gap checks, ``_GAP_STRIDE`` iterations apart, runs
+    FISTA on every column and, from iteration ``_FISTA_ITERS`` on, ADMM
+    beside it on the columns still open. At each check an open column takes
+    the lowest primal value (its feasible value, or the primal at
+    w = -B^T u for a solver's dual iterate u) and the highest dual value its
+    solvers reach. This is the stop rule of every evaluation of f: a column
+    stops, with these values as its bounds, the first time their gap is at
+    most ``tol`` or a floor of ``_GAP_FLOOR``, 64 ulps, of
+    1 + |feasible| + ||u||^2 (summed over its solvers), the scale at which
+    float64 rounding of the gap's terms sets in. With ``prune``, a column
+    also stops, its gap unchecked, once its upper bound minus its feasible
+    value is below the highest lower bound minus feasible value of any
+    column so far: it can no longer set the block's largest f - feasible.
+    A stopped column leaves c and the state of every solver at once.
+    Raises NotConverged if some column is open after ``max_iter``
+    iterations, naming the iterations run and the largest gap of those
+    columns (inf if none ran).
     """
     op, inner, g = reg.shrinkage.operator, reg.shrinkage.inner_prox, reg.g
     if op.n == op.d or inner.name == "identity" or not c.shape[1]:
-        return feasible
+        return feasible, feasible
     proj, lam = op.range_proj, inner.lam
-    vals, gap = np.empty_like(feasible), np.inf
+    upper, lower = np.empty_like(feasible), np.empty_like(feasible)
+    best, gap = -np.inf, np.inf
     cols, c_sub, g_sub = np.arange(c.shape[1]), c, feasible
     # each solver with the keep-mask it has yet to receive: ADMM starts on
     # columns already compacted, so it must not get FISTA's pending one
@@ -198,25 +208,23 @@ def _certify(reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, drop,
             primal = np.minimum(primal, half_sq + g(c_sub - r))
             dual = np.maximum(dual, np.add.reduce(u * c_sub, 0) - half_sq)
             scale = scale + np.add.reduce(u * u, 0)
-        out = drop(cols, primal, dual, scale)
-        vals[cols[out]] = primal[out]
+        done = primal - dual <= np.maximum(tol, _GAP_FLOOR * scale)
+        if prune:
+            best = np.maximum(best, np.max(dual - g_sub))
+            done |= primal - g_sub < best
+        upper[cols[done]], lower[cols[done]] = primal[done], dual[done]
         # the open columns' last gap, for the NotConverged message
-        keep, gap = (~out if out.any() else None), primal - dual
+        keep, gap = (~done if done.any() else None), primal - dual
         solvers = dict.fromkeys(solvers, keep)
         if keep is not None:
             cols, c_sub, g_sub, gap = cols[keep], c_sub[:, keep], g_sub[keep], gap[keep]
             if not cols.size:
-                return vals
+                return upper, lower
     # every check ran: max_iter rounded down to a multiple of the stride
     raise NotConverged(
         f"regularizer evaluation left a duality gap of {np.max(gap):.3e} after "
         f"{max_iter - max_iter % _GAP_STRIDE} iterations (checked every {_GAP_STRIDE})"
     )
-
-
-def _within_gap(upper, lower, scale, tol):
-    """Columns whose gap is at most ``tol`` or its rounding floor, 64 ulps of ``scale``."""
-    return upper - lower <= np.maximum(tol, _GAP_FLOOR * scale)
 
 
 def induced_regularizer(
@@ -241,15 +249,10 @@ def induced_regularizer(
     whose penalty starts at max|Tx| / lam and follows that scale, runs on
     such columns beside the same FISTA run, which goes on as before.
 
-    Every eight iterations each open column takes the lowest primal value
-    (at w = -B^T u for a solver's dual iterate u, or at w = 0, where it is
-    g(c)) and the highest dual value its solvers reach. It is frozen at
-    that primal value the first time their gap is at most ``tol``, or a
-    floor of 64 ulps of 1 + |g(c)| + ||u||^2, the scale at which float64
-    rounding of the gap's terms sets in. The result therefore satisfies
-    dual <= f(x) <= result <= g(Tx), with result - dual within that bound.
-    A frozen column leaves c and the state of every solver, so later
-    iterations cost only the columns still open. Their values match a
+    ``_certify`` runs both, with g(Tx) as the feasible value, and stops each
+    column by its rule: its gap within ``tol`` or a rounding floor. The
+    result is that column's upper bound, so dual <= f(x) <= result <= g(Tx).
+    Later iterations cost only the columns still open. Their values match a
     one-column evaluation up to the certified gap: BLAS may round a product
     differently at another column count. A (d, 0) block runs no solver.
 
@@ -264,7 +267,7 @@ def induced_regularizer(
     c = _analysis(reg.shrinkage.operator, x)
     c = c[:, None] if c.ndim == 1 else c
     g_c = np.atleast_1d(np.asarray(reg.g(c), dtype=float))
-    vals = _certify(reg, c, g_c, lambda cols, *bounds: _within_gap(*bounds, tol), max_iter)
+    vals = _certify(reg, c, g_c, tol, max_iter)[0]
     return float(vals[0]) if squeeze else vals
 
 
@@ -313,7 +316,7 @@ def _norms(a: np.ndarray) -> np.ndarray:
     big = np.isinf(norms)
     if big.any():
         scale = np.max(np.abs(a[:, big]), axis=0)
-        norms[big] = scale * np.sqrt(np.sum((a[:, big] / scale) ** 2, axis=0))
+        norms[big] = scale * np.sqrt(np.add.reduce((a[:, big] / scale) ** 2, 0))
     return norms
 
 
@@ -400,7 +403,6 @@ def numeric_prox(
         objective=None,
         iterations=iters,
         residual=resid,
-        tolerance=tol,
         converged=bool(resid <= tol),
     )
 
@@ -475,15 +477,7 @@ def verify_prox_identity(
         envelope = 0.5 * np.add.reduce((tx - p) ** 2, 0) + fs.inner_prox.function(p)
         value = 0.5 * np.add.reduce((op.matrix @ (x - y1)) ** 2, 0)
         c = _analysis(reg.shrinkage.operator, y1)
-        feasible = _feasible_value(reg, c, p)
-        lower = feasible.copy()
-
-        def certified(cols, upper, dual, scale):
-            out = _within_gap(upper, dual, scale, inner_tol)
-            lower[cols[out]] = dual[out]
-            return out
-
-        upper = _certify(reg, c, feasible, certified, _MAX_ITER)
+        upper, lower = _certify(reg, c, _feasible_value(reg, c, p), inner_tol, _MAX_ITER)
         worst = np.maximum(np.abs(value + lower - envelope), np.abs(value + upper - envelope))
         return np.maximum(dist, worst)
 
@@ -499,7 +493,7 @@ def verify_t_firm_nonexpansive(
     def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         df = op.matrix @ (frame_prox(fs, x) - frame_prox(fs, y))
         dx = op.matrix @ (x - y)
-        return np.sum(df * df, axis=0) - np.sum(dx * df, axis=0)
+        return np.add.reduce(df * df, 0) - np.add.reduce(dx * df, 0)
 
     return sampled_check("t_firm_nonexpansive", trials, tol, seed, op.d, violations, columns=2)
 
@@ -516,15 +510,13 @@ def weaker_regularizer_check(
 
     The check reports the largest f(x) - g(Tx) of each block of trials, and
     only that maximum is certified to the inner tolerance
-    min(tol 1e-2, 1e-10), as ``induced_regularizer`` certifies a value. f's
-    dual solve (``_certify``) bounds every trial from above and below at
-    each gap check; a trial leaves it once its bounds are that close, or
-    once its upper bound minus g(Tx) is below the best lower bound minus
-    g(Tx) of any trial of its block, so it can no longer set the maximum.
-    Such a trial reports that upper bound: it is shown to lie below the
-    maximum, not evaluated to the inner tolerance. NotConverged is raised
-    only if a trial that could still set the maximum is not certified
-    within ``induced_regularizer``'s default ``max_iter``, ``_MAX_ITER``.
+    min(tol 1e-2, 1e-10), as ``induced_regularizer`` certifies a value:
+    f's dual solve (``_certify``) runs with ``prune``, so a trial that can
+    no longer set the maximum leaves it early and reports its upper bound,
+    shown to lie below the maximum, not evaluated to the inner tolerance.
+    NotConverged is raised only if a trial that could still set the maximum
+    is not certified within ``induced_regularizer``'s default ``max_iter``,
+    ``_MAX_ITER``.
     """
     op = reg.shrinkage.operator
     inner_tol = min(tol * 1e-2, 1e-10)
@@ -533,13 +525,6 @@ def weaker_regularizer_check(
     def violations(x: np.ndarray) -> np.ndarray:
         c = _analysis(op, x)
         g_c = np.asarray(reg.g(c), dtype=float)
-        best = -np.inf
-
-        def settled(cols, upper, lower, scale):
-            nonlocal best
-            best = np.maximum(best, np.max(lower - g_c[cols]))
-            return _within_gap(upper, lower, scale, inner_tol) | (upper - g_c[cols] < best)
-
-        return _certify(reg, c, g_c, settled, _MAX_ITER) - g_c
+        return _certify(reg, c, g_c, inner_tol, _MAX_ITER, prune=True)[0] - g_c
 
     return sampled_check("weaker_regularizer", trials, tol, seed, op.d, violations)

@@ -167,7 +167,6 @@ def solve_analysis_dual(
         objective=analysis_objective(problem, minimizer),
         iterations=k,
         residual=min(residual, zero_gap),
-        tolerance=tol,
         converged=converged,
     )
 

@@ -67,6 +67,10 @@ JSON_INPUTS = {
     "lambda_string.json": '{"x": [1], "lambda": "1"}',
     "lambda_bool.json": '{"x": [1], "lambda": true}',
     "not_an_object.json": '[1]',
+    # a JSON integer of 400 digits parses exactly but has no float value
+    "data_big.json": '{"rows": 2, "cols": 1, "data": [1, %s]}' % ("9" * 400),
+    "x_big.json": '{"x": [1, %s]}' % ("9" * 400),
+    "lambda_big.json": '{"x": [1, 2], "lambda": %s}' % ("9" * 400),
 }
 
 
@@ -129,6 +133,10 @@ JSON_INPUTS = {
         ("verify", "--operator", "random:12x5:3", "--prox", "identity:1", "--trials", "5"),
         # solve has no --prox: its contrast line shrinks at --lambda
         ("solve", "--x", "1", "--prox", "soft:1"),
+        # a JSON integer beyond the float range (files from JSON_INPUTS)
+        ("verify", "--operator", "data_big.json", "--trials", "5"),
+        ("solve", "--operator", "identity:2", "--problem", "x_big.json"),
+        ("solve", "--operator", "identity:2", "--problem", "lambda_big.json"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):

@@ -313,6 +313,43 @@ def test_induced_regularizer_matches_exact_reference(n):
             assert abs(value - exact) <= 1e-12 * max(1, abs(exact)), (d, lam, scale)
 
 
+def test_certify_bracket_contains_the_exact_value():
+    # lower <= f <= upper at every column _certify returns, at tol 1e-9 and
+    # 0, against the exact f. Rounding in P and in the gap terms can put an
+    # end some ulps past it (most often at tol 0, where the rounding floor
+    # closes the bracket), hence a slack of 1e-12 relative to max(1, |f|)
+    rng = np.random.default_rng(700)
+    for n in range(3, 8):
+        for d in range(1, n):
+            t = integer_operator(n, d, rng)
+            lam = float(rng.choice([0.5, 1.0, 2.0]))
+            reg = InducedRegularizer(FrameShrinkage(build_operator(t.astype(float)), soft_shrink_map(lam)))
+            # signals of size ~lam, and ones inside the dead zone
+            y = rng.integers(-64, 65, size=(d, 3)) / 16.0 * [1.0, 0.125, 2.0 ** -6]
+            c = t @ y
+            exact = [exact_regularizer(t, y[:, j], lam) for j in range(3)]
+            for tol in (1e-9, 0.0):
+                upper, lower = shrinkage_module._certify(reg, c, reg.g(c), tol, 100000)
+                for j, f in enumerate(exact):
+                    slack = 1e-12 * max(1, abs(f))
+                    assert lower[j] - slack <= f <= upper[j] + slack, (n, d, lam, j, tol)
+
+
+@pytest.mark.parametrize("case", ["square", "identity", "empty"])
+def test_certify_shortcut_returns_the_feasible_value(case, monkeypatch):
+    # where f = g o T, or there is no column, the bracket is the feasible
+    # value at both ends and no dual solver of f takes a step
+    op = build_operator(np.eye(3) if case == "square" else np.eye(4)[:, :3])
+    inner = identity_map() if case == "identity" else soft_shrink_map(1.0)
+    reg = InducedRegularizer(FrameShrinkage(op, inner))
+    c = op.matrix @ (np.zeros((3, 0)) if case == "empty" else np.ones((3, 2)))
+    feasible = np.asarray(reg.g(c), dtype=float)
+    sends = count_column_iterations(monkeypatch)
+    upper, lower = shrinkage_module._certify(reg, c, feasible, 1e-9, 100000)
+    assert upper is feasible and lower is feasible
+    assert len(sends) == 0
+
+
 def test_weaker_regularizer_maximum_matches_exact_reference():
     # the reported maximum of f(x_j) - g(Tx_j) against the exact f of each
     # sampled x_j (every float is dyadic), to the check's inner tolerance
