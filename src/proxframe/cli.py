@@ -177,8 +177,11 @@ def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
             raise ValueError(f"{args.problem} must hold a JSON object")
         if "x" not in doc:
             raise ValueError(f'{args.problem} has no "x" field')
-        x = _json_floats(doc["x"])
-        lam = float(_json_floats([doc.get("lambda", lam)])[0])
+        try:
+            x = _json_floats(doc["x"])
+            lam = float(_json_floats([doc.get("lambda", lam)])[0])
+        except ValueError as exc:
+            raise ValueError(f"malformed problem JSON in {args.problem}: {exc}") from exc
     elif args.x:
         x = np.asarray([float(v) for v in args.x.split(",")], dtype=float)
     else:

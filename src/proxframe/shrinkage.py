@@ -27,8 +27,10 @@ from .prox import ProxMap, _check_tol, soft_shrink_map
 from .reports import SolveReport, VerifyReport
 from .sampling import sampled_check
 
-# A duality-gap check costs about as much as an iteration of the dual solve;
-# checking on every eighth keeps that small without delaying the stop much.
+# A duality-gap check, the product (I - P) u and the gap's bookkeeping, costs
+# about one iteration of the dual solve at 30 to 100 open columns and about
+# 1.5 at 1 to 4 (random:200x100:2, one BLAS thread); checking on every
+# eighth keeps that small without delaying the stop much.
 _GAP_STRIDE = 8
 # Unit-step FISTA certified every column of the benchmark workloads within
 # 800 iterations; a column still open after this many also gets ADMM.
@@ -86,24 +88,38 @@ class InducedRegularizer:
         return self.shrinkage.inner_prox.function
 
 
+def _col_dot(a, b):
+    """The inner product of each column of a with the same column of b, (n, k) blocks.
+
+    One matmul call reads each pair of columns once, with no (n, k)
+    temporary; on column-contiguous blocks each pair is contiguous.
+    """
+    return np.matmul(a.T[:, None], b.T[..., None]).ravel()
+
+
 def _fista_points(proj, c, lam):
     """FISTA with gradient restart on the box-constrained dual of f, at unit step.
 
     The smooth part's gradient (I - P) u - c is 1-Lipschitz, so a step from
     y is the clip of P y + c onto [-lam, lam]. The iteration carries the
-    iterate u, the extrapolated point y and, per column, the number m of
-    iterations since its last restart. The momentum is (m - 1) / (m + 2),
-    from t_k = (k + 1) / 2 in Beck & Teboulle (2009); a column restarts
-    (m = 0) once its step points uphill (O'Donoghue & Candes 2015), so its
-    momentum is 0 on that step and the next. Each iteration takes one
-    product with P, for P y, and works in place in three buffers that trade
-    roles. Every _GAP_STRIDE iterations one more product forms (I - P) u,
-    and (u, (I - P) u) is yielded; u is overwritten once iterating resumes.
-    The caller may send back a boolean mask of the columns to keep (None
-    keeps all); the others leave c and the iteration state at once.
+    iterate u, the extrapolated point y and, per column, m2 = m + 2 for the
+    number m of iterations since its last restart. The momentum is
+    (m - 1) / (m + 2) = (m2 - 3) / m2, from t_k = (k + 1) / 2 in Beck &
+    Teboulle (2009); a column restarts (m = 0) once its step points uphill,
+    <y - u_new, u_new - u> > 0 (O'Donoghue & Candes 2015), so its momentum
+    is 0 on that step and the next. Each iteration takes one product with
+    P, for P y, forms that inner product per column in one pass
+    (``_col_dot``), and works in place in three buffers that trade roles.
+    The buffers take c's layout; ``_certify`` passes c column-contiguous
+    (Fortran order), so every column of u, y and the buffers is contiguous,
+    and stays so when columns leave. Every _GAP_STRIDE iterations one more
+    product forms (I - P) u, and (u, (I - P) u) is yielded; u is
+    overwritten once iterating resumes. The caller may send back a boolean
+    mask of the columns to keep (None keeps all); the others leave c and
+    the iteration state at once.
     """
     u, y, u_new = np.zeros_like(c), np.zeros_like(c), np.empty_like(c)
-    m = np.zeros(c.shape[1])
+    m2 = np.full(c.shape[1], 2.0)
     while True:
         for _ in range(_GAP_STRIDE):
             np.matmul(proj, y, out=u_new)
@@ -111,17 +127,17 @@ def _fista_points(proj, c, lam):
             np.minimum(u_new, lam, out=u_new)
             np.maximum(u_new, -lam, out=u_new)
             du = np.subtract(u_new, u, out=u)
-            # gradient restart: drop a column's momentum once <y - u_new, du> > 0
+            # gradient restart: m2 = 2 (m = 0) once <y - u_new, du> > 0
             y -= u_new
-            y *= du
-            m += 1.0
-            m[np.add.reduce(y, 0) > 0.0] = 0.0
-            du *= np.maximum(m - 1.0, 0.0) / (m + 2.0)
+            m2 += 1.0
+            m2[_col_dot(y, du) > 0.0] = 2.0
+            du *= np.maximum(m2 - 3.0, 0.0) / m2
             du += u_new
             u, y, u_new = u_new, du, y
-        keep = yield u, u - proj @ u
+        r = np.matmul(proj, u, out=np.empty_like(u))
+        keep = yield u, np.subtract(u, r, out=r)
         if keep is not None:
-            c, u, y, m = (a[..., keep] for a in (c, u, y, m))
+            c, u, y, m2 = (a[..., keep] for a in (c, u, y, m2))
             u_new = np.empty_like(u)
 
 
@@ -136,22 +152,26 @@ def _admm_points(proj, c, lam, rho):
 
     rho is balanced against the primal and dual residuals (Boyd et al.
     2011, 3.4.1). Yields (v, (I - P) v) every _GAP_STRIDE iterations and
-    takes a mask of the columns to keep as ``_fista_points`` does.
+    takes a mask of the columns to keep as ``_fista_points`` does. Its
+    blocks take c's layout too: each product with P writes into a block
+    laid out like its operand.
     """
     v = m = np.zeros_like(c)
     while True:
         for _ in range(_GAP_STRIDE):
             b = v - m
-            pb = proj @ b
+            pb = np.matmul(proj, b, out=np.empty_like(b))
             u = pb + c / rho + rho / (1.0 + rho) * (b - pb)
             a = u + m
             v_prev, v = v, np.clip(a, -lam, lam)
             m = a - v
-        keep = yield v, v - proj @ v
+        r = np.matmul(proj, v, out=np.empty_like(v))
+        keep = yield v, np.subtract(v, r, out=r)
         if keep is not None:
             c, v, m, u, v_prev, rho = (a[..., keep] for a in (c, v, m, u, v_prev, rho))
-        primal_res = np.add.reduce((u - v) ** 2, 0)
-        dual_res = rho * rho * np.add.reduce((v - v_prev) ** 2, 0)
+        split_gap, v_step = u - v, v - v_prev
+        primal_res = _col_dot(split_gap, split_gap)
+        dual_res = rho * rho * _col_dot(v_step, v_step)
         step = np.where(primal_res > 100.0 * dual_res, 2.0,
                         np.where(dual_res > 100.0 * primal_res, 0.5, 1.0))
         rho = rho * step
@@ -182,6 +202,11 @@ def _certify(
     value is below the highest lower bound minus feasible value of any
     column so far: it can no longer set the block's largest f - feasible.
     A stopped column leaves c and the state of every solver at once.
+    The solvers run on c in column-contiguous (Fortran) order, copied if
+    it is not, and on the operator's column-major copy of P: every block
+    then keeps each column contiguous through every compaction, each
+    per-column product (``_col_dot``) is one pass, and the bounds do not
+    depend on c's layout.
     Raises NotConverged if some column is open after ``max_iter``
     iterations, naming the iterations run and the largest gap of those
     columns (inf if none ran).
@@ -189,7 +214,9 @@ def _certify(
     op, inner, g = reg.shrinkage.operator, reg.shrinkage.inner_prox, reg.g
     if op.n == op.d or inner.name == "identity" or not c.shape[1]:
         return feasible, feasible
-    proj, lam = op.range_proj, inner.lam
+    # P in the blocks' order: P is symmetric only to rounding, so it is
+    # copied into column-major order, never transposed
+    proj, lam, c = op._range_proj_f, inner.lam, np.asfortranarray(c)
     upper, lower = np.empty_like(feasible), np.empty_like(feasible)
     best, gap = -np.inf, np.inf
     cols, c_sub, g_sub = np.arange(c.shape[1]), c, feasible
@@ -204,22 +231,24 @@ def _certify(
         primal, dual, scale = g_sub, -np.inf, 1.0 + np.abs(g_sub)
         for points, keep in solvers.items():
             u, r = points.send(keep)
-            half_sq = 0.5 * np.add.reduce(u * r, 0)
+            half_sq = 0.5 * _col_dot(u, r)
             primal = np.minimum(primal, half_sq + g(c_sub - r))
-            dual = np.maximum(dual, np.add.reduce(u * c_sub, 0) - half_sq)
-            scale = scale + np.add.reduce(u * u, 0)
-        done = primal - dual <= np.maximum(tol, _GAP_FLOOR * scale)
+            dual = np.maximum(dual, _col_dot(u, c_sub) - half_sq)
+            scale = scale + _col_dot(u, u)
+        # the open columns' last gap, for the NotConverged message
+        gap = primal - dual
+        done = gap <= np.maximum(tol, _GAP_FLOOR * scale)
         if prune:
             best = np.maximum(best, np.max(dual - g_sub))
             done |= primal - g_sub < best
-        upper[cols[done]], lower[cols[done]] = primal[done], dual[done]
-        # the open columns' last gap, for the NotConverged message
-        keep, gap = (~done if done.any() else None), primal - dual
-        solvers = dict.fromkeys(solvers, keep)
-        if keep is not None:
+        keep = None
+        if done.any():
+            upper[cols[done]], lower[cols[done]] = primal[done], dual[done]
+            keep = ~done
             cols, c_sub, g_sub, gap = cols[keep], c_sub[:, keep], g_sub[keep], gap[keep]
             if not cols.size:
                 return upper, lower
+        solvers = dict.fromkeys(solvers, keep)
     # every check ran: max_iter rounded down to a multiple of the stride
     raise NotConverged(
         f"regularizer evaluation left a duality gap of {np.max(gap):.3e} after "

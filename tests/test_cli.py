@@ -71,6 +71,9 @@ JSON_INPUTS = {
     "data_big.json": '{"rows": 2, "cols": 1, "data": [1, %s]}' % ("9" * 400),
     "x_big.json": '{"x": [1, %s]}' % ("9" * 400),
     "lambda_big.json": '{"x": [1, 2], "lambda": %s}' % ("9" * 400),
+    "x_string_only.json": '{"x": ["1"]}',
+    "x_not_a_list.json": '{"x": 1}',
+    "lambda_null.json": '{"x": [1], "lambda": null}',
 }
 
 
@@ -137,6 +140,10 @@ JSON_INPUTS = {
         ("verify", "--operator", "data_big.json", "--trials", "5"),
         ("solve", "--operator", "identity:2", "--problem", "x_big.json"),
         ("solve", "--operator", "identity:2", "--problem", "lambda_big.json"),
+        # a malformed problem file is named in the error, as a matrix file is
+        ("solve", "--operator", "identity:1", "--problem", "x_string_only.json"),
+        ("solve", "--operator", "identity:1", "--problem", "x_not_a_list.json"),
+        ("solve", "--operator", "identity:1", "--problem", "lambda_null.json"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
@@ -146,6 +153,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
+    if "--problem" in argv:
+        assert argv[argv.index("--problem") + 1] in err, err
 
 
 def test_verify_failure_exits_1(capsys):

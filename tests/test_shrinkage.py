@@ -437,6 +437,63 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
     assert not np.all(check >= 0), "the dead-zone columns should need ADMM"
 
 
+def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
+    # _certify solves on a column-contiguous copy of c, so a C-ordered c,
+    # its Fortran copy and a strided view of the same numbers give the same
+    # bits. Blocks: f(y1) of the random:200x100:2 CLI regression at tol
+    # 1e-7, seeded at the shrinkage's feasible point, and the 9x2 dead-zone
+    # block of test_fista_kernel_matches_plain_reference, which reaches ADMM
+    op = build_operator(load_named_matrix("random:200x100:2"))
+    regression = FrameShrinkage(op, soft_shrink_map(1.0))
+    x = sample_trials(5, 0, 100, 100)[0]
+    y1 = frame_prox(regression, x)
+    dead_zone = FrameShrinkage(random_operator(9, 2, rng), soft_shrink_map(10.0))
+    x_dead = rng.standard_normal((2, 12))
+    x_dead[:, ::2] *= 1e-9
+    started, admm = [], shrinkage_module._admm_points
+
+    def spy(proj, c, lam, rho):
+        started.append(c.shape[1])
+        return admm(proj, c, lam, rho)
+
+    monkeypatch.setattr(shrinkage_module, "_admm_points", spy)
+    for fs, y, p, tol in ((regression, y1, regression.inner_prox(op.matrix @ x), 1e-7),
+                          (dead_zone, x_dead, None, 1e-9)):
+        reg = InducedRegularizer.from_shrinkage(fs)
+        c = np.ascontiguousarray(fs.operator.matrix @ y)
+        feasible = reg.g(c) if p is None else shrinkage_module._feasible_value(reg, c, p)
+        wide = np.zeros((c.shape[0], 2 * c.shape[1]))
+        wide[:, ::2] = c
+        results = [shrinkage_module._certify(reg, block, feasible, tol, 100000)
+                   for block in (c, np.asfortranarray(c), wide[:, ::2])]
+        for upper, lower in results[1:]:
+            np.testing.assert_array_equal(upper, results[0][0])
+            np.testing.assert_array_equal(lower, results[0][1])
+    assert len(started) == 3, "the dead-zone block should reach ADMM"
+    # the column-major copy of P: the same numbers, made once per operator
+    proj = op._range_proj_f
+    assert proj is op._range_proj_f and proj.flags.f_contiguous and not proj.flags.writeable
+    np.testing.assert_array_equal(proj, op.range_proj)
+
+
+@pytest.mark.parametrize("n, k", [(9, 12), (200, 100), (200, 1), (200, 0)])
+def test_col_dot_matches_the_column_sums(rng, n, k):
+    # one fused pass per column against the multiply-and-sum it replaced,
+    # on C-ordered, Fortran-ordered and strided blocks; each is within a
+    # few ulps of the sum of |a b| over the column, and exact on integers
+    a, b = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    wide = np.zeros((n, 2 * k))
+    eps = np.finfo(float).eps
+    for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b)), (a, wide[:, ::2])):
+        wide[:, ::2] = b
+        dot = shrinkage_module._col_dot(x, y)
+        assert dot.shape == (k,)
+        ref = np.add.reduce(x * y, 0)
+        assert np.all(np.abs(dot - ref) <= 4.0 * eps * np.add.reduce(np.abs(x * y), 0))
+        ints = np.round(8.0 * x), np.round(8.0 * y)
+        np.testing.assert_array_equal(shrinkage_module._col_dot(*ints), np.add.reduce(ints[0] * ints[1], 0))
+
+
 SOLVES = pytest.mark.parametrize("solve", [
     lambda tol: induced_regularizer(InducedRegularizer.from_shrinkage(example_shrinkage()), [1.0], tol=tol),
     lambda tol: numeric_prox(example_shrinkage(), np.array([1.0]), tol=tol),
