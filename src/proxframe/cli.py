@@ -11,7 +11,8 @@ Operators are named inline ("example35", "identity:3", "random:6x3:42") or
 loaded from .csv / .json matrix files. Runs are reproducible: the seed fully
 determines every sample, and reports are emitted in a fixed order with fixed
 key order, so identical configurations produce byte-identical streams. Seeds
-are integers in [0, 2**64); verify also draws on seed + 1 .. seed + 5.
+are integers in [0, 2**64); verify also draws on seed + 1 .. seed + 5, so
+its --seed is at most 2**64 - 6.
 """
 
 from __future__ import annotations
@@ -113,10 +114,13 @@ def _tol(args: argparse.Namespace, default: float) -> float:
 def _shrinkage(args: argparse.Namespace) -> InducedRegularizer:
     """The regularizer induced by --operator and --prox; its shrinkage is ``.shrinkage``."""
     fs = FrameShrinkage(build_operator(load_named_matrix(args.operator)), parse_prox(args.prox))
-    return InducedRegularizer.from_shrinkage(fs)
+    return InducedRegularizer(fs)
 
 
 def cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    # the six checks draw on seed .. seed + 5, and each must be a 64-bit key
+    if not 0 <= args.seed <= 2**64 - 6:
+        raise ValueError(f"--seed must be in the range 0 .. 2**64 - 6, got {args.seed}")
     reg = _shrinkage(args)
     fs = reg.shrinkage
     op, prox = fs.operator, fs.inner_prox

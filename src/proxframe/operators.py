@@ -8,15 +8,14 @@ Moore-Penrose inverse is given by T^+ = (T* T)^{-1} T*.
 
 ``build_operator`` validates a matrix and caches everything downstream code
 reads repeatedly: the pseudoinverse, the orthogonal projector onto range(T),
-and the frame bounds. The operator also keeps a column-major copy of the
-projector, made the first time f's dual solve needs it.
+and the frame bounds. Each array is stored once, in C order and
+write-protected; a caller that needs another layout takes a view of it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -51,18 +50,6 @@ class AnalysisOperator:
     @property
     def d(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def _range_proj_f(self) -> np.ndarray:
-        """``range_proj`` in column-major (Fortran) order, write-protected.
-
-        f's dual solve keeps its blocks column-contiguous, and with P in
-        the same order each of its products P y is a plain column-major
-        product. The copy is made on the first solve and kept.
-        """
-        a = np.asfortranarray(self.range_proj)
-        a.setflags(write=False)
-        return a
 
 
 # relative numerical-rank cutoff: a matrix with sigma_min <= _RANK_TOL sigma_max is rejected

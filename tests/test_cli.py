@@ -144,6 +144,9 @@ JSON_INPUTS = {
         ("solve", "--operator", "identity:1", "--problem", "x_string_only.json"),
         ("solve", "--operator", "identity:1", "--problem", "x_not_a_list.json"),
         ("solve", "--operator", "identity:1", "--problem", "lambda_null.json"),
+        # verify draws on seed .. seed + 5, so its --seed stops at 2**64 - 6
+        ("verify", "--operator", "example35", "--trials", "3", "--seed", str(2**64 - 5)),
+        ("verify", "--operator", "example35", "--trials", "3", "--seed", str(2**64 - 1)),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
@@ -155,6 +158,18 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert err.strip()
     if "--problem" in argv:
         assert argv[argv.index("--problem") + 1] in err, err
+    if argv[0] == "verify" and "--seed" in argv:
+        seed = int(argv[argv.index("--seed") + 1])
+        if not 0 <= seed <= 2**64 - 6:
+            assert "--seed" in err, err
+
+
+def test_verify_takes_the_largest_seed(capsys):
+    # seed + 5 = 2**64 - 1 is the last 64-bit key
+    code, out, err = run(capsys, "verify", "--operator", "example35", "--trials", "3",
+                         "--seed", str(2**64 - 6))
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 6
 
 
 def test_verify_failure_exits_1(capsys):

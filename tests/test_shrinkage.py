@@ -451,12 +451,18 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     x_dead = rng.standard_normal((2, 12))
     x_dead[:, ::2] *= 1e-9
     started, admm = [], shrinkage_module._admm_points
+    projs, fista = [], shrinkage_module._fista_points
 
     def spy(proj, c, lam, rho):
         started.append(c.shape[1])
         return admm(proj, c, lam, rho)
 
+    def fista_spy(proj, c, lam):
+        projs.append(proj)
+        return fista(proj, c, lam)
+
     monkeypatch.setattr(shrinkage_module, "_admm_points", spy)
+    monkeypatch.setattr(shrinkage_module, "_fista_points", fista_spy)
     for fs, y, p, tol in ((regression, y1, regression.inner_prox(op.matrix @ x), 1e-7),
                           (dead_zone, x_dead, None, 1e-9)):
         reg = InducedRegularizer.from_shrinkage(fs)
@@ -470,10 +476,23 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
             np.testing.assert_array_equal(upper, results[0][0])
             np.testing.assert_array_equal(lower, results[0][1])
     assert len(started) == 3, "the dead-zone block should reach ADMM"
-    # the column-major copy of P: the same numbers, made once per operator
-    proj = op._range_proj_f
-    assert proj is op._range_proj_f and proj.flags.f_contiguous and not proj.flags.writeable
-    np.testing.assert_array_equal(proj, op.range_proj)
+    # P reaches the solve as a column-major, read-only view of the operator's one projector
+    assert len(projs) == 6
+    for proj, fs in zip(projs, [regression] * 3 + [dead_zone] * 3):
+        assert proj.flags.f_contiguous and not proj.flags.writeable
+        assert np.shares_memory(proj, fs.operator.range_proj)
+
+
+def test_evaluating_f_stores_nothing_on_the_operator():
+    # f's dual solve reads the operator's arrays as built and caches nothing on it
+    op = build_operator(load_named_matrix("random:200x100:2"))
+    keys = set(vars(op))
+    fs = FrameShrinkage(op, soft_shrink_map(1.0))
+    reg = InducedRegularizer(fs)
+    induced_regularizer(reg, sample_trials(5, 0, 10, 100)[0], tol=1e-7)
+    verify_prox_identity(fs, reg, trials=10, tol=1e-6, seed=5)
+    weaker_regularizer_check(reg, trials=10, seed=6)
+    assert set(vars(op)) == keys
 
 
 @pytest.mark.parametrize("n, k", [(9, 12), (200, 100), (200, 1), (200, 0)])
