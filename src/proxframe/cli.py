@@ -55,21 +55,27 @@ from .solvers import AnalysisProblem, _scale, solve_analysis_dual
 
 
 def load_named_matrix(spec: str) -> np.ndarray:
-    """Resolve an operator argument to a dense matrix."""
+    """Resolve an operator argument to a dense matrix.
+
+    A bad size, shape or seed in an inline spec raises ValueError quoting the spec.
+    """
     if spec == "example35":
         return np.array(EXAMPLE_MATRIX)
-    if spec.startswith("identity:"):
-        d = int(spec.split(":", 1)[1])
-        if d < 1:
-            raise ValueError("identity dimension must be >= 1")
-        return np.eye(d)
-    if spec.startswith("random:"):
-        try:
-            _, shape, seed = spec.split(":")
-            n, d = (int(v) for v in shape.lower().split("x"))
-        except ValueError as exc:
-            raise ValueError(f"expected random:NxD:SEED, got {spec!r}") from exc
-        return _generator(int(seed)).standard_normal((n, d))
+    try:
+        if spec.startswith("identity:"):
+            d = int(spec.split(":", 1)[1])
+            if d < 1:
+                raise ValueError("identity dimension must be >= 1")
+            return np.eye(d)
+        if spec.startswith("random:"):
+            try:
+                _, shape, seed = spec.split(":")
+                n, d = (int(v) for v in shape.lower().split("x"))
+            except ValueError as exc:
+                raise ValueError("expected random:NxD:SEED") from exc
+            return _generator(int(seed)).standard_normal((n, d))
+    except ValueError as exc:
+        raise ValueError(f"--operator {spec!r}: {exc}") from exc
     if spec.endswith(".json"):
         return load_matrix_json(spec)
     if spec.endswith(".csv"):
@@ -142,6 +148,9 @@ def cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 
 def cmd_regularizer(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    # checked even where d = 1 draws no direction: a bad seed is a usage error on every operator
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be in the range 0 .. 2**64 - 1, got {args.seed}")
     reg = _shrinkage(args)
     op, prox = reg.shrinkage.operator, reg.shrinkage.inner_prox
     grid = parse_grid(args.grid)

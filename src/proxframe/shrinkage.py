@@ -182,13 +182,13 @@ def _admm_points(proj, c, lam, rho):
 def _certify(
     reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, tol: float, max_iter: int,
     prune: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (upper, lower), upper >= f >= lower, at each column of c = Ty.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds upper >= f >= lower at each column of c = Ty, and the iterations each took.
 
     ``feasible`` may be the primal objective 1/2 ||w||^2 + g(c + w) at any
     w in null(T*), such as g(c) at w = 0, so it bounds f from above. Where
     f = g o T (square T, the identity map, whose g is 0, and a block
-    without columns) it returns (feasible, feasible) and runs no solver.
+    without columns) it returns (feasible, feasible, 0) and runs no solver.
     Otherwise one loop of gap checks, ``_GAP_STRIDE`` iterations apart, runs
     FISTA on every column and, from iteration ``_FISTA_ITERS`` on, ADMM
     beside it on the columns still open. At each check an open column takes
@@ -203,6 +203,9 @@ def _certify(
     value is below the highest lower bound minus feasible value of any
     column so far: it can no longer set the block's largest f - feasible.
     A stopped column leaves c and the state of every solver at once.
+    The third array holds the FISTA iterations each column ran before it
+    stopped, a multiple of ``_GAP_STRIDE`` (0 where no solver ran); where
+    that count exceeds ``_FISTA_ITERS``, ADMM ran the excess beside FISTA.
     The solvers run on c in column-contiguous (Fortran) order, copied if
     it is not, and apply P as P^T, a column-major view of the operator's
     C-ordered projector: every block then keeps each column contiguous
@@ -215,8 +218,9 @@ def _certify(
     columns (inf if none ran).
     """
     op, inner, g = reg.shrinkage.operator, reg.shrinkage.inner_prox, reg.g
+    iters = np.zeros(c.shape[1], dtype=int)
     if op.n == op.d or inner.name == "identity" or not c.shape[1]:
-        return feasible, feasible
+        return feasible, feasible, iters
     # P^T, a view of P, is already in the blocks' column-major order
     proj, lam, c = op.range_proj.T, inner.lam, np.asfortranarray(c)
     upper, lower = np.empty_like(feasible), np.empty_like(feasible)
@@ -246,10 +250,11 @@ def _certify(
         keep = None
         if done.any():
             upper[cols[done]], lower[cols[done]] = primal[done], dual[done]
+            iters[cols[done]] = (check + 1) * _GAP_STRIDE
             keep = ~done
             cols, c_sub, g_sub, base, gap = (a[..., keep] for a in (cols, c_sub, g_sub, base, gap))
             if not cols.size:
-                return upper, lower
+                return upper, lower, iters
         solvers = dict.fromkeys(solvers, keep)
     # every check ran: max_iter rounded down to a multiple of the stride
     raise NotConverged(
@@ -507,7 +512,7 @@ def verify_prox_identity(
         envelope = 0.5 * np.add.reduce((tx - p) ** 2, 0) + fs.inner_prox.function(p)
         value = 0.5 * np.add.reduce((op.matrix @ (x - y1)) ** 2, 0)
         c = _analysis(reg.shrinkage.operator, y1)
-        upper, lower = _certify(reg, c, _feasible_value(reg, c, p), inner_tol, _MAX_ITER)
+        upper, lower, _ = _certify(reg, c, _feasible_value(reg, c, p), inner_tol, _MAX_ITER)
         worst = np.maximum(np.abs(value + lower - envelope), np.abs(value + upper - envelope))
         return np.maximum(dist, worst)
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from proxframe import shrinkage
+
 settings.register_profile("proxframe", deadline=None)
 settings.load_profile("proxframe")
 
@@ -26,3 +28,17 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def certified(monkeypatch):
+    """The iterations array of each ``shrinkage._certify`` call the test makes, in call order."""
+    runs, certify = [], shrinkage._certify
+
+    def recorded(*args, **kwargs):
+        result = certify(*args, **kwargs)
+        runs.append(result[2])
+        return result
+
+    monkeypatch.setattr(shrinkage, "_certify", recorded)
+    return runs

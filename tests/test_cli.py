@@ -147,6 +147,13 @@ JSON_INPUTS = {
         # verify draws on seed .. seed + 5, so its --seed stops at 2**64 - 6
         ("verify", "--operator", "example35", "--trials", "3", "--seed", str(2**64 - 5)),
         ("verify", "--operator", "example35", "--trials", "3", "--seed", str(2**64 - 1)),
+        # regularizer checks --seed whether or not it draws a direction (d = 1 draws none)
+        ("regularizer", "--operator", "example35", "--seed", "-4", "--grid", "0:1:1"),
+        ("regularizer", "--operator", "example35", "--seed", str(2**64), "--grid", "0:1:1"),
+        # a bad size, shape or seed in an inline operator is quoted in the error
+        ("verify", "--operator", "random:3x2:-4", "--trials", "3"),
+        ("verify", "--operator", "identity:x", "--trials", "3"),
+        ("verify", "--operator", "random:-3x2:1", "--trials", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
@@ -158,10 +165,13 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     assert err.strip()
     if "--problem" in argv:
         assert argv[argv.index("--problem") + 1] in err, err
-    if argv[0] == "verify" and "--seed" in argv:
+    if "--seed" in argv:
         seed = int(argv[argv.index("--seed") + 1])
-        if not 0 <= seed <= 2**64 - 6:
+        if not 0 <= seed <= (2**64 - 6 if argv[0] == "verify" else 2**64 - 1):
             assert "--seed" in err, err
+    spec = argv[argv.index("--operator") + 1] if "--operator" in argv else ""
+    if spec in ("random:axb:3", "random:6x3:-1", "random:3x2:-4", "identity:x", "random:-3x2:1"):
+        assert repr(spec) in err, err
 
 
 def test_verify_takes_the_largest_seed(capsys):
@@ -213,21 +223,14 @@ def test_verify_large_lambda(capsys):
     assert all(json.loads(line)["pass"] for line in out.strip().splitlines())
 
 
-def test_verify_soft10_reaches_the_admm_join(capsys, monkeypatch):
+def test_verify_soft10_reaches_the_admm_join(capsys, certified):
     # CI's console-script step runs this argv, at 100 trials, for its ADMM
     # join: a column of prox_identity's f(y1) stays open past FISTA's first
-    # _FISTA_ITERS iterations (its solve runs 2424), so ADMM starts on it
-    started, admm = [], shrinkage_module._admm_points
-
-    def spy(proj, c, lam, rho):
-        started.append(c.shape[1])
-        return admm(proj, c, lam, rho)
-
-    monkeypatch.setattr(shrinkage_module, "_admm_points", spy)
+    # _FISTA_ITERS iterations (its solve runs 2424), so ADMM joins on it
     code, _, err = run(capsys, "verify", "--operator", "random:12x5:7", "--prox", "soft:10",
                        "--trials", "20", "--seed", "3")
     assert code == 0, err
-    assert sum(started) >= 1, started
+    assert max(np.max(iters, initial=0) for iters in certified) > shrinkage_module._FISTA_ITERS
 
 
 def test_verify_prox_identity_on_200x100(capsys):

@@ -212,7 +212,7 @@ def test_induced_regularizer_deep_in_dead_zone(rng):
     assert np.all(np.abs(loose - tight) <= 1e-7)
 
 
-def test_induced_regularizer_compaction_across_both_phases(rng, monkeypatch):
+def test_induced_regularizer_compaction_across_both_phases(rng, certified):
     # ordinary columns are certified by FISTA and leave the block while the
     # deep-dead-zone ones stay past _FISTA_ITERS, where ADMM joins the same
     # FISTA run on them, and leave it one by one; each column must still
@@ -223,23 +223,10 @@ def test_induced_regularizer_compaction_across_both_phases(rng, monkeypatch):
     tol = 1e-9
     x = rng.standard_normal((2, 12))
     x[:, ::2] *= 1e-9
-    started = {"_fista_points": [], "_admm_points": []}
-
-    def spy(name):
-        points = getattr(shrinkage_module, name)
-
-        def started_on(proj, c, lam, *rho):
-            started[name].append(c.shape[1])
-            return points(proj, c, lam, *rho)
-
-        return started_on
-
-    for name in started:
-        monkeypatch.setattr(shrinkage_module, name, spy(name))
     vals = induced_regularizer(reg, x, tol=tol)
-    # one FISTA run on the whole block, one ADMM run on the columns it left open
-    assert started["_fista_points"] == [x.shape[1]]
-    assert len(started["_admm_points"]) == 1 and 0 < started["_admm_points"][0] < x.shape[1]
+    # one solve of the whole block, in which ADMM joins on some columns only
+    (iters,) = certified
+    assert 0 < np.sum(iters > shrinkage_module._FISTA_ITERS) < x.shape[1], iters
 
     tx = op.matrix @ x
     u = tx - soft_shrink(tx, 10.0)
@@ -329,14 +316,14 @@ def test_certify_bracket_contains_the_exact_value():
             c = t @ y
             exact = [exact_regularizer(t, y[:, j], lam) for j in range(3)]
             for tol in (1e-9, 0.0):
-                upper, lower = shrinkage_module._certify(reg, c, reg.g(c), tol, 100000)
+                upper, lower, _ = shrinkage_module._certify(reg, c, reg.g(c), tol, 100000)
                 for j, f in enumerate(exact):
                     slack = 1e-12 * max(1, abs(f))
                     assert lower[j] - slack <= f <= upper[j] + slack, (n, d, lam, j, tol)
 
 
 @pytest.mark.parametrize("case", ["square", "identity", "empty"])
-def test_certify_shortcut_returns_the_feasible_value(case, monkeypatch):
+def test_certify_shortcut_returns_the_feasible_value(case):
     # where f = g o T, or there is no column, the bracket is the feasible
     # value at both ends and no dual solver of f takes a step
     op = build_operator(np.eye(3) if case == "square" else np.eye(4)[:, :3])
@@ -344,10 +331,9 @@ def test_certify_shortcut_returns_the_feasible_value(case, monkeypatch):
     reg = InducedRegularizer(FrameShrinkage(op, inner))
     c = op.matrix @ (np.zeros((3, 0)) if case == "empty" else np.ones((3, 2)))
     feasible = np.asarray(reg.g(c), dtype=float)
-    sends = count_column_iterations(monkeypatch)
-    upper, lower = shrinkage_module._certify(reg, c, feasible, 1e-9, 100000)
+    upper, lower, iters = shrinkage_module._certify(reg, c, feasible, 1e-9, 100000)
     assert upper is feasible and lower is feasible
-    assert len(sends) == 0
+    np.testing.assert_array_equal(iters, np.zeros(c.shape[1]))
 
 
 def test_weaker_regularizer_maximum_matches_exact_reference():
@@ -372,42 +358,12 @@ def test_example_closed_form_equals_exact_reference():
         assert example_regularizer_closed_form(y) == float(exact_regularizer(t, [y], 1.0))
 
 
-def fista_phase(points, reg, c, tol):
-    """The check at which each column is certified, and its value, by FISTA alone.
-
-    Follows ``induced_regularizer`` up to ``_FISTA_ITERS``, where ADMM
-    joins: at each check a column takes the primal value
-    min(g(c), 1/2 <u, r> + g(c - r)) and is certified once that is within
-    max(tol, _GAP_FLOOR (1 + |g(c)| + ||u||^2)) of the dual
-    <u, c> - 1/2 <u, r>; a certified column leaves the block. A column
-    not certified within _FISTA_ITERS iterations gets check -1 and value NaN.
-    """
-    proj, lam = reg.shrinkage.operator.range_proj, reg.shrinkage.inner_prox.lam
-    points = points(proj, c, lam)
-    check, value = np.full(c.shape[1], -1), np.full(c.shape[1], np.nan)
-    cols, keep = np.arange(c.shape[1]), None
-    for i in range(shrinkage_module._FISTA_ITERS // shrinkage_module._GAP_STRIDE):
-        u, r = points.send(keep)
-        c_sub = c[:, cols]
-        g_sub = reg.g(c_sub)
-        half_sq = 0.5 * np.sum(u * r, axis=0)
-        primal = np.minimum(g_sub, half_sq + reg.g(c_sub - r))
-        dual = np.sum(u * c_sub, axis=0) - half_sq
-        floor = shrinkage_module._GAP_FLOOR * (1.0 + np.abs(g_sub) + np.sum(u * u, axis=0))
-        fresh = primal - dual <= np.maximum(tol, floor)
-        check[cols[fresh]], value[cols[fresh]] = i, primal[fresh]
-        keep = ~fresh if fresh.any() else None
-        cols = cols[~fresh]
-        if not cols.size:
-            break
-    return check, value
-
-
 def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
-    # the kernel forms P y by its own product and clips in place; each
-    # column must be certified at the plain reference's check, give or take
-    # one, at its value up to tol and the rounding slack of the
-    # gap-certificate test.
+    # the kernel forms P y by its own product and clips in place; the same
+    # columns must be certified by FISTA alone as with the plain reference,
+    # each within one gap check of the reference's count, and every column at
+    # its value up to tol and the rounding slack of the gap-certificate test,
+    # ADMM's join included.
     # Blocks: f(y1) of the random:200x100:2 CLI regression at tol 1e-7, and
     # the 9x2 block at lam = 10 half deep in the dead zone of
     # test_induced_regularizer_compaction_across_both_phases
@@ -417,32 +373,30 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
     dead_zone = FrameShrinkage(random_operator(9, 2, rng), soft_shrink_map(10.0))
     x = rng.standard_normal((2, 12))
     x[:, ::2] *= 1e-9
+    fista_only = shrinkage_module._FISTA_ITERS
     for fs, y, tol in ((regression, y1, 1e-7), (dead_zone, x, 1e-9)):
         reg = InducedRegularizer.from_shrinkage(fs)
         c = fs.operator.matrix @ y
         u = c - soft_shrink(c, fs.inner_prox.lam)
         slack = 1e-12 * (1.0 + reg.g(c) + np.sum(u * u, axis=0))
-        check, value = fista_phase(shrinkage_module._fista_points, reg, c, tol)
-        ref_check, ref_value = fista_phase(fista_points_reference, reg, c, tol)
-        np.testing.assert_array_equal(check < 0, ref_check < 0)
-        assert np.all(np.abs(check - ref_check) <= 1), (check, ref_check)
-        done = check >= 0
-        assert np.all(np.abs(value - ref_value)[done] <= tol + slack[done])
-        # through the whole solve, ADMM's join included
-        vals = induced_regularizer(reg, y, tol=tol)
+        value, _, iters = shrinkage_module._certify(reg, c, reg.g(c), tol, 100000)
         with monkeypatch.context() as patch:
             patch.setattr(shrinkage_module, "_fista_points", fista_points_reference)
-            ref = induced_regularizer(reg, y, tol=tol)
-        assert np.all(np.abs(vals - ref) <= tol + slack)
-    assert not np.all(check >= 0), "the dead-zone columns should need ADMM"
+            ref_value, _, ref_iters = shrinkage_module._certify(reg, c, reg.g(c), tol, 100000)
+        done = iters <= fista_only
+        np.testing.assert_array_equal(done, ref_iters <= fista_only)
+        assert np.all(np.abs(iters - ref_iters)[done] <= shrinkage_module._GAP_STRIDE), (iters, ref_iters)
+        assert np.all(np.abs(value - ref_value) <= tol + slack)
+    assert not np.all(done), "the dead-zone columns should need ADMM"
 
 
 def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     # _certify solves on a column-contiguous copy of c, so a C-ordered c,
     # its Fortran copy and a strided view of the same numbers give the same
-    # bits. Blocks: f(y1) of the random:200x100:2 CLI regression at tol
-    # 1e-7, seeded at the shrinkage's feasible point, and the 9x2 dead-zone
-    # block of test_fista_kernel_matches_plain_reference, which reaches ADMM
+    # bits and the same iteration counts. Blocks: f(y1) of the
+    # random:200x100:2 CLI regression at tol 1e-7, seeded at the shrinkage's
+    # feasible point, and the 9x2 dead-zone block of
+    # test_fista_kernel_matches_plain_reference, which reaches ADMM
     op = build_operator(load_named_matrix("random:200x100:2"))
     regression = FrameShrinkage(op, soft_shrink_map(1.0))
     x = sample_trials(5, 0, 100, 100)[0]
@@ -450,18 +404,12 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     dead_zone = FrameShrinkage(random_operator(9, 2, rng), soft_shrink_map(10.0))
     x_dead = rng.standard_normal((2, 12))
     x_dead[:, ::2] *= 1e-9
-    started, admm = [], shrinkage_module._admm_points
     projs, fista = [], shrinkage_module._fista_points
-
-    def spy(proj, c, lam, rho):
-        started.append(c.shape[1])
-        return admm(proj, c, lam, rho)
 
     def fista_spy(proj, c, lam):
         projs.append(proj)
         return fista(proj, c, lam)
 
-    monkeypatch.setattr(shrinkage_module, "_admm_points", spy)
     monkeypatch.setattr(shrinkage_module, "_fista_points", fista_spy)
     for fs, y, p, tol in ((regression, y1, regression.inner_prox(op.matrix @ x), 1e-7),
                           (dead_zone, x_dead, None, 1e-9)):
@@ -472,10 +420,10 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
         wide[:, ::2] = c
         results = [shrinkage_module._certify(reg, block, feasible, tol, 100000)
                    for block in (c, np.asfortranarray(c), wide[:, ::2])]
-        for upper, lower in results[1:]:
-            np.testing.assert_array_equal(upper, results[0][0])
-            np.testing.assert_array_equal(lower, results[0][1])
-    assert len(started) == 3, "the dead-zone block should reach ADMM"
+        for result in results[1:]:
+            for got, first in zip(result, results[0]):
+                np.testing.assert_array_equal(got, first)
+    assert np.max(results[0][2]) > shrinkage_module._FISTA_ITERS, "the dead-zone block should reach ADMM"
     # P reaches the solve as a column-major, read-only view of the operator's one projector
     assert len(projs) == 6
     for proj, fs in zip(projs, [regression] * 3 + [dead_zone] * 3):
@@ -538,15 +486,14 @@ def test_negative_tol_is_refused_at_once(solve):
 @pytest.mark.parametrize("op", [example_operator(), build_operator(np.eye(4)[:, :3]),
                                 build_operator(load_named_matrix("random:200x100:2"))],
                          ids=["example35", "4x3", "random:200x100:2"])
-def test_empty_block_gives_empty_results(op, monkeypatch):
+def test_empty_block_gives_empty_results(op, certified):
     # a (d, 0) block has no column to certify, so no dual solver of f takes a step
     fs = FrameShrinkage(op, soft_shrink_map(1.0))
     reg = InducedRegularizer.from_shrinkage(fs)
     empty = np.zeros((op.d, 0))
     assert frame_prox(fs, empty).shape == (op.d, 0)
-    sends = count_column_iterations(monkeypatch)
     assert induced_regularizer(reg, empty).shape == (0,)
-    assert len(sends) == 0
+    assert [iters.shape for iters in certified] == [(0,)]
     rep = numeric_prox(reg, empty)
     assert rep.minimizer.shape == (op.d, 0)
     assert rep.converged and rep.residual == 0.0 and rep.iterations == 0
@@ -574,18 +521,15 @@ def test_induced_regularizer_reads_g_from_its_shrinkage():
         InducedRegularizer.from_shrinkage(FrameShrinkage(example_operator(), l1))
 
 
-def test_induced_regularizer_identity_inner_is_zero(rng, monkeypatch):
+def test_induced_regularizer_identity_inner_is_zero(rng, certified):
     # g = 0, so f = 0 at once on a rectangular T, with no dual solve
-    def no_solve(*args):
-        raise AssertionError("the identity map must not start a dual solve")
-
-    monkeypatch.setattr(shrinkage_module, "_fista_points", no_solve)
     op = random_operator(5, 2, rng)
     reg = InducedRegularizer.from_shrinkage(FrameShrinkage(op, identity_map()))
     assert induced_regularizer(reg, rng.standard_normal(2)) == 0.0
     np.testing.assert_array_equal(
         induced_regularizer(reg, rng.standard_normal((2, 4))), np.zeros(4)
     )
+    np.testing.assert_array_equal(np.concatenate(certified), np.zeros(5))
 
 
 def test_prox_identity_flagship_golden_section_oracle():
@@ -681,15 +625,15 @@ def test_feasible_value_matches_exact_reference(n):
             assert off[j] >= exact_regularizer(t, y2[:, j], lam) - 1e-12 * max(1, off[j]), (n, d, j)
 
 
-def test_verify_prox_identity_stops_f_at_its_dual_end(monkeypatch):
+def test_verify_prox_identity_stops_f_at_its_dual_end(certified):
     # f(y1) on the 100-trial block of random:200x100:2 took 6168
     # column-iterations while each column waited for FISTA's primal end;
     # seeded at the feasible point, it stops once its dual is in reach
     fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
     reg = InducedRegularizer.from_shrinkage(fs)
-    columns = count_column_iterations(monkeypatch)
     assert verify_prox_identity(fs, reg, trials=100, tol=1e-6, seed=5).passed
-    assert 0 < sum(columns) <= 4000
+    (iters,) = certified
+    assert 0 < np.sum(iters) <= 4000
 
 
 @pytest.mark.parametrize("spec", ["example35", "random:12x5:3", "random:200x100:2"])
@@ -808,34 +752,14 @@ def test_weaker_regularizer_pruning_keeps_the_reported_maximum(case):
     assert abs(rep.max_violation - ref) <= inner_tol
 
 
-def count_column_iterations(monkeypatch):
-    """Wrap both dual solvers of f; the returned list gathers the columns they iterate."""
-    columns = []
-
-    def counted(points):
-        def wrapper(*args):
-            inner = points(*args)
-            keep = None
-            while True:
-                u, r = inner.send(keep)
-                columns.append(u.shape[1] * shrinkage_module._GAP_STRIDE)
-                keep = yield u, r
-
-        return wrapper
-
-    for name in ("_fista_points", "_admm_points"):
-        monkeypatch.setattr(shrinkage_module, name, counted(getattr(shrinkage_module, name)))
-    return columns
-
-
-def test_weaker_regularizer_iterates_only_trials_that_can_set_the_maximum(monkeypatch):
+def test_weaker_regularizer_iterates_only_trials_that_can_set_the_maximum(certified):
     # certifying every trial's f took 4696 column-iterations here; trials
     # that cannot set the maximum leave the solve as soon as that shows
     fs, trials, seed = weaker_cases()[0]
     reg = InducedRegularizer.from_shrinkage(fs)
-    columns = count_column_iterations(monkeypatch)
     assert weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed).passed
-    assert 0 < sum(columns) <= 1200
+    (iters,) = certified
+    assert 0 < np.sum(iters) <= 1200
 
 
 def test_weaker_regularizer_not_converged_only_for_a_possible_maximum(monkeypatch):
