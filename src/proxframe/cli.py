@@ -57,7 +57,8 @@ from .solvers import AnalysisProblem, _scale, solve_analysis_dual
 def load_named_matrix(spec: str) -> np.ndarray:
     """Resolve an operator argument to a dense matrix.
 
-    A bad size, shape or seed in an inline spec raises ValueError quoting the spec.
+    A bad size, shape or seed in an inline spec raises ValueError quoting the
+    spec, and one too large to allocate raises MemoryError quoting it.
     """
     if spec == "example35":
         return np.array(EXAMPLE_MATRIX)
@@ -76,6 +77,8 @@ def load_named_matrix(spec: str) -> np.ndarray:
             return _generator(int(seed)).standard_normal((n, d))
     except ValueError as exc:
         raise ValueError(f"--operator {spec!r}: {exc}") from exc
+    except MemoryError as exc:
+        raise MemoryError(f"--operator {spec!r}: {exc}") from exc
     if spec.endswith(".json"):
         return load_matrix_json(spec)
     if spec.endswith(".csv"):

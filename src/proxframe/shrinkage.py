@@ -33,7 +33,8 @@ from .sampling import sampled_check
 # eighth keeps that small without delaying the stop much.
 _GAP_STRIDE = 8
 # Unit-step FISTA certified every column of the benchmark workloads within
-# 800 iterations; a column still open after this many also gets ADMM.
+# 960 iterations (seeds 101-110, 32 passes each); a column still open after
+# this many also gets ADMM.
 _FISTA_ITERS = 2048
 # Gap below which float64 rounding of its terms dominates, per unit of
 # 1 + |g(Tx)| + ||u||^2 (measured: the gap stalls at up to ~7 ulps of that).
@@ -103,14 +104,14 @@ def _fista_points(proj, c, lam):
 
     The smooth part's gradient (I - P) u - c is 1-Lipschitz, so a step from
     y is the clip of P y + c onto [-lam, lam]. The iteration carries the
-    iterate u, the extrapolated point y and, per column, m2 = m + 2 for the
-    number m of iterations since its last restart. The momentum is
-    (m - 1) / (m + 2) = (m2 - 3) / m2, from t_k = (k + 1) / 2 in Beck &
-    Teboulle (2009); a column restarts (m = 0) once its step points uphill,
-    <y - u_new, u_new - u> > 0 (O'Donoghue & Candes 2015), so its momentum
-    is 0 on that step and the next. Each iteration takes one product with
-    P, for P y, forms that inner product per column in one pass
-    (``_col_dot``), and works in place in three buffers that trade roles.
+    iterate u_new and the extrapolated point y = u_new + (u_new - u), with
+    u the previous iterate: momentum 1, as greedy FISTA takes at the unit
+    step (Liang, Luo & Schoenlieb, SIAM J. Sci. Comput. 44, 2022). A column
+    whose step points uphill, <y - u_new, u_new - u> > 0 for the y it
+    stepped from, takes momentum 0 on that step instead (y = u_new): the
+    gradient restart of O'Donoghue & Candes (2015). Each iteration takes one
+    product with P, for P y, forms that inner product per column in one
+    pass (``_col_dot``), and works in place in three buffers that trade roles.
     The buffers take c's layout; ``_certify`` passes c column-contiguous
     (Fortran order), so every column of u, y and the buffers is contiguous,
     and stays so when columns leave. Every _GAP_STRIDE iterations one more
@@ -120,7 +121,6 @@ def _fista_points(proj, c, lam):
     the iteration state at once.
     """
     u, y, u_new = np.zeros_like(c), np.zeros_like(c), np.empty_like(c)
-    m2 = np.full(c.shape[1], 2.0)
     while True:
         for _ in range(_GAP_STRIDE):
             np.matmul(proj, y, out=u_new)
@@ -128,17 +128,15 @@ def _fista_points(proj, c, lam):
             np.minimum(u_new, lam, out=u_new)
             np.maximum(u_new, -lam, out=u_new)
             du = np.subtract(u_new, u, out=u)
-            # gradient restart: m2 = 2 (m = 0) once <y - u_new, du> > 0
+            # gradient restart: momentum 0 on a step where <y - u_new, du> > 0
             y -= u_new
-            m2 += 1.0
-            m2[_col_dot(y, du) > 0.0] = 2.0
-            du *= np.maximum(m2 - 3.0, 0.0) / m2
+            du *= _col_dot(y, du) <= 0.0
             du += u_new
             u, y, u_new = u_new, du, y
         r = np.matmul(proj, u, out=np.empty_like(u))
         keep = yield u, np.subtract(u, r, out=r)
         if keep is not None:
-            c, u, y, m2 = (a[..., keep] for a in (c, u, y, m2))
+            c, u, y = (a[..., keep] for a in (c, u, y))
             u_new = np.empty_like(u)
 
 

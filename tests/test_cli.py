@@ -154,6 +154,8 @@ JSON_INPUTS = {
         ("verify", "--operator", "random:3x2:-4", "--trials", "3"),
         ("verify", "--operator", "identity:x", "--trials", "3"),
         ("verify", "--operator", "random:-3x2:1", "--trials", "3"),
+        # a 71 PiB identity, refused at once like the 728 TiB random spec
+        ("verify", "--operator", "identity:100000000", "--trials", "1"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
@@ -170,7 +172,8 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
         if not 0 <= seed <= (2**64 - 6 if argv[0] == "verify" else 2**64 - 1):
             assert "--seed" in err, err
     spec = argv[argv.index("--operator") + 1] if "--operator" in argv else ""
-    if spec in ("random:axb:3", "random:6x3:-1", "random:3x2:-4", "identity:x", "random:-3x2:1"):
+    if spec in ("random:axb:3", "random:6x3:-1", "random:3x2:-4", "identity:x", "random:-3x2:1",
+                "random:10000000x10000000:1", "identity:100000000"):
         assert repr(spec) in err, err
 
 
@@ -223,12 +226,23 @@ def test_verify_large_lambda(capsys):
     assert all(json.loads(line)["pass"] for line in out.strip().splitlines())
 
 
-def test_verify_soft10_reaches_the_admm_join(capsys, certified):
-    # CI's console-script step runs this argv, at 100 trials, for its ADMM
-    # join: a column of prox_identity's f(y1) stays open past FISTA's first
-    # _FISTA_ITERS iterations (its solve runs 2424), so ADMM joins on it
+def test_verify_soft10_certifies_before_the_admm_join(capsys, certified):
+    # CI's console-script step runs this argv at 100 trials. The slowest
+    # column of prox_identity's f(y1) runs 1048 iterations with momentum 1
+    # between restarts; with momentum (m - 1) / (m + 2) it ran 2424, and
+    # ADMM joined at _FISTA_ITERS
     code, _, err = run(capsys, "verify", "--operator", "random:12x5:7", "--prox", "soft:10",
                        "--trials", "20", "--seed", "3")
+    assert code == 0, err
+    assert max(np.max(iters, initial=0) for iters in certified) <= 1500
+
+
+def test_regularizer_deep_in_the_dead_zone_reaches_the_admm_join(capsys, certified):
+    # CI's console-script step runs this argv for its ADMM join: at |x| of
+    # 1e-4 and below against lam = 10, FISTA leaves columns open past its
+    # first _FISTA_ITERS iterations (the slowest runs 4208), so ADMM joins
+    code, _, err = run(capsys, "regularizer", "--operator", "random:20x10:1", "--prox", "soft:10",
+                       "--grid", "-1e-4:1e-4:1e-5", "--seed", "1")
     assert code == 0, err
     assert max(np.max(iters, initial=0) for iters in certified) > shrinkage_module._FISTA_ITERS
 
