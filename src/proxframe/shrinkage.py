@@ -469,12 +469,13 @@ def verify_prox_identity(
     tol: float,
     seed: int = 0,
 ) -> VerifyReport:
-    """Check that the shrinkage solves the prox problem of its regularizer.
+    """Check that fs solves the prox problem of reg, which must be InducedRegularizer(fs).
 
-    For sampled x, with y1 the closed-form composition, reports the larger of
-    its T-norm distance to the certified numeric prox in the T metric and the
-    violation of the envelope identity (in z = Ty + Bw the prox problem is
-    min_z 1/2 ||z - Tx||^2 + g(z), whose optimal value is attained at y1)
+    Any other reg raises ValueError before a sample is drawn. For sampled x,
+    with y1 = T^+ p from the block's own p, bit for bit as ``frame_prox``
+    forms it, reports the larger of y1's T-norm distance to the certified
+    numeric prox and the violation of the envelope identity (in z = Ty + Bw
+    the prox problem is min_z 1/2 ||z - Tx||^2 + g(z), its minimum at y1)
 
         1/2 ||T(x - y1)||^2 + f(y1) = 1/2 ||Tx - p||^2 + g(p),   p = Prox(Tx),
 
@@ -496,6 +497,8 @@ def verify_prox_identity(
     of g at Tx and T enters both sides the same way; it tests the
     composition code and the inner map's scaled prox handle.
     """
+    if reg.shrinkage is not fs:
+        raise ValueError("reg must be InducedRegularizer(fs), built on this same shrinkage")
     op = fs.operator
     inner_tol = tol / 10.0
 
@@ -503,13 +506,13 @@ def verify_prox_identity(
         oracle = numeric_prox(reg, x, tol=inner_tol)
         if not oracle.converged:
             return np.inf
-        y1 = frame_prox(fs, x)
-        dist = np.sqrt(np.add.reduce((op.matrix @ (y1 - oracle.minimizer)) ** 2, 0))
-        tx = op.matrix @ x
+        tx = _analysis(op, x)
         p = fs.inner_prox(tx)
+        y1 = op.pinv @ p
+        c = _analysis(op, y1)
+        dist = np.sqrt(np.add.reduce((op.matrix @ (y1 - oracle.minimizer)) ** 2, 0))
         envelope = 0.5 * np.add.reduce((tx - p) ** 2, 0) + fs.inner_prox.function(p)
         value = 0.5 * np.add.reduce((op.matrix @ (x - y1)) ** 2, 0)
-        c = _analysis(reg.shrinkage.operator, y1)
         upper, lower, _ = _certify(reg, c, _feasible_value(reg, c, p), inner_tol, _MAX_ITER)
         worst = np.maximum(np.abs(value + lower - envelope), np.abs(value + upper - envelope))
         return np.maximum(dist, worst)

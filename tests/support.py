@@ -171,10 +171,10 @@ def exact_regularizer(t, y, lam) -> Fraction:
     inside the box: a null vector v of Q_FF has Qv = 0, since Q is positive
     semidefinite, so u +- sv would be optimal too. So Q_FF is nonsingular,
     and F has at most n - d entries, the rank of Q. Every kept pattern
-    must give the same value.
+    must give the same value. y's entries may be floats or Fractions.
     """
     t = [[Fraction(int(v)) for v in row] for row in np.asarray(t)]
-    y, lam = [Fraction(float(v)) for v in np.ravel(y)], Fraction(float(lam))
+    y, lam = [Fraction(v) for v in np.ravel(y)], Fraction(float(lam))
     n, d = len(t), len(y)
     tt = [list(col) for col in zip(*t)]
     # (T^T T)^{-1} T^T

@@ -1,4 +1,6 @@
 import dataclasses
+from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import load_named_matrix
 from proxframe.sampling import sample_trials
 from support import (
+    _rational_solve,
     central_diff,
     exact_regularizer,
     fista_points_reference,
@@ -625,6 +628,38 @@ def test_feasible_value_matches_exact_reference(n):
             assert off[j] >= exact_regularizer(t, y2[:, j], lam) - 1e-12 * max(1, off[j]), (n, d, j)
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_prox_identity_holds_exactly_on_integer_frames(n):
+    # the envelope identity of verify_prox_identity in Fractions, at
+    # T^+ = (T^T T)^{-1} T^T, p = S_lam(Tx) and y1 = T^+ p, with f(y1) from
+    # exact_regularizer: both sides are equal with no rounding, on signals
+    # of size ~lam and inside the dead zone, so what the float check
+    # reports on these frames is rounding and solver error alone
+    rng = np.random.default_rng(800 + n)
+
+    def apply(a, v):
+        return [sum(map(mul, row, v)) for row in a]
+
+    for d in range(1, n):
+        t = integer_operator(n, d, rng)
+        lam = float(rng.choice([0.5, 1.0, 2.0]))
+        lam_q = Fraction(lam)
+        rows = [[Fraction(int(v)) for v in row] for row in t]
+        cols = [list(col) for col in zip(*rows)]
+        pinv = _rational_solve([apply(cols, col) for col in cols], cols)
+        x = rng.integers(-64, 65, size=(d, 2)) / 16.0 * [1.0, 0.125]
+        for j in range(2):
+            xj = [Fraction(v) for v in x[:, j]]
+            tx = apply(rows, xj)
+            p = [v - min(max(v, -lam_q), lam_q) for v in tx]
+            y1 = apply(pinv, p)
+            split = sum(v * v for v in apply(rows, [a - b for a, b in zip(xj, y1)])) / 2
+            envelope = sum((a - b) ** 2 for a, b in zip(tx, p)) / 2 + lam_q * sum(map(abs, p))
+            assert split + exact_regularizer(t, y1, lam) == envelope, (n, d, j)
+        fs = FrameShrinkage(build_operator(t.astype(float)), soft_shrink_map(lam))
+        assert verify_prox_identity(fs, InducedRegularizer(fs), trials=20, tol=1e-6, seed=n).passed, (n, d)
+
+
 def test_verify_prox_identity_stops_f_at_its_dual_end(certified):
     # f(y1) on the 100-trial block of random:200x100:2 took 6168
     # column-iterations while each column waited for FISTA's primal end;
@@ -666,6 +701,37 @@ def test_verify_prox_identity_catches_a_prox_handle_that_ignores_its_scale(spec,
     assert check(good).passed
     rep = check(bad)
     assert not rep.passed and rep.max_violation > 1e-2 * lam, rep
+
+
+@pytest.mark.parametrize("spec, lam", [("random:20x10:3", 1.0), ("random:20x10:2", 10.0)])
+def test_verify_prox_identity_refuses_a_regularizer_of_another_shrinkage(spec, lam, monkeypatch):
+    # a regularizer built on another operator or another lam is not the one
+    # fs is the prox of, and checking the pair would report a violation
+    # (157.7 and 4580 here) as if the theorem had failed; it is refused
+    # before any sample is drawn
+    reg = InducedRegularizer(FrameShrinkage(build_operator(load_named_matrix("random:20x10:2")), soft_shrink_map(1.0)))
+    fs = FrameShrinkage(build_operator(load_named_matrix(spec)), soft_shrink_map(lam))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before refusing the pair")
+
+    monkeypatch.setattr(shrinkage_module, "sampled_check", no_sampling)
+    with pytest.raises(ValueError, match=r"InducedRegularizer\(fs\)"):
+        verify_prox_identity(fs, reg, trials=50, tol=1e-6, seed=4)
+
+
+def test_verify_prox_identity_applies_the_shrinkage_once_per_block(monkeypatch):
+    # Tx and p = Prox(Tx) are formed once per block and y1 = T^+ p from
+    # them, one block of 1024 trials and one of 976; the oracle reaches the
+    # inner map only at its step 9/10
+    scales, calls = [], []
+    soft = soft_shrink_map(1.0)
+    inner = dataclasses.replace(soft, prox=lambda v, t=1.0: scales.append(t) or soft.prox(v, t))
+    monkeypatch.setattr(shrinkage_module, "frame_prox", lambda *args: calls.append(args) or frame_prox(*args))
+    fs = FrameShrinkage(build_operator(load_named_matrix("random:20x10:2")), inner)
+    assert verify_prox_identity(fs, InducedRegularizer(fs), trials=2000, tol=1e-6, seed=4).passed
+    assert not calls
+    assert scales.count(1.0) == 2 and set(scales) == {shrinkage_module._STEP, 1.0}
 
 
 def test_numeric_prox_lands_within_its_certified_tolerance(rng):
