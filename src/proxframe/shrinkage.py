@@ -442,26 +442,6 @@ def numeric_prox(
 
 # --- verification ------------------------------------------------------------
 
-def _feasible_value(reg: InducedRegularizer, c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """An upper bound on f at each column of c = Ty, from its primal at w = (I - P) p and at w = 0.
-
-    Any w in null(T*) gives the primal value 1/2 ||w||^2 + g(c + w) >= f,
-    so this is the lower of 1/2 ||(I - P) p||^2 + g(c + (I - P) p) and
-    g(c), for any p. At y = T^+ p, c + w is p itself; with p = Prox(Tx),
-    the paper's theorem says z = p attains f(y), so the bound is f(y)
-    exactly when the theorem holds, and only a dual bound can show it does.
-    For square T it is g(c), which is f, bit for bit (there w would be
-    rounding alone, and it lowers the bound in the last bits); for the
-    identity map it is g(c) = 0.
-    """
-    g_c = reg.g(c)
-    op = reg.shrinkage.operator
-    if op.n == op.d:
-        return g_c
-    w = p - op.range_proj @ p
-    return np.minimum(g_c, 0.5 * np.add.reduce(w * w, 0) + reg.g(c + w))
-
-
 def verify_prox_identity(
     fs: FrameShrinkage,
     reg: InducedRegularizer,
@@ -481,10 +461,12 @@ def verify_prox_identity(
 
     which catches a wrong f. f(y1) is certified to a bracket
     lower <= f(y1) <= upper, and the identity's violation is the larger one
-    at either end. The upper end starts at ``_feasible_value``, the primal
-    value at z = Ty1 + (I - P) p, which is p itself: since
-    ||Tx - p||^2 = ||T(x - y1)||^2 + ||(I - P) p||^2, the identity holds
-    at that end by construction, up to rounding. The lower end is f's dual
+    at either end. The upper end starts at the primal value at z = p,
+    1/2 ||p - Ty1||^2 + g(p) with the envelope's own g(p), capped at
+    g(Ty1); for square T, where p - Ty1 is rounding alone, it is g(Ty1).
+    Since p - Ty1 = (I - P) p lies in null(T*), ||Tx - p||^2 =
+    ||T(x - y1)||^2 + ||p - Ty1||^2, so the identity holds at that end by
+    construction, up to rounding. The lower end is f's dual
     solve, so the identity's content is f(y1) >= that primal value, which
     only the dual can certify; a dual stopped early leaves the bracket wide
     and the check fails. Both solves per trial, the oracle and f(y1), run
@@ -511,9 +493,12 @@ def verify_prox_identity(
         y1 = op.pinv @ p
         c = _analysis(op, y1)
         dist = np.sqrt(np.add.reduce((op.matrix @ (y1 - oracle.minimizer)) ** 2, 0))
-        envelope = 0.5 * np.add.reduce((tx - p) ** 2, 0) + fs.inner_prox.function(p)
+        g_p, feasible = reg.g(p), reg.g(c)
+        envelope = 0.5 * np.add.reduce((tx - p) ** 2, 0) + g_p
+        if op.n != op.d:
+            feasible = np.minimum(feasible, 0.5 * np.add.reduce((p - c) ** 2, 0) + g_p)
         value = 0.5 * np.add.reduce((op.matrix @ (x - y1)) ** 2, 0)
-        upper, lower, _ = _certify(reg, c, _feasible_value(reg, c, p), inner_tol, _MAX_ITER)
+        upper, lower, _ = _certify(reg, c, feasible, inner_tol, _MAX_ITER)
         worst = np.maximum(np.abs(value + lower - envelope), np.abs(value + upper - envelope))
         return np.maximum(dist, worst)
 

@@ -156,6 +156,38 @@ def _rational_solve(a, b):
     return [row[k:] for row in m]
 
 
+def _apply(a, v):
+    """The product of a ``Fraction`` matrix a (lists of rows) with a vector v."""
+    return [sum(map(mul, row, v)) for row in a]
+
+
+def exact_t_firm_violations(t, x, y, lam=None) -> list[Fraction]:
+    """The t_firm violation of each pair of columns of x and y, in exact arithmetic.
+
+    For an integer T, with T^+ = (T^T T)^{-1} T^T and F = T^+ S T, S soft
+    shrinkage at lam (the identity if lam is None), the violation is
+    ||T(Fx - Fy)||^2 - <T(x - y), T(Fx - Fy)>, where T(Fx - Fy) is
+    P (S(Tx) - S(Ty)) with P = T T^+. Every float is a dyadic rational, so
+    x, y and lam enter exactly.
+    """
+    rows = [[Fraction(int(v)) for v in row] for row in np.asarray(t)]
+    cols = [list(col) for col in zip(*rows)]
+    pinv = _rational_solve([_apply(cols, col) for col in cols], cols)
+    # the columns of P = T T^+, which is symmetric: so also its rows
+    proj = [_apply(rows, col) for col in zip(*pinv)]
+    lam = None if lam is None else Fraction(float(lam))
+
+    def shrink(v):
+        return v if lam is None else v - min(max(v, -lam), lam)
+
+    out = []
+    for xj, yj in zip(np.asarray(x).T, np.asarray(y).T):
+        tx, ty = (_apply(rows, [Fraction(v) for v in s]) for s in (xj, yj))
+        df = _apply(proj, [shrink(a) - shrink(b) for a, b in zip(tx, ty)])
+        out.append(sum(v * (v - (a - b)) for v, a, b in zip(df, tx, ty)))
+    return out
+
+
 def exact_regularizer(t, y, lam) -> Fraction:
     """The induced regularizer of soft shrinkage at lam, in exact arithmetic.
 

@@ -156,6 +156,7 @@ JSON_INPUTS = {
         ("verify", "--operator", "random:-3x2:1", "--trials", "3"),
         # a 71 PiB identity, refused at once like the 728 TiB random spec
         ("verify", "--operator", "identity:100000000", "--trials", "1"),
+        ("verify", "--operator", "identity:0", "--trials", "3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
@@ -173,7 +174,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
             assert "--seed" in err, err
     spec = argv[argv.index("--operator") + 1] if "--operator" in argv else ""
     if spec in ("random:axb:3", "random:6x3:-1", "random:3x2:-4", "identity:x", "random:-3x2:1",
-                "random:10000000x10000000:1", "identity:100000000"):
+                "random:10000000x10000000:1", "identity:100000000", "identity:0"):
         assert repr(spec) in err, err
 
 

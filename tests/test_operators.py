@@ -189,6 +189,11 @@ def test_random_operator_condition_control(rng):
     assert np.isclose(s_max, 1.0, rtol=1e-10)
 
 
+def test_random_operator_rejects_a_condition_below_1(rng):
+    with pytest.raises(ValueError, match="cond"):
+        random_operator(4, 2, rng, cond=0.5)
+
+
 @pytest.mark.parametrize("saver,loader", [(save_matrix_csv, load_matrix_csv),
                                           (save_matrix_json, load_matrix_json)])
 def test_matrix_io_roundtrip_bit_exact(tmp_path, rng, saver, loader):

@@ -10,6 +10,7 @@ from proxframe import (
     DimensionMismatch,
     NonPositiveLambda,
     ProxMap,
+    SolveReport,
     build_operator,
     huber_envelope,
     identity_map,
@@ -563,6 +564,15 @@ def test_solve_report_objective_none_without_function():
         assert rep.converged
         assert rep.objective is None
         assert rep.to_dict()["objective"] is None
+
+
+def test_solve_report_nan_objective_is_null():
+    # JSON has no NaN, so an objective that is NaN serializes as null
+    rep = SolveReport(minimizer=np.zeros(2), objective=np.nan, iterations=3, residual=0.0,
+                      converged=False)
+    assert rep.to_dict()["objective"] is None
+    assert json.loads(rep.to_json())["objective"] is None
+    assert '"objective": null' in rep.to_json()
 
 
 def test_prox_map_eval_is_unit_scale_prox():

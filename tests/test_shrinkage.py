@@ -37,6 +37,7 @@ from support import (
     _rational_solve,
     central_diff,
     exact_regularizer,
+    exact_t_firm_violations,
     fista_points_reference,
     golden_section,
     line_regularizer,
@@ -418,7 +419,10 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
                           (dead_zone, x_dead, None, 1e-9)):
         reg = InducedRegularizer.from_shrinkage(fs)
         c = np.ascontiguousarray(fs.operator.matrix @ y)
-        feasible = reg.g(c) if p is None else shrinkage_module._feasible_value(reg, c, p)
+        feasible = reg.g(c)
+        if p is not None:
+            # the primal at z = p, as verify_prox_identity passes it
+            feasible = np.minimum(feasible, 0.5 * np.add.reduce((p - c) ** 2, 0) + reg.g(p))
         wide = np.zeros((c.shape[0], 2 * c.shape[1]))
         wide[:, ::2] = c
         results = [shrinkage_module._certify(reg, block, feasible, tol, 100000)
@@ -595,37 +599,34 @@ def test_verify_prox_identity_reports_the_dual_end_of_f(spec, lam, monkeypatch):
 
 
 @pytest.mark.parametrize("n", range(3, 8))
-def test_feasible_value_matches_exact_reference(n):
-    # at y1 = T^+ S(Tx) the primal at z = p is f(y1) itself, and the
-    # envelope identity holds at it up to rounding, whatever f's solver
-    # does. At a perturbed y it is a primal value, so never below the exact
-    # f: equal while p has no zero entry, above it on most dead-zone signals
-    # (the second column, at 1/8 the scale). Square T and the identity map
-    # keep f = g(Ty) bit for bit
+def test_prox_identity_seeds_f_at_the_shrinkage_point(n, monkeypatch):
+    # the upper end verify_prox_identity hands f's solve is the primal at
+    # z = p, which the paper's theorem makes f(y1) itself: within rounding
+    # of the exact f on non-square frames, one trial per sample scale.
+    # Square T keeps f = g(Ty1) bit for bit, and the identity map's is 0
     rng = np.random.default_rng(600 + n)
-    feasible = shrinkage_module._feasible_value
+    seeds, certify = [], shrinkage_module._certify
+
+    def spy(reg, c, feasible, *args, **kwargs):
+        seeds.append(feasible)
+        return certify(reg, c, feasible, *args, **kwargs)
+
+    monkeypatch.setattr(shrinkage_module, "_certify", spy)
     for d in range(1, n + 1):
         t = integer_operator(n, d, rng)
         lam = float(rng.choice([0.5, 1.0, 2.0]))
         fs = FrameShrinkage(build_operator(t.astype(float)), soft_shrink_map(lam))
-        reg = InducedRegularizer(fs)
-        ident = InducedRegularizer(FrameShrinkage(fs.operator, identity_map()))
-        x = rng.integers(-64, 65, size=(d, 2)) / 16.0 * [1.0, 0.125]
-        p = soft_shrink(t @ x, lam)
-        y1 = frame_prox(fs, x)
-        y2 = y1 + rng.integers(-8, 9, size=(d, 2)) / 64.0
-        value, off = feasible(reg, t @ y1, p), feasible(reg, t @ y2, p)
+        for shrink in (fs, FrameShrinkage(fs.operator, identity_map())):
+            verify_prox_identity(shrink, InducedRegularizer(shrink), trials=3, tol=1e-6, seed=n)
+        value, zero = seeds[-2:]
+        np.testing.assert_array_equal(zero, 0.0)
+        y1 = frame_prox(fs, sample_trials(n, 0, 3, d)[0])
         if n == d:
-            np.testing.assert_array_equal(value, reg.g(t @ y1))
+            np.testing.assert_array_equal(value, fs.inner_prox.function(fs.operator.matrix @ y1))
             continue
-        np.testing.assert_array_equal(feasible(ident, t @ y2, p), 0.0)
-        envelope = 0.5 * np.sum((t @ x - p) ** 2, axis=0) + reg.g(p)
-        split = 0.5 * np.sum((t @ (x - y1)) ** 2, axis=0) + value
-        assert np.all(np.abs(split - envelope) <= 1e-12 * np.maximum(1.0, envelope)), (n, d)
-        for j in range(2):
+        for j in range(3):
             exact = exact_regularizer(t, y1[:, j], lam)
             assert abs(value[j] - exact) <= 1e-12 * max(1, abs(exact)), (n, d, j)
-            assert off[j] >= exact_regularizer(t, y2[:, j], lam) - 1e-12 * max(1, off[j]), (n, d, j)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -762,6 +763,41 @@ def test_t_firm_nonexpansive_identity_prox(rng):
     op = random_operator(5, 2, rng, cond=4)
     rep = verify_t_firm_nonexpansive(FrameShrinkage(op, identity_map()), trials=2000, tol=1e-12)
     assert rep.passed
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_t_firm_nonexpansive_holds_exactly_on_integer_frames(n, monkeypatch):
+    # the t_firm line in Fractions, on the check's own pairs: the violation
+    # is <= 0 for soft shrinkage and 0 for the identity, so the float value
+    # the check reports per pair is rounding, within 16 eps cond(T)
+    # ||T(x - y)||^2 of the exact one (measured at most 13.5 of that unit),
+    # and its max_violation is the largest of them
+    rng = np.random.default_rng(900 + n)
+    eps, found, sampled = np.finfo(float).eps, [], shrinkage_module.sampled_check
+
+    def spy(name, trials, tol, seed, dim, violations, columns=1):
+        def recorded(*samples):
+            found.append(violations(*samples))
+            return found[-1]
+        return sampled(name, trials, tol, seed, dim, recorded, columns)
+
+    monkeypatch.setattr(shrinkage_module, "sampled_check", spy)
+    for d in range(1, n + 1):
+        t = integer_operator(n, d, rng)
+        op = build_operator(t.astype(float))
+        x, y = sample_trials(n, 0, 30, d, columns=2)
+        unit = 16 * eps * np.linalg.cond(t) * np.sum((op.matrix @ (x - y)) ** 2, axis=0)
+        maps = [(lam, soft_shrink_map(lam)) for lam in (0.5, 1.0, 2.0)] + [(None, identity_map())]
+        for lam, pm in maps:
+            rep = verify_t_firm_nonexpansive(FrameShrinkage(op, pm), trials=30, tol=1e-12, seed=n)
+            values = found[-1]
+            assert rep.max_violation == np.max(values)
+            exact = exact_t_firm_violations(t, x, y, lam)
+            if lam is None:
+                assert all(v == 0 for v in exact), (n, d)
+            else:
+                assert all(v <= 0 for v in exact), (n, d, lam)
+            assert np.all(np.abs(values - np.array(exact, dtype=float)) <= unit), (n, d, lam)
 
 
 def test_euclidean_metric_genuinely_needed():
