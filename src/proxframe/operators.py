@@ -8,8 +8,11 @@ Moore-Penrose inverse is given by T^+ = (T* T)^{-1} T*.
 
 ``build_operator`` validates a matrix and caches everything downstream code
 reads repeatedly: the pseudoinverse, the orthogonal projector onto range(T),
-and the frame bounds. Each array is stored once, in C order and
-write-protected; a caller that needs another layout takes a view of it.
+and the frame bounds, all from one SVD T = U S V^T. With U_d the first d
+columns of U, T^+ = V S^{-1} U_d^T and P = U_d U_d^T, whose rounding, unlike
+that of the product T T^+, does not grow with cond(T). Each array is stored
+once, in C order and write-protected; a caller that needs another layout
+takes a view of it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class AnalysisOperator:
 
     matrix: np.ndarray          # T, shape (n, d)
     pinv: np.ndarray            # T^+, shape (d, n)
-    range_proj: np.ndarray      # T T^+, shape (n, n)
+    range_proj: np.ndarray      # P = T T^+ = U_d U_d^T, shape (n, n)
     frame_bounds: tuple[float, float]   # (sigma_min^2, sigma_max^2)
 
     @property
@@ -86,11 +89,12 @@ def build_operator(matrix: np.ndarray) -> AnalysisOperator:
             f"{_RANK_TOL:.1e} * {s[0]:.3e}; matrix is not injective"
         )
 
-    pinv = (vt.T / s) @ u[:, :d].T
+    ud = u[:, :d]
+    pinv = (vt.T / s) @ ud.T
     return AnalysisOperator(
         matrix=_frozen(t),
         pinv=_frozen(pinv),
-        range_proj=_frozen(t @ pinv),
+        range_proj=_frozen(ud @ ud.T),
         frame_bounds=(float(s[-1] ** 2), float(s[0] ** 2)),
     )
 

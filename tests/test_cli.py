@@ -248,6 +248,27 @@ def test_regularizer_deep_in_the_dead_zone_reaches_the_admm_join(capsys, certifi
     assert max(np.max(iters, initial=0) for iters in certified) > shrinkage_module._FISTA_ITERS
 
 
+@pytest.mark.parametrize("spec", ["random:12x5:3", "random:100x60:3", "random:30x12:2"])
+def test_verify_fails_prox_identity_on_a_scaled_composition(capsys, monkeypatch, spec):
+    # frame_prox and the prox-identity check share _compose, so a y1 off by
+    # a factor 1 + 1e-6 fails prox_identity (3.9e-4, 7.6e-3 and 1.2e-3
+    # against 1e-6), and no other line; a scaled frame_prox passed every
+    # line while the check formed T^+ Prox T on its own
+    argv = ("verify", "--operator", spec, "--prox", "soft:1", "--trials", "100", "--seed", "1")
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    compose = shrinkage_module._compose
+
+    def scaled(fs, x):
+        tx, p, y1 = compose(fs, x)
+        return tx, p, (1.0 + 1e-6) * y1
+
+    monkeypatch.setattr(shrinkage_module, "_compose", scaled)
+    code, out, _ = run(capsys, *argv)
+    failed = [r["property"] for r in map(json.loads, out.strip().splitlines()) if not r["pass"]]
+    assert code == 1 and failed == ["prox_identity"]
+
+
 def test_verify_prox_identity_on_200x100(capsys):
     # the certified oracle is within a tenth of the tolerance of the closed
     # form here; an iterate-change stop rule once reported 1.42e-6 > 1e-6

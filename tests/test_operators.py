@@ -189,6 +189,35 @@ def test_random_operator_condition_control(rng):
     assert np.isclose(s_max, 1.0, rtol=1e-10)
 
 
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6])
+def test_range_projector_rounding_does_not_grow_with_condition(cond):
+    # P = U_d U_d^T from the SVD's orthonormal factor: T T^+ reached
+    # P^2 - P of 1.3e3 eps at condition 1e4 and 1.2e5 eps at 1e6, and
+    # T^+ - T^+ P of 750 and 4.8e4 eps max|T^+|. P^T - P is 0 where matmul
+    # forms U_d U_d^T as a symmetric rank-d update (numpy 2.4); the slack
+    # is for older numpy
+    eps = np.finfo(float).eps
+    for seed in range(10):
+        base = random_operator(60, 30, np.random.default_rng(seed), cond).matrix
+        for scale in (1e-6, 1.0, 1e6):
+            op = build_operator(scale * base)
+            t, pinv, proj = op.matrix, op.pinv, op.range_proj
+            assert np.max(np.abs(proj @ proj - proj)) <= 16 * eps, (seed, scale)
+            assert np.max(np.abs(proj.T - proj)) <= 4 * eps, (seed, scale)
+            assert np.max(np.abs(pinv @ t - np.eye(op.d))) <= 16 * eps * cond, (seed, scale)
+            assert np.max(np.abs(pinv - pinv @ proj)) <= 32 * eps * np.max(np.abs(pinv)), (seed, scale)
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e5])
+def test_verify_identities_pass_on_ill_conditioned_operators(cond):
+    # with P = T T^+ all ten failed at either condition, on T^+ - T^+ P
+    # (worst 3.3e-10 and 2.0e-8); at 1e6 the absolute T^+ terms still
+    # reach 1.9e-10
+    for seed in range(10):
+        rep = verify_operator_identities(random_operator(60, 30, np.random.default_rng(seed), cond), 1e-10, 100, 1)
+        assert rep.passed, (seed, rep)
+
+
 def test_random_operator_rejects_a_condition_below_1(rng):
     with pytest.raises(ValueError, match="cond"):
         random_operator(4, 2, rng, cond=0.5)

@@ -722,16 +722,17 @@ def test_verify_prox_identity_refuses_a_regularizer_of_another_shrinkage(spec, l
 
 
 def test_verify_prox_identity_applies_the_shrinkage_once_per_block(monkeypatch):
-    # Tx and p = Prox(Tx) are formed once per block and y1 = T^+ p from
-    # them, one block of 1024 trials and one of 976; the oracle reaches the
-    # inner map only at its step 9/10
+    # Tx, p = Prox(Tx) and y1 = T^+ p come from _compose, the composition
+    # frame_prox returns, once per block: one block of 1024 trials and one
+    # of 976; the oracle reaches the inner map only at its step 9/10
     scales, calls = [], []
     soft = soft_shrink_map(1.0)
     inner = dataclasses.replace(soft, prox=lambda v, t=1.0: scales.append(t) or soft.prox(v, t))
-    monkeypatch.setattr(shrinkage_module, "frame_prox", lambda *args: calls.append(args) or frame_prox(*args))
+    compose = shrinkage_module._compose
+    monkeypatch.setattr(shrinkage_module, "_compose", lambda fs, x: calls.append(x.shape) or compose(fs, x))
     fs = FrameShrinkage(build_operator(load_named_matrix("random:20x10:2")), inner)
     assert verify_prox_identity(fs, InducedRegularizer(fs), trials=2000, tol=1e-6, seed=4).passed
-    assert not calls
+    assert calls == [(10, 1024), (10, 976)]
     assert scales.count(1.0) == 2 and set(scales) == {shrinkage_module._STEP, 1.0}
 
 
