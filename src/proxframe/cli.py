@@ -138,7 +138,7 @@ def cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         verify_operator_identities(op, tol=_tol(args, 1e-10), trials=args.trials, seed=args.seed),
         verify_firm_nonexpansive(prox, dim=op.n, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 1),
         verify_moreau_characterization(
-            prox, prox.potential, dim=op.n, trials=min(args.trials, 200),
+            prox, dim=op.n, trials=min(args.trials, 200),
             tol=_tol(args, 1e-6), seed=args.seed + 2,
         ),
         verify_t_firm_nonexpansive(fs, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 3),

@@ -99,16 +99,12 @@ def build_operator(matrix: np.ndarray) -> AnalysisOperator:
     )
 
 
-def random_operator(
-    n: int, d: int, rng: np.random.Generator, cond: float | None = None
-) -> AnalysisOperator:
-    """Random full-rank n x d operator.
+def random_operator(n: int, d: int, rng: np.random.Generator, cond: float) -> AnalysisOperator:
+    """Random n x d operator with singular values log-spaced between 1/cond and 1.
 
-    With ``cond`` given, the singular values are log-spaced between 1/cond
-    and 1 (so sigma_max = 1); otherwise entries are standard Gaussian.
+    So sigma_max = 1 and the condition number is ``cond``, which must be >= 1.
+    A standard Gaussian operator is ``build_operator(rng.standard_normal((n, d)))``.
     """
-    if cond is None:
-        return build_operator(rng.standard_normal((n, d)))
     if cond < 1:
         raise ValueError("cond must be >= 1")
     q1, _ = np.linalg.qr(rng.standard_normal((n, d)))

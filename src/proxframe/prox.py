@@ -206,18 +206,13 @@ def _central_diff(fun, x: np.ndarray) -> np.ndarray:
 
 
 def verify_moreau_characterization(
-    prox_map: ProxMap,
-    potential: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    trials: int,
-    tol: float,
-    seed: int = 0,
+    prox_map: ProxMap, dim: int, trials: int, tol: float, seed: int = 0
 ) -> VerifyReport:
     """Check the gradient half of Moreau's characterization of a prox.
 
     A map is a proximity operator exactly when it is nonexpansive and the
     gradient of a convex potential. This check samples the gradient half:
-    the agreement of the map with the finite-difference gradient of
+    the agreement of the map with the finite-difference gradient of its
     ``potential`` at random x, as a relative error per sample. Samples with
     a coordinate within 10 finite-difference steps of a breakpoint are
     skipped. ``verify_firm_nonexpansive`` carries the rest: a firmly
@@ -230,7 +225,7 @@ def verify_moreau_characterization(
     1e-6 max(1, |x|), from two potential calls on the shifted block laid
     out as one (1, dim * k) row.
 
-    ``potential`` must reduce over axis 0, as ``ProxMap.potential`` does:
+    The potential must reduce over axis 0, as ``ProxMap`` requires:
     one value per column for a (dim, k) block, and so one value per entry
     for a row; a result of any other shape raises ValueError naming that
     shape. It must also be a sum of per-entry terms. Two more calls, on the
@@ -238,8 +233,12 @@ def verify_moreau_characterization(
     compared with the sum of its entries' values, relative to
     max(1, |potential|), and that difference joins the reported maximum, so
     a potential that is not such a sum fails the check instead of being
-    differentiated wrongly.
+    differentiated wrongly. A map without a potential raises ValueError.
     """
+    potential = prox_map.potential
+    if potential is None:
+        raise ValueError(f"prox map {prox_map.name!r} carries no potential")
+
     def violations(x: np.ndarray) -> np.ndarray:
         px = np.asarray(prox_map(x))
         at_x = _column_values(potential, x)

@@ -39,7 +39,8 @@ _FISTA_ITERS = 2048
 # Gap below which float64 rounding of its terms dominates, per unit of
 # 1 + |g(Tx)| + ||u||^2 (measured: the gap stalls at up to ~7 ulps of that).
 _GAP_FLOOR = 64 * np.finfo(float).eps
-# Iterations after which an evaluation of f that is still open raises NotConverged.
+# Iterations after which an evaluation of f that is still open raises
+# NotConverged, and after which the prox oracle reports a column unconverged.
 _MAX_ITER = 100000
 
 
@@ -186,8 +187,7 @@ def _admm_points(proj, c, lam, rho):
 
 
 def _certify(
-    reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, tol: float, max_iter: int,
-    prune: bool = False,
+    reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, tol: float, prune: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounds upper >= f >= lower at each column of c = Ty, and the iterations each took.
 
@@ -220,7 +220,7 @@ def _certify(
     symmetric as formed; ``test_range_projector_rounding_does_not_grow_with_condition``
     holds P^T - P within 4 eps and P^2 - P within 16 eps at conditions 1 to
     1e6 and scales 1e-6 to 1e6.
-    Raises NotConverged if some column is open after ``max_iter``
+    Raises NotConverged if some column is open after ``_MAX_ITER``
     iterations, naming the iterations run and the largest gap of those
     columns (inf if none ran).
     """
@@ -236,7 +236,7 @@ def _certify(
     # each solver with the keep-mask it has yet to receive: ADMM starts on
     # columns already compacted, so it must not get FISTA's pending one
     solvers = {_fista_points(proj, c, lam): None}
-    for check in range(max_iter // _GAP_STRIDE):
+    for check in range(_MAX_ITER // _GAP_STRIDE):
         if check == _FISTA_ITERS // _GAP_STRIDE:
             # an open column has Tx != 0: at Tx = 0, u stays 0 and the first gap is 0
             rho = np.max(np.abs(c_sub), axis=0) / lam
@@ -263,16 +263,14 @@ def _certify(
             if not cols.size:
                 return upper, lower, iters
         solvers = dict.fromkeys(solvers, keep)
-    # every check ran: max_iter rounded down to a multiple of the stride
+    # every check ran: _MAX_ITER rounded down to a multiple of the stride
     raise NotConverged(
         f"regularizer evaluation left a duality gap of {np.max(gap):.3e} after "
-        f"{max_iter - max_iter % _GAP_STRIDE} iterations (checked every {_GAP_STRIDE})"
+        f"{_MAX_ITER - _MAX_ITER % _GAP_STRIDE} iterations (checked every {_GAP_STRIDE})"
     )
 
 
-def induced_regularizer(
-    reg: InducedRegularizer, x, tol: float = 1e-9, max_iter: int = _MAX_ITER
-):
+def induced_regularizer(reg: InducedRegularizer, x, tol: float = 1e-9):
     """Evaluate the induced regularizer at x (or at each column of x).
 
     ``InducedRegularizer`` admits the catalog maps only. For square T, and
@@ -300,16 +298,16 @@ def induced_regularizer(
     differently at another column count. A (d, 0) block runs no solver.
 
     Raises ValueError on non-finite input or a NaN ``tol``, and NotConverged
-    if some column is not certified within ``max_iter`` iterations. The gap
+    if some column is not certified within ``_MAX_ITER`` iterations. The gap
     is checked every ``_GAP_STRIDE`` iterations, so the solve runs at most
-    ``max_iter`` rounded down to a multiple of it, and the message names the
+    ``_MAX_ITER`` rounded down to a multiple of it, and the message names the
     iterations run and the gap reached (inf if none ran).
     """
     _check_tol(tol)
     squeeze = np.ndim(x) < 2
     c = _analysis(reg.shrinkage.operator, x)
     c = c[:, None] if c.ndim == 1 else c
-    vals = _certify(reg, c, reg.g(c), tol, max_iter)[0]
+    vals = _certify(reg, c, reg.g(c), tol)[0]
     return float(vals[0]) if squeeze else vals
 
 
@@ -362,12 +360,7 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
-def numeric_prox(
-    g,
-    x: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 100000,
-) -> SolveReport:
+def numeric_prox(g, x: np.ndarray, tol: float = 1e-9) -> SolveReport:
     """Numerical prox oracle in the T metric.
 
     Minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the regularizer induced
@@ -397,6 +390,7 @@ def numeric_prox(
     first z+ whose certificate is within ``tol``, or unconverged at its
     first z+ whose rounding term alone exceeds ``tol``; ||z+|| only grows
     from z = 0 for the catalog maps, so no later iterate could certify.
+    A column still open at iteration ``_MAX_ITER`` stops there, unconverged.
     A stopped column leaves the block; ``residual`` is the largest
     certificate. A column's numbers match a one-column call up to rounding
     only: numpy sums a block's squares, and forms T x, in an order set by
@@ -427,13 +421,13 @@ def numeric_prox(
     # _norms rescales a column whose sum of squares overflows
     with np.errstate(over="ignore"):
         z, tv, tx_norm = np.zeros_like(tx), _STEP * tx, _norms(tx)
-        while cols.size and iters < max_iter:
+        while cols.size and iters < _MAX_ITER:
             iters += 1
             z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
             rounding = eps * (_norms(z_new) + tx_norm)
             now = (1.0 / _STEP - 1.0) * _norms(z - z_new) + rounding
             z = z_new
-            stop = (now <= tol) | (tol < rounding) | (iters == max_iter)
+            stop = (now <= tol) | (tol < rounding) | (iters == _MAX_ITER)
             if stop.any():
                 z_out[:, cols[stop]], cert[cols[stop]] = z[:, stop], now[stop]
                 keep = ~stop
@@ -505,7 +499,7 @@ def verify_prox_identity(
         if op.n != op.d:
             feasible = np.minimum(feasible, 0.5 * np.add.reduce((p - c) ** 2, 0) + g_p)
         value = 0.5 * np.add.reduce((op.matrix @ (x - y1)) ** 2, 0)
-        upper, lower, _ = _certify(reg, c, feasible, inner_tol, _MAX_ITER)
+        upper, lower, _ = _certify(reg, c, feasible, inner_tol)
         worst = np.maximum(np.abs(value + lower - envelope), np.abs(value + upper - envelope))
         return np.maximum(dist, worst)
 
@@ -543,8 +537,8 @@ def weaker_regularizer_check(
     no longer set the maximum leaves it early and reports its upper bound,
     shown to lie below the maximum, not evaluated to the inner tolerance.
     NotConverged is raised only if a trial that could still set the maximum
-    is not certified within ``induced_regularizer``'s default ``max_iter``,
-    ``_MAX_ITER``.
+    is not certified within ``_MAX_ITER`` iterations, as in
+    ``induced_regularizer``.
     """
     op = reg.shrinkage.operator
     inner_tol = min(tol * 1e-2, 1e-10)
@@ -553,6 +547,6 @@ def weaker_regularizer_check(
     def violations(x: np.ndarray) -> np.ndarray:
         c = _analysis(op, x)
         g_c = reg.g(c)
-        return _certify(reg, c, g_c, inner_tol, _MAX_ITER, prune=True)[0] - g_c
+        return _certify(reg, c, g_c, inner_tol, prune=True)[0] - g_c
 
     return sampled_check("weaker_regularizer", trials, tol, seed, op.d, violations)

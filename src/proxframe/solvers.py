@@ -83,9 +83,11 @@ def _times_square(value: float, scale: float) -> float:
     return max(out, math.ulp(0.0)) if value > 0 else out
 
 
-def solve_analysis_dual(
-    problem: AnalysisProblem, tol: float = 1e-10, max_iter: int = 200000
-) -> SolveReport:
+# BVLS iterations after which solve_analysis_dual stops, unconverged
+_MAX_ITER = 200000
+
+
+def solve_analysis_dual(problem: AnalysisProblem, tol: float = 1e-10) -> SolveReport:
     """Minimize 1/2 ||x - y||^2 + lam ||Ty||_1 by bounded-variable least squares on the dual.
 
     The dual is min { 1/2 ||y||^2 : y = x - T* p, ||p||_inf <= lam }, a
@@ -102,7 +104,8 @@ def solve_analysis_dual(
     Terminates when the duality gap lam ||Ty||_1 - <p, Ty> drops to ``tol``,
     or when 1/2 ||y||^2, the gap of the primal point 0 against the same p,
     does; the report takes the smaller of the two, with the minimizer y or
-    0. Non-convergence is flagged on the report. An iteration whose gaps
+    0. Non-convergence, at ``_MAX_ITER`` iterations at most, is flagged on
+    the report. An iteration whose gaps
     are above ``tol`` also stops, unconverged, if no bound coordinate points
     into the box, which in exact arithmetic makes p optimal, or if the
     coordinate it would free is the one the last iteration freed, bound
@@ -130,7 +133,7 @@ def solve_analysis_dual(
     p = np.clip(np.linalg.lstsq(t.T, x, rcond=None)[0], -lam, lam)
     free, y, freed = np.abs(p) < lam, x, None
     gap, zero_gap, k, converged = np.inf, np.inf, 0, False
-    for k in range(1, max_iter + 1):
+    for k in range(1, _MAX_ITER + 1):
         while free.any():
             step = np.zeros_like(p)
             step[free] = np.linalg.lstsq(t[free].T, x - t.T @ p, rcond=None)[0]

@@ -68,7 +68,7 @@ def entry_terms(potential, x: np.ndarray) -> np.ndarray:
     return np.array([float(potential(x[i:i + 1])) for i in range(x.size)])
 
 
-def moreau_trial_violations(prox_map, potential, dim: int, trials: int, seed: int = 0) -> np.ndarray:
+def moreau_trial_violations(prox_map, dim: int, trials: int, seed: int = 0) -> np.ndarray:
     """Worst violation of the Moreau check in each trial, one trial at a time.
 
     Per sample x of the block sampler: the gap between the potential of x
@@ -79,6 +79,7 @@ def moreau_trial_violations(prox_map, potential, dim: int, trials: int, seed: in
     """
     from proxframe.sampling import sample_trials
 
+    potential = prox_map.potential
     worst = []
     for x in sample_trials(seed, 0, trials, dim)[0].T:
         px = np.asarray(prox_map(x))

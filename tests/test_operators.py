@@ -76,7 +76,7 @@ def test_t_inner_examples():
 
 def test_t_inner_blocks(rng):
     # one inner product per column of a (d, k) block; a vector gives a float
-    op = random_operator(6, 3, rng)
+    op = build_operator(rng.standard_normal((6, 3)))
     for k in (1, 2, 6):
         x, y = rng.standard_normal((3, k)), rng.standard_normal((3, k))
         got = t_inner(op, x, y)
@@ -103,7 +103,7 @@ def test_t_gradient_examples():
 def test_t_gradient_represents_euclidean_derivative(rng):
     # <t_gradient(g), h>_T must equal <g, h> for every direction h
     for _ in range(20):
-        op = random_operator(7, 4, rng)
+        op = build_operator(rng.standard_normal((7, 4)))
         g = rng.standard_normal(4)
         h = rng.standard_normal(4)
         lhs = t_inner(op, t_gradient(op, g), h)
@@ -147,13 +147,12 @@ def test_verify_identities_rejects_nonpositive_trials(trials):
     # every sampled check runs through one driver, which owns this rule
     op = build_operator(np.array([[1.0], [2.0]]))
     fs = FrameShrinkage(op, soft_shrink_map(1.0))
-    reg = InducedRegularizer.from_shrinkage(fs)
+    reg = InducedRegularizer(fs)
     prox = fs.inner_prox
     checks = [
         lambda: verify_operator_identities(build_operator(np.eye(3)), trials=trials),
         lambda: verify_firm_nonexpansive(prox, dim=2, trials=trials, tol=1e-12),
-        lambda: verify_moreau_characterization(prox, prox.potential, dim=2, trials=trials,
-                                               tol=1e-6),
+        lambda: verify_moreau_characterization(prox, dim=2, trials=trials, tol=1e-6),
         lambda: verify_t_firm_nonexpansive(fs, trials=trials, tol=1e-12),
         lambda: verify_prox_identity(fs, reg, trials=trials, tol=1e-6),
         lambda: weaker_regularizer_check(reg, trials=trials),

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from proxframe import (
     verify_firm_nonexpansive,
     verify_moreau_characterization,
 )
+from proxframe import shrinkage
 from proxframe.cli import load_named_matrix
 from proxframe.prox import _central_diff
 from proxframe.sampling import sample_trials
@@ -168,22 +170,23 @@ def test_verify_firm_nonexpansive_rejects_expansive_map():
 
 def test_moreau_characterization_soft():
     pm = soft_shrink_map(1.0)
-    rep = verify_moreau_characterization(pm, pm.potential, dim=3, trials=300, tol=1e-6)
+    rep = verify_moreau_characterization(pm, dim=3, trials=300, tol=1e-6)
     assert rep.passed
 
 
 def test_moreau_characterization_identity():
     pm = identity_map()
-    rep = verify_moreau_characterization(pm, pm.potential, dim=3, trials=300, tol=1e-6)
+    rep = verify_moreau_characterization(pm, dim=3, trials=300, tol=1e-6)
     assert rep.passed
 
 
 def test_moreau_characterization_wrong_potential_fails():
     pm = soft_shrink_map(1.0)
     l1 = lambda v: np.sum(np.abs(v), axis=0)
-    rep = verify_moreau_characterization(pm, l1, dim=3, trials=300, tol=1e-6)
+    wrong = replace(pm, potential=l1)
+    rep = verify_moreau_characterization(wrong, dim=3, trials=300, tol=1e-6)
     assert not rep.passed
-    assert rep.max_violation == np.max(moreau_trial_violations(pm, l1, dim=3, trials=300))
+    assert rep.max_violation == np.max(moreau_trial_violations(wrong, dim=3, trials=300))
 
 
 @pytest.mark.parametrize("scale", [2.0, -1.0], ids=["expansive", "concave"])
@@ -200,7 +203,7 @@ def test_firm_check_fails_what_the_moreau_check_passes(scale):
         potential=lambda v: scale * pm.potential(v),
         breakpoint_gap=pm.breakpoint_gap,
     )
-    moreau = verify_moreau_characterization(mutated, mutated.potential, dim=3, trials=300, tol=1e-6)
+    moreau = verify_moreau_characterization(mutated, dim=3, trials=300, tol=1e-6)
     firm = verify_firm_nonexpansive(mutated, dim=3, trials=300, tol=1e-12)
     assert moreau.passed, moreau.max_violation
     assert not firm.passed and firm.max_violation > 1.0
@@ -222,7 +225,7 @@ def test_moreau_characterization_skips_trials_near_a_breakpoint(seed):
     fd = (entry_terms(pm.potential, x0 + h0) - entry_terms(pm.potential, x0 - h0)) / (2.0 * h0)
     px = pm(x0)
     grad_err = np.max(np.abs(fd - px)) / max(1.0, np.max(np.abs(px)))
-    rep = verify_moreau_characterization(pm, pm.potential, dim, trials=1, tol=1e-6, seed=seed)
+    rep = verify_moreau_characterization(pm, dim, trials=1, tol=1e-6, seed=seed)
     assert rep.max_violation == split
     assert rep.max_violation < grad_err
 
@@ -236,9 +239,9 @@ def test_moreau_characterization_matches_per_trial_reference(pm, dim):
     # first trials of the longest one. At dim 400 the reference's 1200
     # potential calls per trial keep it to 200 trials
     runs = (1, 200, 1025) if dim <= 129 else (1, 200)
-    ref = moreau_trial_violations(pm, pm.potential, dim, runs[-1], seed=dim)
+    ref = moreau_trial_violations(pm, dim, runs[-1], seed=dim)
     for trials in runs:
-        rep = verify_moreau_characterization(pm, pm.potential, dim, trials, tol=1e-6, seed=dim)
+        rep = verify_moreau_characterization(pm, dim, trials, tol=1e-6, seed=dim)
         assert rep.max_violation == np.max(ref[:trials])
 
 
@@ -269,7 +272,13 @@ def test_moreau_characterization_scalar_potential_raises():
     pm = soft_shrink_map(1.0)
     l1 = lambda v: float(np.sum(np.abs(v)))
     with pytest.raises(ValueError, match=r"shape \(\)"):
-        verify_moreau_characterization(pm, l1, dim=3, trials=5, tol=1e-6)
+        verify_moreau_characterization(replace(pm, potential=l1), dim=3, trials=5, tol=1e-6)
+
+
+def test_moreau_characterization_refuses_a_map_without_potential():
+    pm = ProxMap(name="bare", lam=1.0, prox=soft_shrink_map(1.0).prox)
+    with pytest.raises(ValueError, match="'bare' carries no potential"):
+        verify_moreau_characterization(pm, dim=3, trials=5, tol=1e-6)
 
 
 def block_soft_map(lam: float) -> ProxMap:
@@ -292,7 +301,7 @@ def test_moreau_characterization_refuses_a_potential_that_is_not_per_entry(dim, 
     # check must fail it wherever the potential is not a per-entry sum, and
     # at dim 1, where it is soft shrinkage, pass it
     pm = block_soft_map(1.0)
-    rep = verify_moreau_characterization(pm, pm.potential, dim, trials=300, tol=1e-6)
+    rep = verify_moreau_characterization(pm, dim, trials=300, tol=1e-6)
     assert rep.passed == passes, rep.max_violation
 
 
@@ -302,7 +311,7 @@ def test_moreau_characterization_guard_sees_a_coupling_term():
     # guard can see that this is not the identity's potential
     pm = identity_map()
     coupled = lambda v: pm.potential(v) + np.ptp(v, axis=0)
-    rep = verify_moreau_characterization(pm, coupled, dim=3, trials=300, tol=1e-6)
+    rep = verify_moreau_characterization(replace(pm, potential=coupled), dim=3, trials=300, tol=1e-6)
     assert not rep.passed and rep.max_violation > 0.1
 
 
@@ -310,7 +319,7 @@ def test_moreau_characterization_guard_sees_a_coupling_term():
 def test_moreau_characterization_rounding_does_not_grow_with_dim(pm):
     # a per-entry difference rounds at the scale of one entry, not of a sum
     # of 400 of them
-    rep = verify_moreau_characterization(pm, pm.potential, dim=400, trials=200, tol=1e-6, seed=3)
+    rep = verify_moreau_characterization(pm, dim=400, trials=200, tol=1e-6, seed=3)
     assert rep.max_violation <= 1e-9
 
 
@@ -351,12 +360,6 @@ def test_numeric_prox_euclidean_within_tol_of_closed_form(rng, lam, tol):
     assert np.max(np.abs(block.minimizer - soft_shrink(xs, lam))) <= tol
 
 
-def test_numeric_prox_not_converged_flag():
-    rep = euclidean_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-14, max_iter=3)
-    assert not rep.converged
-    assert rep.iterations == 3
-
-
 def test_numeric_prox_column_norms_do_not_overflow():
     # ||(1e160, 1)||^2 overflows; its norm does not, and the oracle certifies
     # as it does one scale down, with no overflow warning; at a tol below 1
@@ -384,7 +387,7 @@ def test_numeric_prox_below_float_resolution_fails_at_once():
         assert not rep.converged and rep.iterations == 1
         assert tol < rep.residual < np.inf
         fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
-        reg = InducedRegularizer.from_shrinkage(fs)
+        reg = InducedRegularizer(fs)
         rep = numeric_prox(reg, np.array([[1.0, 0.3]]), tol=tol)
         assert not rep.converged and rep.iterations == 1
         assert tol < rep.residual < np.inf
@@ -399,7 +402,7 @@ def test_numeric_prox_rejects_nonfinite_signals_at_once():
     with pytest.raises(ValueError, match="column 0"):
         euclidean_prox(soft_shrink_map(1.0), np.array([np.nan]))
     fs = example_shrinkage()
-    reg = InducedRegularizer.from_shrinkage(fs)
+    reg = InducedRegularizer(fs)
     with pytest.raises(ValueError, match="column 1"):
         numeric_prox(reg, np.array([[1.0, np.inf, 0.5]]))
     with pytest.raises(DimensionMismatch):
@@ -407,7 +410,7 @@ def test_numeric_prox_rejects_nonfinite_signals_at_once():
 
 
 @pytest.mark.parametrize("spec", ["random:12x5:7", "random:200x100:2"])
-def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec):
+def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec, monkeypatch):
     # thresholds from 1 to 256 ulps of max |Tx|: where the certificate's
     # rounding term exceeds one, the column stops unconverged instead of
     # iterating to the cap, and a column reports converged exactly when its
@@ -417,11 +420,12 @@ def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec):
     op = build_operator(load_named_matrix(spec))
     x = np.random.default_rng(7).standard_normal((op.d, 6)) * [0.1, 1.0, 10.0, 0.1, 1.0, 10.0]
     ulp = np.finfo(float).eps * np.max(np.abs(op.matrix @ x))
+    monkeypatch.setattr(shrinkage, "_MAX_ITER", 2000)
     for lam in (0.1, 1.0, 10.0):
         fs = FrameShrinkage(op, soft_shrink_map(lam))
-        reg = InducedRegularizer.from_shrinkage(fs)
+        reg = InducedRegularizer(fs)
         for k in (1, 1.5, 2, 4, 16, 64, 256):
-            rep = numeric_prox(reg, x, tol=k * ulp, max_iter=2000)
+            rep = numeric_prox(reg, x, tol=k * ulp)
             assert rep.iterations < 2000, (lam, k, rep.residual)
             assert rep.converged == (rep.residual <= k * ulp)
 
@@ -521,7 +525,7 @@ def test_numeric_prox_metric_flagship():
     )
 
     op = example_operator()
-    reg = InducedRegularizer.from_shrinkage(FrameShrinkage(op, soft_shrink_map(1.0)))
+    reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(1.0)))
     rep = numeric_prox(reg, np.array([1.0]), tol=1e-9)
     assert rep.converged
     y = rep.minimizer
@@ -539,7 +543,7 @@ def test_numeric_prox_metric_type_errors():
     fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
     x = np.array([[1.0, -0.3]])
     by_fs = numeric_prox(fs, x, tol=1e-9)
-    by_reg = numeric_prox(InducedRegularizer.from_shrinkage(fs), x, tol=1e-9)
+    by_reg = numeric_prox(InducedRegularizer(fs), x, tol=1e-9)
     np.testing.assert_array_equal(by_fs.minimizer, by_reg.minimizer)
     with pytest.raises(TypeError):
         numeric_prox(lambda v: v, np.array([1.0]))

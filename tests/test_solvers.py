@@ -3,20 +3,25 @@ import pytest
 
 from proxframe import (
     AnalysisProblem,
+    InducedRegularizer,
     NonPositiveLambda,
+    NotConverged,
     NotParsevalRow,
     analysis_objective,
     build_operator,
     example_operator,
     example_shrinkage,
     frame_prox,
+    induced_regularizer,
     random_operator,
     soft_shrink,
+    soft_shrink_map,
     solve_analysis_dual,
     synthesis_solution,
 )
+from proxframe import shrinkage, solvers
 from proxframe.cli import load_named_matrix
-from support import grid_min
+from support import euclidean_prox, grid_min
 
 
 def random_parseval_rows(n, d, rng):
@@ -34,7 +39,7 @@ def test_dual_solver_orthogonal_case(rng):
 
 def test_dual_solver_vanishing_regularization(rng):
     x = rng.standard_normal(4)
-    op = random_operator(6, 4, rng)
+    op = build_operator(rng.standard_normal((6, 4)))
     rep = solve_analysis_dual(AnalysisProblem(x, op, 1e-12), tol=1e-12)
     np.testing.assert_allclose(rep.minimizer, x, atol=1e-6)
 
@@ -54,7 +59,7 @@ def test_dual_solver_flagship_differs_from_shrinkage():
 
 
 def test_dual_solver_duality_gap_reported(rng):
-    op = random_operator(8, 5, rng)
+    op = build_operator(rng.standard_normal((8, 5)))
     prob = AnalysisProblem(rng.standard_normal(5), op, 0.5)
     rep = solve_analysis_dual(prob, tol=1e-10)
     assert rep.converged
@@ -118,14 +123,23 @@ def test_analysis_objective_scales_its_data_by_a_power_of_two():
         assert analysis_objective(scaled, np.ldexp(y, k)) == np.ldexp(value, 2 * k)
 
 
-def test_dual_solver_not_converged_flag():
+def test_iteration_caps_are_module_constants(monkeypatch):
+    # no solver takes its cap as an argument: each reads its module's
+    # _MAX_ITER, which a test lowers to reach it
+    assert (shrinkage._MAX_ITER, solvers._MAX_ITER) == (100000, 200000)
+    monkeypatch.setattr(shrinkage, "_MAX_ITER", 16)
+    with pytest.raises(NotConverged, match="after 16 iterations"):
+        induced_regularizer(InducedRegularizer(example_shrinkage()), 0.3, tol=1e-12)
+    monkeypatch.setattr(shrinkage, "_MAX_ITER", 3)
+    rep = euclidean_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-14)
+    assert not rep.converged and rep.iterations == 3
     # the first draw of random_problems takes 46 BVLS steps to certify 1e-10;
     # one step leaves it uncertified
     prob = next(random_problems(1))
     assert solve_analysis_dual(prob, tol=1e-10).iterations >= 2
-    rep = solve_analysis_dual(prob, tol=1e-10, max_iter=1)
-    assert not rep.converged
-    assert rep.iterations == 1
+    monkeypatch.setattr(solvers, "_MAX_ITER", 1)
+    rep = solve_analysis_dual(prob, tol=1e-10)
+    assert not rep.converged and rep.iterations == 1
 
 
 @pytest.mark.parametrize("matrix", [np.zeros((3, 2)), np.zeros((0, 2))], ids=["zeros3x2", "rowless"])
@@ -142,7 +156,7 @@ def test_dual_solver_single_column_closed_form(rng):
     # for T = t in R^{n x 1}, lam ||Ty||_1 = lam ||t||_1 |y|: the minimizer is
     # soft shrinkage of x at lam ||t||_1; a gap of tol bounds |y - y*| by sqrt(2 tol)
     for n in range(1, 41):
-        op = random_operator(n, 1, rng)
+        op = build_operator(rng.standard_normal((n, 1)))
         x = 3.0 * rng.standard_normal(1)
         lam = float(rng.choice([0.1, 0.5, 1.0]))
         rep = solve_analysis_dual(AnalysisProblem(x, op, lam), tol=1e-12)
@@ -208,11 +222,12 @@ def test_dual_solver_tol_zero_ends_on_its_own_stops():
         assert rep.objective <= solve_analysis_dual(prob, tol=1e-10).objective + 1e-12, index
 
 
-def test_dual_solver_repeated_and_negated_rows_certify():
+def test_dual_solver_repeated_and_negated_rows_certify(monkeypatch):
     # rows repeated, negated or zero make the least-squares problem on the
     # free set rank-deficient and tie coordinates; integer entries make the
     # ties exact
     rng = np.random.default_rng(5)
+    monkeypatch.setattr(solvers, "_MAX_ITER", 400)
     for _ in range(200):
         d, m = int(rng.integers(1, 12)), int(rng.integers(1, 15))
         base = rng.standard_normal((m, d))
@@ -222,7 +237,7 @@ def test_dual_solver_repeated_and_negated_rows_certify():
         t = t[rng.permutation(t.shape[0])]
         x = np.round(rng.standard_normal(d) * 4) / 2
         lam = float(rng.choice([0.125, 0.5, 1, 4]))
-        rep = solve_analysis_dual(AnalysisProblem(x, t, lam), tol=1e-10, max_iter=400)
+        rep = solve_analysis_dual(AnalysisProblem(x, t, lam), tol=1e-10)
         assert rep.converged and rep.iterations <= 30
 
 
