@@ -145,8 +145,10 @@ def verify_operator_identities(
     """Check the pseudoinverse and frame-bound identities to tolerance.
 
     Deterministic checks (max-entry norm): T^+ T = I, (T T^+)^2 = T T^+,
-    (T T^+)* = T T^+, and T^+ = T^+ (T T^+). Sampled check on ``trials``
-    random unit vectors: A ||x||^2 <= ||Tx||^2 <= B ||x||^2.
+    (T T^+)* = T T^+, and T^+ = T^+ (T T^+), the last relative to max|T^+|:
+    it is the only term that scales as 1/sigma, so rounding alone, about
+    10 eps max|T^+|, would fail it on a small or ill-conditioned T. Sampled
+    check on ``trials`` random unit vectors: A ||x||^2 <= ||Tx||^2 <= B ||x||^2.
 
     Failures are reported in the returned record, never raised.
     """
@@ -156,7 +158,7 @@ def verify_operator_identities(
         np.max(np.abs(pinv @ t - np.eye(op.d))),
         np.max(np.abs(proj @ proj - proj)),
         np.max(np.abs(proj.T - proj)),
-        np.max(np.abs(pinv - pinv @ proj)),
+        np.max(np.abs(pinv - pinv @ proj)) / np.max(np.abs(pinv)),
     )
 
     def violations(x: np.ndarray) -> np.ndarray:

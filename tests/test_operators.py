@@ -20,6 +20,7 @@ from proxframe import (
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
 )
+from proxframe.cli import load_named_matrix
 from support import save_matrix_csv, save_matrix_json, t_gradient, t_inner
 
 
@@ -207,14 +208,26 @@ def test_range_projector_rounding_does_not_grow_with_condition(cond):
             assert np.max(np.abs(pinv - pinv @ proj)) <= 32 * eps * np.max(np.abs(pinv)), (seed, scale)
 
 
-@pytest.mark.parametrize("cond", [1e4, 1e5])
+@pytest.mark.parametrize("cond", [1e4, 1e5, 1e6])
 def test_verify_identities_pass_on_ill_conditioned_operators(cond):
-    # with P = T T^+ all ten failed at either condition, on T^+ - T^+ P
-    # (worst 3.3e-10 and 2.0e-8); at 1e6 the absolute T^+ terms still
-    # reach 1.9e-10
+    # with P = T T^+ all ten failed at 1e4 and 1e5, on T^+ - T^+ P (worst
+    # 3.3e-10 and 2.0e-8). That term scales as 1/sigma: measured in absolute
+    # terms it still failed all ten at 1e6 (worst 1.9e-10), and random:60x30:1
+    # scaled by 1e-6 at 1.60e-10. Relative to max|T^+| the worst is 2.2e-11
     for seed in range(10):
-        rep = verify_operator_identities(random_operator(60, 30, np.random.default_rng(seed), cond), 1e-10, 100, 1)
-        assert rep.passed, (seed, rep)
+        base = random_operator(60, 30, np.random.default_rng(seed), cond).matrix
+        for scale in (1e-6, 1.0, 1e6):
+            rep = verify_operator_identities(build_operator(scale * base), 1e-10, 100, 1)
+            assert rep.passed, (seed, scale, rep)
+
+
+def test_verify_identities_do_not_depend_on_the_scale_of_t():
+    # random:60x30:1 read 1.60e-10 scaled by 1e-6 and about 1e-15 unscaled
+    # while T^+ - T^+ P was measured in absolute terms; now 1.7e-15 at most
+    base = load_named_matrix("random:60x30:1")
+    for scale in (1e-6, 1.0, 1e6):
+        rep = verify_operator_identities(build_operator(scale * base), 1e-10, 100, 1)
+        assert rep.max_violation <= 16 * np.finfo(float).eps, (scale, rep)
 
 
 def test_random_operator_rejects_a_condition_below_1(rng):
