@@ -105,12 +105,11 @@ def solve_analysis_dual(problem: AnalysisProblem, tol: float = 1e-10) -> SolveRe
     or when 1/2 ||y||^2, the gap of the primal point 0 against the same p,
     does; the report takes the smaller of the two, with the minimizer y or
     0. Non-convergence, at ``_MAX_ITER`` iterations at most, is flagged on
-    the report. An iteration whose gaps
-    are above ``tol`` also stops, unconverged, if no bound coordinate points
-    into the box, which in exact arithmetic makes p optimal, or if the
-    coordinate it would free is the one the last iteration freed, bound
-    again at the same value, which only rounding does and which would
-    repeat that iteration. A ``tol`` below the gap's rounding, 0 included,
+    the report. An iteration whose gaps are above ``tol`` also stops,
+    unconverged, if no bound coordinate points into the box, which in
+    exact arithmetic makes p optimal, or if the coordinate it would free is
+    the one the last iteration freed, bound again at the same value, which
+    only rounding does and which would repeat that iteration. A ``tol`` below the gap's rounding, 0 included,
     thus runs until one of these stops; it is not cut short at an early
     iterate whose gap terms are large.
 
