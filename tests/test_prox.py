@@ -360,6 +360,13 @@ def test_numeric_prox_euclidean_within_tol_of_closed_form(rng, lam, tol):
     assert np.max(np.abs(block.minimizer - soft_shrink(xs, lam))) <= tol
 
 
+def test_numeric_prox_not_converged_flag(monkeypatch):
+    monkeypatch.setattr(shrinkage, "_MAX_ITER", 3)
+    rep = euclidean_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-14)
+    assert not rep.converged
+    assert rep.iterations == 3
+
+
 def test_numeric_prox_column_norms_do_not_overflow():
     # ||(1e160, 1)||^2 overflows; its norm does not, and the oracle certifies
     # as it does one scale down, with no overflow warning; at a tol below 1

@@ -132,6 +132,13 @@ def test_induced_regularizer_batch_matches_single(rng):
     np.testing.assert_allclose(batch, singles, atol=1e-10)
 
 
+def test_induced_regularizer_not_converged(monkeypatch):
+    reg = InducedRegularizer(example_shrinkage())
+    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 2)
+    with pytest.raises(NotConverged):
+        induced_regularizer(reg, np.array([1.0]), tol=1e-12)
+
+
 @pytest.mark.parametrize("cap, message", [
     # the gap is checked every 8 iterations: below 8 none runs, and 12 runs 8
     (5, "duality gap of inf after 0 iterations"),
