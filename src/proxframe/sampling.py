@@ -1,10 +1,11 @@
 """Deterministic trial sampling for verification runs.
 
-Trials fall in fixed blocks of BLOCK consecutive indices, and block ``b`` of
-a run owns one counter-based stream: Philox keyed by the run seed, with
-counter ``b``. A block's draws are laid out trial-major, so trial ``i``'s
-values depend only on the seed, ``i`` and the sample shape, never on how
-many trials the run draws (the prefix property).
+``sample_blocks`` yields a run's samples in fixed blocks of BLOCK
+consecutive trials, and block ``b`` of a run is one counter-based stream:
+Philox keyed by the run seed, with counter ``b``. A block's draws are laid
+out trial-major, so trial ``i``'s values depend only on the seed, ``i`` and
+the sample shape, never on how many trials the run draws (the prefix
+property).
 
 ``sampled_check`` drives every sampled verification: it walks the blocks in
 order, hands each block's samples to one call of the check's ``violations``
@@ -13,6 +14,8 @@ violations of a block of samples.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -37,22 +40,20 @@ def _generator(seed: int, block: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, block]))
 
 
-def sample_trials(seed: int, lo: int, hi: int, dim: int, columns: int = 1) -> np.ndarray:
-    """Samples of trials ``lo..hi-1``, shape (columns, dim, hi - lo).
+def sample_blocks(seed: int, trials: int, dim: int, columns: int = 1) -> Iterator[np.ndarray]:
+    """Yield the samples of trials 0..trials-1, one block after another.
 
-    Trial ``i`` contributes ``columns`` standard normal vectors of length
-    ``dim``, scaled by SCALES[i % 3]. Streams start at block boundaries, so
-    a range beginning inside a block draws that block's earlier trials too.
+    Block ``b`` holds trials BLOCK*b up to the next block boundary or
+    ``trials``, as a C-ordered (columns, dim, count) array: trial ``i``
+    contributes ``columns`` standard normal vectors of length ``dim``,
+    scaled by SCALES[i % 3].
     """
-    parts = []
-    for b in range(lo // BLOCK, -(-hi // BLOCK)):
-        start = b * BLOCK
-        stop = min(hi, start + BLOCK)
-        draws = _generator(seed, b).standard_normal((stop - start, columns, dim))
-        parts.append(draws[max(lo, start) - start:])
-    scaled = np.concatenate(parts) * SCALES[np.arange(lo, hi) % len(SCALES), None, None]
-    # C order: a strided view here would slow every solver the samples feed
-    return np.ascontiguousarray(scaled.transpose(1, 2, 0))
+    for b, start in enumerate(range(0, trials, BLOCK)):
+        count = min(BLOCK, trials - start)
+        draws = _generator(seed, b).standard_normal((count, columns, dim))
+        scales = SCALES[np.arange(start, start + count) % len(SCALES)]
+        # C order: a strided view here would slow every solver the samples feed
+        yield np.multiply(draws.transpose(1, 2, 0), scales, out=np.empty((columns, dim, count)))
 
 
 def sampled_check(
@@ -60,16 +61,13 @@ def sampled_check(
 ) -> VerifyReport:
     """Report the largest violation over ``trials`` trials; pass if it is <= ``tol``.
 
-    Each block's ``sample_trials(seed, lo, hi, dim, columns)`` is passed as
-    ``violations(*samples)``, which returns the block's per-trial violations.
-    The blocks are the BLOCK-aligned ranges of range(trials), one call each.
+    Each block of ``sample_blocks(seed, trials, dim, columns)`` is passed as
+    ``violations(*block)``, which returns the block's per-trial violations.
     A NaN violation in any block makes the maximum NaN, which fails. Raises
     ValueError if ``trials`` < 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    worst = float(np.max([
-        np.max(violations(*sample_trials(seed, lo, min(lo + BLOCK, trials), dim, columns)))
-        for lo in range(0, trials, BLOCK)
-    ]))
+    worst = float(np.max([np.max(violations(*block))
+                          for block in sample_blocks(seed, trials, dim, columns)]))
     return VerifyReport(name, trials, worst, float(tol), bool(worst <= tol))

@@ -360,13 +360,13 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
-def numeric_prox(g, x: np.ndarray, tol: float = 1e-9) -> SolveReport:
+def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveReport:
     """Numerical prox oracle in the T metric.
 
     Minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the regularizer induced
-    by composing an inner prox with T. g is a FrameShrinkage or an
-    InducedRegularizer, which carry T; any other g, a bare ProxMap included,
-    raises TypeError. The Euclidean oracle is the case T = I,
+    by the FrameShrinkage fs, which composes an inner prox with T; anything
+    else, an InducedRegularizer or a bare ProxMap included, raises
+    TypeError. The Euclidean oracle is the case T = I,
     ``FrameShrinkage(build_operator(np.eye(d)), g)``. In
     z = T y + B w, with B an orthonormal basis of null(T*), the problem is
     min_z 1/2 ||z - T x||^2 + g(z), the prox of the inner function at T x.
@@ -406,9 +406,8 @@ def numeric_prox(g, x: np.ndarray, tol: float = 1e-9) -> SolveReport:
     ``tol`` raises ValueError at once.
     """
     _check_tol(tol)
-    fs = getattr(g, "shrinkage", g)
     if not isinstance(fs, FrameShrinkage):
-        raise TypeError("numeric_prox expects a FrameShrinkage or an InducedRegularizer")
+        raise TypeError("numeric_prox expects a FrameShrinkage")
     op, inner = fs.operator, fs.inner_prox
     x = np.asarray(x, dtype=float)
     tx = _analysis(op, x.reshape(-1, 1) if x.ndim < 2 else x)
@@ -488,7 +487,7 @@ def verify_prox_identity(
     inner_tol = tol / 10.0
 
     def violations(x: np.ndarray) -> np.ndarray:
-        oracle = numeric_prox(reg, x, tol=inner_tol)
+        oracle = numeric_prox(fs, x, tol=inner_tol)
         if not oracle.converged:
             return np.inf
         tx, p, y1 = _compose(fs, x)

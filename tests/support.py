@@ -6,7 +6,7 @@ reference answers the package implementations are checked against;
 ``euclidean_prox`` runs the library's prox oracle at T = I. The matrix
 writers produce the files the loaders read, and ``t_inner`` and
 ``t_gradient`` are the T inner product and T-metric gradient the metric
-tests are stated in.
+tests are stated in. ``run_samples`` is a whole run's samples.
 """
 
 from fractions import Fraction
@@ -19,6 +19,7 @@ import numpy as np
 
 from proxframe import DimensionMismatch, FrameShrinkage, build_operator, numeric_prox
 from proxframe.operators import _signals
+from proxframe.sampling import sample_blocks
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -68,6 +69,11 @@ def entry_terms(potential, x: np.ndarray) -> np.ndarray:
     return np.array([float(potential(x[i:i + 1])) for i in range(x.size)])
 
 
+def run_samples(seed: int, trials: int, dim: int, columns: int = 1) -> np.ndarray:
+    """A run's samples, shape (columns, dim, trials): its blocks, concatenated on the trial axis."""
+    return np.concatenate(list(sample_blocks(seed, trials, dim, columns)), axis=2)
+
+
 def moreau_trial_violations(prox_map, dim: int, trials: int, seed: int = 0) -> np.ndarray:
     """Worst violation of the Moreau check in each trial, one trial at a time.
 
@@ -77,11 +83,9 @@ def moreau_trial_violations(prox_map, dim: int, trials: int, seed: int = 0) -> n
     relative error of P(x) against the per-entry central differences of the
     potential, each from two calls on a length-1 array.
     """
-    from proxframe.sampling import sample_trials
-
     potential = prox_map.potential
     worst = []
-    for x in sample_trials(seed, 0, trials, dim)[0].T:
+    for x in run_samples(seed, trials, dim)[0].T:
         px = np.asarray(prox_map(x))
         at_x = float(potential(x))
         found = [abs(at_x - float(np.sum(entry_terms(potential, x)))) / max(1.0, abs(at_x))]

@@ -69,9 +69,8 @@ def test_criterion_2_prox_identity_random_operators():
         x_block = rng.standard_normal((d, 20)) * scales
         for lam in (0.1, 1.0, 10.0):
             fs = FrameShrinkage(op, soft_shrink_map(lam))
-            reg = InducedRegularizer(fs)
             y1 = frame_prox(fs, x_block)
-            rep = numeric_prox(reg, x_block, tol=1e-6)
+            rep = numeric_prox(fs, x_block, tol=1e-6)
             assert rep.converged
             gap = op.matrix @ (y1 - rep.minimizer)
             worst = max(worst, float(np.max(np.sqrt(np.sum(gap * gap, axis=0)))))

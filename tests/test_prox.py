@@ -26,13 +26,13 @@ from proxframe import (
 from proxframe import shrinkage
 from proxframe.cli import load_named_matrix
 from proxframe.prox import _central_diff
-from proxframe.sampling import sample_trials
 from support import (
     central_diff,
     entry_terms,
     euclidean_prox,
     golden_section,
     moreau_trial_violations,
+    run_samples,
 )
 
 lambdas = st.floats(min_value=0.05, max_value=10.0)
@@ -216,7 +216,7 @@ def test_moreau_characterization_skips_trials_near_a_breakpoint(seed):
     # gradient term skips; the report is then the per-entry-sum term alone,
     # which stays below the gradient term the skip leaves out
     dim = 3
-    x = sample_trials(seed, 0, 1, dim)[0]
+    x = run_samples(seed, 1, dim)[0]
     h = 1e-6 * np.maximum(1.0, np.abs(x))
     pm = soft_shrink_map(abs(x[0, 0]) - 5.0 * h[0, 0])
     at_x = pm.potential(x)
@@ -385,7 +385,7 @@ def test_numeric_prox_column_norms_do_not_overflow():
 
 
 def test_numeric_prox_below_float_resolution_fails_at_once():
-    from proxframe import FrameShrinkage, InducedRegularizer, example_operator
+    from proxframe import FrameShrinkage, example_operator
 
     # a tol below the rounding term of the first iterate is unreachable: the
     # column stops there, unconverged, with that iterate's finite certificate
@@ -394,8 +394,7 @@ def test_numeric_prox_below_float_resolution_fails_at_once():
         assert not rep.converged and rep.iterations == 1
         assert tol < rep.residual < np.inf
         fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
-        reg = InducedRegularizer(fs)
-        rep = numeric_prox(reg, np.array([[1.0, 0.3]]), tol=tol)
+        rep = numeric_prox(fs, np.array([[1.0, 0.3]]), tol=tol)
         assert not rep.converged and rep.iterations == 1
         assert tol < rep.residual < np.inf
     # an all-zero column has nothing to resolve, and lands exactly
@@ -404,14 +403,12 @@ def test_numeric_prox_below_float_resolution_fails_at_once():
 
 
 def test_numeric_prox_rejects_nonfinite_signals_at_once():
-    from proxframe import InducedRegularizer, example_shrinkage
+    from proxframe import example_shrinkage
 
     with pytest.raises(ValueError, match="column 0"):
         euclidean_prox(soft_shrink_map(1.0), np.array([np.nan]))
-    fs = example_shrinkage()
-    reg = InducedRegularizer(fs)
     with pytest.raises(ValueError, match="column 1"):
-        numeric_prox(reg, np.array([[1.0, np.inf, 0.5]]))
+        numeric_prox(example_shrinkage(), np.array([[1.0, np.inf, 0.5]]))
     with pytest.raises(DimensionMismatch):
         euclidean_prox(soft_shrink_map(1.0), np.zeros((2, 2, 2)))
 
@@ -422,7 +419,7 @@ def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec, monkeypatch):
     # rounding term exceeds one, the column stops unconverged instead of
     # iterating to the cap, and a column reports converged exactly when its
     # certificate is within tol
-    from proxframe import FrameShrinkage, InducedRegularizer
+    from proxframe import FrameShrinkage
 
     op = build_operator(load_named_matrix(spec))
     x = np.random.default_rng(7).standard_normal((op.d, 6)) * [0.1, 1.0, 10.0, 0.1, 1.0, 10.0]
@@ -430,9 +427,8 @@ def test_numeric_prox_rounding_floor_never_runs_to_max_iter(spec, monkeypatch):
     monkeypatch.setattr(shrinkage, "_MAX_ITER", 2000)
     for lam in (0.1, 1.0, 10.0):
         fs = FrameShrinkage(op, soft_shrink_map(lam))
-        reg = InducedRegularizer(fs)
         for k in (1, 1.5, 2, 4, 16, 64, 256):
-            rep = numeric_prox(reg, x, tol=k * ulp)
+            rep = numeric_prox(fs, x, tol=k * ulp)
             assert rep.iterations < 2000, (lam, k, rep.residual)
             assert rep.converged == (rep.residual <= k * ulp)
 
@@ -516,24 +512,18 @@ def test_numeric_prox_regression_certifies_within_twelve_iterations(pm):
     from proxframe import FrameShrinkage
 
     op = build_operator(load_named_matrix("random:200x100:2"))
-    x = sample_trials(5, 0, 100, 100)[0]
+    x = run_samples(5, 100, 100)[0]
     rep = numeric_prox(FrameShrinkage(op, pm), x, tol=1e-7)
     assert rep.converged and rep.iterations <= 12, rep.iterations
 
 
 def test_numeric_prox_metric_flagship():
-    # given a regularizer, the oracle minimizes over it: the one induced by
-    # composing the inner prox with the operator
-    from proxframe import (
-        FrameShrinkage,
-        InducedRegularizer,
-        example_operator,
-        example_regularizer_closed_form,
-    )
+    # given a shrinkage, the oracle minimizes over the regularizer it
+    # induces by composing the inner prox with the operator
+    from proxframe import FrameShrinkage, example_operator, example_regularizer_closed_form
 
     op = example_operator()
-    reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(1.0)))
-    rep = numeric_prox(reg, np.array([1.0]), tol=1e-9)
+    rep = numeric_prox(FrameShrinkage(op, soft_shrink_map(1.0)), np.array([1.0]), tol=1e-9)
     assert rep.converged
     y = rep.minimizer
     assert abs(y[0] - 0.4) <= 1e-8
@@ -543,15 +533,14 @@ def test_numeric_prox_metric_flagship():
 
 
 def test_numeric_prox_metric_type_errors():
-    # the operator comes from g: a shrinkage and its regularizer give the
-    # same solve, and any other g, a bare ProxMap included, is refused
+    # the operator comes from the shrinkage: anything else, its own
+    # regularizer and a bare ProxMap included, is refused
     from proxframe import FrameShrinkage, InducedRegularizer, example_operator
 
     fs = FrameShrinkage(example_operator(), soft_shrink_map(1.0))
-    x = np.array([[1.0, -0.3]])
-    by_fs = numeric_prox(fs, x, tol=1e-9)
-    by_reg = numeric_prox(InducedRegularizer(fs), x, tol=1e-9)
-    np.testing.assert_array_equal(by_fs.minimizer, by_reg.minimizer)
+    assert numeric_prox(fs, np.array([[1.0, -0.3]]), tol=1e-9).converged
+    with pytest.raises(TypeError, match="expects a FrameShrinkage"):
+        numeric_prox(InducedRegularizer(fs), np.array([1.0]))
     with pytest.raises(TypeError):
         numeric_prox(lambda v: v, np.array([1.0]))
     with pytest.raises(TypeError):

@@ -32,7 +32,6 @@ from proxframe import (
 )
 from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import load_named_matrix
-from proxframe.sampling import sample_trials
 from support import (
     _rational_solve,
     central_diff,
@@ -41,6 +40,7 @@ from support import (
     fista_points_reference,
     golden_section,
     line_regularizer,
+    run_samples,
     t_gradient,
 )
 
@@ -349,7 +349,7 @@ def test_weaker_regularizer_maximum_matches_exact_reference():
     reg = InducedRegularizer(FrameShrinkage(build_operator(t.astype(float)), soft_shrink_map(1.0)))
     trials, seed, inner_tol = 8, 3, 1e-11
     rep = weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
-    x = sample_trials(seed, 0, trials, 3)[0]
+    x = run_samples(seed, trials, 3)[0]
     g_tx = reg.g(reg.shrinkage.operator.matrix @ x)
     ref = max(float(exact_regularizer(t, x[:, j], 1.0)) - g_tx[j] for j in range(trials))
     assert rep.passed
@@ -375,7 +375,7 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
     # test_induced_regularizer_compaction_across_both_phases
     op = build_operator(load_named_matrix("random:200x100:2"))
     regression = FrameShrinkage(op, soft_shrink_map(1.0))
-    y1 = frame_prox(regression, sample_trials(5, 0, 100, 100)[0])
+    y1 = frame_prox(regression, run_samples(5, 100, 100)[0])
     dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
     x = rng.standard_normal((2, 12))
     x[:, ::2] *= 1e-9
@@ -405,7 +405,7 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     # test_fista_kernel_matches_plain_reference, which reaches ADMM
     op = build_operator(load_named_matrix("random:200x100:2"))
     regression = FrameShrinkage(op, soft_shrink_map(1.0))
-    x = sample_trials(5, 0, 100, 100)[0]
+    x = run_samples(5, 100, 100)[0]
     y1 = frame_prox(regression, x)
     dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
     x_dead = rng.standard_normal((2, 12))
@@ -446,7 +446,7 @@ def test_evaluating_f_stores_nothing_on_the_operator():
     keys = set(vars(op))
     fs = FrameShrinkage(op, soft_shrink_map(1.0))
     reg = InducedRegularizer(fs)
-    induced_regularizer(reg, sample_trials(5, 0, 10, 100)[0], tol=1e-7)
+    induced_regularizer(reg, run_samples(5, 10, 100)[0], tol=1e-7)
     verify_prox_identity(fs, reg, trials=10, tol=1e-6, seed=5)
     weaker_regularizer_check(reg, trials=10, seed=6)
     assert set(vars(op)) == keys
@@ -503,7 +503,7 @@ def test_empty_block_gives_empty_results(op, certified):
     assert frame_prox(fs, empty).shape == (op.d, 0)
     assert induced_regularizer(reg, empty).shape == (0,)
     assert [iters.shape for iters in certified] == [(0,)]
-    rep = numeric_prox(reg, empty)
+    rep = numeric_prox(fs, empty)
     assert rep.minimizer.shape == (op.d, 0)
     assert rep.converged and rep.residual == 0.0 and rep.iterations == 0
 
@@ -622,7 +622,7 @@ def test_prox_identity_seeds_f_at_the_shrinkage_point(n, monkeypatch):
             verify_prox_identity(shrink, InducedRegularizer(shrink), trials=3, tol=1e-6, seed=n)
         value, zero = seeds[-2:]
         np.testing.assert_array_equal(zero, 0.0)
-        y1 = frame_prox(fs, sample_trials(n, 0, 3, d)[0])
+        y1 = frame_prox(fs, run_samples(n, 3, d)[0])
         if n == d:
             np.testing.assert_array_equal(value, fs.inner_prox.function(fs.operator.matrix @ y1))
             continue
@@ -749,8 +749,7 @@ def test_numeric_prox_lands_within_its_certified_tolerance(rng):
         x = rng.standard_normal((op.d, 12)) * np.repeat([0.1, 1.0, 10.0], 4)
         for lam, tol in ((0.1, 1e-6), (1.0, 1e-7), (10.0, 1e-9)):
             fs = FrameShrinkage(op, soft_shrink_map(lam))
-            reg = InducedRegularizer(fs)
-            rep = numeric_prox(reg, x, tol=tol)
+            rep = numeric_prox(fs, x, tol=tol)
             assert rep.converged and rep.residual <= tol
             gap = op.matrix @ (rep.minimizer - frame_prox(fs, x))
             assert np.max(np.sqrt(np.sum(gap * gap, axis=0))) <= tol, (op.matrix.shape, lam)
@@ -789,7 +788,7 @@ def test_t_firm_nonexpansive_holds_exactly_on_integer_frames(n, monkeypatch):
     for d in range(1, n + 1):
         t = integer_operator(n, d, rng)
         op = build_operator(t.astype(float))
-        x, y = sample_trials(n, 0, 30, d, columns=2)
+        x, y = run_samples(n, 30, d, columns=2)
         unit = 16 * eps * np.linalg.cond(t) * np.sum((op.matrix @ (x - y)) ** 2, axis=0)
         maps = [(lam, soft_shrink_map(lam)) for lam in (0.5, 1.0, 2.0)] + [(None, identity_map())]
         for lam, pm in maps:
@@ -862,7 +861,7 @@ def test_weaker_regularizer_pruning_keeps_the_reported_maximum(case):
     fs, trials, seed = weaker_cases()[case]
     reg, tol, inner_tol = InducedRegularizer(fs), 1e-9, 1e-11
     rep = weaker_regularizer_check(reg, trials=trials, tol=tol, seed=seed)
-    x = sample_trials(seed, 0, trials, fs.operator.d)[0]
+    x = run_samples(seed, trials, fs.operator.d)[0]
     g_tx = reg.g(fs.operator.matrix @ x)
     ref = max(induced_regularizer(reg, x[:, j], tol=inner_tol) - g_tx[j] for j in range(trials))
     assert rep.passed
@@ -886,7 +885,7 @@ def test_weaker_regularizer_not_converged_only_for_a_possible_maximum(monkeypatc
     # At 16 the maximum itself is open, and the check raises
     fs, trials, seed = weaker_cases()[0]
     reg = InducedRegularizer(fs)
-    x = sample_trials(seed, 0, trials, fs.operator.d)[0]
+    x = run_samples(seed, trials, fs.operator.d)[0]
     full = weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
     monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 88)
     with pytest.raises(NotConverged):
