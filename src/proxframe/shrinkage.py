@@ -152,17 +152,16 @@ def _fista_points(proj, c, lam):
 def _admm_points(proj, c, lam, rho):
     """ADMM on the box-constrained dual of f, split u = v between its two terms.
 
-    With scaled multiplier m and a per-column penalty rho:
+    With scaled multiplier m and a fixed per-column penalty rho:
 
         u <- P b + c / rho + rho / (1 + rho) (I - P) b,      b = v - m
         v <- clip(a, -lam, lam),                             a = u + m
         m <- a - v
 
-    rho is balanced against the primal and dual residuals (Boyd et al.
-    2011, 3.4.1). Yields (v, (I - P) v) every _GAP_STRIDE iterations and
-    takes a mask of the columns to keep as ``_fista_points`` does. Its
-    blocks take c's layout too: each product with P writes into a block
-    laid out like its operand.
+    Yields (v, (I - P) v) every _GAP_STRIDE iterations and takes a mask of
+    the columns to keep as ``_fista_points`` does. Its blocks take c's
+    layout too: each product with P writes into a block laid out like its
+    operand.
     """
     v = m = np.zeros_like(c)
     while True:
@@ -171,19 +170,12 @@ def _admm_points(proj, c, lam, rho):
             pb = np.matmul(proj, b, out=np.empty_like(b))
             u = pb + c / rho + rho / (1.0 + rho) * (b - pb)
             a = u + m
-            v_prev, v = v, np.clip(a, -lam, lam)
+            v = np.clip(a, -lam, lam)
             m = a - v
         r = np.matmul(proj, v, out=np.empty_like(v))
         keep = yield v, np.subtract(v, r, out=r)
         if keep is not None:
-            c, v, m, u, v_prev, rho = (a[..., keep] for a in (c, v, m, u, v_prev, rho))
-        split_gap, v_step = u - v, v - v_prev
-        primal_res = _col_dot(split_gap, split_gap)
-        dual_res = rho * rho * _col_dot(v_step, v_step)
-        step = np.where(primal_res > 100.0 * dual_res, 2.0,
-                        np.where(dual_res > 100.0 * primal_res, 0.5, 1.0))
-        rho = rho * step
-        m = m / step
+            c, v, m, rho = (a[..., keep] for a in (c, v, m, rho))
 
 
 def _certify(
@@ -287,7 +279,7 @@ def induced_regularizer(reg: InducedRegularizer, x, tol: float = 1e-9):
     still open after ``_FISTA_ITERS`` iterations typically has Tx far inside
     the dead zone (|Tx| << lam); there unit-step FISTA creeps along range(T)
     at a speed set by |Tx|. From that iteration on, ADMM (``_admm_points``),
-    whose penalty starts at max|Tx| / lam and follows that scale, runs on
+    whose penalty is fixed at max|Tx| / lam, the scale of Tx, runs on
     such columns beside the same FISTA run, which goes on as before.
 
     ``_certify`` runs both, with g(Tx) as the feasible value, and stops each

@@ -241,7 +241,7 @@ def test_verify_soft10_certifies_before_the_admm_join(capsys, certified):
 def test_regularizer_deep_in_the_dead_zone_reaches_the_admm_join(capsys, certified):
     # CI's console-script step runs this argv for its ADMM join: at |x| of
     # 1e-4 and below against lam = 10, FISTA leaves columns open past its
-    # first _FISTA_ITERS iterations (the slowest runs 4208), so ADMM joins
+    # first _FISTA_ITERS iterations (the slowest runs 6768), so ADMM joins
     code, _, err = run(capsys, "regularizer", "--operator", "random:20x10:1", "--prox", "soft:10",
                        "--grid", "-1e-4:1e-4:1e-5", "--seed", "1")
     assert code == 0, err

@@ -244,6 +244,21 @@ def test_induced_regularizer_compaction_across_both_phases(rng, certified):
     assert np.all(vals <= g_tx)
 
 
+def test_admm_at_its_starting_penalty_certifies_a_conditioned_dead_zone(certified):
+    # a case of the dead-zone grids (tests/dead_zone_grids.py): |Tx| below
+    # 1e-6 lam on an operator of condition 1e3. ADMM, held at its starting
+    # penalty max|Tx| / lam, certifies it at tol 1e-11 in 15624 iterations;
+    # with the penalty balanced against ADMM's residuals it stayed open at
+    # _MAX_ITER, at a gap of 1.4e-11
+    op = random_operator(60, 30, np.random.default_rng(60030), 1e3)
+    reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(0.1)))
+    x = 1e-7 * np.random.default_rng(7).standard_normal((30, 8))
+    vals = induced_regularizer(reg, x, tol=1e-11)
+    (iters,) = certified
+    assert np.max(iters) > shrinkage_module._FISTA_ITERS, iters
+    assert np.all(vals >= 0.0) and np.all(vals <= reg.g(op.matrix @ x))
+
+
 @pytest.mark.parametrize("d", range(1, 13))
 def test_induced_regularizer_matches_exact_line_reference(d):
     # for a (d+1) x d operator the inner problem is one-dimensional, and
