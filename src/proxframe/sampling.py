@@ -28,18 +28,16 @@ BLOCK = 1024
 # to land samples on both sides of soft-shrinkage dead zones for the lambdas
 # exercised in practice.
 SCALES = np.array([0.1, 1.0, 10.0])
-# SCALES repeated over a block; the block from trial ``start`` reads from start % 3
-_SCALE_RUN = np.resize(SCALES, BLOCK + len(SCALES) - 1)
 
 
-def _generator(seed: int) -> np.random.Generator:
-    """The Philox stream keyed by ``seed``, at counter 0.
+def _generator(seed: int, block: int = 0) -> np.random.Generator:
+    """Counter block ``block`` of the Philox stream keyed by ``seed``.
 
     Raises ValueError naming the seed unless it fits the 64-bit key.
     """
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside the range 0 .. 2**64 - 1")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, block]))
 
 
 def sample_blocks(seed: int, trials: int, dim: int, columns: int = 1) -> Iterator[np.ndarray]:
@@ -50,14 +48,10 @@ def sample_blocks(seed: int, trials: int, dim: int, columns: int = 1) -> Iterato
     contributes ``columns`` standard normal vectors of length ``dim``,
     scaled by SCALES[i % 3].
     """
-    rng = _generator(seed)
-    state = rng.bit_generator.state  # a fresh stream's: counter 0, empty buffer
     for b, start in enumerate(range(0, trials, BLOCK)):
         count = min(BLOCK, trials - start)
-        state["state"]["counter"][3] = b
-        rng.bit_generator.state = state
-        draws = rng.standard_normal((count, columns, dim))
-        scales = _SCALE_RUN[start % len(SCALES):][:count]
+        draws = _generator(seed, b).standard_normal((count, columns, dim))
+        scales = SCALES[np.arange(start, start + count) % len(SCALES)]
         # C order: a strided view here would slow every solver the samples feed
         yield np.multiply(draws.transpose(1, 2, 0), scales, out=np.empty((columns, dim, count)))
 

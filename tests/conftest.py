@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from proxframe import shrinkage
+from support import recording
 
 settings.register_profile("proxframe", deadline=None)
 settings.load_profile("proxframe")
@@ -33,12 +34,6 @@ def rng():
 @pytest.fixture
 def certified(monkeypatch):
     """The iterations array of each ``shrinkage._certify`` call the test makes, in call order."""
-    runs, certify = [], shrinkage._certify
-
-    def recorded(*args, **kwargs):
-        result = certify(*args, **kwargs)
-        runs.append(result[2])
-        return result
-
-    monkeypatch.setattr(shrinkage, "_certify", recorded)
+    runs = []
+    monkeypatch.setattr(shrinkage, "_certify", recording(shrinkage._certify, runs))
     return runs

@@ -18,7 +18,8 @@ column does, and is open when the evaluation raises NotConverged.
 One line per case gives its outcome, the largest iteration count of its
 columns and their sum (the column-iterations), and its wall time; a
 summary line per grid counts the certified cases and sums the
-column-iterations and time of those. pytest does not collect this file.
+column-iterations and time of those. pytest does not collect this file;
+``test_shrinkage`` runs one case of it through ``run_grid``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from proxframe import (
     shrinkage,
 )
 from proxframe.cli import load_named_matrix
+from support import recording
 
 
 def grid32():
@@ -61,41 +63,38 @@ def grid96():
 
 
 def run_grid(name, cases, tol):
-    """Evaluate each case, print its line, then the grid's summary line."""
-    iterations, certify = [], shrinkage._certify
+    """Evaluate each case, print its line, then the grid's summary line.
 
-    def recorded(*args, **kwargs):
-        result = certify(*args, **kwargs)
-        iterations.append(result[2])
-        return result
-
-    shrinkage._certify = recorded
+    Returns each case's label and its columns' iterations, None if open.
+    """
+    runs, certify = [], shrinkage._certify
+    shrinkage._certify = recording(certify, runs)
     try:
-        total = certified = column_iterations = 0
-        seconds, open_cases = 0.0, []
+        outcomes, seconds = [], 0.0
         for label, op, lam, x in cases:
             reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(lam)))
-            iterations.clear()
+            runs.clear()
             start = time.perf_counter()
             try:
                 induced_regularizer(reg, x, tol=tol)
             except NotConverged as exc:
-                elapsed = time.perf_counter() - start
-                open_cases.append(label)
-                print(f"{name} | {label} | open | {exc} | {elapsed:.3f} s")
+                outcomes.append((label, None))
+                print(f"{name} | {label} | open | {exc} | {time.perf_counter() - start:.3f} s")
             else:
                 elapsed = time.perf_counter() - start
-                (iters,) = iterations
-                certified += 1
-                column_iterations += int(np.sum(iters))
+                (iters,) = runs
+                outcomes.append((label, iters))
                 seconds += elapsed
                 print(f"{name} | {label} | certified | max {np.max(iters)} "
                       f"sum {np.sum(iters)} | {elapsed:.3f} s")
-            total += 1
     finally:
         shrinkage._certify = certify
-    print(f"{name}: {certified}/{total} certified, {column_iterations} column-iterations "
-          f"in {seconds:.1f} s over the certified cases; open: {', '.join(open_cases) or 'none'}")
+    done = [iters for _, iters in outcomes if iters is not None]
+    open_cases = [label for label, iters in outcomes if iters is None]
+    print(f"{name}: {len(done)}/{len(outcomes)} certified, {sum(int(np.sum(i)) for i in done)} "
+          f"column-iterations in {seconds:.1f} s over the certified cases; "
+          f"open: {', '.join(open_cases) or 'none'}")
+    return outcomes
 
 
 def main():

@@ -6,7 +6,8 @@ reference answers the package implementations are checked against;
 ``euclidean_prox`` runs the library's prox oracle at T = I. The matrix
 writers produce the files the loaders read, and ``t_inner`` and
 ``t_gradient`` are the T inner product and T-metric gradient the metric
-tests are stated in. ``run_samples`` is a whole run's samples.
+tests are stated in. ``run_samples`` is a whole run's samples, and
+``recording`` wraps ``shrinkage._certify`` to keep each call's iterations.
 """
 
 from fractions import Fraction
@@ -298,3 +299,14 @@ def save_matrix_json(matrix: np.ndarray, path) -> None:
     n, d = m.shape
     data = ", ".join(_fmt(v) for v in m.ravel())
     Path(path).write_text(f'{{"rows": {n}, "cols": {d}, "data": [{data}]}}\n')
+
+
+def recording(certify, runs: list):
+    """``certify`` (``shrinkage._certify``), appending each call's iterations array to ``runs``."""
+
+    def recorded(*args, **kwargs):
+        result = certify(*args, **kwargs)
+        runs.append(result[2])
+        return result
+
+    return recorded

@@ -14,8 +14,8 @@ def test_samples_are_a_prefix_of_longer_runs():
 def test_blocks_are_the_seeds_philox_streams():
     # block b is Philox keyed by the seed at counter b, drawn trial-major and
     # scaled by trial; the pinned values fail on a NumPy release that
-    # changes Philox or standard_normal. Four blocks re-key the sampler's one
-    # generator three times, and the last one's scales start over at 0.1
+    # changes Philox or standard_normal. Blocks 0 to 3 start their scales at
+    # trial offsets 0, 1, 2 and 0 mod 3, so the last one starts over at 0.1
     blocks = list(sample_blocks(7, 3 * BLOCK + 37, dim=4, columns=2))
     assert [block.shape for block in blocks] == [(2, 4, BLOCK)] * 3 + [(2, 4, 37)]
     for b, block in enumerate(blocks):

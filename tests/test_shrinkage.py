@@ -30,6 +30,7 @@ from proxframe import (
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
 )
+import dead_zone_grids
 from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import load_named_matrix
 from support import (
@@ -257,6 +258,16 @@ def test_admm_at_its_starting_penalty_certifies_a_conditioned_dead_zone(certifie
     (iters,) = certified
     assert np.max(iters) > shrinkage_module._FISTA_ITERS, iters
     assert np.all(vals >= 0.0) and np.all(vals <= reg.g(op.matrix @ x))
+
+
+def test_dead_zone_grids_script_runs_a_case(capsys):
+    # one case of the script's 96-case grid whose columns reach the ADMM
+    # join, so its grid construction and recording keep working
+    label = "9x2 cond 1 lam 1 scale 1e-07"
+    cases = [case for case in dead_zone_grids.grid96() if case[0] == label]
+    ((got, iters),) = dead_zone_grids.run_grid("96", cases, tol=1e-7)
+    assert got == label and np.max(iters) > shrinkage_module._FISTA_ITERS, iters
+    assert capsys.readouterr().out.splitlines()[-1].startswith("96: 1/1 certified")
 
 
 @pytest.mark.parametrize("d", range(1, 13))
