@@ -108,49 +108,41 @@ def _col_dot(a, b):
     return np.matmul(a.T[:, None], b.T[..., None]).ravel()
 
 
-def _fista_points(proj, c, lam):
-    """FISTA with gradient restart on the box-constrained dual of f, at unit step.
+def _fista_steps(proj, c, lam, u, y):
+    """Run ``_GAP_STRIDE`` iterations of unit-step FISTA, with restart, on f's box-constrained dual.
 
     The smooth part's gradient (I - P) u - c is 1-Lipschitz, so a step from
-    y is the clip of P y + c onto [-lam, lam]. The iteration carries the
-    iterate u_new and the extrapolated point y = u_new + (u_new - u), with
-    u the previous iterate: momentum 1, as greedy FISTA takes at the unit
-    step (Liang, Luo & Schoenlieb, SIAM J. Sci. Comput. 44, 2022). A column
-    whose step points uphill, <y - u_new, u_new - u> > 0 for the y it
-    stepped from, takes momentum 0 on that step instead (y = u_new): the
-    gradient restart of O'Donoghue & Candes (2015). Each iteration takes one
-    product with P, for P y, forms that inner product per column in one
-    pass (``_col_dot``), and works in place in three buffers that trade roles.
-    The buffers take c's layout; ``_certify`` passes c column-contiguous
-    (Fortran order), so every column of u, y and the buffers is contiguous,
-    and stays so when columns leave. Every _GAP_STRIDE iterations one more
-    product forms (I - P) u, and (u, (I - P) u) is yielded; u is
-    overwritten once iterating resumes. The caller may send back a boolean
-    mask of the columns to keep (None keeps all); the others leave c and
-    the iteration state at once.
+    y is the clip of P y + c onto [-lam, lam]. The state is the iterate u
+    and the extrapolated point y = u_new + (u_new - u), with u the previous
+    iterate: momentum 1, as greedy FISTA takes at the unit step (Liang, Luo
+    & Schoenlieb, SIAM J. Sci. Comput. 44, 2022). A column whose step
+    points uphill, <y - u_new, u_new - u> > 0 for the y it stepped from,
+    takes momentum 0 on that step instead (y = u_new): the gradient restart
+    of O'Donoghue & Candes (2015). Each iteration takes one product with P,
+    for P y, forms that inner product per column in one pass
+    (``_col_dot``), and works in place in u, y and one scratch block, which
+    trade roles. The scratch block takes c's layout; ``_certify`` passes c
+    and the state column-contiguous (Fortran order), so every column of
+    every block is contiguous. Returns the new (u, y); the u and y given
+    are overwritten.
     """
-    u, y, u_new = np.zeros_like(c), np.zeros_like(c), np.empty_like(c)
-    while True:
-        for _ in range(_GAP_STRIDE):
-            np.matmul(proj, y, out=u_new)
-            u_new += c
-            np.minimum(u_new, lam, out=u_new)
-            np.maximum(u_new, -lam, out=u_new)
-            du = np.subtract(u_new, u, out=u)
-            # gradient restart: momentum 0 on a step where <y - u_new, du> > 0
-            y -= u_new
-            du *= _col_dot(y, du) <= 0.0
-            du += u_new
-            u, y, u_new = u_new, du, y
-        r = np.matmul(proj, u, out=np.empty_like(u))
-        keep = yield u, np.subtract(u, r, out=r)
-        if keep is not None:
-            c, u, y = (a[..., keep] for a in (c, u, y))
-            u_new = np.empty_like(u)
+    u_new = np.empty_like(c)
+    for _ in range(_GAP_STRIDE):
+        np.matmul(proj, y, out=u_new)
+        u_new += c
+        np.minimum(u_new, lam, out=u_new)
+        np.maximum(u_new, -lam, out=u_new)
+        du = np.subtract(u_new, u, out=u)
+        # gradient restart: momentum 0 on a step where <y - u_new, du> > 0
+        y -= u_new
+        du *= _col_dot(y, du) <= 0.0
+        du += u_new
+        u, y, u_new = u_new, du, y
+    return u, y
 
 
-def _admm_points(proj, c, lam, rho):
-    """ADMM on the box-constrained dual of f, split u = v between its two terms.
+def _admm_steps(proj, c, lam, v, m, rho):
+    """Run ``_GAP_STRIDE`` iterations of ADMM on f's box-constrained dual, split u = v between its terms.
 
     With scaled multiplier m and a fixed per-column penalty rho:
 
@@ -158,24 +150,17 @@ def _admm_points(proj, c, lam, rho):
         v <- clip(a, -lam, lam),                             a = u + m
         m <- a - v
 
-    Yields (v, (I - P) v) every _GAP_STRIDE iterations and takes a mask of
-    the columns to keep as ``_fista_points`` does. Its blocks take c's
-    layout too: each product with P writes into a block laid out like its
-    operand.
+    Returns the new (v, m, rho). Its blocks take c's layout too: each
+    product with P writes into a block laid out like its operand.
     """
-    v = m = np.zeros_like(c)
-    while True:
-        for _ in range(_GAP_STRIDE):
-            b = v - m
-            pb = np.matmul(proj, b, out=np.empty_like(b))
-            u = pb + c / rho + rho / (1.0 + rho) * (b - pb)
-            a = u + m
-            v = np.clip(a, -lam, lam)
-            m = a - v
-        r = np.matmul(proj, v, out=np.empty_like(v))
-        keep = yield v, np.subtract(v, r, out=r)
-        if keep is not None:
-            c, v, m, rho = (a[..., keep] for a in (c, v, m, rho))
+    for _ in range(_GAP_STRIDE):
+        b = v - m
+        pb = np.matmul(proj, b, out=np.empty_like(b))
+        u = pb + c / rho + rho / (1.0 + rho) * (b - pb)
+        a = u + m
+        v = np.clip(a, -lam, lam)
+        m = a - v
+    return v, m, rho
 
 
 def _certify(
@@ -188,19 +173,23 @@ def _certify(
     f = g o T (square T, the identity map, whose g is 0, and a block
     without columns) it returns (feasible, feasible, 0) and runs no solver.
     Otherwise one loop of gap checks, ``_GAP_STRIDE`` iterations apart, runs
-    FISTA on every column and, from iteration ``_FISTA_ITERS`` on, ADMM
-    beside it on the columns still open. At each check an open column takes
-    the lowest primal value (its feasible value, or the primal at
-    w = -B^T u for a solver's dual iterate u) and the highest dual value its
-    solvers reach. This is the stop rule of every evaluation of f: a column
-    stops, with these values as its bounds, the first time their gap is at
-    most ``tol`` or a floor of ``_GAP_FLOOR``, 64 ulps, of
-    1 + |feasible| + ||u||^2 (summed over its solvers), the scale at which
-    float64 rounding of the gap's terms sets in. With ``prune``, a column
-    also stops, its gap unchecked, once its upper bound minus its feasible
-    value is below the highest lower bound minus feasible value of any
-    column so far: it can no longer set the block's largest f - feasible.
-    A stopped column leaves c and the state of every solver at once.
+    FISTA (``_fista_steps``) on every column and, from iteration
+    ``_FISTA_ITERS`` on, ADMM (``_admm_steps``) beside it on the columns
+    still open, its penalty fixed there at max|c| / lam. It keeps each step
+    function's state, whose first entry is the solver's dual iterate u, and
+    at each check forms (I - P) u itself. An open column takes the
+    lowest primal value (its feasible value, or the primal at w = -B^T u)
+    and the highest dual value its solvers reach. This is the stop rule of
+    every evaluation of f: a column stops, with these values as its bounds,
+    the first time their gap is at most ``tol`` or a floor of
+    ``_GAP_FLOOR``, 64 ulps, of 1 + |feasible| + ||u||^2 (summed over its
+    solvers), the scale at which float64 rounding of the gap's terms sets
+    in. With ``prune``, a column also stops, its gap unchecked, once its
+    upper bound minus its feasible value is below the highest lower bound
+    minus feasible value of any column so far: it can no longer set the
+    block's largest f - feasible. One keep-mask then drops the stopped
+    columns from c, every solver's state and the loop's own per-column
+    arrays.
     The third array holds the FISTA iterations each column ran before it
     stopped, a multiple of ``_GAP_STRIDE`` (0 where no solver ran); where
     that count exceeds ``_FISTA_ITERS``, ADMM ran the excess beside FISTA.
@@ -224,21 +213,21 @@ def _certify(
     proj, lam, c = op.range_proj.T, inner.lam, np.asfortranarray(c)
     upper, lower = np.empty_like(feasible), np.empty_like(feasible)
     best, gap = -np.inf, np.inf
-    cols, c_sub, g_sub, base = np.arange(c.shape[1]), c, feasible, 1.0 + np.abs(feasible)
-    # each solver with the keep-mask it has yet to receive: ADMM starts on
-    # columns already compacted, so it must not get FISTA's pending one
-    solvers = {_fista_points(proj, c, lam): None}
+    cols, g_sub, base = np.arange(c.shape[1]), feasible, 1.0 + np.abs(feasible)
+    solvers = {_fista_steps: (np.zeros_like(c), np.zeros_like(c))}
     for check in range(_MAX_ITER // _GAP_STRIDE):
         if check == _FISTA_ITERS // _GAP_STRIDE:
             # an open column has Tx != 0: at Tx = 0, u stays 0 and the first gap is 0
-            rho = np.max(np.abs(c_sub), axis=0) / lam
-            solvers[_admm_points(proj, c_sub, lam, rho)] = None
+            v = np.zeros_like(c)
+            solvers[_admm_steps] = (v, v, np.max(np.abs(c), axis=0) / lam)
         primal, dual, scale = g_sub, -np.inf, base
-        for points, keep in solvers.items():
-            u, r = points.send(keep)
+        for steps, state in solvers.items():
+            u, *_ = solvers[steps] = steps(proj, c, lam, *state)
+            r = np.matmul(proj, u, out=np.empty_like(u))
+            np.subtract(u, r, out=r)
             half_sq = 0.5 * _col_dot(u, r)
-            primal = np.minimum(primal, half_sq + g(c_sub - r))
-            dual = np.maximum(dual, _col_dot(u, c_sub) - half_sq)
+            primal = np.minimum(primal, half_sq + g(c - r))
+            dual = np.maximum(dual, _col_dot(u, c) - half_sq)
             scale = scale + _col_dot(u, u)
         # the open columns' last gap, for the NotConverged message
         gap = primal - dual
@@ -246,15 +235,14 @@ def _certify(
         if prune:
             best = np.maximum(best, np.max(dual - g_sub))
             done |= primal - g_sub < best
-        keep = None
         if done.any():
             upper[cols[done]], lower[cols[done]] = primal[done], dual[done]
             iters[cols[done]] = (check + 1) * _GAP_STRIDE
             keep = ~done
-            cols, c_sub, g_sub, base, gap = (a[..., keep] for a in (cols, c_sub, g_sub, base, gap))
+            cols, c, g_sub, base, gap = (a[..., keep] for a in (cols, c, g_sub, base, gap))
             if not cols.size:
                 return upper, lower, iters
-        solvers = dict.fromkeys(solvers, keep)
+            solvers = {steps: tuple(a[..., keep] for a in state) for steps, state in solvers.items()}
     # every check ran: _MAX_ITER rounded down to a multiple of the stride
     raise NotConverged(
         f"regularizer evaluation left a duality gap of {np.max(gap):.3e} after "
@@ -275,14 +263,14 @@ def induced_regularizer(reg: InducedRegularizer, x, tol: float = 1e-9):
         max_{|u_i| <= lam}  <u, c> - 1/2 ||B^T u||^2,   ||B^T u||^2 = <u, (I - P) u>
 
     with P the range projector. It is solved by FISTA at unit step
-    (``_fista_points``), whose every step is a clip onto the box. A column
+    (``_fista_steps``), whose every step is a clip onto the box. A column
     still open after ``_FISTA_ITERS`` iterations typically has Tx far inside
     the dead zone (|Tx| << lam); there unit-step FISTA creeps along range(T)
-    at a speed set by |Tx|. From that iteration on, ADMM (``_admm_points``),
+    at a speed set by |Tx|. From that iteration on, ADMM (``_admm_steps``),
     whose penalty is fixed at max|Tx| / lam, the scale of Tx, runs on
     such columns beside the same FISTA run, which goes on as before.
 
-    ``_certify`` runs both, with g(Tx) as the feasible value, and stops each
+    ``_certify`` steps both, with g(Tx) as the feasible value, and stops each
     column by its rule: its gap within ``tol`` or a rounding floor. The
     result is that column's upper bound, so dual <= f(x) <= result <= g(Tx).
     Later iterations cost only the columns still open. Their values match a
@@ -339,16 +327,19 @@ def example_shrinkage() -> FrameShrinkage:
 _STEP = 0.9
 
 
-def _norms(a: np.ndarray) -> np.ndarray:
-    """Column 2-norms; a column whose sum of squares overflows is rescaled by its largest entry.
+def _norms(a: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Column 2-norms; a column whose norm reaches its ``limit`` is rescaled by its largest entry.
 
-    The caller holds ``np.errstate(over="ignore")`` for the overflowing sum.
+    A limit of inf rescales a column whose sum of squares overflows, one of
+    0 every norm of the column. The caller holds
+    ``np.errstate(over="ignore")`` for the overflowing sum. A zero column
+    keeps its norm 0: its scale is floored at the smallest normal number.
     """
     norms = np.sqrt(np.add.reduce(a * a, 0))
-    big = np.isinf(norms)
-    if big.any():
-        scale = np.max(np.abs(a[:, big]), axis=0)
-        norms[big] = scale * np.sqrt(np.add.reduce((a[:, big] / scale) ** 2, 0))
+    odd = norms >= limit
+    if odd.any():
+        scale = np.maximum(np.max(np.abs(a[:, odd]), axis=0), np.finfo(float).tiny)
+        norms[odd] = scale * np.sqrt(np.add.reduce((a[:, odd] / scale) ** 2, 0))
     return norms
 
 
@@ -409,20 +400,24 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
     cert = np.full(tx.shape[1], np.inf)
     cols = np.arange(tx.shape[1])
     iters = 0
-    # _norms rescales a column whose sum of squares overflows
+    # _norms rescales every norm of a column of T x below 2^-400, and of its
+    # iterates: below 2^-459 the squares of entries eps |T x| in size, which
+    # the certificate resolves, leave the normal range. It rescales any
+    # other column only when its sum of squares overflows
+    limit = np.where(np.abs(tx).max(0) < 2.0 ** -400, 0.0, np.inf)
     with np.errstate(over="ignore"):
-        z, tv, tx_norm = np.zeros_like(tx), _STEP * tx, _norms(tx)
+        z, tv, tx_norm = np.zeros_like(tx), _STEP * tx, _norms(tx, limit)
         while cols.size and iters < _MAX_ITER:
             iters += 1
             z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
-            rounding = eps * (_norms(z_new) + tx_norm)
-            now = (1.0 / _STEP - 1.0) * _norms(z - z_new) + rounding
+            rounding = eps * (_norms(z_new, limit) + tx_norm)
+            now = (1.0 / _STEP - 1.0) * _norms(z - z_new, limit) + rounding
             z = z_new
             stop = (now <= tol) | (tol < rounding) | (iters == _MAX_ITER)
             if stop.any():
                 z_out[:, cols[stop]], cert[cols[stop]] = z[:, stop], now[stop]
                 keep = ~stop
-                cols, z, tv, tx_norm = cols[keep], z[:, keep], tv[:, keep], tx_norm[keep]
+                cols, z, tv, tx_norm, limit = cols[keep], z[:, keep], tv[:, keep], tx_norm[keep], limit[keep]
     resid = float(np.max(cert, initial=0.0))
 
     return SolveReport(

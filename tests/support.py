@@ -99,30 +99,27 @@ def moreau_trial_violations(prox_map, dim: int, trials: int, seed: int = 0) -> n
     return np.array(worst)
 
 
-def fista_points_reference(proj, c, lam):
-    """The dual FISTA of ``shrinkage._fista_points`` in its plain form.
+def fista_steps_reference(proj, c, lam, u, y):
+    """The dual FISTA of ``shrinkage._fista_steps`` in its plain form.
 
-    It carries q = P u and q_y = P y beside u and y, extrapolates both, and
-    takes every column's momentum as 1, or 0 on a restart step. It yields
-    (u, (I - P) u) every ``_GAP_STRIDE`` iterations and takes a mask of the
-    columns to keep, as the kernel does.
+    From the state (u, y) it forms q = P u and q_y = P y, carries them beside
+    u and y, extrapolates both, and takes every column's momentum as 1, or 0
+    on a restart step. It runs ``_GAP_STRIDE`` iterations and returns the
+    new (u, y), as the kernel does, with no array updated in place.
     """
     from proxframe.shrinkage import _GAP_STRIDE
 
-    u = q = y = q_y = np.zeros_like(c)
-    while True:
-        for _ in range(_GAP_STRIDE):
-            u_new = np.clip(q_y + c, -lam, lam)
-            q_new = proj @ u_new
-            du = u_new - u
-            restart = np.sum((y - u_new) * du, axis=0) > 0.0
-            beta = np.where(restart, 0.0, 1.0)
-            y = u_new + beta * du
-            q_y = q_new + beta * (q_new - q)
-            u, q = u_new, q_new
-        keep = yield u, u - q
-        if keep is not None:
-            c, u, q, y, q_y = (a[..., keep] for a in (c, u, q, y, q_y))
+    q, q_y = proj @ u, proj @ y
+    for _ in range(_GAP_STRIDE):
+        u_new = np.clip(q_y + c, -lam, lam)
+        q_new = proj @ u_new
+        du = u_new - u
+        restart = np.sum((y - u_new) * du, axis=0) > 0.0
+        beta = np.where(restart, 0.0, 1.0)
+        y = u_new + beta * du
+        q_y = q_new + beta * (q_new - q)
+        u, q = u_new, q_new
+    return u, y
 
 
 def line_regularizer(c: np.ndarray, b: np.ndarray, lam: float) -> float:

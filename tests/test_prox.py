@@ -384,6 +384,27 @@ def test_numeric_prox_column_norms_do_not_overflow():
         assert not rep.converged
 
 
+def test_numeric_prox_column_norms_do_not_underflow():
+    # at 1e-170 the squares of T x and of every iterate flush to 0; their
+    # norms do not, so the oracle behaves as at scale 1: at tol 0 it stops
+    # unconverged on its rounding term, and at tol 1e-175 it certifies a
+    # residual that bounds its T-norm distance to the exact prox (measured
+    # 1.55e-176 against 1.49e-176). Summed unscaled, the certificate read 0
+    # and claimed convergence at tol 0 after one iteration, 10% off the prox
+    from proxframe import FrameShrinkage, frame_prox
+
+    op = build_operator(np.random.default_rng(0).standard_normal((6, 3)))
+    fs = FrameShrinkage(op, soft_shrink_map(1e-170))
+    x = 1e-170 * np.array([1.0, -2.0, 0.5])
+    rep = numeric_prox(fs, x, tol=0.0)
+    assert not rep.converged and rep.iterations == 1 and 0.0 < rep.residual < np.inf
+    rep = numeric_prox(fs, x, tol=1e-175)
+    assert rep.converged and 0.0 < rep.residual <= 1e-175
+    # the distance, its difference scaled by 2^600 so that its squares stay normal
+    dist = np.linalg.norm(op.matrix @ ((rep.minimizer - frame_prox(fs, x)) * 2.0 ** 600)) / 2.0 ** 600
+    assert 0.0 < dist <= rep.residual
+
+
 def test_numeric_prox_below_float_resolution_fails_at_once():
     from proxframe import FrameShrinkage, example_operator
 

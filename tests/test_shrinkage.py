@@ -38,7 +38,7 @@ from support import (
     central_diff,
     exact_regularizer,
     exact_t_firm_violations,
-    fista_points_reference,
+    fista_steps_reference,
     golden_section,
     line_regularizer,
     run_samples,
@@ -413,7 +413,7 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
         slack = 1e-12 * (1.0 + reg.g(c) + np.sum(u * u, axis=0))
         value, _, iters = shrinkage_module._certify(reg, c, reg.g(c), tol)
         with monkeypatch.context() as patch:
-            patch.setattr(shrinkage_module, "_fista_points", fista_points_reference)
+            patch.setattr(shrinkage_module, "_fista_steps", fista_steps_reference)
             ref_value, _, ref_iters = shrinkage_module._certify(reg, c, reg.g(c), tol)
         done = iters <= fista_only
         np.testing.assert_array_equal(done, ref_iters <= fista_only)
@@ -436,13 +436,13 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
     x_dead = rng.standard_normal((2, 12))
     x_dead[:, ::2] *= 1e-9
-    projs, fista = [], shrinkage_module._fista_points
+    projs, fista = [], shrinkage_module._fista_steps
 
-    def fista_spy(proj, c, lam):
-        projs.append(proj)
-        return fista(proj, c, lam)
+    def fista_spy(proj, c, lam, *state):
+        projs.append((proj, lam))
+        return fista(proj, c, lam, *state)
 
-    monkeypatch.setattr(shrinkage_module, "_fista_points", fista_spy)
+    monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
     for fs, y, p, tol in ((regression, y1, regression.inner_prox(op.matrix @ x), 1e-7),
                           (dead_zone, x_dead, None, 1e-9)):
         reg = InducedRegularizer(fs)
@@ -459,10 +459,13 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
             for got, first in zip(result, results[0]):
                 np.testing.assert_array_equal(got, first)
     assert np.max(results[0][2]) > shrinkage_module._FISTA_ITERS, "the dead-zone block should reach ADMM"
-    # P reaches the solve as a column-major, read-only view of the operator's one projector
-    assert len(projs) == 6
-    for proj, fs in zip(projs, [regression] * 3 + [dead_zone] * 3):
+    # P reaches every gap stride of the solve as a column-major, read-only
+    # view of the operator's one projector
+    assert {lam for _, lam in projs} == {1.0, 10.0}
+    for proj, lam in projs:
+        fs = regression if lam == 1.0 else dead_zone
         assert proj.flags.f_contiguous and not proj.flags.writeable
+        assert proj.base is fs.operator.range_proj
         assert np.shares_memory(proj, fs.operator.range_proj)
 
 
