@@ -306,6 +306,43 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return merged
 
 
+# OpenBLAS's (getter, setter) of its thread count, by the names its builds export
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_threads():
+    """The (getter, setter) of the loaded OpenBLAS's thread count, or None if none is found.
+
+    Found once per process, through ``ctypes``, in the OpenBLAS libraries
+    ``/proc/self/maps`` lists. None where that file does not exist or no
+    library exports one of ``_BLAS_THREAD_SYMBOLS``.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get, put in _BLAS_THREAD_SYMBOLS:
+            getter, setter = getattr(handle, get, None), getattr(handle, put, None)
+            if getter and setter:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
 def main(argv=None) -> int:
     """Run one ``proxframe`` invocation and return its exit code.
 
@@ -316,6 +353,11 @@ def main(argv=None) -> int:
     ``cmd_*`` name later does not reach the parser. The library functions
     the handlers call are looked up on every call, and usage text and
     errors go to the ``sys.stdout`` and ``sys.stderr`` of the moment.
+
+    The handler runs with the loaded OpenBLAS pinned to one thread, and the
+    thread count before the call is restored on return: the summation order
+    of a product, and so its last bits, can depend on that count. Where no
+    setter is found (``_blas_threads``) the BLAS runs as it is set.
     """
     parser = build_parser()
     if argv is None:
@@ -331,6 +373,10 @@ def main(argv=None) -> int:
         lines.append(text)
         sys.stdout.write(text + "\n")
 
+    blas = _blas_threads()
+    if blas:
+        threads = blas[0]()
+        blas[1](1)
     # --out mirrors stdout once the handler returns, so a run that fails writes no file
     try:
         code = ns.handler(ns, emit)
@@ -340,6 +386,9 @@ def main(argv=None) -> int:
     except (ProxFrameError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if blas:
+            blas[1](threads)
     return code
 
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from proxframe import (
     verify_firm_nonexpansive,
     verify_t_firm_nonexpansive,
 )
+import proxframe
+from proxframe import cli as cli_module
 from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import build_parser, main
 from support import save_matrix_csv, save_matrix_json
@@ -296,6 +301,40 @@ def test_verify_of_two_blocks_is_byte_identical(capsys):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert [json.loads(line)["trials"] for line in out1.splitlines()].count(1100) == 4
+
+
+def test_verify_bytes_do_not_depend_on_the_blas_thread_count():
+    # a product's summation order can depend on OpenBLAS's thread count, and
+    # before main pinned one thread, prox_identity here read
+    # 8.715005606063642e-08 at one thread and 8.714960131328553e-08 at two
+    src = os.path.dirname(os.path.dirname(proxframe.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "proxframe.cli", "verify", "--operator", "random:100x60:3",
+            "--prox", "soft:10", "--trials", "20", "--seed", "2"]
+    runs = [subprocess.run(argv, capture_output=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")]
+    assert runs[0].stdout.count(b"\n") == 6, runs[0].stderr
+    assert [(r.returncode, r.stdout) for r in runs[1:]] == [(runs[0].returncode, runs[0].stdout)]
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys, monkeypatch):
+    blas = cli_module._blas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count setter in this process")
+    getter, setter = blas
+    seen, evaluate = [], cli_module.induced_regularizer
+    monkeypatch.setattr(cli_module, "induced_regularizer",
+                        lambda *args, **kwargs: seen.append(getter()) or evaluate(*args, **kwargs))
+    before = getter()
+    # OpenBLAS may cap the count at its thread pool's size
+    setter(2)
+    count = getter()
+    try:
+        code, _, _ = run(capsys, "regularizer", "--operator", "random:6x3:1", "--grid", "0:1:1")
+        assert (code, seen, getter()) == (0, [1], count)
+    finally:
+        setter(before)
 
 
 def test_nan_violation_in_last_block_fails():

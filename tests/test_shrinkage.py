@@ -354,6 +354,52 @@ def test_certify_bracket_contains_the_exact_value():
                     assert lower[j] - slack <= f <= upper[j] + slack, (n, d, lam, j, tol)
 
 
+def test_certify_bracket_contains_the_exact_value_on_the_float32_path(monkeypatch):
+    # the test above with the size gate at 0, so that these small frames run
+    # FISTA's float32 phase. lam 0.1 is not a float32 number: a gap check on
+    # the float32-clipped iterate, not re-clipped into [-lam, lam], would
+    # take a dual point outside the box, whose value can exceed f
+    monkeypatch.setattr(shrinkage_module, "_FLOAT32_ROWS", 0)
+    dtypes, fista = set(), shrinkage_module._fista_steps
+
+    def fista_spy(proj, *args):
+        dtypes.add(proj.dtype.type)
+        return fista(proj, *args)
+
+    monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
+    rng = np.random.default_rng(710)
+    for n in range(3, 7):
+        for d in range(1, n):
+            t = integer_operator(n, d, rng)
+            op = build_operator(t.astype(float))
+            y = rng.integers(-64, 65, size=(d, 3)) / 16.0 * [1.0, 0.125, 2.0 ** -6]
+            c = t @ y
+            for lam in (0.1, 0.5, 1.0, 2.0):
+                reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(lam)))
+                exact = [exact_regularizer(t, y[:, j], lam) for j in range(3)]
+                for tol in (1e-9, 0.0):
+                    upper, lower, _ = shrinkage_module._certify(reg, c, reg.g(c), tol)
+                    for j, f in enumerate(exact):
+                        slack = 1e-12 * max(1, abs(f))
+                        assert lower[j] - slack <= f <= upper[j] + slack, (n, d, lam, j, tol)
+    assert dtypes == {np.float32, np.float64}
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e40])
+def test_float32_phase_is_skipped_beyond_the_float32_range(lam, monkeypatch):
+    # Tx of size 1e40 has no float32 copy (the cast would overflow, and its
+    # RuntimeWarning fail the test): the solve runs in float64 from the
+    # start, bit for bit as with the float32 phase off
+    op = build_operator(load_named_matrix("random:80x40:1"))
+    reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(lam)))
+    c = op.matrix @ (1e40 * np.random.default_rng(3).standard_normal((40, 4)))
+    results = [shrinkage_module._certify(reg, c, reg.g(c), 1e-9)]
+    monkeypatch.setattr(shrinkage_module, "_FLOAT32_ROWS", np.inf)
+    results.append(shrinkage_module._certify(reg, c, reg.g(c), 1e-9))
+    for got, first in zip(*results):
+        np.testing.assert_array_equal(got, first)
+
+
 @pytest.mark.parametrize("case", ["square", "identity", "empty"])
 def test_certify_shortcut_returns_the_feasible_value(case):
     # where f = g o T, or there is no column, the bracket is the feasible
@@ -398,7 +444,11 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
     # ADMM's join included.
     # Blocks: f(y1) of the random:200x100:2 CLI regression at tol 1e-7, and
     # the 9x2 block at lam = 10 half deep in the dead zone of
-    # test_induced_regularizer_compaction_across_both_phases
+    # test_induced_regularizer_compaction_across_both_phases. The reference
+    # is a float64 form (it carries P u and P y, whose float32 rounding would
+    # accumulate), so the float32 phase is off here; the bracket tests below
+    # hold that phase to the exact f
+    monkeypatch.setattr(shrinkage_module, "_FLOAT32_ROWS", np.inf)
     op = build_operator(load_named_matrix("random:200x100:2"))
     regression = FrameShrinkage(op, soft_shrink_map(1.0))
     y1 = frame_prox(regression, run_samples(5, 100, 100)[0])
@@ -423,12 +473,12 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
 
 
 def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
-    # _certify solves on a column-contiguous copy of c, so a C-ordered c,
-    # its Fortran copy and a strided view of the same numbers give the same
-    # bits and the same iteration counts. Blocks: f(y1) of the
-    # random:200x100:2 CLI regression at tol 1e-7, seeded at the shrinkage's
-    # feasible point, and the 9x2 dead-zone block of
-    # test_fista_kernel_matches_plain_reference, which reaches ADMM
+    # _certify solves on a column-contiguous copy of c, and FISTA's state
+    # takes its layout, so a C-ordered c, its Fortran copy and a strided view
+    # of the same numbers give the same bits and the same iteration counts.
+    # Blocks: f(y1) of the random:200x100:2 CLI regression at tol 1e-7,
+    # seeded at the shrinkage's feasible point, and the 9x2 dead-zone block
+    # of test_fista_kernel_matches_plain_reference, which reaches ADMM
     op = build_operator(load_named_matrix("random:200x100:2"))
     regression = FrameShrinkage(op, soft_shrink_map(1.0))
     x = run_samples(5, 100, 100)[0]
@@ -440,6 +490,7 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
 
     def fista_spy(proj, c, lam, *state):
         projs.append((proj, lam))
+        assert all(a.flags.f_contiguous for a in (c, *state))
         return fista(proj, c, lam, *state)
 
     monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
@@ -459,14 +510,21 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
             for got, first in zip(result, results[0]):
                 np.testing.assert_array_equal(got, first)
     assert np.max(results[0][2]) > shrinkage_module._FISTA_ITERS, "the dead-zone block should reach ADMM"
-    # P reaches every gap stride of the solve as a column-major, read-only
-    # view of the operator's one projector
-    assert {lam for _, lam in projs} == {1.0, 10.0}
+    # P reaches every gap stride of the solve column-major: in float64 as a
+    # read-only view of the operator's one projector, and in the float32
+    # phase, which the 200-row frame takes and the 9-row one does not, as
+    # that projector's transpose cast to float32
+    assert {(lam, proj.dtype.type) for proj, lam in projs} == {
+        (1.0, np.float32), (1.0, np.float64), (10.0, np.float64)}
     for proj, lam in projs:
         fs = regression if lam == 1.0 else dead_zone
-        assert proj.flags.f_contiguous and not proj.flags.writeable
-        assert proj.base is fs.operator.range_proj
-        assert np.shares_memory(proj, fs.operator.range_proj)
+        assert proj.flags.f_contiguous
+        if proj.dtype == np.float32:
+            np.testing.assert_array_equal(proj, fs.operator.range_proj.T.astype(np.float32))
+        else:
+            assert not proj.flags.writeable
+            assert proj.base is fs.operator.range_proj
+            assert np.shares_memory(proj, fs.operator.range_proj)
 
 
 def test_evaluating_f_stores_nothing_on_the_operator():
