@@ -316,30 +316,24 @@ _BLAS_THREAD_SYMBOLS = (
 
 @functools.cache
 def _blas_threads():
-    """The (getter, setter) of the loaded OpenBLAS's thread count, or None if none is found.
+    """The (getter, setter) of NumPy's OpenBLAS thread count, or None if none is found.
 
-    Found once per process, through ``ctypes``, in the OpenBLAS libraries
-    ``/proc/self/maps`` lists. None where that file does not exist or no
-    library exports one of ``_BLAS_THREAD_SYMBOLS``.
+    Found once per process, through ``ctypes``, on NumPy's compiled core
+    (``numpy._core._multiarray_umath``, ``numpy.core._multiarray_umath``
+    before NumPy 2): the loader also searches the libraries it links, so the
+    pair belongs to the BLAS that NumPy's products run on. None where neither
+    the core nor a library it links exports one of ``_BLAS_THREAD_SYMBOLS``.
     """
     import ctypes
 
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for get, put in _BLAS_THREAD_SYMBOLS:
-            getter, setter = getattr(handle, get, None), getattr(handle, put, None)
-            if getter and setter:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
+    core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules["numpy.core._multiarray_umath"]
+    handle = ctypes.CDLL(core.__file__)
+    for get, put in _BLAS_THREAD_SYMBOLS:
+        getter, setter = getattr(handle, get, None), getattr(handle, put, None)
+        if getter and setter:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
     return None
 
 
@@ -354,10 +348,11 @@ def main(argv=None) -> int:
     the handlers call are looked up on every call, and usage text and
     errors go to the ``sys.stdout`` and ``sys.stderr`` of the moment.
 
-    The handler runs with the loaded OpenBLAS pinned to one thread, and the
+    The handler runs with NumPy's OpenBLAS pinned to one thread, and the
     thread count before the call is restored on return: the summation order
-    of a product, and so its last bits, can depend on that count. Where no
-    setter is found (``_blas_threads``) the BLAS runs as it is set.
+    of a product, and so its last bits, can depend on that count. Where
+    NumPy's core exports no setter (``_blas_threads``) the BLAS runs as it
+    is set.
     """
     parser = build_parser()
     if argv is None:

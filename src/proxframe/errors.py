@@ -22,4 +22,4 @@ class NotParsevalRow(ProxFrameError):
 
 
 class NotConverged(ProxFrameError):
-    """Iterative evaluation hit the iteration cap before reaching tolerance."""
+    """Iterative evaluation hit the iteration cap before reaching tolerance, or left the float64 range."""

@@ -16,6 +16,7 @@ identities and report the worst violation found.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -178,6 +179,7 @@ def _admm_steps(proj, c, lam, v, m, rho):
     return v, m, rho
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _certify(
     reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, tol: float, prune: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,7 +231,10 @@ def _certify(
     1e6 and scales 1e-6 to 1e6.
     Raises NotConverged if some column is open after ``_MAX_ITER``
     iterations, naming the iterations run and the largest gap of those
-    columns (inf if none ran).
+    columns (inf if none ran), and at the first gap check where a gap or its
+    scale is not finite, naming lam and the iteration: at large lam, ||u||^2
+    and ADMM's c / rho can leave the float64 range. Overflow and invalid
+    values raise no warning here (``np.errstate``); that check reports them.
     """
     op, inner, g = reg.shrinkage.operator, reg.shrinkage.inner_prox, reg.g
     iters = np.zeros(c.shape[1], dtype=int)
@@ -265,6 +270,15 @@ def _certify(
             scale = scale + _col_dot(u, u)
         # the open columns' last gap, for the NotConverged message
         gap = primal - dual
+        # ||u||^2 grows as n lam^2: past the float64 range a gap or its scale
+        # is inf or NaN and bounds nothing. scale > 0 and gap >= -_GAP_FLOOR *
+        # scale, so each gap - scale is about -scale, and their sum is finite
+        # where every gap and scale is, short of a summed scale near 1e308
+        if not math.isfinite((gap - scale).sum()):
+            raise NotConverged(
+                f"regularizer evaluation at lam {lam:g} left the float64 range at "
+                f"iteration {(check + 1) * _GAP_STRIDE}: its duality gap is not finite"
+            )
         done = gap <= np.maximum(tol, _GAP_FLOOR * scale)
         if prune:
             best = np.maximum(best, np.max(dual - g_sub))
@@ -327,7 +341,9 @@ def induced_regularizer(reg: InducedRegularizer, x, tol: float = 1e-9):
     if some column is not certified within ``_MAX_ITER`` iterations. The gap
     is checked every ``_GAP_STRIDE`` iterations, so the solve runs at most
     ``_MAX_ITER`` rounded down to a multiple of it, and the message names the
-    iterations run and the gap reached (inf if none ran).
+    iterations run and the gap reached (inf if none ran). At a lam so large
+    that the dual's terms leave the float64 range it raises NotConverged at
+    the first gap check that is not finite, naming lam and the iteration.
     """
     _check_tol(tol)
     squeeze = np.ndim(x) < 2

@@ -319,9 +319,17 @@ def test_verify_bytes_do_not_depend_on_the_blas_thread_count():
 
 
 def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys, monkeypatch):
+    # a setter must be found wherever an OpenBLAS is loaded, so that a failed
+    # lookup on some NumPy build does not pass unnoticed
+    try:
+        with open("/proc/self/maps") as fh:
+            openblas = any("openblas" in line.lower() for line in fh)
+    except OSError:
+        pytest.skip("no /proc/self/maps to tell whether OpenBLAS is loaded")
+    if not openblas:
+        pytest.skip("no OpenBLAS library in this process")
     blas = cli_module._blas_threads()
-    if blas is None:
-        pytest.skip("no OpenBLAS thread-count setter in this process")
+    assert blas is not None, "OpenBLAS is loaded, but no thread-count setter was found"
     getter, setter = blas
     seen, evaluate = [], cli_module.induced_regularizer
     monkeypatch.setattr(cli_module, "induced_regularizer",

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from fractions import Fraction
 from operator import mul
 
@@ -152,6 +153,18 @@ def test_induced_regularizer_not_converged_names_the_iterations_run(cap, message
         induced_regularizer(reg, 0.3)
 
 
+def test_induced_regularizer_beyond_the_float64_range_is_not_converged():
+    # at lam 1e200 the dual's ||u||^2 and ADMM's c / rho overflow: an
+    # infinite rounding floor would certify any value, and a NaN gap never
+    # closes. The solve raises at the first gap check that is not finite,
+    # with no RuntimeWarning
+    reg = InducedRegularizer(FrameShrinkage(example_operator(), soft_shrink_map(1e200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotConverged, match=r"lam 1e\+200 .* at iteration \d+"):
+            induced_regularizer(reg, 1.0)
+
+
 def test_nonfinite_signals_rejected(rng):
     fs = FrameShrinkage(build_operator(rng.standard_normal((6, 3))), soft_shrink_map(1.0))
     reg = InducedRegularizer(fs)
@@ -268,6 +281,17 @@ def test_dead_zone_grids_script_runs_a_case(capsys):
     ((got, iters),) = dead_zone_grids.run_grid("96", cases, tol=1e-7)
     assert got == label and np.max(iters) > shrinkage_module._FISTA_ITERS, iters
     assert capsys.readouterr().out.splitlines()[-1].startswith("96: 1/1 certified")
+
+
+def test_fista_beside_admm_certifies_a_conditioned_dead_zone_at_tight_tol():
+    # FISTA goes on beside ADMM after the join: on this case of the 96-case
+    # grid the two together certify at tol 1e-11 (in 39,096 iterations),
+    # while ADMM alone after the join stayed open at a gap of 1.5e-9
+    label = "200x100 cond 1000 lam 1 scale 0.0001"
+    cases = [case for case in dead_zone_grids.grid96() if case[0] == label]
+    ((got, iters),) = dead_zone_grids.run_grid("96", cases, tol=1e-11)
+    assert got == label and iters is not None
+    assert np.max(iters) > shrinkage_module._FISTA_ITERS, iters
 
 
 @pytest.mark.parametrize("d", range(1, 13))
