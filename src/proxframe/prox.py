@@ -193,18 +193,6 @@ def _entry_values(fun, a: np.ndarray) -> np.ndarray:
     return _column_values(fun, a.reshape(1, -1)).reshape(a.shape)
 
 
-def _central_diff(fun, x: np.ndarray) -> np.ndarray:
-    """Per-entry central differences of a per-entry potential at x.
-
-    (fun(x + h) - fun(x - h)) / 2h entry by entry, h = 1e-6 max(1, |x|),
-    from two calls on the shifted array laid out as one row; x may be a
-    vector or a (dim, k) block.
-    """
-    x = np.asarray(x, dtype=float)
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    return (_entry_values(fun, x + h) - _entry_values(fun, x - h)) / (2.0 * h)
-
-
 def verify_moreau_characterization(
     prox_map: ProxMap, dim: int, trials: int, tol: float, seed: int = 0
 ) -> VerifyReport:
@@ -220,10 +208,10 @@ def verify_moreau_characterization(
     whose gradient it is must be convex.
 
     Each block of trials is one array computation: the map is applied to
-    the x columns at once, and the gradient is one ``_central_diff``:
-    differences entry by entry, (phi(x + h) - phi(x - h)) / 2h with h =
-    1e-6 max(1, |x|), from two potential calls on the shifted block laid
-    out as one (1, dim * k) row.
+    the x columns at once, and the gradient is taken entry by entry as
+    (phi(x + h) - phi(x - h)) / 2h, from two potential calls on the shifted
+    block laid out as one (1, dim * k) row. One step h = 1e-6 max(1, |x|)
+    serves both these differences and the breakpoint guard.
 
     The potential must reduce over axis 0, as ``ProxMap`` requires:
     one value per column for a (dim, k) block, and so one value per entry
@@ -243,10 +231,10 @@ def verify_moreau_characterization(
         px = np.asarray(prox_map(x))
         at_x = _column_values(potential, x)
         split = np.abs(at_x - np.add.reduce(_entry_values(potential, x), 0)) / np.maximum(1.0, np.abs(at_x))
-        fd = _central_diff(potential, x)
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        fd = (_entry_values(potential, x + h) - _entry_values(potential, x - h)) / (2.0 * h)
         grad_err = np.max(np.abs(fd - px), axis=0) / np.maximum(1.0, np.max(np.abs(px), axis=0))
         if prox_map.breakpoint_gap is not None:
-            h = 1e-6 * np.maximum(1.0, np.abs(x))
             near = np.any(np.asarray(prox_map.breakpoint_gap(x)) < 10.0 * h, axis=0)
             grad_err[near] = -np.inf
         return np.maximum(split, grad_err)

@@ -435,13 +435,18 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
     first z+ whose certificate is within ``tol``, or unconverged at its
     first z+ whose rounding term alone exceeds ``tol``; ||z+|| only grows
     from z = 0 for the catalog maps, so no later iterate could certify.
-    A column still open at iteration ``_MAX_ITER`` stops there, unconverged.
-    A stopped column leaves the block; ``residual`` is the largest
-    certificate. A column's numbers match a one-column call up to rounding
-    only: numpy sums a block's squares, and forms T x, in an order set by
-    the block's width, so a norm can differ in the last bit (in 106 of the
-    490 columns of one (9, 490) standard-normal block), and a certificate
-    within an ulp of ``tol`` can stop the column an iteration apart.
+    That test reads tol / eps < ||z+|| + ||T x||, whose terms do not
+    underflow, so a ``tol`` below the rounding term fails at once at every
+    scale, a subnormal T x included. A column still open at iteration
+    ``_MAX_ITER`` stops there, unconverged. A stopped column leaves the
+    block; ``residual`` is the largest certificate, and ``converged`` says
+    that every column stopped on its certificate: at a subnormal T x the
+    certificate itself can round to 0. A column's numbers match a
+    one-column call up to rounding only: numpy sums a block's squares, and
+    forms T x, in an order set by the block's width, so a norm can differ
+    in the last bit (in 106 of the 490 columns of one (9, 490)
+    standard-normal block), and a certificate within an ulp of ``tol`` can
+    stop the column an iteration apart.
 
     The report carries a minimizer of x's shape and no objective; an empty
     (d, 0) block gives an empty minimizer, converged, with residual 0.
@@ -461,7 +466,7 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
     z_out = np.zeros_like(tx)
     cert = np.full(tx.shape[1], np.inf)
     cols = np.arange(tx.shape[1])
-    iters = 0
+    iters, met = 0, True
     # _norms rescales every norm of a column of T x below 2^-400, and of its
     # iterates: below 2^-459 the squares of entries eps |T x| in size, which
     # the certificate resolves, leave the normal range. It rescales any
@@ -472,12 +477,17 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
         while cols.size and iters < _MAX_ITER:
             iters += 1
             z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
-            rounding = eps * (_norms(z_new, limit) + tx_norm)
-            now = (1.0 / _STEP - 1.0) * _norms(z - z_new, limit) + rounding
+            size = _norms(z_new, limit) + tx_norm
+            now = (1.0 / _STEP - 1.0) * _norms(z - z_new, limit) + eps * size
             z = z_new
-            stop = (now <= tol) | (tol < rounding) | (iters == _MAX_ITER)
+            # tol below the rounding term eps * size, tested without forming
+            # it: at a subnormal T x it underflows, and so can now
+            below = tol / eps < size
+            ok = (now <= tol) & ~below
+            stop = ok | below | (iters == _MAX_ITER)
             if stop.any():
                 z_out[:, cols[stop]], cert[cols[stop]] = z[:, stop], now[stop]
+                met = met and bool(ok[stop].all())
                 keep = ~stop
                 cols, z, tv, tx_norm, limit = cols[keep], z[:, keep], tv[:, keep], tx_norm[keep], limit[keep]
     resid = float(np.max(cert, initial=0.0))
@@ -487,7 +497,7 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
         objective=None,
         iterations=iters,
         residual=resid,
-        converged=bool(resid <= tol),
+        converged=met,
     )
 
 

@@ -25,7 +25,7 @@ from proxframe import (
 )
 from proxframe import shrinkage
 from proxframe.cli import load_named_matrix
-from proxframe.prox import _central_diff
+from proxframe.prox import _entry_values
 from support import (
     central_diff,
     entry_terms,
@@ -248,22 +248,23 @@ def test_moreau_characterization_matches_per_trial_reference(pm, dim):
 @pytest.mark.parametrize("pm", [soft_shrink_map(0.3), identity_map()], ids=["soft", "identity"])
 @pytest.mark.parametrize("dim", [1, 7, 8, 9, 31, 32, 33, 64, 129, 400])
 def test_block_central_diff_is_bit_identical(pm, dim):
-    # the row evaluation must give the very bits of one potential call per
+    # the Moreau check's differences of the potential laid out as one row at
+    # x + h and x - h must give the very bits of one potential call per
     # shifted entry, for a vector and for every column of a block
     rng = np.random.default_rng(dim)
 
-    def per_entry(x):
+    def central_diff_by(values, x):
         h = 1e-6 * np.maximum(1.0, np.abs(x))
-        return (entry_terms(pm.potential, x + h) - entry_terms(pm.potential, x - h)) / (2.0 * h)
+        return (values(pm.potential, x + h) - values(pm.potential, x - h)) / (2.0 * h)
 
     for scale in (0.1, 1.0, 10.0):
         x = scale * rng.standard_normal(dim)
-        assert np.array_equal(_central_diff(pm.potential, x), per_entry(x))
+        assert np.array_equal(central_diff_by(_entry_values, x), central_diff_by(entry_terms, x))
     cols = np.array([0.1, 1.0, 10.0])[np.arange(5) % 3] * rng.standard_normal((dim, 5))
-    fd = _central_diff(pm.potential, cols)
+    fd = central_diff_by(_entry_values, cols)
     assert fd.shape == cols.shape
     for j in range(cols.shape[1]):
-        assert np.array_equal(fd[:, j], per_entry(cols[:, j]))
+        assert np.array_equal(fd[:, j], central_diff_by(entry_terms, cols[:, j]))
 
 
 def test_moreau_characterization_scalar_potential_raises():
@@ -382,6 +383,11 @@ def test_numeric_prox_column_norms_do_not_overflow():
             assert np.linalg.norm(rep.minimizer - [big - 1.0, 0.0]) <= tol
         rep = euclidean_prox(soft_shrink_map(1.0), np.array([1e160, 1.0]), tol=1e-6)
         assert not rep.converged
+        # at the top of the float64 range the norm of T x itself overflows:
+        # the column stops unconverged at once, again with no warning
+        for tol in (1e-6, 1e290):
+            rep = euclidean_prox(soft_shrink_map(1.0), np.array([1.7e308, -1.7e308, 1.0]), tol=tol)
+            assert not rep.converged and rep.iterations == 1
 
 
 def test_numeric_prox_column_norms_do_not_underflow():
@@ -403,6 +409,13 @@ def test_numeric_prox_column_norms_do_not_underflow():
     # the distance, its difference scaled by 2^600 so that its squares stay normal
     dist = np.linalg.norm(op.matrix @ ((rep.minimizer - frame_prox(fs, x)) * 2.0 ** 600)) / 2.0 ** 600
     assert 0.0 < dist <= rep.residual
+    # at a subnormal T x the rounding term eps (||z+|| + ||T x||) itself
+    # underflows to 0, and so can the certificate: tol 0 must still stop the
+    # column unconverged at once, as at every other scale
+    for tiny in (1e-310, 1e-320):
+        fs = FrameShrinkage(op, soft_shrink_map(tiny))
+        rep = numeric_prox(fs, tiny * np.array([1.0, -2.0, 0.5]), tol=0.0)
+        assert not rep.converged and rep.iterations == 1 and 0.0 < rep.residual < np.inf
 
 
 def test_numeric_prox_below_float_resolution_fails_at_once():
