@@ -151,7 +151,7 @@ def cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 
 
 def cmd_regularizer(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
-    # checked even where d = 1 draws no direction: a bad seed is a usage error on every operator
+    # checked here, before any work, so that the usage error names --seed
     if not 0 <= args.seed < 2**64:
         raise ValueError(f"--seed must be in the range 0 .. 2**64 - 1, got {args.seed}")
     reg = _shrinkage(args)
@@ -159,13 +159,10 @@ def cmd_regularizer(args: argparse.Namespace, emit: Callable[[str], None]) -> in
     grid = parse_grid(args.grid)
     tol = _tol(args, 1e-9)
 
-    if op.d == 1:
-        points = grid[None, :]
-    else:
-        # multi-dimensional signal space: evaluate along a seeded direction
-        direction = _generator(args.seed).standard_normal(op.d)
-        direction /= np.linalg.norm(direction)
-        points = direction[:, None] * grid[None, :]
+    # the grid runs along a seeded unit direction, +-1 when d = 1
+    direction = _generator(args.seed).standard_normal(op.d)
+    direction /= np.linalg.norm(direction)
+    points = direction[:, None] * grid[None, :]
 
     columns = {"x": grid, "f_numeric": np.atleast_1d(induced_regularizer(reg, points, tol=tol))}
     if np.array_equal(op.matrix, EXAMPLE_MATRIX) and prox.name == "soft_shrink" and prox.lam == 1.0:
@@ -202,9 +199,6 @@ def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         x = np.asarray([float(v) for v in args.x.split(",")], dtype=float)
     else:
         raise ValueError("solve needs --x or --problem")
-    if x.shape != (matrix.shape[1],):
-        raise ValueError(f"data length {x.size} does not match operator with {matrix.shape[1]} columns")
-
     report = solve_analysis_dual(
         AnalysisProblem(x, matrix, lam), tol=_tol(args, 1e-10)
     )

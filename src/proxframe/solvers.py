@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotParsevalRow
+from .errors import DimensionMismatch, NotParsevalRow
 from .operators import AnalysisOperator
 from .prox import _check_lambda, _check_tol, soft_shrink
 from .reports import SolveReport
@@ -27,15 +27,19 @@ from .reports import SolveReport
 
 @dataclass(frozen=True)
 class AnalysisProblem:
-    """Data vector, analysis matrix, and regularization weight."""
+    """Data vector, analysis matrix, and regularization weight.
+
+    Checked at construction: an n x d matrix, d entries of x (else DimensionMismatch), all finite, lam > 0."""
 
     x: np.ndarray
     operator: AnalysisOperator | np.ndarray
     lam: float
 
     def __post_init__(self):
-        _check_lambda(self.lam)
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        if self.matrix.ndim != 2 or self.x.shape != self.matrix.shape[1:]:
+            raise DimensionMismatch(f"expected an n x d matrix and d entries of x, got {self.matrix.shape} and {self.x.shape}")
+        _check_lambda(self.lam)
         if not np.isfinite(self.x).all():
             raise ValueError("data x must be finite")
         if not np.isfinite(self.matrix).all():

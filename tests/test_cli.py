@@ -152,7 +152,7 @@ JSON_INPUTS = {
         # verify draws on seed .. seed + 5, so its --seed stops at 2**64 - 6
         ("verify", "--operator", "example35", "--trials", "3", "--seed", str(2**64 - 5)),
         ("verify", "--operator", "example35", "--trials", "3", "--seed", str(2**64 - 1)),
-        # regularizer checks --seed whether or not it draws a direction (d = 1 draws none)
+        # regularizer checks --seed before any work, so the error names it
         ("regularizer", "--operator", "example35", "--seed", "-4", "--grid", "0:1:1"),
         ("regularizer", "--operator", "example35", "--seed", str(2**64), "--grid", "0:1:1"),
         # a bad size, shape or seed in an inline operator is quoted in the error
@@ -424,6 +424,16 @@ def test_regularizer_multidimensional_numeric_only(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header == "x,f_numeric"
+
+
+# random:70x1:3 has 70 rows, so f's dual runs its float32 phase
+@pytest.mark.parametrize("operator", ["example35", "random:70x1:3"])
+def test_regularizer_d1_bytes_do_not_depend_on_the_direction(capsys, operator):
+    # d = 1 draws the direction +1 at seed 0 and -1 at seed 2; soft shrinkage's f is even
+    outs = [run(capsys, "regularizer", "--operator", operator, "--prox", "soft:1",
+                "--grid", "-3:3:0.05", "--seed", seed) for seed in ("0", "2")]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
 
 
 def test_solve_inline_vector(capsys):

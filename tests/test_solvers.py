@@ -3,6 +3,7 @@ import pytest
 
 from proxframe import (
     AnalysisProblem,
+    DimensionMismatch,
     InducedRegularizer,
     NonPositiveLambda,
     NotConverged,
@@ -266,6 +267,16 @@ def test_analysis_problem_requires_finite_operator(bad):
     matrix = np.array([[1.0, 2.0], [bad, 0.5]])
     with pytest.raises(ValueError, match="finite"):
         AnalysisProblem(np.array([1.0, 2.0]), matrix, 1.0)
+
+
+@pytest.mark.parametrize("x, matrix", [
+    (np.ones((1, 2)), example_operator()),  # x is not a vector
+    (np.ones(3), example_operator()),  # three entries for one column
+    (np.ones(2), np.ones(3)),  # the matrix is not 2-d
+])
+def test_analysis_problem_requires_matching_shapes(x, matrix):
+    with pytest.raises(DimensionMismatch):
+        AnalysisProblem(x, matrix, 1.0)
 
 
 def test_synthesis_identity_case(rng):
