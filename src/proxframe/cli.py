@@ -113,11 +113,16 @@ def _csv_row(values) -> str:
     return ",".join(str(v).lower() if isinstance(v, bool) else repr(v) if isinstance(v, float) else str(v) for v in values)
 
 
-def _tol(args: argparse.Namespace, default: float) -> float:
-    """The --tol value as given (0 included), else the check's default."""
+def _tol(args: argparse.Namespace) -> dict:
+    """``{"tol": --tol}`` as given (0 included), or ``{}`` without --tol.
+
+    Passed as ``**_tol(args)``, so without --tol each check and solve runs at
+    its own default tolerance, the one its signature states. A NaN,
+    infinite or negative --tol raises ValueError naming --tol.
+    """
     if args.tol is not None and not 0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
-    return default if args.tol is None else args.tol
+    return {} if args.tol is None else {"tol": args.tol}
 
 
 def _shrinkage(args: argparse.Namespace) -> InducedRegularizer:
@@ -133,17 +138,15 @@ def cmd_verify(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     reg = _shrinkage(args)
     fs = reg.shrinkage
     op, prox = fs.operator, fs.inner_prox
+    tol = _tol(args)
 
     reports = [
-        verify_operator_identities(op, tol=_tol(args, 1e-10), trials=args.trials, seed=args.seed),
-        verify_firm_nonexpansive(prox, dim=op.n, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 1),
-        verify_moreau_characterization(
-            prox, dim=op.n, trials=min(args.trials, 200),
-            tol=_tol(args, 1e-6), seed=args.seed + 2,
-        ),
-        verify_t_firm_nonexpansive(fs, trials=args.trials, tol=_tol(args, 1e-12), seed=args.seed + 3),
-        verify_prox_identity(fs, reg, trials=min(args.trials, 200), tol=_tol(args, 1e-6), seed=args.seed + 4),
-        weaker_regularizer_check(reg, trials=args.trials, tol=_tol(args, 1e-9), seed=args.seed + 5),
+        verify_operator_identities(op, trials=args.trials, seed=args.seed, **tol),
+        verify_firm_nonexpansive(prox, dim=op.n, trials=args.trials, seed=args.seed + 1, **tol),
+        verify_moreau_characterization(prox, dim=op.n, trials=min(args.trials, 200), seed=args.seed + 2, **tol),
+        verify_t_firm_nonexpansive(fs, trials=args.trials, seed=args.seed + 3, **tol),
+        verify_prox_identity(fs, reg, trials=min(args.trials, 200), seed=args.seed + 4, **tol),
+        weaker_regularizer_check(reg, trials=args.trials, seed=args.seed + 5, **tol),
     ]
     for rep in reports:
         emit(_csv_row(rep.to_dict().values()) if args.fmt == "csv" else rep.to_json())
@@ -157,14 +160,14 @@ def cmd_regularizer(args: argparse.Namespace, emit: Callable[[str], None]) -> in
     reg = _shrinkage(args)
     op, prox = reg.shrinkage.operator, reg.shrinkage.inner_prox
     grid = parse_grid(args.grid)
-    tol = _tol(args, 1e-9)
+    tol = _tol(args)
 
     # the grid runs along a seeded unit direction, +-1 when d = 1
     direction = _generator(args.seed).standard_normal(op.d)
     direction /= np.linalg.norm(direction)
     points = direction[:, None] * grid[None, :]
 
-    columns = {"x": grid, "f_numeric": np.atleast_1d(induced_regularizer(reg, points, tol=tol))}
+    columns = {"x": grid, "f_numeric": np.atleast_1d(induced_regularizer(reg, points, **tol))}
     if np.array_equal(op.matrix, EXAMPLE_MATRIX) and prox.name == "soft_shrink" and prox.lam == 1.0:
         half_step = 0.5 * float(grid[1] - grid[0]) if grid.size > 1 else 0.0
         columns["f_closed_form"] = example_regularizer_closed_form(grid)
@@ -199,9 +202,7 @@ def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         x = np.asarray([float(v) for v in args.x.split(",")], dtype=float)
     else:
         raise ValueError("solve needs --x or --problem")
-    report = solve_analysis_dual(
-        AnalysisProblem(x, matrix, lam), tol=_tol(args, 1e-10)
-    )
+    report = solve_analysis_dual(AnalysisProblem(x, matrix, lam), **_tol(args))
     emit(report.to_json())
 
     # contrast with the frame shrinkage at the same lambda when the matrix is a frame

@@ -150,7 +150,8 @@ def verify_operator_identities(
     10 eps max|T^+|, would fail it on a small or ill-conditioned T. Sampled
     check on ``trials`` random unit vectors: A ||x||^2 <= ||Tx||^2 <= B ||x||^2.
 
-    Failures are reported in the returned record, never raised.
+    Failures are reported in the returned record, never raised; a NaN or
+    negative ``tol`` raises ValueError (``sampled_check``).
     """
     t, pinv, proj = op.matrix, op.pinv, op.range_proj
     a, b = op.frame_bounds

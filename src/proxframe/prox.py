@@ -19,7 +19,6 @@ entry by entry and fails a potential that is not such a sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,14 +37,6 @@ def _check_lambda(lam) -> float:
     if not 0 < lam < np.inf:
         raise NonPositiveLambda(f"lambda must be positive and finite, got {lam}")
     return lam
-
-
-def _check_tol(tol) -> None:
-    """Refuse a NaN or negative tol, which no gap or certificate meets: a solve would run to its cap."""
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 def soft_shrink(x, lam):
@@ -162,12 +153,13 @@ def prox_map_by_name(name: str, lam: float = 1.0) -> ProxMap:
 
 
 def verify_firm_nonexpansive(
-    prox_map: ProxMap, dim: int, trials: int, tol: float, seed: int = 0
+    prox_map: ProxMap, dim: int, trials: int, tol: float = 1e-12, seed: int = 0
 ) -> VerifyReport:
     """Sample ||Px - Py||^2 - <x - y, Px - Py> over random pairs.
 
     Proximity operators keep this quantity nonpositive; the report carries
-    the largest sampled value.
+    the largest sampled value and passes if it is at most ``tol``, 1e-12 by
+    default. A NaN or negative ``tol`` raises ValueError (``sampled_check``).
     """
     def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         dp = np.asarray(prox_map(x)) - np.asarray(prox_map(y))
@@ -194,7 +186,7 @@ def _entry_values(fun, a: np.ndarray) -> np.ndarray:
 
 
 def verify_moreau_characterization(
-    prox_map: ProxMap, dim: int, trials: int, tol: float, seed: int = 0
+    prox_map: ProxMap, dim: int, trials: int, tol: float = 1e-6, seed: int = 0
 ) -> VerifyReport:
     """Check the gradient half of Moreau's characterization of a prox.
 
@@ -211,7 +203,9 @@ def verify_moreau_characterization(
     the x columns at once, and the gradient is taken entry by entry as
     (phi(x + h) - phi(x - h)) / 2h, from two potential calls on the shifted
     block laid out as one (1, dim * k) row. One step h = 1e-6 max(1, |x|)
-    serves both these differences and the breakpoint guard.
+    serves both these differences and the breakpoint guard. The check
+    passes if the largest relative error is at most ``tol``, 1e-6 by
+    default; a NaN or negative ``tol`` raises ValueError (``sampled_check``).
 
     The potential must reduce over axis 0, as ``ProxMap`` requires:
     one value per column for a (dim, k) block, and so one value per entry

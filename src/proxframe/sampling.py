@@ -7,14 +7,15 @@ out trial-major, so trial ``i``'s values depend only on the seed, ``i`` and
 the sample shape, never on how many trials the run draws (the prefix
 property).
 
-``sampled_check`` drives every sampled verification: it walks the blocks in
-order, hands each block's samples to one call of the check's ``violations``
-and keeps the NaN-propagating maximum. A check supplies only the per-trial
-violations of a block of samples.
+``sampled_check`` drives every sampled verification: it refuses a bad
+``tol``, walks the blocks in order, hands each block's samples to one call
+of the check's ``violations`` and keeps the NaN-propagating maximum. A
+check supplies only the per-trial violations of a block of samples.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -28,6 +29,19 @@ BLOCK = 1024
 # to land samples on both sides of soft-shrinkage dead zones for the lambdas
 # exercised in practice.
 SCALES = np.array([0.1, 1.0, 10.0])
+
+
+def _check_tol(tol) -> None:
+    """Refuse a NaN or negative tol, naming it.
+
+    No violation, gap or certificate compares <= NaN, so a check would fail
+    every sample and a solve would run to its cap; a negative tol fails
+    every sample of a check, and no gap or certificate of a solve meets it.
+    """
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
 
 
 def _generator(seed: int, block: int = 0) -> np.random.Generator:
@@ -64,10 +78,13 @@ def sampled_check(
     Each block of ``sample_blocks(seed, trials, dim, columns)`` is passed as
     ``violations(*block)``, which returns the block's per-trial violations.
     A NaN violation in any block makes the maximum NaN, which fails. Raises
-    ValueError if ``trials`` < 1.
+    ValueError, before any sample is drawn, if ``trials`` < 1 or if ``tol``
+    is NaN or negative (``_check_tol``): every check refuses the tol its
+    caller passed, whatever inner tolerance it derives from it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_tol(tol)
     worst = float(np.max([np.max(violations(*block))
                           for block in sample_blocks(seed, trials, dim, columns)]))
     return VerifyReport(name, trials, worst, float(tol), bool(worst <= tol))

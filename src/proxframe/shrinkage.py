@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import NotConverged
 from .operators import AnalysisOperator, _analysis, build_operator
-from .prox import ProxMap, _check_tol, soft_shrink_map
+from .prox import ProxMap, soft_shrink_map
 from .reports import SolveReport, VerifyReport
-from .sampling import sampled_check
+from .sampling import _check_tol, sampled_check
 
 # A duality-gap check, the product (I - P) u and the gap's bookkeeping, costs
 # about one iteration of the dual solve at 30 to 100 open columns and about
@@ -186,9 +186,11 @@ def _certify(
     """Bounds upper >= f >= lower at each column of c = Ty, and the iterations each took.
 
     ``feasible`` may be the primal objective 1/2 ||w||^2 + g(c + w) at any
-    w in null(T*), such as g(c) at w = 0, so it bounds f from above. Where
-    f = g o T (square T, the identity map, whose g is 0, and a block
-    without columns) it returns (feasible, feasible, 0) and runs no solver.
+    w in null(T*), such as g(c) at w = 0, so it bounds f from above. For
+    square T, f = g o T, and where every feasible value is 0 (the identity
+    map, whose g is 0, an all-zero block of soft shrinkage, and a block
+    without columns) f is 0, since 0 <= f <= feasible for the catalog maps;
+    there it returns (feasible, feasible, 0) and runs no solver.
     Otherwise one loop of gap checks, ``_GAP_STRIDE`` iterations apart, runs
     FISTA (``_fista_steps``) on every column and, from iteration
     ``_FISTA_ITERS`` on, ADMM (``_admm_steps``) beside it on the columns
@@ -236,12 +238,12 @@ def _certify(
     and ADMM's c / rho can leave the float64 range. Overflow and invalid
     values raise no warning here (``np.errstate``); that check reports them.
     """
-    op, inner, g = reg.shrinkage.operator, reg.shrinkage.inner_prox, reg.g
+    op, g = reg.shrinkage.operator, reg.g
     iters = np.zeros(c.shape[1], dtype=int)
-    if op.n == op.d or inner.name == "identity" or not c.shape[1]:
+    if op.n == op.d or not feasible.any():
         return feasible, feasible, iters
     # P^T, a view of P, is already in the blocks' column-major order
-    proj, lam, c = op.range_proj.T, inner.lam, np.asfortranarray(c)
+    proj, lam, c = op.range_proj.T, reg.shrinkage.inner_prox.lam, np.asfortranarray(c)
     upper, lower = np.empty_like(feasible), np.empty_like(feasible)
     best, gap = -np.inf, np.inf
     cols, g_sub, base = np.arange(c.shape[1]), feasible, 1.0 + np.abs(feasible)
@@ -507,7 +509,7 @@ def verify_prox_identity(
     fs: FrameShrinkage,
     reg: InducedRegularizer,
     trials: int,
-    tol: float,
+    tol: float = 1e-6,
     seed: int = 0,
 ) -> VerifyReport:
     """Check that fs solves the prox problem of reg, which must be InducedRegularizer(fs).
@@ -530,8 +532,10 @@ def verify_prox_identity(
     construction, up to rounding. The lower end is f's dual
     solve, so the identity's content is f(y1) >= that primal value, which
     only the dual can certify; a dual stopped early leaves the bracket wide
-    and the check fails. Both solves per trial, the oracle and f(y1), run
-    an order of magnitude tighter than ``tol``. A block in which the
+    and the check fails. The check passes if the larger violation is at
+    most ``tol``, 1e-6 by default, and both solves per trial, the oracle
+    and f(y1), run an order of magnitude tighter. A NaN or negative ``tol``
+    raises ValueError naming it (``sampled_check``). A block in which the
     numeric prox did not converge reports an infinite violation, so the
     check fails, and f raises NotConverged as ``induced_regularizer`` does.
 
@@ -565,9 +569,15 @@ def verify_prox_identity(
 
 
 def verify_t_firm_nonexpansive(
-    fs: FrameShrinkage, trials: int, tol: float, seed: int = 0
+    fs: FrameShrinkage, trials: int, tol: float = 1e-12, seed: int = 0
 ) -> VerifyReport:
-    """Sample firm nonexpansiveness of the shrinkage in the T metric."""
+    """Sample firm nonexpansiveness of the shrinkage in the T metric.
+
+    Reports the largest ||T(Fx - Fy)||^2 - <T(x - y), T(Fx - Fy)> over
+    random pairs, F = ``frame_prox``, and passes if it is at most ``tol``,
+    1e-12 by default. A NaN or negative ``tol`` raises ValueError
+    (``sampled_check``).
+    """
     op = fs.operator
 
     def violations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -598,11 +608,11 @@ def weaker_regularizer_check(
     float32 and forms every bound in float64, as in ``induced_regularizer``.
     NotConverged is raised only if a trial that could still set the maximum
     is not certified within ``_MAX_ITER`` iterations, as in
-    ``induced_regularizer``.
+    ``induced_regularizer``. A NaN or negative ``tol`` raises ValueError
+    naming it (``sampled_check``); any other gives a valid inner tolerance.
     """
     op = reg.shrinkage.operator
     inner_tol = min(tol * 1e-2, 1e-10)
-    _check_tol(inner_tol)
 
     def violations(x: np.ndarray) -> np.ndarray:
         c = _analysis(op, x)

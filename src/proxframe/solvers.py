@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotParsevalRow
 from .operators import AnalysisOperator
-from .prox import _check_lambda, _check_tol, soft_shrink
+from .prox import _check_lambda, soft_shrink
 from .reports import SolveReport
+from .sampling import _check_tol
 
 
 @dataclass(frozen=True)

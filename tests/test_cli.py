@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -210,6 +211,19 @@ def test_verify_tol_zero_is_used_as_given(capsys):
     # the numeric prox cannot converge at tolerance 0, so nothing was measured
     prox_identity = next(r for r in reports if r["property"] == "prox_identity")
     assert prox_identity["pass"] is False
+
+
+def test_verify_reports_each_checks_own_default_tolerance(capsys):
+    # without --tol the CLI passes no tol, so each line carries the default
+    # that its check's signature states
+    code, out, _ = run(capsys, "verify", "--operator", "example35", "--trials", "3")
+    assert code == 0
+    checks = (proxframe.verify_operator_identities, proxframe.verify_firm_nonexpansive,
+              proxframe.verify_moreau_characterization, proxframe.verify_t_firm_nonexpansive,
+              proxframe.verify_prox_identity, proxframe.weaker_regularizer_check)
+    defaults = [inspect.signature(check).parameters["tol"].default for check in checks]
+    assert [json.loads(line)["tolerance"] for line in out.splitlines()] == defaults
+    assert defaults == [1e-10, 1e-12, 1e-6, 1e-12, 1e-6, 1e-9]
 
 
 def test_nonfinite_data_is_usage_error(tmp_path, capsys):

@@ -27,11 +27,15 @@ from proxframe import (
     soft_shrink,
     soft_shrink_map,
     solve_analysis_dual,
+    verify_firm_nonexpansive,
+    verify_moreau_characterization,
+    verify_operator_identities,
     verify_prox_identity,
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
 )
 import dead_zone_grids
+from proxframe import sampling as sampling_module
 from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import load_named_matrix
 from support import (
@@ -586,21 +590,51 @@ SOLVES = pytest.mark.parametrize("solve", [
     lambda tol: numeric_prox(example_shrinkage(), np.array([1.0]), tol=tol),
     lambda tol: solve_analysis_dual(AnalysisProblem(np.array([1.0]), example_operator(), 1.0), tol=tol),
     lambda tol: weaker_regularizer_check(InducedRegularizer(example_shrinkage()), 3, tol=tol),
-], ids=["induced_regularizer", "numeric_prox", "solve_analysis_dual", "weaker_regularizer_check"])
+    lambda tol: verify_operator_identities(example_operator(), tol=tol, trials=3),
+    lambda tol: verify_firm_nonexpansive(soft_shrink_map(1.0), 2, 3, tol=tol),
+    lambda tol: verify_moreau_characterization(soft_shrink_map(1.0), 2, 3, tol=tol),
+    lambda tol: verify_t_firm_nonexpansive(example_shrinkage(), 3, tol=tol),
+    lambda tol: (lambda fs: verify_prox_identity(fs, InducedRegularizer(fs), 3, tol=tol))(example_shrinkage()),
+], ids=["induced_regularizer", "numeric_prox", "solve_analysis_dual", "weaker_regularizer_check",
+        "verify_operator_identities", "verify_firm_nonexpansive", "verify_moreau_characterization",
+        "verify_t_firm_nonexpansive", "verify_prox_identity"])
+
+
+@pytest.fixture
+def no_samples(monkeypatch):
+    """Fail a test that draws a sample of a sampled check."""
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(sampling_module, "sample_blocks", refuse)
 
 
 @SOLVES
-def test_nan_tol_is_refused_at_once(solve):
-    # no gap or certificate compares <= NaN, so the solve would run to its cap
+def test_nan_tol_is_refused_at_once(solve, no_samples):
+    # no gap or certificate compares <= NaN, so a solve would run to its cap
+    # and a check would fail every sample
     with pytest.raises(ValueError, match="NaN"):
         solve(np.nan)
 
 
 @SOLVES
-def test_negative_tol_is_refused_at_once(solve):
-    # no certificate is negative; the CLI refuses --tol -1 the same way
-    with pytest.raises(ValueError, match=">= 0"):
+def test_negative_tol_is_refused_at_once(solve, no_samples):
+    # no certificate is negative, and a negative tol fails every sample; the
+    # error names the tol the caller passed, not an inner tolerance derived
+    # from it. The CLI refuses --tol -1 the same way
+    with pytest.raises(ValueError, match=r">= 0, got -1\.0$"):
         solve(-1.0)
+
+
+@pytest.mark.parametrize("inner, x", [
+    (identity_map(), np.ones((100, 3))),
+    (soft_shrink_map(1.0), np.zeros((100, 0))),
+    (soft_shrink_map(1.0), np.zeros((100, 4))),
+], ids=["identity", "empty", "soft_zeros"])
+def test_f_runs_no_solver_where_every_feasible_value_is_zero(inner, x, certified):
+    # 0 <= f <= g(Tx) for the catalog maps, so f = 0 wherever g(Tx) is
+    reg = InducedRegularizer(FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), inner))
+    np.testing.assert_array_equal(induced_regularizer(reg, x), np.zeros(x.shape[1]))
+    np.testing.assert_array_equal(np.concatenate(certified), np.zeros(x.shape[1]))
 
 
 @pytest.mark.parametrize("op", [example_operator(), build_operator(np.eye(4)[:, :3]),
