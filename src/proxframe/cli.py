@@ -199,7 +199,10 @@ def cmd_solve(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         except ValueError as exc:
             raise ValueError(f"malformed problem JSON in {args.problem}: {exc}") from exc
     elif args.x:
-        x = np.asarray([float(v) for v in args.x.split(",")], dtype=float)
+        try:
+            x = np.asarray([float(v) for v in args.x.split(",")], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"malformed --x: {exc}") from exc
     else:
         raise ValueError("solve needs --x or --problem")
     report = solve_analysis_dual(AnalysisProblem(x, matrix, lam), **_tol(args))

@@ -180,10 +180,13 @@ def verify_operator_identities(
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if line:
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError as exc:
+                raise ValueError(f"malformed matrix CSV in {path}, line {number}: {exc}") from exc
     if not rows:
         raise ValueError(f"no rows in {path}")
     widths = {len(r) for r in rows}

@@ -11,9 +11,10 @@ last bits of a BLAS product can differ between builds and CPU kernels.
 ``cli.main`` and compares it with its transcript.
 
 Without ``--write`` the script prints each command's name, exit code and
-whether its stdout matches the transcript. With ``--write`` it records
-every transcript and the fingerprint anew: a change that moves a reported
-digit regenerates them, and the diff of ``tests/reference`` is its record.
+whether its stdout matches the transcript, and exits 1 if any does not.
+With ``--write`` it records every transcript and the fingerprint anew: a
+change that moves a reported digit regenerates them, and the diff of
+``tests/reference`` is its record.
 Each run takes place in a temporary directory, since ``regularizer --out``
 writes a file.
 """
@@ -51,9 +52,32 @@ RUNS = {
     "regularizer_example35": "regularizer --operator example35 --prox soft:1 --grid -2:2:0.01 --out f.csv",
     "solve_example35": "solve --operator example35 --x 1 --lambda 1",
     "example": "example",
-    # CI's run whose columns stay open until ADMM joins f's dual solve
+    # columns stay open past FISTA's first 2048 iterations, so ADMM joins f's dual solve
     "regularizer_20x10_1_dead_zone": "regularizer --operator random:20x10:1 --prox soft:10 "
                                      "--grid -1e-4:1e-4:1e-5 --seed 1",
+    # soft shrinkage's dual at 200x100, and exact zeros for the identity
+    "regularizer_200x100_2_soft10": "regularizer --operator random:200x100:2 --prox soft:10 --grid -2:2:0.5",
+    "regularizer_30x12_2_identity_json": "regularizer --operator random:30x12:2 --prox identity "
+                                         "--grid -1:1:0.5 --format json",
+    # f's dual leaves the float64 range after the ADMM join: exit 2, no RuntimeWarning
+    "regularizer_200x100_2_soft1e200": "regularizer --operator random:200x100:2 --prox soft:1e200 "
+                                       "--grid -2:2:0.01",
+    # the power-of-two scaling keeps the gap from overflowing or underflowing;
+    # at --tol 0 the solve stops unconverged (exit 1)
+    "solve_6x3_1_1e160": "solve --operator random:6x3:1 --x 1e160,1,-3e159 --lambda 3e159 --tol 1e305",
+    "solve_6x3_1_1e300": "solve --operator random:6x3:1 --x 1.25,0.5,-0.25 --lambda 1e300",
+    "solve_6x3_1_1e-170_tol0": "solve --operator random:6x3:1 --x 1.25e-170,5e-171,-2.5e-171 "
+                               "--lambda 3.75e-171 --tol 0",
+    # the minimizer 0 certifies at 3e-15 (ones), and a later iterate after a
+    # large first gap (twos)
+    "solve_40x20_1_ones": "solve --operator random:40x20:1 --x " + ",".join(["1"] * 20) + " --tol 3e-15",
+    "solve_40x20_1_twos": "solve --operator random:40x20:1 --x " + ",".join(["2"] * 20)
+                          + " --lambda 0.2 --tol 3e-15",
+    # a tolerance below the oracle's rounding term fails (exit 1)
+    "verify_200x100_2_tol1e-30": "verify --operator random:200x100:2 --prox soft:1 --trials 100 --seed 1 "
+                                 "--tol 1e-30",
+    # three trial blocks, the last one partial
+    "verify_12x5_3_3000": "verify --operator random:12x5:3 --trials 3000 --seed 5",
 }
 
 # OpenBLAS's config string, by the names its builds export
@@ -92,7 +116,7 @@ def run(command: str) -> tuple[str, int]:
     return out.getvalue(), code
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
                         help="record every transcript and the fingerprint anew")
@@ -101,6 +125,7 @@ def main():
         REFERENCE.mkdir(exist_ok=True)
         (REFERENCE / "fingerprint.txt").write_text(fingerprint())
     home = os.getcwd()
+    differ = False
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
@@ -112,10 +137,12 @@ def main():
                     print(f"{name}: exit {code}, written")
                 else:
                     same = path.exists() and path.read_text() == transcript(command, stdout, code)
+                    differ = differ or not same
                     print(f"{name}: exit {code}, {'matches' if same else 'differs from'} {path.name}")
         finally:
             os.chdir(home)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -82,6 +82,12 @@ JSON_INPUTS = {
     "lambda_null.json": '{"x": [1], "lambda": null}',
 }
 
+# CSV matrices that float() refuses: a trailing comma, and a word
+CSV_INPUTS = {
+    "trailing_comma.csv": "1,2,\n3,4\n",
+    "word.csv": "1,2\n\n3,x\n",
+}
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -163,11 +169,16 @@ JSON_INPUTS = {
         # a 71 PiB identity, refused at once like the 728 TiB random spec
         ("verify", "--operator", "identity:100000000", "--trials", "1"),
         ("verify", "--operator", "identity:0", "--trials", "3"),
+        # a malformed CSV matrix is named with its line, a malformed --x by its flag
+        ("verify", "--operator", "trailing_comma.csv", "--trials", "3"),
+        ("solve", "--operator", "word.csv", "--x", "1,2"),
+        ("solve", "--operator", "example35", "--x", "1,a"),
+        ("solve", "--operator", "example35", "--x", "1,"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
-    for name, doc in JSON_INPUTS.items():
+    for name, doc in {**JSON_INPUTS, **CSV_INPUTS}.items():
         (tmp_path / name).write_text(doc)
     code, _, err = run(capsys, *argv)
     assert code == 2
@@ -182,6 +193,10 @@ def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
     if spec in ("random:axb:3", "random:6x3:-1", "random:3x2:-4", "identity:x", "random:-3x2:1",
                 "random:10000000x10000000:1", "identity:100000000", "identity:0"):
         assert repr(spec) in err, err
+    if spec in CSV_INPUTS:
+        assert f"{spec}, line " in err, err
+    if "--x" in argv and argv[argv.index("--x") + 1] in ("1,a", "1,"):
+        assert "--x" in err, err
 
 
 def test_verify_takes_the_largest_seed(capsys):
@@ -359,6 +374,19 @@ def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys, monkeypatch
         setter(before)
 
 
+def test_main_runs_unpinned_where_no_blas_setter_is_found(capsys, monkeypatch):
+    argv = ("verify", "--operator", "random:12x5:3", "--trials", "20", "--seed", "1")
+    pinned = run(capsys, *argv)
+    cli_module._blas_threads.cache_clear()
+    monkeypatch.setattr(cli_module, "_BLAS_THREAD_SYMBOLS", ())
+    try:
+        assert cli_module._blas_threads() is None
+        unpinned = run(capsys, *argv)
+    finally:
+        cli_module._blas_threads.cache_clear()
+    assert unpinned[:2] == pinned[:2] and pinned[0] == 0
+
+
 def test_nan_violation_in_last_block_fails():
     # a NaN only in the last block: a reduction with Python's max would drop it
     nan_map = ProxMap("nan_above_2", 1.0, lambda v, t=1.0: np.where(np.abs(v) > 2.0, np.nan, v))
@@ -402,6 +430,7 @@ def test_regularizer_grid_export(tmp_path, capsys):
     ("solve", "--operator", "example35", "--x", "1"),
     ("solve", "--operator", "random:6x3:2", "--x", "1,2,3", "--lambda", "0.5"),
     ("example",),
+    ("regularizer", "--operator", "example35", "--grid", "-2:2:0.5"),
 ])
 def test_out_file_mirrors_stdout(tmp_path, capsys, argv):
     out_path = tmp_path / "out.txt"

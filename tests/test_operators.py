@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -281,3 +282,9 @@ def test_matrix_io_malformed(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ValueError):
         load_matrix_csv(empty)
+    # a value float() refuses names the file and its 1-based line
+    bad_csv = tmp_path / "bad.csv"
+    for text, line in (("1,2,\n3,4\n", 1), ("1,2\n\n3,x\n", 3), ("1;2\n", 1)):
+        bad_csv.write_text(text)
+        with pytest.raises(ValueError, match=f"malformed matrix CSV in {re.escape(str(bad_csv))}, line {line}:"):
+            load_matrix_csv(bad_csv)
