@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -114,11 +115,14 @@ class InducedRegularizer:
 
 
 def _col_dot(a, b):
-    """The inner product of each column of a with the same column of b, (n, k) blocks.
+    """The inner product of each column of a with the same column of b, (n, k) blocks; a float for vectors.
 
     One matmul call reads each pair of columns once, with no (n, k)
-    temporary; on column-contiguous blocks each pair is contiguous.
+    temporary; on column-contiguous blocks each pair is contiguous. Two
+    vectors take one ``ndarray.dot``, the BLAS dot of a one-column block.
     """
+    if a.ndim == 1:
+        return a.dot(b)
     return np.matmul(a.T[:, None], b.T[..., None]).ravel()
 
 
@@ -138,19 +142,26 @@ def _fista_steps(proj, c, lam, u, y):
     trade roles. The scratch block takes c's layout and dtype, float32 or
     float64 as ``_certify`` chooses; ``_certify`` passes c
     and the state column-contiguous (Fortran order), so every column of
-    every block is contiguous. Returns the new (u, y); the u and y given
-    are overwritten.
+    every block is contiguous. One open column runs on 1-D vectors, with
+    ``ndarray.dot`` for P y and a Python test of one dot for the restart.
+    Returns the new (u, y); the u and y given are overwritten.
     """
-    u_new = np.empty_like(c)
+    u_new, block = np.empty_like(c), c.ndim == 2
+    product = partial(np.matmul, proj) if block else proj.dot
+    # the box as 0-d arrays, which a ufunc takes faster than a Python float
+    hi, lo = np.asarray(lam), np.asarray(-lam)
     for _ in range(_GAP_STRIDE):
-        np.matmul(proj, y, out=u_new)
+        product(y, out=u_new)
         u_new += c
-        np.minimum(u_new, lam, out=u_new)
-        np.maximum(u_new, -lam, out=u_new)
+        np.minimum(u_new, hi, out=u_new)
+        np.maximum(u_new, lo, out=u_new)
         du = np.subtract(u_new, u, out=u)
-        # gradient restart: momentum 0 on a step where <y - u_new, du> > 0
+        # gradient restart: momentum 0 on a step where <y - u_new, du> > 0,
+        # or is NaN; a vector skips the product by a momentum of 1
         y -= u_new
-        du *= _col_dot(y, du) <= 0.0
+        momentum = _col_dot(y, du) <= 0.0
+        if block or not momentum:
+            du *= momentum
         du += u_new
         u, y, u_new = u_new, du, y
     return u, y
@@ -227,10 +238,13 @@ def _certify(
     it is not, and apply P as P^T, a column-major view of the operator's
     C-ordered projector: every block then keeps each column contiguous
     through every compaction, each per-column product (``_col_dot``) is one
-    pass, and the bounds do not depend on c's layout. P = U_d U_d^T is
-    symmetric as formed; ``test_range_projector_rounding_does_not_grow_with_condition``
-    holds P^T - P within 4 eps and P^2 - P within 16 eps at conditions 1 to
-    1e6 and scales 1e-6 to 1e6.
+    pass, and the bounds do not depend on c's layout. While one column is
+    open and ADMM has not joined, it runs on 1-D vectors and its gap terms
+    on scalars, with every product and sum as in a (n, 1) block: the same
+    bits. P = U_d U_d^T is symmetric as formed;
+    ``test_range_projector_rounding_does_not_grow_with_condition`` holds
+    P^T - P within 4 eps and P^2 - P within 16 eps at conditions 1 to 1e6
+    and scales 1e-6 to 1e6.
     Raises NotConverged if some column is open after ``_MAX_ITER``
     iterations, naming the iterations run and the largest gap of those
     columns (inf if none ran), and at the first gap check where a gap or its
@@ -254,6 +268,14 @@ def _certify(
     fista_c = c if low is None else low[1]
     solvers = {_fista_steps: (np.zeros_like(fista_c), np.zeros_like(fista_c))}
     for check in range(_MAX_ITER // _GAP_STRIDE):
+        # a lone open column runs on vectors, until ADMM joins on blocks
+        vector = cols.size == 1 and check < _FISTA_ITERS // _GAP_STRIDE
+        if vector != (c.ndim == 1):
+            shape = (lambda a: a[..., 0]) if vector else (lambda a: a[..., None])
+            cols, g_sub, base, c = shape(cols), shape(g_sub), shape(base), shape(c)
+            if low:
+                low = (low[0], shape(low[1]), low[2])
+            solvers = {steps: tuple(map(shape, state)) for steps, state in solvers.items()}
         if check == _FISTA_ITERS // _GAP_STRIDE:
             # an open column has Tx != 0: at Tx = 0, u stays 0 and the first gap is 0
             v = np.zeros_like(c)
@@ -283,13 +305,17 @@ def _certify(
             )
         done = gap <= np.maximum(tol, _GAP_FLOOR * scale)
         if prune:
-            best = np.maximum(best, np.max(dual - g_sub))
+            best = np.maximum(best, (dual - g_sub).max())
             done |= primal - g_sub < best
         if low and (check + 1 == _FISTA_ITERS // _GAP_STRIDE
-                    or np.all(done | (gap <= _FLOAT32_FLOOR * scale))):
+                    or (done | (gap <= _FLOAT32_FLOOR * scale)).all()):
             # FISTA goes on in float64 from its re-clipped iterate u
             low, solvers[_fista_steps] = None, (u, solvers[_fista_steps][1].astype(float))
-        if done.any():
+        if vector:
+            if done:
+                upper[cols], lower[cols], iters[cols] = primal, dual, (check + 1) * _GAP_STRIDE
+                return upper, lower, iters
+        elif done.any():
             upper[cols[done]], lower[cols[done]] = primal[done], dual[done]
             iters[cols[done]] = (check + 1) * _GAP_STRIDE
             keep = ~done

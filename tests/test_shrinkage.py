@@ -483,7 +483,12 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
     dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
     x = rng.standard_normal((2, 12))
     x[:, ::2] *= 1e-9
-    fista_only = shrinkage_module._FISTA_ITERS
+    fista_only, ndims = shrinkage_module._FISTA_ITERS, set()
+
+    def reference(proj, c, *args):
+        ndims.add(c.ndim)
+        return fista_steps_reference(proj, c, *args)
+
     for fs, y, tol in ((regression, y1, 1e-7), (dead_zone, x, 1e-9)):
         reg = InducedRegularizer(fs)
         c = fs.operator.matrix @ y
@@ -491,13 +496,15 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
         slack = 1e-12 * (1.0 + reg.g(c) + np.sum(u * u, axis=0))
         value, _, iters = shrinkage_module._certify(reg, c, reg.g(c), tol)
         with monkeypatch.context() as patch:
-            patch.setattr(shrinkage_module, "_fista_steps", fista_steps_reference)
+            patch.setattr(shrinkage_module, "_fista_steps", reference)
             ref_value, _, ref_iters = shrinkage_module._certify(reg, c, reg.g(c), tol)
         done = iters <= fista_only
         np.testing.assert_array_equal(done, ref_iters <= fista_only)
         assert np.all(np.abs(iters - ref_iters)[done] <= shrinkage_module._GAP_STRIDE), (iters, ref_iters)
         assert np.all(np.abs(value - ref_value) <= tol + slack)
     assert not np.all(done), "the dead-zone columns should need ADMM"
+    # the regression's last open column runs its vector steps through the reference too
+    assert ndims == {1, 2}, ndims
 
 
 def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
@@ -514,10 +521,11 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
     x_dead = rng.standard_normal((2, 12))
     x_dead[:, ::2] *= 1e-9
-    projs, fista = [], shrinkage_module._fista_steps
+    projs, ndims, fista = [], set(), shrinkage_module._fista_steps
 
     def fista_spy(proj, c, lam, *state):
         projs.append((proj, lam))
+        ndims.add(c.ndim)
         assert all(a.flags.f_contiguous for a in (c, *state))
         return fista(proj, c, lam, *state)
 
@@ -538,6 +546,8 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
             for got, first in zip(result, results[0]):
                 np.testing.assert_array_equal(got, first)
     assert np.max(results[0][2]) > shrinkage_module._FISTA_ITERS, "the dead-zone block should reach ADMM"
+    # the checks hold on the 1-D state of a lone open column as on blocks
+    assert ndims == {1, 2}, ndims
     # P reaches every gap stride of the solve column-major: in float64 as a
     # read-only view of the operator's one projector, and in the float32
     # phase, which the 200-row frame takes and the 9-row one does not, as
@@ -553,6 +563,53 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
             assert not proj.flags.writeable
             assert proj.base is fs.operator.range_proj
             assert np.shares_memory(proj, fs.operator.range_proj)
+
+
+def _fista_shapes(monkeypatch):
+    """The shape of c at each ``_fista_steps`` call, whose state must share it."""
+    shapes, fista = [], shrinkage_module._fista_steps
+
+    def fista_spy(proj, c, lam, *state):
+        assert all(a.shape == c.shape for a in state)
+        shapes.append(c.shape)
+        return fista(proj, c, lam, *state)
+
+    monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
+    return shapes
+
+
+def _regression_prox_identity():
+    """The 100-trial prox-identity check of the random:200x100:2 CLI regression, seed 5."""
+    fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
+    return verify_prox_identity(fs, InducedRegularizer(fs), trials=100, tol=1e-6, seed=5)
+
+
+def test_certify_runs_a_lone_open_column_on_vectors(monkeypatch, certified):
+    # FISTA gets c and its state 1-D once one column is open: in the f(y1)
+    # block of the regression (tol 1e-7) column 63 runs alone from
+    # iteration 128 to 240, and a one-column call from its first step on
+    shapes = _fista_shapes(monkeypatch)
+    assert _regression_prox_identity().passed
+    (iters,) = certified
+    assert np.argmax(iters) == 63 and np.sort(iters)[-2:].tolist() == [128, 240], iters
+    alone = (240 - 128) // shrinkage_module._GAP_STRIDE
+    assert shapes[-alone:] == [(200,)] * alone
+    assert all(len(shape) == 2 and shape[1] > 1 for shape in shapes[:-alone]), shapes
+    shapes.clear()
+    induced_regularizer(InducedRegularizer(example_shrinkage()), 0.3)
+    assert shapes and set(shapes) == {(2,)}, shapes
+
+
+def test_cap_inside_the_vector_tail_of_a_block(monkeypatch):
+    # at a cap of 200 iterations the regression's f(y1) block stops with
+    # column 63 open alone, on vectors; the message names its gap and the
+    # iterations run, as at a cap on blocks
+    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 200)
+    shapes = _fista_shapes(monkeypatch)
+    message = r"left a duality gap of 1\.201e-06 after 200 iterations \(checked every 8\)$"
+    with pytest.raises(NotConverged, match=message):
+        _regression_prox_identity()
+    assert shapes[-1] == (200,), shapes
 
 
 def test_evaluating_f_stores_nothing_on_the_operator():
