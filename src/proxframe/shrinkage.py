@@ -157,7 +157,7 @@ def _fista_steps(proj, c, lam, u, y):
         np.maximum(u_new, lo, out=u_new)
         du = np.subtract(u_new, u, out=u)
         # gradient restart: momentum 0 on a step where <y - u_new, du> > 0,
-        # or is NaN; a vector skips the product by a momentum of 1
+        # or is NaN; a vector skips multiplying by a momentum of 1
         y -= u_new
         momentum = _col_dot(y, du) <= 0.0
         if block or not momentum:
