@@ -483,10 +483,10 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
     dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
     x = rng.standard_normal((2, 12))
     x[:, ::2] *= 1e-9
-    fista_only, ndims = shrinkage_module._FISTA_ITERS, set()
+    fista_only, lone = shrinkage_module._FISTA_ITERS, set()
 
     def reference(proj, c, *args):
-        ndims.add(c.ndim)
+        lone.add(c.shape[1] == 1)
         return fista_steps_reference(proj, c, *args)
 
     for fs, y, tol in ((regression, y1, 1e-7), (dead_zone, x, 1e-9)):
@@ -503,8 +503,8 @@ def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
         assert np.all(np.abs(iters - ref_iters)[done] <= shrinkage_module._GAP_STRIDE), (iters, ref_iters)
         assert np.all(np.abs(value - ref_value) <= tol + slack)
     assert not np.all(done), "the dead-zone columns should need ADMM"
-    # the regression's last open column runs its vector steps through the reference too
-    assert ndims == {1, 2}, ndims
+    # the regression's last open column runs through the reference too
+    assert lone == {True, False}, lone
 
 
 def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
@@ -521,11 +521,11 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
     x_dead = rng.standard_normal((2, 12))
     x_dead[:, ::2] *= 1e-9
-    projs, ndims, fista = [], set(), shrinkage_module._fista_steps
+    projs, lone, fista = [], set(), shrinkage_module._fista_steps
 
     def fista_spy(proj, c, lam, *state):
         projs.append((proj, lam))
-        ndims.add(c.ndim)
+        lone.add(c.shape[1] == 1)
         assert all(a.flags.f_contiguous for a in (c, *state))
         return fista(proj, c, lam, *state)
 
@@ -546,8 +546,8 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
             for got, first in zip(result, results[0]):
                 np.testing.assert_array_equal(got, first)
     assert np.max(results[0][2]) > shrinkage_module._FISTA_ITERS, "the dead-zone block should reach ADMM"
-    # the checks hold on the 1-D state of a lone open column as on blocks
-    assert ndims == {1, 2}, ndims
+    # the checks hold on the block of a lone open column as on wider ones
+    assert lone == {True, False}, lone
     # P reaches every gap stride of the solve column-major: in float64 as a
     # read-only view of the operator's one projector, and in the float32
     # phase, which the 200-row frame takes and the 9-row one does not, as
@@ -585,31 +585,60 @@ def _regression_prox_identity():
 
 
 def test_certify_runs_a_lone_open_column_on_vectors(monkeypatch, certified):
-    # FISTA gets c and its state 1-D once one column is open: in the f(y1)
-    # block of the regression (tol 1e-7) column 63 runs alone from
-    # iteration 128 to 240, and a one-column call from its first step on
+    # FISTA gets c and its state as one-column blocks, which its kernel runs
+    # on vectors, once one column is open: in the f(y1) block of the
+    # regression (tol 1e-7) column 63 runs alone from iteration 128 to 240,
+    # and a one-column call from its first step on
     shapes = _fista_shapes(monkeypatch)
     assert _regression_prox_identity().passed
     (iters,) = certified
     assert np.argmax(iters) == 63 and np.sort(iters)[-2:].tolist() == [128, 240], iters
     alone = (240 - 128) // shrinkage_module._GAP_STRIDE
-    assert shapes[-alone:] == [(200,)] * alone
+    assert shapes[-alone:] == [(200, 1)] * alone
     assert all(len(shape) == 2 and shape[1] > 1 for shape in shapes[:-alone]), shapes
     shapes.clear()
     induced_regularizer(InducedRegularizer(example_shrinkage()), 0.3)
-    assert shapes and set(shapes) == {(2,)}, shapes
+    assert shapes and set(shapes) == {(2, 1)}, shapes
 
 
 def test_cap_inside_the_vector_tail_of_a_block(monkeypatch):
     # at a cap of 200 iterations the regression's f(y1) block stops with
-    # column 63 open alone, on vectors; the message names its gap and the
-    # iterations run, as at a cap on blocks
+    # column 63 open alone, a one-column block; the message names its gap
+    # and the iterations run, as at a cap on wider blocks
     monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 200)
     shapes = _fista_shapes(monkeypatch)
     message = r"left a duality gap of 1\.201e-06 after 200 iterations \(checked every 8\)$"
     with pytest.raises(NotConverged, match=message):
         _regression_prox_identity()
-    assert shapes[-1] == (200,), shapes
+    assert shapes[-1] == (200, 1), shapes
+
+
+def test_fista_kernel_runs_a_one_column_block_on_vectors(rng, monkeypatch):
+    # the kernel steps a one-column block on 1-D views of its column and
+    # hands back (n, 1) views of 1-D arrays: in float64, in the float32 phase
+    # of the 200-row frame, and on a lone dead-zone column past
+    # _FISTA_ITERS, where _certify runs it beside ADMM
+    regression = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
+    y63 = frame_prox(regression, run_samples(5, 100, 100)[0])[:, 63:64]
+    dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
+    x_dead = 1e-9 * rng.standard_normal((2, 1))
+    strides = shrinkage_module._FISTA_ITERS // shrinkage_module._GAP_STRIDE
+    for fs, x, dtype, calls in ((example_shrinkage(), np.array([[0.3]]), np.float64, 4),
+                                (regression, y63, np.float32, 4),
+                                (dead_zone, x_dead, np.float64, strides + 4)):
+        op, lam = fs.operator, dtype(fs.inner_prox.lam)
+        proj, c = op.range_proj.T.astype(dtype), (op.matrix @ x).astype(dtype)
+        u, y = np.zeros(op.n, dtype)[:, None], np.zeros(op.n, dtype)[:, None]
+        for _ in range(calls):
+            u, y = shrinkage_module._fista_steps(proj, c, lam, u, y)
+            for a in (u, y):
+                assert a.shape == (op.n, 1) and a.dtype == dtype
+                assert np.ndim(a.base) == 1
+        assert np.all(np.abs(u) <= lam)
+    shapes = _fista_shapes(monkeypatch)
+    reg, c = InducedRegularizer(dead_zone), dead_zone.operator.matrix @ x_dead
+    (iters,) = shrinkage_module._certify(reg, c, reg.g(c), 1e-9)[2]
+    assert iters > shrinkage_module._FISTA_ITERS and set(shapes) == {(9, 1)}, (iters, shapes)
 
 
 def test_evaluating_f_stores_nothing_on_the_operator():
@@ -624,11 +653,12 @@ def test_evaluating_f_stores_nothing_on_the_operator():
     assert set(vars(op)) == keys
 
 
-@pytest.mark.parametrize("n, k", [(9, 12), (200, 100), (200, 1), (200, 0)])
+@pytest.mark.parametrize("n, k", [(9, 12), (200, 100), (11, 1), (200, 1), (200, 0)])
 def test_col_dot_matches_the_column_sums(rng, n, k):
     # one fused pass per column against the multiply-and-sum it replaced,
     # on C-ordered, Fortran-ordered and strided blocks; each is within a
-    # few ulps of the sum of |a b| over the column, and exact on integers
+    # few ulps of the sum of |a b| over the column, and exact on integers.
+    # A one-column block is one BLAS dot of its two columns, bit for bit
     a, b = rng.standard_normal((n, k)), rng.standard_normal((n, k))
     wide = np.zeros((n, 2 * k))
     eps = np.finfo(float).eps
@@ -638,6 +668,8 @@ def test_col_dot_matches_the_column_sums(rng, n, k):
         assert dot.shape == (k,)
         ref = np.add.reduce(x * y, 0)
         assert np.all(np.abs(dot - ref) <= 4.0 * eps * np.add.reduce(np.abs(x * y), 0))
+        if k == 1:
+            assert dot[0] == x[:, 0].dot(y[:, 0])
         ints = np.round(8.0 * x), np.round(8.0 * y)
         np.testing.assert_array_equal(shrinkage_module._col_dot(*ints), np.add.reduce(ints[0] * ints[1], 0))
 
