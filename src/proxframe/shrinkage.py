@@ -30,28 +30,23 @@ from .reports import SolveReport, VerifyReport
 from .sampling import _check_tol, sampled_check
 
 # A duality-gap check, the product (I - P) u and the gap's bookkeeping, costs
-# about one iteration of the dual solve at 30 to 100 open columns and about
-# 1.5 at 1 to 4 (random:200x100:2, one BLAS thread); checking on every
-# eighth keeps that small without delaying the stop much.
+# two to four iterations of the dual solve at 2 to 100 open columns and up
+# to six at one; checking on every eighth iteration stops a column at most
+# seven iterations late. Measured in CHANGES.md, in the entry "f's
+# float32 phase ends when float32 stops lowering a gap", as are the two
+# constants below.
 _GAP_STRIDE = 8
-# Unit-step FISTA certified every column of the benchmark workloads within
-# 960 iterations (seeds 101-110, 32 passes each); a column still open after
-# this many also gets ADMM.
+# Unit-step FISTA certifies every column of the benchmark workloads well
+# within this many iterations; a column still open after it also gets ADMM.
 _FISTA_ITERS = 2048
 # Gap below which float64 rounding of its terms dominates, per unit of
 # 1 + |g(Tx)| + ||u||^2 (measured: the gap stalls at up to ~7 ulps of that).
 _GAP_FLOOR = 64 * np.finfo(float).eps
 # Frames with at least this many rows run FISTA's first phase in float32
 # (``_certify``), where a product with P costs about half the float64 one.
-# Below it the per-step overhead dominates. f(y1) of prox_identity, 100
-# trials at lam 1 and tol 1e-7, one BLAS thread, median time ratio of 41
-# alternating calls with and without the phase: 12x5 (lam 10) 1.06, 30x12
-# 1.00, 48x24 0.97, 64x32 0.94, 100x60 0.86, 200x100 0.80, 400x250 0.82
+# Below it the per-step overhead dominates.
 _FLOAT32_ROWS = 64
-# That phase ends once every open column's gap is within 64 float32 ulps of
-# 1 + |feasible| + ||u||^2 ...
-_FLOAT32_FLOOR = 64 * np.finfo(np.float32).eps
-# ... and runs only where lam and every |Tx| are below this, so that no
+# That phase runs only where lam and every |Tx| are below this, so that no
 # float32 copy or iterate overflows
 _FLOAT32_RANGE = 2.0 ** 64
 # Iterations after which an evaluation of f that is still open raises
@@ -181,16 +176,23 @@ def _admm_steps(proj, c, lam, v, m, rho):
         m <- a - v
 
     rho is a (1, k) row, so that the state compacts as its blocks do.
-    Returns the new (v, m, rho). Its blocks take c's layout too: each
-    product with P writes into a block laid out like its operand.
+    c / rho and rho / (1 + rho) are formed once per call, and each step
+    works in place in v, m and two scratch blocks laid out like v, in the
+    order of the terms above, so its bits are those of the formula. Returns
+    the new (v, m, rho); the v and m given are overwritten, so they must not
+    share memory.
     """
+    c_rho, ratio, hi, lo = c / rho, rho / (1.0 + rho), np.asarray(lam), np.asarray(-lam)
+    b, a = np.empty_like(v), np.empty_like(v)
     for _ in range(_GAP_STRIDE):
-        b = v - m
-        pb = np.matmul(proj, b, out=np.empty_like(b))
-        u = pb + c / rho + rho / (1.0 + rho) * (b - pb)
-        a = u + m
-        v = np.clip(a, -lam, lam)
-        m = a - v
+        # a = P b, then u = P b + c / rho + rho / (1 + rho) (b - P b), then a = u + m
+        np.matmul(proj, np.subtract(v, m, out=b), out=a)
+        np.multiply(ratio, np.subtract(b, a, out=b), out=b)
+        a += c_rho
+        a += b
+        a += m
+        np.minimum(np.maximum(a, lo, out=v), hi, out=v)
+        np.subtract(a, v, out=m)
     return v, m, rho
 
 
@@ -230,10 +232,10 @@ def _certify(
     then forms the gap in float64 as above. A dual point in the box and any
     w give valid bounds, so the phase changes how fast the gap closes, not
     whether a bound holds, and leaves the floor as it is. FISTA goes on in
-    float64, from that re-clipped iterate, once every open column's gap is
-    within ``_FLOAT32_FLOOR``, 64 float32 ulps, of its 1 + |feasible| +
-    ||u||^2, and at the latest after ``_FISTA_ITERS`` iterations, so ADMM
-    runs in float64 throughout. Where lam or some |c| reaches
+    float64, from that re-clipped iterate, after the first gap check at
+    which some column that stays open has a gap not below its gap at the
+    check before, and at the latest after ``_FISTA_ITERS`` iterations, so
+    ADMM runs in float64 throughout. Where lam or some |c| reaches
     ``_FLOAT32_RANGE`` FISTA runs in float64 from the start.
     The third array holds the FISTA iterations each column ran before it
     stopped, a multiple of ``_GAP_STRIDE`` (0 where no solver ran); where
@@ -271,8 +273,8 @@ def _certify(
     for check in range(_MAX_ITER // _GAP_STRIDE):
         if check == _FISTA_ITERS // _GAP_STRIDE:
             # an open column has Tx != 0: at Tx = 0, u stays 0 and the first gap is 0
-            v = np.zeros_like(c)
-            solvers[_admm_steps] = (v, v, np.max(np.abs(c), axis=0, keepdims=True) / lam)
+            rho = np.max(np.abs(c), axis=0, keepdims=True) / lam
+            solvers[_admm_steps] = (np.zeros_like(c), np.zeros_like(c), rho)
         primal, dual, scale = g_sub, -np.inf, base
         for steps, state in solvers.items():
             u, *_ = solvers[steps] = steps(*(low or (proj, c, lam)), *state)
@@ -285,8 +287,9 @@ def _certify(
             primal = np.minimum(primal, half_sq + g(c - r))
             dual = np.maximum(dual, _col_dot(u, c) - half_sq)
             scale = scale + _col_dot(u, u)
-        # the open columns' last gap, for the NotConverged message
-        gap = primal - dual
+        # the open columns' last gap, for the NotConverged message and the
+        # end of the float32 phase
+        last, gap = gap, primal - dual
         # ||u||^2 grows as n lam^2: past the float64 range a gap or its scale
         # is inf or NaN and bounds nothing. scale > 0 and gap >= -_GAP_FLOOR *
         # scale, so each gap - scale is about -scale, and their sum is finite
@@ -300,8 +303,7 @@ def _certify(
         if prune:
             best = np.maximum(best, (dual - g_sub).max())
             done |= primal - g_sub < best
-        if low and (check + 1 == _FISTA_ITERS // _GAP_STRIDE
-                    or (done | (gap <= _FLOAT32_FLOOR * scale)).all()):
+        if low and (check + 1 == _FISTA_ITERS // _GAP_STRIDE or (~done & (gap >= last)).any()):
             # FISTA goes on in float64 from its re-clipped iterate u
             low, solvers[_fista_steps] = None, (u, solvers[_fista_steps][1].astype(float))
         if done.any():
@@ -311,8 +313,7 @@ def _certify(
             cols, g_sub, base, gap, c = cols[keep], g_sub[keep], base[keep], gap[keep], c[:, keep]
             if not cols.size:
                 return upper, lower, iters
-            if low:
-                low = (low[0], low[1][:, keep], low[2])
+            low = low and (low[0], low[1][:, keep], low[2])
             solvers = {steps: tuple(a[:, keep] for a in state) for steps, state in solvers.items()}
     # every check ran: _MAX_ITER rounded down to a multiple of the stride
     raise NotConverged(
@@ -342,7 +343,8 @@ def induced_regularizer(reg: InducedRegularizer, x, tol: float = 1e-9):
     such columns beside the same FISTA run, which goes on as before.
 
     On frames of at least ``_FLOAT32_ROWS`` rows FISTA's first iterations
-    run in float32, where a product with P costs about half as much. Every
+    run in float32, where a product with P costs about half as much, until
+    the first gap check at which some open column's gap has not fallen. Every
     gap is still formed in float64, at the iterate re-clipped into the
     float64 box, so the bounds are valid as in a float64 solve; only the
     number of iterations to reach them can differ.
@@ -620,7 +622,9 @@ def weaker_regularizer_check(
     no longer set the maximum leaves it early and reports its upper bound,
     shown to lie below the maximum, not evaluated to the inner tolerance.
     On frames of at least ``_FLOAT32_ROWS`` rows that solve starts in
-    float32 and forms every bound in float64, as in ``induced_regularizer``.
+    float32 and forms every bound in float64, as in ``induced_regularizer``;
+    it leaves float32 at the first gap check where some open column's gap
+    has not fallen.
     NotConverged is raised only if a trial that could still set the maximum
     is not certified within ``_MAX_ITER`` iterations, as in
     ``induced_regularizer``. A NaN or negative ``tol`` raises ValueError

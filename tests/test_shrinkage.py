@@ -511,9 +511,10 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     # _certify solves on a column-contiguous copy of c, and FISTA's state
     # takes its layout, so a C-ordered c, its Fortran copy and a strided view
     # of the same numbers give the same bits and the same iteration counts.
-    # Blocks: f(y1) of the random:200x100:2 CLI regression at tol 1e-7,
-    # seeded at the shrinkage's feasible point, and the 9x2 dead-zone block
-    # of test_fista_kernel_matches_plain_reference, which reaches ADMM
+    # Blocks: f(y1) of the random:200x100:2 CLI regression at tol 1e-7, which
+    # runs in float32 to its end, and at tol 1e-13, which goes on in float64,
+    # both seeded at the shrinkage's feasible point; and the 9x2 dead-zone
+    # block of test_fista_kernel_matches_plain_reference, which reaches ADMM
     op = build_operator(load_named_matrix("random:200x100:2"))
     regression = FrameShrinkage(op, soft_shrink_map(1.0))
     x = run_samples(5, 100, 100)[0]
@@ -530,7 +531,8 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
         return fista(proj, c, lam, *state)
 
     monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
-    for fs, y, p, tol in ((regression, y1, regression.inner_prox(op.matrix @ x), 1e-7),
+    shrunk = regression.inner_prox(op.matrix @ x)
+    for fs, y, p, tol in ((regression, y1, shrunk, 1e-7), (regression, y1, shrunk, 1e-13),
                           (dead_zone, x_dead, None, 1e-9)):
         reg = InducedRegularizer(fs)
         c = np.ascontiguousarray(fs.operator.matrix @ y)
@@ -551,7 +553,8 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
     # P reaches every gap stride of the solve column-major: in float64 as a
     # read-only view of the operator's one projector, and in the float32
     # phase, which the 200-row frame takes and the 9-row one does not, as
-    # that projector's transpose cast to float32
+    # that projector's transpose cast to float32. The float64 view reaches
+    # the 200-row frame in its solve at tol 1e-13
     assert {(lam, proj.dtype.type) for proj, lam in projs} == {
         (1.0, np.float32), (1.0, np.float64), (10.0, np.float64)}
     for proj, lam in projs:
@@ -584,6 +587,47 @@ def _regression_prox_identity():
     return verify_prox_identity(fs, InducedRegularizer(fs), trials=100, tol=1e-6, seed=5)
 
 
+def test_float32_phase_ends_at_the_first_gap_that_does_not_fall(monkeypatch, certified):
+    # FISTA leaves float32 right after the first gap check at which some open
+    # column's gap is not below its gap at the check before. On the f(y1)
+    # block of the regression at lam 0.7 (tol 1e-7) that is the check at
+    # iteration 16, with all 100 columns open, where 8 columns' gaps have not
+    # fallen since iteration 8. The block then certifies within the 8264
+    # column-iterations it took with float32 run on to iteration 40 (6680)
+    lam, calls, fista = 0.7, [], shrinkage_module._fista_steps
+    fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(lam))
+    reg, op = InducedRegularizer(fs), fs.operator
+
+    def fista_spy(proj, c, *args):
+        u, y = fista(proj, c, *args)
+        calls.append((proj.dtype.type, c.shape[1], np.clip(u, -lam, lam, dtype=float)))
+        return u, y
+
+    monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
+    x = run_samples(5, 100, 100)[0]
+    p, c = fs.inner_prox(op.matrix @ x), op.matrix @ frame_prox(fs, x)
+    # the feasible value verify_prox_identity passes, and each gap from the
+    # terms _certify forms it of, in float64 at the re-clipped iterate
+    feasible = np.minimum(reg.g(c), 0.5 * np.add.reduce((p - c) ** 2, 0) + reg.g(p))
+
+    def gap(u):
+        r = u - op.range_proj @ u
+        half_sq = 0.5 * np.add.reduce(u * r, 0)
+        return np.minimum(feasible, half_sq + reg.g(c - r)) - (np.add.reduce(u * c, 0) - half_sq)
+
+    iters = shrinkage_module._certify(reg, c, feasible, 1e-7)[2]
+    dtypes = [dtype for dtype, _, _ in calls]
+    phase = dtypes.index(np.float64)
+    assert (phase, calls[phase][1]) == (2, 100) and set(dtypes[phase:]) == {np.float64}, dtypes
+    gaps = [gap(u) for _, _, u in calls[:phase]]
+    assert np.sum(gaps[1] >= gaps[0]) == 8, gaps
+    assert 0 < np.sum(iters) <= 8264, np.sum(iters)
+    # the same block at lam 1 runs float32 to its end, in 2968 column-iterations
+    calls.clear()
+    assert _regression_prox_identity().passed
+    assert np.sum(certified[-1]) == 2968 and {dtype for dtype, _, _ in calls} == {np.float32}
+
+
 def test_certify_runs_a_lone_open_column_on_vectors(monkeypatch, certified):
     # FISTA gets c and its state as one-column blocks, which its kernel runs
     # on vectors, once one column is open: in the f(y1) block of the
@@ -607,7 +651,7 @@ def test_cap_inside_the_vector_tail_of_a_block(monkeypatch):
     # and the iterations run, as at a cap on wider blocks
     monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 200)
     shapes = _fista_shapes(monkeypatch)
-    message = r"left a duality gap of 1\.201e-06 after 200 iterations \(checked every 8\)$"
+    message = r"left a duality gap of 1\.202e-06 after 200 iterations \(checked every 8\)$"
     with pytest.raises(NotConverged, match=message):
         _regression_prox_identity()
     assert shapes[-1] == (200, 1), shapes
