@@ -40,7 +40,8 @@ _GAP_STRIDE = 8
 # within this many iterations; a column still open after it also gets ADMM.
 _FISTA_ITERS = 2048
 # Gap below which float64 rounding of its terms dominates, per unit of
-# 1 + |g(Tx)| + ||u||^2 (measured: the gap stalls at up to ~7 ulps of that).
+# 1 + |g(Tx)| + ||u||^2; where the gap stalls is measured in CHANGES.md, in
+# the entry "f's dual solver behind its contract".
 _GAP_FLOOR = 64 * np.finfo(float).eps
 # Frames with at least this many rows run FISTA's first phase in float32
 # (``_certify``), where a product with P costs about half the float64 one.
@@ -202,58 +203,59 @@ def _certify(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounds upper >= f >= lower at each column of c = Ty, and the iterations each took.
 
-    ``feasible`` may be the primal objective 1/2 ||w||^2 + g(c + w) at any
-    w in null(T*), such as g(c) at w = 0, so it bounds f from above. For
-    square T, f = g o T, and where every feasible value is 0 (the identity
-    map, whose g is 0, an all-zero block of soft shrinkage, and a block
-    without columns) f is 0, since 0 <= f <= feasible for the catalog maps;
-    there it returns (feasible, feasible, 0) and runs no solver.
-    Otherwise one loop of gap checks, ``_GAP_STRIDE`` iterations apart, runs
-    FISTA (``_fista_steps``) on every column and, from iteration
-    ``_FISTA_ITERS`` on, ADMM (``_admm_steps``) beside it on the columns
-    still open, its penalty fixed there at max|c| / lam. It keeps each step
-    function's state, whose first entry is the solver's dual iterate u, and
-    at each check forms (I - P) u itself. An open column takes the
-    lowest primal value (its feasible value, or the primal at w = -B^T u)
-    and the highest dual value its solvers reach. This is the stop rule of
-    every evaluation of f: a column stops, with these values as its bounds,
-    the first time their gap is at most ``tol`` or a floor of
-    ``_GAP_FLOOR``, 64 ulps, of 1 + |feasible| + ||u||^2 (summed over its
-    solvers), the scale at which float64 rounding of the gap's terms sets
-    in. With ``prune``, a column also stops, its gap unchecked, once its
-    upper bound minus its feasible value is below the highest lower bound
-    minus feasible value of any column so far: it can no longer set the
-    block's largest f - feasible. One keep-mask then drops the stopped
-    columns from c, every solver's state and the loop's own per-column
-    arrays.
-    On a frame of at least ``_FLOAT32_ROWS`` rows FISTA starts in float32,
-    on float32 copies of P^T and c and clipping onto the float32 box. Each
-    gap check casts its iterate to float64 and re-clips it into [-lam, lam],
-    then forms the gap in float64 as above. A dual point in the box and any
-    w give valid bounds, so the phase changes how fast the gap closes, not
-    whether a bound holds, and leaves the floor as it is. FISTA goes on in
-    float64, from that re-clipped iterate, after the first gap check at
-    which some column that stays open has a gap not below its gap at the
-    check before, and at the latest after ``_FISTA_ITERS`` iterations, so
-    ADMM runs in float64 throughout. Where lam or some |c| reaches
-    ``_FLOAT32_RANGE`` FISTA runs in float64 from the start.
-    The third array holds the FISTA iterations each column ran before it
-    stopped, a multiple of ``_GAP_STRIDE`` (0 where no solver ran); where
-    that count exceeds ``_FISTA_ITERS``, ADMM ran the excess beside FISTA.
-    The solvers run on c in column-contiguous (Fortran) order, copied if
-    it is not, and apply P as P^T, a column-major view of the operator's
-    C-ordered projector: every block then keeps each column contiguous
-    through every compaction, each per-column product (``_col_dot``) is one
-    pass, and the bounds do not depend on c's layout. P = U_d U_d^T is
+    The contract, which ``test_shrinkage`` tests. ``feasible`` may be the
+    primal objective 1/2 ||w||^2 + g(c + w) at any w in null(T*), such as
+    g(c) at w = 0, so it bounds f from above. At every column lower <= f <=
+    upper <= feasible, the first two up to float64 rounding of their terms.
+    A column stops the first time upper - lower is at most ``tol`` or a
+    floor of ``_GAP_FLOOR``, 64 ulps, of 1 + |feasible| + ||u||^2 (u the
+    dual iterate, summed over its solvers), the scale at which float64
+    rounding of the gap's terms sets in. Its bounds match a one-column
+    evaluation up to that gap (BLAS may round a product differently at
+    another column count) and do not depend on c's layout. For square T,
+    f = g o T, and where every feasible value is 0 (the identity map, whose
+    g is 0, an all-zero block of soft shrinkage, and a block without
+    columns) f is 0, since 0 <= f <= feasible for the catalog maps; there it
+    returns (feasible, feasible, 0) and runs no solver. With ``prune``, a
+    column also stops, its gap unchecked, once its upper bound minus its
+    feasible value is below the highest lower bound minus feasible value of
+    any column so far: it can no longer set the block's largest
+    f - feasible, so pruning keeps that maximum. Raises NotConverged if
+    some column is open after ``_MAX_ITER`` iterations, naming the
+    iterations run and the largest gap of those columns (inf if none ran),
+    and at the first gap check where a gap or its scale is not finite,
+    naming lam and the iteration: at large lam, ||u||^2 and ADMM's c / rho
+    can leave the float64 range. Overflow and invalid values raise no
+    warning here (``np.errstate``); that check reports them.
+
+    The solvers, which ``test_certify_kernels`` pins. One loop of gap
+    checks, ``_GAP_STRIDE`` iterations apart, runs FISTA (``_fista_steps``)
+    on every column and, from iteration ``_FISTA_ITERS`` on, ADMM
+    (``_admm_steps``) beside it on the columns still open, its penalty fixed
+    there at max|c| / lam. It keeps each step function's state, whose first
+    entry is the solver's dual iterate u, and at each check forms
+    r = (I - P) u itself. An open column takes the lowest primal value (its
+    feasible value, or 1/2 <u, r> + g(c - r), the primal at w = -B^T u) and
+    the highest dual value, <u, c> - 1/2 ||r||^2, its solvers reach. One
+    keep-mask drops the stopped columns from c, every solver's state and
+    the loop's own per-column arrays. On a frame of at least
+    ``_FLOAT32_ROWS`` rows FISTA starts in float32, on float32 copies of P^T
+    and c, clipping onto the float32 box; each gap check casts its iterate
+    to float64 and re-clips it into [-lam, lam], so every bound is formed in
+    float64 as above. FISTA goes on in float64, from that iterate, after the
+    first gap check at which some column that stays open has a gap not below
+    its gap at the check before, and at the latest after ``_FISTA_ITERS``
+    iterations, so ADMM runs in float64 throughout. Where lam or some |c|
+    reaches ``_FLOAT32_RANGE`` FISTA runs in float64 from the start. The
+    third array holds the FISTA iterations each column ran before it
+    stopped, a multiple of ``_GAP_STRIDE`` (0 where no solver ran). The
+    solvers run on c in column-contiguous (Fortran) order, copied if it is
+    not, and apply P as P^T, a column-major view of the operator's C-ordered
+    projector, so every block keeps each column contiguous through every
+    compaction and each ``_col_dot`` is one pass. P = U_d U_d^T is
     symmetric as formed; ``test_range_projector_rounding_does_not_grow_with_condition``
     holds P^T - P within 4 eps and P^2 - P within 16 eps at conditions 1 to
     1e6 and scales 1e-6 to 1e6.
-    Raises NotConverged if some column is open after ``_MAX_ITER``
-    iterations, naming the iterations run and the largest gap of those
-    columns (inf if none ran), and at the first gap check where a gap or its
-    scale is not finite, naming lam and the iteration: at large lam, ||u||^2
-    and ADMM's c / rho can leave the float64 range. Overflow and invalid
-    values raise no warning here (``np.errstate``); that check reports them.
     """
     op, g = reg.shrinkage.operator, reg.g
     iters = np.zeros(c.shape[1], dtype=int)
@@ -285,7 +287,7 @@ def _certify(
             np.subtract(u, r, out=r)
             half_sq = 0.5 * _col_dot(u, r)
             primal = np.minimum(primal, half_sq + g(c - r))
-            dual = np.maximum(dual, _col_dot(u, c) - half_sq)
+            dual = np.maximum(dual, _col_dot(u, c) - 0.5 * _col_dot(r, r))
             scale = scale + _col_dot(u, u)
         # the open columns' last gap, for the NotConverged message and the
         # end of the float32 phase
@@ -332,37 +334,19 @@ def induced_regularizer(reg: InducedRegularizer, x, tol: float = 1e-9):
     is the indicator of the box [-lam, lam]^n, so the dual is the
     box-constrained QP
 
-        max_{|u_i| <= lam}  <u, c> - 1/2 ||B^T u||^2,   ||B^T u||^2 = <u, (I - P) u>
+        max_{|u_i| <= lam}  <u, c> - 1/2 ||B^T u||^2,   ||B^T u||^2 = ||(I - P) u||^2
 
-    with P the range projector. It is solved by FISTA at unit step
-    (``_fista_steps``), whose every step is a clip onto the box. A column
-    still open after ``_FISTA_ITERS`` iterations typically has Tx far inside
-    the dead zone (|Tx| << lam); there unit-step FISTA creeps along range(T)
-    at a speed set by |Tx|. From that iteration on, ADMM (``_admm_steps``),
-    whose penalty is fixed at max|Tx| / lam, the scale of Tx, runs on
-    such columns beside the same FISTA run, which goes on as before.
+    with P the range projector. ``_certify``, whose docstring states its
+    contract and its solvers, brackets f with g(Tx) as the feasible value
+    and stops each column once its gap is within ``tol`` or a rounding
+    floor. The result is that column's upper bound, so dual <= f(x) <=
+    result <= g(Tx), and it matches a one-column evaluation up to the
+    certified gap. A (d, 0) block runs no solver.
 
-    On frames of at least ``_FLOAT32_ROWS`` rows FISTA's first iterations
-    run in float32, where a product with P costs about half as much, until
-    the first gap check at which some open column's gap has not fallen. Every
-    gap is still formed in float64, at the iterate re-clipped into the
-    float64 box, so the bounds are valid as in a float64 solve; only the
-    number of iterations to reach them can differ.
-
-    ``_certify`` steps both, with g(Tx) as the feasible value, and stops each
-    column by its rule: its gap within ``tol`` or a rounding floor. The
-    result is that column's upper bound, so dual <= f(x) <= result <= g(Tx).
-    Later iterations cost only the columns still open. Their values match a
-    one-column evaluation up to the certified gap: BLAS may round a product
-    differently at another column count. A (d, 0) block runs no solver.
-
-    Raises ValueError on non-finite input or a NaN ``tol``, and NotConverged
-    if some column is not certified within ``_MAX_ITER`` iterations. The gap
-    is checked every ``_GAP_STRIDE`` iterations, so the solve runs at most
-    ``_MAX_ITER`` rounded down to a multiple of it, and the message names the
-    iterations run and the gap reached (inf if none ran). At a lam so large
-    that the dual's terms leave the float64 range it raises NotConverged at
-    the first gap check that is not finite, naming lam and the iteration.
+    Raises ValueError on non-finite input or a NaN ``tol``. Raises
+    NotConverged if some column is not certified within ``_MAX_ITER``
+    iterations, naming the iterations run and the gap reached, and at a lam
+    so large that the dual's terms leave the float64 range, naming lam.
     """
     _check_tol(tol)
     squeeze = np.ndim(x) < 2
@@ -400,11 +384,10 @@ def example_shrinkage() -> FrameShrinkage:
 # --- the prox oracle in the T metric ------------------------------------------
 
 # the oracle's forward-backward step t: any t < 1 keeps the certificate, and
-# active coordinates contract by 1 - t per iteration. Over operators of
-# condition 1 to 1e3, shapes 1x1 to 400x250, soft shrinkage at lam 0.1 to 10
-# and the identity, and signals of norm 0.01 to 100 (3.9e5 columns), no
-# iterate at this step was farther from the exact prox than its step term
-# plus 0.76 eps (||z|| + ||Tx||), the rounding term the certificate adds.
+# active coordinates contract by 1 - t per iteration. At this step no iterate
+# was farther from the exact prox than its step term plus the rounding term
+# the certificate adds: measured in CHANGES.md, in the entry
+# "f's dual solver behind its contract".
 _STEP = 0.9
 
 
@@ -463,9 +446,9 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
     certificate itself can round to 0. A column's numbers match a
     one-column call up to rounding only: numpy sums a block's squares, and
     forms T x, in an order set by the block's width, so a norm can differ
-    in the last bit (in 106 of the 490 columns of one (9, 490)
-    standard-normal block), and a certificate within an ulp of ``tol`` can
-    stop the column an iteration apart.
+    in the last bit (measured in CHANGES.md, in the entry named at
+    ``_STEP``), and a certificate within an ulp of ``tol`` can stop the
+    column an iteration apart.
 
     The report carries a minimizer of x's shape and no objective; an empty
     (d, 0) block gives an empty minimizer, converged, with residual 0.
@@ -621,10 +604,6 @@ def weaker_regularizer_check(
     f's dual solve (``_certify``) runs with ``prune``, so a trial that can
     no longer set the maximum leaves it early and reports its upper bound,
     shown to lie below the maximum, not evaluated to the inner tolerance.
-    On frames of at least ``_FLOAT32_ROWS`` rows that solve starts in
-    float32 and forms every bound in float64, as in ``induced_regularizer``;
-    it leaves float32 at the first gap check where some open column's gap
-    has not fallen.
     NotConverged is raised only if a trial that could still set the maximum
     is not certified within ``_MAX_ITER`` iterations, as in
     ``induced_regularizer``. A NaN or negative ``tol`` raises ValueError

@@ -1,9 +1,10 @@
 """Independent oracles and fixture helpers used by the tests.
 
 These deliberately avoid the library's own solvers: golden-section search,
-dense grids, a plain dual FISTA and an exact rational enumeration are the
-reference answers the package implementations are checked against;
-``euclidean_prox`` runs the library's prox oracle at T = I. The matrix
+dense grids, an exact rational enumeration and the closed form of f at a
+shrinkage output are the reference answers the package implementations are
+checked against; ``euclidean_prox`` runs the library's prox oracle at T = I.
+``certify_brackets`` holds f's certified bracket to the exact f. The matrix
 writers produce the files the loaders read, and ``t_inner`` and
 ``t_gradient`` are the T inner product and T-metric gradient the metric
 tests are stated in. ``run_samples`` is a whole run's samples, and
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from proxframe import DimensionMismatch, FrameShrinkage, build_operator, numeric_prox
+from proxframe import DimensionMismatch, FrameShrinkage, InducedRegularizer, build_operator, numeric_prox
+from proxframe import shrinkage, soft_shrink, soft_shrink_map
 from proxframe.operators import _signals
 from proxframe.sampling import sample_blocks
 
@@ -99,29 +101,6 @@ def moreau_trial_violations(prox_map, dim: int, trials: int, seed: int = 0) -> n
     return np.array(worst)
 
 
-def fista_steps_reference(proj, c, lam, u, y):
-    """The dual FISTA of ``shrinkage._fista_steps`` in its plain form.
-
-    From the state (u, y) it forms q = P u and q_y = P y, carries them beside
-    u and y, extrapolates both, and takes every column's momentum as 1, or 0
-    on a restart step. It runs ``_GAP_STRIDE`` iterations and returns the
-    new (u, y), as the kernel does, with no array updated in place.
-    """
-    from proxframe.shrinkage import _GAP_STRIDE
-
-    q, q_y = proj @ u, proj @ y
-    for _ in range(_GAP_STRIDE):
-        u_new = np.clip(q_y + c, -lam, lam)
-        q_new = proj @ u_new
-        du = u_new - u
-        restart = np.sum((y - u_new) * du, axis=0) > 0.0
-        beta = np.where(restart, 0.0, 1.0)
-        y = u_new + beta * du
-        q_y = q_new + beta * (q_new - q)
-        u, q = u_new, q_new
-    return u, y
-
-
 def line_regularizer(c: np.ndarray, b: np.ndarray, lam: float) -> float:
     """Exact min over the scalar w of 1/2 w^2 + lam ||c + b w||_1.
 
@@ -191,6 +170,14 @@ def exact_t_firm_violations(t, x, y, lam=None) -> list[Fraction]:
     return out
 
 
+def integer_operator(n, d, rng):
+    """An n x d matrix of integers in [-3, 3] with full column rank."""
+    while True:
+        t = rng.integers(-3, 4, size=(n, d))
+        if np.linalg.matrix_rank(t) == d:
+            return t
+
+
 def exact_regularizer(t, y, lam) -> Fraction:
     """The induced regularizer of soft shrinkage at lam, in exact arithmetic.
 
@@ -246,6 +233,46 @@ def exact_regularizer(t, y, lam) -> Fraction:
                 values.add(sum(u_i * (c_i - qu_i / 2) for u_i, c_i, qu_i in zip(u, c, qu)))
     (value,) = values
     return value
+
+
+def certify_brackets(seed: int, ns, lams=None) -> None:
+    """Assert lower <= f <= upper <= g(Ty) at each column ``shrinkage._certify`` returns.
+
+    On integer frames of n in ``ns`` rows and d < n columns, three signals y
+    each (of size ~lam and in the dead zone), lam drawn per frame from 0.5, 1
+    and 2 or each of ``lams``, tol 1e-9 and 0, against ``exact_regularizer``.
+    Rounding in P and in the gap terms can put an end some ulps past f (most
+    often at tol 0, where the floor closes the bracket): slack 1e-12 max(1, |f|).
+    """
+    rng = np.random.default_rng(seed)
+    for n in ns:
+        for d in range(1, n):
+            t = integer_operator(n, d, rng)
+            op = build_operator(t.astype(float))
+            frame_lams = lams or [float(rng.choice([0.5, 1.0, 2.0]))]
+            y = rng.integers(-64, 65, size=(d, 3)) / 16.0 * [1.0, 0.125, 2.0 ** -6]
+            c = t @ y
+            for lam in frame_lams:
+                reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(lam)))
+                exact = [exact_regularizer(t, y[:, j], lam) for j in range(3)]
+                for tol in (1e-9, 0.0):
+                    upper, lower, _ = shrinkage._certify(reg, c, reg.g(c), tol)
+                    assert np.all(upper <= reg.g(c)), (n, d, lam, tol)
+                    for j, f in enumerate(exact):
+                        slack = 1e-12 * max(1, abs(f))
+                        assert lower[j] - slack <= f <= upper[j] + slack, (n, d, lam, j, tol)
+
+
+def proof_regularizer(op, x, lam: float):
+    """(y, f(y)) at y = T^+ p, p = S_lam(Tx): the paper's proof gives f there in closed form.
+
+    For soft shrinkage at lam, w = B^T p and u = Tx - p are primal-dual
+    optimal for f(y), so f(y) = 1/2 ||(I - P) p||^2 + lam ||p||_1, with P
+    the range projector, at any size and lam; per column of a (d, k) x.
+    """
+    p = soft_shrink(op.matrix @ x, lam)
+    q = p - op.range_proj @ p
+    return op.pinv @ p, 0.5 * np.sum(q * q, axis=0) + lam * np.sum(np.abs(p), axis=0)
 
 
 def euclidean_prox(prox_map, x, **kwargs):

@@ -261,27 +261,6 @@ def test_verify_large_lambda(capsys):
     assert all(json.loads(line)["pass"] for line in out.strip().splitlines())
 
 
-def test_verify_soft10_certifies_before_the_admm_join(capsys, certified):
-    # CI's console-script step runs this argv at 100 trials. The slowest
-    # column of prox_identity's f(y1) runs 1048 iterations with momentum 1
-    # between restarts; with momentum (m - 1) / (m + 2) it ran 2424, and
-    # ADMM joined at _FISTA_ITERS
-    code, _, err = run(capsys, "verify", "--operator", "random:12x5:7", "--prox", "soft:10",
-                       "--trials", "20", "--seed", "3")
-    assert code == 0, err
-    assert max(np.max(iters, initial=0) for iters in certified) <= 1500
-
-
-def test_regularizer_deep_in_the_dead_zone_reaches_the_admm_join(capsys, certified):
-    # CI's console-script step runs this argv for its ADMM join: at |x| of
-    # 1e-4 and below against lam = 10, FISTA leaves columns open past its
-    # first _FISTA_ITERS iterations (the slowest runs 6768), so ADMM joins
-    code, _, err = run(capsys, "regularizer", "--operator", "random:20x10:1", "--prox", "soft:10",
-                       "--grid", "-1e-4:1e-4:1e-5", "--seed", "1")
-    assert code == 0, err
-    assert max(np.max(iters, initial=0) for iters in certified) > shrinkage_module._FISTA_ITERS
-
-
 @pytest.mark.parametrize("spec", ["random:12x5:3", "random:100x60:3", "random:30x12:2"])
 def test_verify_fails_prox_identity_on_a_scaled_composition(capsys, monkeypatch, spec):
     # frame_prox and the prox-identity check share _compose, so a y1 off by

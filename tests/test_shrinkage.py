@@ -34,18 +34,19 @@ from proxframe import (
     verify_t_firm_nonexpansive,
     weaker_regularizer_check,
 )
-import dead_zone_grids
 from proxframe import sampling as sampling_module
 from proxframe import shrinkage as shrinkage_module
 from proxframe.cli import load_named_matrix
 from support import (
     _rational_solve,
     central_diff,
+    certify_brackets,
     exact_regularizer,
     exact_t_firm_violations,
-    fista_steps_reference,
     golden_section,
+    integer_operator,
     line_regularizer,
+    proof_regularizer,
     run_samples,
     t_gradient,
 )
@@ -145,18 +146,6 @@ def test_induced_regularizer_not_converged(monkeypatch):
         induced_regularizer(reg, np.array([1.0]), tol=1e-12)
 
 
-@pytest.mark.parametrize("cap, message", [
-    # the gap is checked every 8 iterations: below 8 none runs, and 12 runs 8
-    (5, "duality gap of inf after 0 iterations"),
-    (12, r"duality gap of \d\.\d{3}e-0\d after 8 iterations"),
-])
-def test_induced_regularizer_not_converged_names_the_iterations_run(cap, message, monkeypatch):
-    reg = InducedRegularizer(example_shrinkage())
-    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", cap)
-    with pytest.raises(NotConverged, match=message):
-        induced_regularizer(reg, 0.3)
-
-
 def test_induced_regularizer_beyond_the_float64_range_is_not_converged():
     # at lam 1e200 the dual's ||u||^2 and ADMM's c / rho overflow: an
     # infinite rounding floor would certify any value, and a NaN gap never
@@ -236,68 +225,6 @@ def test_induced_regularizer_deep_in_dead_zone(rng):
     assert np.all(np.abs(loose - tight) <= 1e-7)
 
 
-def test_induced_regularizer_compaction_across_both_phases(rng, certified):
-    # ordinary columns are certified by FISTA and leave the block while the
-    # deep-dead-zone ones stay past _FISTA_ITERS, where ADMM joins the same
-    # FISTA run on them, and leave it one by one; each column must still
-    # come back as its own single-column evaluation
-    op = build_operator(rng.standard_normal((9, 2)))
-    fs = FrameShrinkage(op, soft_shrink_map(10.0))
-    reg = InducedRegularizer(fs)
-    tol = 1e-9
-    x = rng.standard_normal((2, 12))
-    x[:, ::2] *= 1e-9
-    vals = induced_regularizer(reg, x, tol=tol)
-    # one solve of the whole block, in which ADMM joins on some columns only
-    (iters,) = certified
-    assert 0 < np.sum(iters > shrinkage_module._FISTA_ITERS) < x.shape[1], iters
-
-    tx = op.matrix @ x
-    u = tx - soft_shrink(tx, 10.0)
-    g_tx = reg.g(tx)
-    # the rounding slack of test_induced_regularizer_gap_certificate
-    slack = 1e-12 * (1.0 + g_tx + np.sum(u * u, axis=0))
-    singles = np.array([induced_regularizer(reg, x[:, j], tol=tol) for j in range(12)])
-    assert np.all(np.abs(vals - singles) <= tol + slack)
-    assert np.all(vals <= g_tx)
-
-
-def test_admm_at_its_starting_penalty_certifies_a_conditioned_dead_zone(certified):
-    # a case of the dead-zone grids (tests/dead_zone_grids.py): |Tx| below
-    # 1e-6 lam on an operator of condition 1e3. ADMM, held at its starting
-    # penalty max|Tx| / lam, certifies it at tol 1e-11 in 15624 iterations;
-    # with the penalty balanced against ADMM's residuals it stayed open at
-    # _MAX_ITER, at a gap of 1.4e-11
-    op = random_operator(60, 30, np.random.default_rng(60030), 1e3)
-    reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(0.1)))
-    x = 1e-7 * np.random.default_rng(7).standard_normal((30, 8))
-    vals = induced_regularizer(reg, x, tol=1e-11)
-    (iters,) = certified
-    assert np.max(iters) > shrinkage_module._FISTA_ITERS, iters
-    assert np.all(vals >= 0.0) and np.all(vals <= reg.g(op.matrix @ x))
-
-
-def test_dead_zone_grids_script_runs_a_case(capsys):
-    # one case of the script's 96-case grid whose columns reach the ADMM
-    # join, so its grid construction and recording keep working
-    label = "9x2 cond 1 lam 1 scale 1e-07"
-    cases = [case for case in dead_zone_grids.grid96() if case[0] == label]
-    ((got, iters),) = dead_zone_grids.run_grid("96", cases, tol=1e-7)
-    assert got == label and np.max(iters) > shrinkage_module._FISTA_ITERS, iters
-    assert capsys.readouterr().out.splitlines()[-1].startswith("96: 1/1 certified")
-
-
-def test_fista_beside_admm_certifies_a_conditioned_dead_zone_at_tight_tol():
-    # FISTA goes on beside ADMM after the join: on this case of the 96-case
-    # grid the two together certify at tol 1e-11 (in 39,096 iterations),
-    # while ADMM alone after the join stayed open at a gap of 1.5e-9
-    label = "200x100 cond 1000 lam 1 scale 0.0001"
-    cases = [case for case in dead_zone_grids.grid96() if case[0] == label]
-    ((got, iters),) = dead_zone_grids.run_grid("96", cases, tol=1e-11)
-    assert got == label and iters is not None
-    assert np.max(iters) > shrinkage_module._FISTA_ITERS, iters
-
-
 @pytest.mark.parametrize("d", range(1, 13))
 def test_induced_regularizer_matches_exact_line_reference(d):
     # for a (d+1) x d operator the inner problem is one-dimensional, and
@@ -318,14 +245,6 @@ def test_induced_regularizer_matches_exact_line_reference(d):
             # the reference's own rounding
             slack = 1e-13 * (1.0 + reg.g(c) + (d + 1) * lam * lam)
             assert np.all(np.abs(vals - ref) <= tol + slack), (cond, lam, vals - ref)
-
-
-def integer_operator(n, d, rng):
-    """An n x d matrix of integers in [-3, 3] with full column rank."""
-    while True:
-        t = rng.integers(-3, 4, size=(n, d))
-        if np.linalg.matrix_rank(t) == d:
-            return t
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -361,71 +280,27 @@ def test_induced_regularizer_matches_exact_reference(n):
 
 
 def test_certify_bracket_contains_the_exact_value():
-    # lower <= f <= upper at every column _certify returns, at tol 1e-9 and
-    # 0, against the exact f. Rounding in P and in the gap terms can put an
-    # end some ulps past it (most often at tol 0, where the rounding floor
-    # closes the bracket), hence a slack of 1e-12 relative to max(1, |f|)
-    rng = np.random.default_rng(700)
-    for n in range(3, 8):
-        for d in range(1, n):
-            t = integer_operator(n, d, rng)
-            lam = float(rng.choice([0.5, 1.0, 2.0]))
-            reg = InducedRegularizer(FrameShrinkage(build_operator(t.astype(float)), soft_shrink_map(lam)))
-            # signals of size ~lam, and ones inside the dead zone
-            y = rng.integers(-64, 65, size=(d, 3)) / 16.0 * [1.0, 0.125, 2.0 ** -6]
-            c = t @ y
-            exact = [exact_regularizer(t, y[:, j], lam) for j in range(3)]
-            for tol in (1e-9, 0.0):
-                upper, lower, _ = shrinkage_module._certify(reg, c, reg.g(c), tol)
-                for j, f in enumerate(exact):
-                    slack = 1e-12 * max(1, abs(f))
-                    assert lower[j] - slack <= f <= upper[j] + slack, (n, d, lam, j, tol)
+    # lower <= f <= upper <= g(Ty) at every column _certify returns, at tol
+    # 1e-9 and 0, against the exact f (support.certify_brackets)
+    certify_brackets(700, range(3, 8))
 
 
-def test_certify_bracket_contains_the_exact_value_on_the_float32_path(monkeypatch):
-    # the test above with the size gate at 0, so that these small frames run
-    # FISTA's float32 phase. lam 0.1 is not a float32 number: a gap check on
-    # the float32-clipped iterate, not re-clipped into [-lam, lam], would
-    # take a dual point outside the box, whose value can exceed f
-    monkeypatch.setattr(shrinkage_module, "_FLOAT32_ROWS", 0)
-    dtypes, fista = set(), shrinkage_module._fista_steps
-
-    def fista_spy(proj, *args):
-        dtypes.add(proj.dtype.type)
-        return fista(proj, *args)
-
-    monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
-    rng = np.random.default_rng(710)
-    for n in range(3, 7):
-        for d in range(1, n):
-            t = integer_operator(n, d, rng)
-            op = build_operator(t.astype(float))
-            y = rng.integers(-64, 65, size=(d, 3)) / 16.0 * [1.0, 0.125, 2.0 ** -6]
-            c = t @ y
-            for lam in (0.1, 0.5, 1.0, 2.0):
-                reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(lam)))
-                exact = [exact_regularizer(t, y[:, j], lam) for j in range(3)]
-                for tol in (1e-9, 0.0):
-                    upper, lower, _ = shrinkage_module._certify(reg, c, reg.g(c), tol)
-                    for j, f in enumerate(exact):
-                        slack = 1e-12 * max(1, abs(f))
-                        assert lower[j] - slack <= f <= upper[j] + slack, (n, d, lam, j, tol)
-    assert dtypes == {np.float32, np.float64}
-
-
-@pytest.mark.parametrize("lam", [1.0, 1e40])
-def test_float32_phase_is_skipped_beyond_the_float32_range(lam, monkeypatch):
-    # Tx of size 1e40 has no float32 copy (the cast would overflow, and its
-    # RuntimeWarning fail the test): the solve runs in float64 from the
-    # start, bit for bit as with the float32 phase off
-    op = build_operator(load_named_matrix("random:80x40:1"))
-    reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(lam)))
-    c = op.matrix @ (1e40 * np.random.default_rng(3).standard_normal((40, 4)))
-    results = [shrinkage_module._certify(reg, c, reg.g(c), 1e-9)]
-    monkeypatch.setattr(shrinkage_module, "_FLOAT32_ROWS", np.inf)
-    results.append(shrinkage_module._certify(reg, c, reg.g(c), 1e-9))
-    for got, first in zip(*results):
-        np.testing.assert_array_equal(got, first)
+@pytest.mark.parametrize("spec", ["random:20x10:2", "random:200x100:2"])
+def test_certify_lower_end_is_a_bound_in_the_dead_zone(spec):
+    # at shrinkage outputs y with max|Tx| = lam (1 + 1e-5), lam 10, the paper's
+    # proof gives f(y) ~ 1e-3 exactly (support.proof_regularizer), while ||u||^2
+    # ~ n lam^2. A dual end formed as 1/2 <u, (I - P) u> carries eps ||u||^2 of
+    # rounding and lay up to 7.2e-11 of f above f; as 1/2 ||(I - P) u||^2, 1.3e-15
+    op = build_operator(load_named_matrix(spec))
+    reg = InducedRegularizer(FrameShrinkage(op, soft_shrink_map(10.0)))
+    x = np.random.default_rng(1).standard_normal((op.d, 16))
+    x *= 10.0 * (1.0 + 1e-5) / np.max(np.abs(op.matrix @ x), axis=0)
+    y, f = proof_regularizer(op, x, 10.0)
+    c = op.matrix @ y
+    upper, lower, _ = shrinkage_module._certify(reg, c, reg.g(c), 1e-9)
+    assert np.all(lower <= f * (1.0 + 1e-13)), np.max(lower / f - 1.0)
+    assert np.all(f <= upper * (1.0 + 1e-13)) and np.all(upper <= reg.g(c))
+    assert np.all(upper - lower <= 1e-9)
 
 
 @pytest.mark.parametrize("case", ["square", "identity", "empty"])
@@ -464,82 +339,10 @@ def test_example_closed_form_equals_exact_reference():
         assert example_regularizer_closed_form(y) == float(exact_regularizer(t, [y], 1.0))
 
 
-def test_fista_kernel_matches_plain_reference(rng, monkeypatch):
-    # the kernel forms P y by its own product and clips in place; the same
-    # columns must be certified by FISTA alone as with the plain reference,
-    # each within one gap check of the reference's count, and every column at
-    # its value up to tol and the rounding slack of the gap-certificate test,
-    # ADMM's join included.
-    # Blocks: f(y1) of the random:200x100:2 CLI regression at tol 1e-7, and
-    # the 9x2 block at lam = 10 half deep in the dead zone of
-    # test_induced_regularizer_compaction_across_both_phases. The reference
-    # is a float64 form (it carries P u and P y, whose float32 rounding would
-    # accumulate), so the float32 phase is off here; the bracket tests below
-    # hold that phase to the exact f
-    monkeypatch.setattr(shrinkage_module, "_FLOAT32_ROWS", np.inf)
-    op = build_operator(load_named_matrix("random:200x100:2"))
-    regression = FrameShrinkage(op, soft_shrink_map(1.0))
-    y1 = frame_prox(regression, run_samples(5, 100, 100)[0])
-    dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
-    x = rng.standard_normal((2, 12))
-    x[:, ::2] *= 1e-9
-    fista_only, lone = shrinkage_module._FISTA_ITERS, set()
-
-    def reference(proj, c, *args):
-        lone.add(c.shape[1] == 1)
-        return fista_steps_reference(proj, c, *args)
-
-    for fs, y, tol in ((regression, y1, 1e-7), (dead_zone, x, 1e-9)):
-        reg = InducedRegularizer(fs)
-        c = fs.operator.matrix @ y
-        u = c - soft_shrink(c, fs.inner_prox.lam)
-        slack = 1e-12 * (1.0 + reg.g(c) + np.sum(u * u, axis=0))
-        value, _, iters = shrinkage_module._certify(reg, c, reg.g(c), tol)
-        with monkeypatch.context() as patch:
-            patch.setattr(shrinkage_module, "_fista_steps", reference)
-            ref_value, _, ref_iters = shrinkage_module._certify(reg, c, reg.g(c), tol)
-        done = iters <= fista_only
-        np.testing.assert_array_equal(done, ref_iters <= fista_only)
-        assert np.all(np.abs(iters - ref_iters)[done] <= shrinkage_module._GAP_STRIDE), (iters, ref_iters)
-        assert np.all(np.abs(value - ref_value) <= tol + slack)
-    assert not np.all(done), "the dead-zone columns should need ADMM"
-    # the regression's last open column runs through the reference too
-    assert lone == {True, False}, lone
-
-
-def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
-    # _certify solves on a column-contiguous copy of c, and FISTA's state
-    # takes its layout, so a C-ordered c, its Fortran copy and a strided view
-    # of the same numbers give the same bits and the same iteration counts.
-    # Blocks: f(y1) of the random:200x100:2 CLI regression at tol 1e-7, which
-    # runs in float32 to its end, and at tol 1e-13, which goes on in float64,
-    # both seeded at the shrinkage's feasible point; and the 9x2 dead-zone
-    # block of test_fista_kernel_matches_plain_reference, which reaches ADMM
-    op = build_operator(load_named_matrix("random:200x100:2"))
-    regression = FrameShrinkage(op, soft_shrink_map(1.0))
-    x = run_samples(5, 100, 100)[0]
-    y1 = frame_prox(regression, x)
-    dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
-    x_dead = rng.standard_normal((2, 12))
-    x_dead[:, ::2] *= 1e-9
-    projs, lone, fista = [], set(), shrinkage_module._fista_steps
-
-    def fista_spy(proj, c, lam, *state):
-        projs.append((proj, lam))
-        lone.add(c.shape[1] == 1)
-        assert all(a.flags.f_contiguous for a in (c, *state))
-        return fista(proj, c, lam, *state)
-
-    monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
-    shrunk = regression.inner_prox(op.matrix @ x)
-    for fs, y, p, tol in ((regression, y1, shrunk, 1e-7), (regression, y1, shrunk, 1e-13),
-                          (dead_zone, x_dead, None, 1e-9)):
-        reg = InducedRegularizer(fs)
-        c = np.ascontiguousarray(fs.operator.matrix @ y)
-        feasible = reg.g(c)
-        if p is not None:
-            # the primal at z = p, as verify_prox_identity passes it
-            feasible = np.minimum(feasible, 0.5 * np.add.reduce((p - c) ** 2, 0) + reg.g(p))
+def test_certify_bounds_do_not_depend_on_the_layout_of_c(certify_blocks):
+    # a C-ordered c, its Fortran copy and a strided view of the same numbers
+    # give the same bits and the same iteration counts
+    for reg, c, feasible, tol in certify_blocks:
         wide = np.zeros((c.shape[0], 2 * c.shape[1]))
         wide[:, ::2] = c
         results = [shrinkage_module._certify(reg, block, feasible, tol)
@@ -547,142 +350,6 @@ def test_certify_bounds_do_not_depend_on_the_layout_of_c(rng, monkeypatch):
         for result in results[1:]:
             for got, first in zip(result, results[0]):
                 np.testing.assert_array_equal(got, first)
-    assert np.max(results[0][2]) > shrinkage_module._FISTA_ITERS, "the dead-zone block should reach ADMM"
-    # the checks hold on the block of a lone open column as on wider ones
-    assert lone == {True, False}, lone
-    # P reaches every gap stride of the solve column-major: in float64 as a
-    # read-only view of the operator's one projector, and in the float32
-    # phase, which the 200-row frame takes and the 9-row one does not, as
-    # that projector's transpose cast to float32. The float64 view reaches
-    # the 200-row frame in its solve at tol 1e-13
-    assert {(lam, proj.dtype.type) for proj, lam in projs} == {
-        (1.0, np.float32), (1.0, np.float64), (10.0, np.float64)}
-    for proj, lam in projs:
-        fs = regression if lam == 1.0 else dead_zone
-        assert proj.flags.f_contiguous
-        if proj.dtype == np.float32:
-            np.testing.assert_array_equal(proj, fs.operator.range_proj.T.astype(np.float32))
-        else:
-            assert not proj.flags.writeable
-            assert proj.base is fs.operator.range_proj
-            assert np.shares_memory(proj, fs.operator.range_proj)
-
-
-def _fista_shapes(monkeypatch):
-    """The shape of c at each ``_fista_steps`` call, whose state must share it."""
-    shapes, fista = [], shrinkage_module._fista_steps
-
-    def fista_spy(proj, c, lam, *state):
-        assert all(a.shape == c.shape for a in state)
-        shapes.append(c.shape)
-        return fista(proj, c, lam, *state)
-
-    monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
-    return shapes
-
-
-def _regression_prox_identity():
-    """The 100-trial prox-identity check of the random:200x100:2 CLI regression, seed 5."""
-    fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
-    return verify_prox_identity(fs, InducedRegularizer(fs), trials=100, tol=1e-6, seed=5)
-
-
-def test_float32_phase_ends_at_the_first_gap_that_does_not_fall(monkeypatch, certified):
-    # FISTA leaves float32 right after the first gap check at which some open
-    # column's gap is not below its gap at the check before. On the f(y1)
-    # block of the regression at lam 0.7 (tol 1e-7) that is the check at
-    # iteration 16, with all 100 columns open, where 8 columns' gaps have not
-    # fallen since iteration 8. The block then certifies within the 8264
-    # column-iterations it took with float32 run on to iteration 40 (6680)
-    lam, calls, fista = 0.7, [], shrinkage_module._fista_steps
-    fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(lam))
-    reg, op = InducedRegularizer(fs), fs.operator
-
-    def fista_spy(proj, c, *args):
-        u, y = fista(proj, c, *args)
-        calls.append((proj.dtype.type, c.shape[1], np.clip(u, -lam, lam, dtype=float)))
-        return u, y
-
-    monkeypatch.setattr(shrinkage_module, "_fista_steps", fista_spy)
-    x = run_samples(5, 100, 100)[0]
-    p, c = fs.inner_prox(op.matrix @ x), op.matrix @ frame_prox(fs, x)
-    # the feasible value verify_prox_identity passes, and each gap from the
-    # terms _certify forms it of, in float64 at the re-clipped iterate
-    feasible = np.minimum(reg.g(c), 0.5 * np.add.reduce((p - c) ** 2, 0) + reg.g(p))
-
-    def gap(u):
-        r = u - op.range_proj @ u
-        half_sq = 0.5 * np.add.reduce(u * r, 0)
-        return np.minimum(feasible, half_sq + reg.g(c - r)) - (np.add.reduce(u * c, 0) - half_sq)
-
-    iters = shrinkage_module._certify(reg, c, feasible, 1e-7)[2]
-    dtypes = [dtype for dtype, _, _ in calls]
-    phase = dtypes.index(np.float64)
-    assert (phase, calls[phase][1]) == (2, 100) and set(dtypes[phase:]) == {np.float64}, dtypes
-    gaps = [gap(u) for _, _, u in calls[:phase]]
-    assert np.sum(gaps[1] >= gaps[0]) == 8, gaps
-    assert 0 < np.sum(iters) <= 8264, np.sum(iters)
-    # the same block at lam 1 runs float32 to its end, in 2968 column-iterations
-    calls.clear()
-    assert _regression_prox_identity().passed
-    assert np.sum(certified[-1]) == 2968 and {dtype for dtype, _, _ in calls} == {np.float32}
-
-
-def test_certify_runs_a_lone_open_column_on_vectors(monkeypatch, certified):
-    # FISTA gets c and its state as one-column blocks, which its kernel runs
-    # on vectors, once one column is open: in the f(y1) block of the
-    # regression (tol 1e-7) column 63 runs alone from iteration 128 to 240,
-    # and a one-column call from its first step on
-    shapes = _fista_shapes(monkeypatch)
-    assert _regression_prox_identity().passed
-    (iters,) = certified
-    assert np.argmax(iters) == 63 and np.sort(iters)[-2:].tolist() == [128, 240], iters
-    alone = (240 - 128) // shrinkage_module._GAP_STRIDE
-    assert shapes[-alone:] == [(200, 1)] * alone
-    assert all(len(shape) == 2 and shape[1] > 1 for shape in shapes[:-alone]), shapes
-    shapes.clear()
-    induced_regularizer(InducedRegularizer(example_shrinkage()), 0.3)
-    assert shapes and set(shapes) == {(2, 1)}, shapes
-
-
-def test_cap_inside_the_vector_tail_of_a_block(monkeypatch):
-    # at a cap of 200 iterations the regression's f(y1) block stops with
-    # column 63 open alone, a one-column block; the message names its gap
-    # and the iterations run, as at a cap on wider blocks
-    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 200)
-    shapes = _fista_shapes(monkeypatch)
-    message = r"left a duality gap of 1\.202e-06 after 200 iterations \(checked every 8\)$"
-    with pytest.raises(NotConverged, match=message):
-        _regression_prox_identity()
-    assert shapes[-1] == (200, 1), shapes
-
-
-def test_fista_kernel_runs_a_one_column_block_on_vectors(rng, monkeypatch):
-    # the kernel steps a one-column block on 1-D views of its column and
-    # hands back (n, 1) views of 1-D arrays: in float64, in the float32 phase
-    # of the 200-row frame, and on a lone dead-zone column past
-    # _FISTA_ITERS, where _certify runs it beside ADMM
-    regression = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
-    y63 = frame_prox(regression, run_samples(5, 100, 100)[0])[:, 63:64]
-    dead_zone = FrameShrinkage(build_operator(rng.standard_normal((9, 2))), soft_shrink_map(10.0))
-    x_dead = 1e-9 * rng.standard_normal((2, 1))
-    strides = shrinkage_module._FISTA_ITERS // shrinkage_module._GAP_STRIDE
-    for fs, x, dtype, calls in ((example_shrinkage(), np.array([[0.3]]), np.float64, 4),
-                                (regression, y63, np.float32, 4),
-                                (dead_zone, x_dead, np.float64, strides + 4)):
-        op, lam = fs.operator, dtype(fs.inner_prox.lam)
-        proj, c = op.range_proj.T.astype(dtype), (op.matrix @ x).astype(dtype)
-        u, y = np.zeros(op.n, dtype)[:, None], np.zeros(op.n, dtype)[:, None]
-        for _ in range(calls):
-            u, y = shrinkage_module._fista_steps(proj, c, lam, u, y)
-            for a in (u, y):
-                assert a.shape == (op.n, 1) and a.dtype == dtype
-                assert np.ndim(a.base) == 1
-        assert np.all(np.abs(u) <= lam)
-    shapes = _fista_shapes(monkeypatch)
-    reg, c = InducedRegularizer(dead_zone), dead_zone.operator.matrix @ x_dead
-    (iters,) = shrinkage_module._certify(reg, c, reg.g(c), 1e-9)[2]
-    assert iters > shrinkage_module._FISTA_ITERS and set(shapes) == {(9, 1)}, (iters, shapes)
 
 
 def test_evaluating_f_stores_nothing_on_the_operator():
@@ -695,27 +362,6 @@ def test_evaluating_f_stores_nothing_on_the_operator():
     verify_prox_identity(fs, reg, trials=10, tol=1e-6, seed=5)
     weaker_regularizer_check(reg, trials=10, seed=6)
     assert set(vars(op)) == keys
-
-
-@pytest.mark.parametrize("n, k", [(9, 12), (200, 100), (11, 1), (200, 1), (200, 0)])
-def test_col_dot_matches_the_column_sums(rng, n, k):
-    # one fused pass per column against the multiply-and-sum it replaced,
-    # on C-ordered, Fortran-ordered and strided blocks; each is within a
-    # few ulps of the sum of |a b| over the column, and exact on integers.
-    # A one-column block is one BLAS dot of its two columns, bit for bit
-    a, b = rng.standard_normal((n, k)), rng.standard_normal((n, k))
-    wide = np.zeros((n, 2 * k))
-    eps = np.finfo(float).eps
-    for x, y in ((a, b), (np.asfortranarray(a), np.asfortranarray(b)), (a, wide[:, ::2])):
-        wide[:, ::2] = b
-        dot = shrinkage_module._col_dot(x, y)
-        assert dot.shape == (k,)
-        ref = np.add.reduce(x * y, 0)
-        assert np.all(np.abs(dot - ref) <= 4.0 * eps * np.add.reduce(np.abs(x * y), 0))
-        if k == 1:
-            assert dot[0] == x[:, 0].dot(y[:, 0])
-        ints = np.round(8.0 * x), np.round(8.0 * y)
-        np.testing.assert_array_equal(shrinkage_module._col_dot(*ints), np.add.reduce(ints[0] * ints[1], 0))
 
 
 SOLVES = pytest.mark.parametrize("solve", [
@@ -849,15 +495,20 @@ def test_verify_prox_identity_random_operator(rng):
         assert rep.passed, rep
 
 
+def dual_end_at_zero(*args, certify=shrinkage_module._certify, **kwargs):
+    """``_certify`` with f's lower end at the dual at u = 0, which is 0: a dual that took no step."""
+    upper, lower, iters = certify(*args, **kwargs)
+    return upper, np.zeros_like(lower), iters
+
+
 @pytest.mark.parametrize("spec", ["random:12x5:3", "random:100x60:3", "random:30x12:2"])
 def test_verify_prox_identity_catches_a_wrong_regularizer(spec, monkeypatch):
-    # a gap floor of 1e300 certifies every column of the dual solve at its
-    # first check, so f's bracket stays wide; the envelope identity at the
-    # shrinkage point must see it, while the unmutated check passes
+    # a dual end left at u = 0 keeps f's bracket wide; the envelope identity
+    # at the shrinkage point must see it, while the unmutated check passes
     fs = FrameShrinkage(build_operator(load_named_matrix(spec)), soft_shrink_map(1.0))
     reg = InducedRegularizer(fs)
     assert verify_prox_identity(fs, reg, trials=50, tol=1e-6, seed=4).passed
-    monkeypatch.setattr(shrinkage_module, "_GAP_FLOOR", 1e300)
+    monkeypatch.setattr(shrinkage_module, "_certify", dual_end_at_zero)
     rep = verify_prox_identity(fs, reg, trials=50, tol=1e-6, seed=4)
     assert not rep.passed and rep.max_violation > 1e-3
 
@@ -867,13 +518,13 @@ def test_verify_prox_identity_catches_a_wrong_regularizer(spec, monkeypatch):
 def test_verify_prox_identity_reports_the_dual_end_of_f(spec, lam, monkeypatch):
     # f's upper end starts at the feasible point p, where the identity holds
     # by construction, so a check that reported it alone would read about 0
-    # under any stop rule. A dual stopped at its first gap check must fail
-    # through the bracket's lower end (measured 1.0e-2, 8.2 and 2.6e-5)
+    # under any stop rule. A dual end left at u = 0 must fail through the
+    # bracket's lower end (measured 3.7e2, 6.9e4 and 95)
     fs = FrameShrinkage(build_operator(load_named_matrix(spec)), soft_shrink_map(lam))
     reg = InducedRegularizer(fs)
     tol = 1e-6
     assert verify_prox_identity(fs, reg, trials=50, tol=tol, seed=4).passed
-    monkeypatch.setattr(shrinkage_module, "_GAP_FLOOR", 1e300)
+    monkeypatch.setattr(shrinkage_module, "_certify", dual_end_at_zero)
     rep = verify_prox_identity(fs, reg, trials=50, tol=tol, seed=4)
     assert not rep.passed and rep.max_violation > 10 * tol, rep
 
@@ -939,28 +590,6 @@ def test_prox_identity_holds_exactly_on_integer_frames(n):
             assert split + exact_regularizer(t, y1, lam) == envelope, (n, d, j)
         fs = FrameShrinkage(build_operator(t.astype(float)), soft_shrink_map(lam))
         assert verify_prox_identity(fs, InducedRegularizer(fs), trials=20, tol=1e-6, seed=n).passed, (n, d)
-
-
-def test_verify_prox_identity_stops_f_at_its_dual_end(certified):
-    # f(y1) on the 100-trial block of random:200x100:2 took 6168
-    # column-iterations while each column waited for FISTA's primal end;
-    # seeded at the feasible point, it stops once its dual is in reach
-    fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
-    reg = InducedRegularizer(fs)
-    assert verify_prox_identity(fs, reg, trials=100, tol=1e-6, seed=5).passed
-    (iters,) = certified
-    assert 0 < np.sum(iters) <= 4000
-
-
-def test_unit_momentum_shortens_the_regression_f_block(certified):
-    # the block of test_verify_prox_identity_stops_f_at_its_dual_end takes
-    # 2968 column-iterations with momentum 1 between gradient restarts, and
-    # took 3416 with momentum (m - 1) / (m + 2) after m steps since one
-    fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
-    reg = InducedRegularizer(fs)
-    assert verify_prox_identity(fs, reg, trials=100, tol=1e-6, seed=5).passed
-    (iters,) = certified
-    assert 0 < np.sum(iters) <= 3200
 
 
 @pytest.mark.parametrize("spec", ["example35", "random:12x5:3", "random:200x100:2"])
@@ -1144,34 +773,6 @@ def test_weaker_regularizer_pruning_keeps_the_reported_maximum(case):
     ref = max(induced_regularizer(reg, x[:, j], tol=inner_tol) - g_tx[j] for j in range(trials))
     assert rep.passed
     assert abs(rep.max_violation - ref) <= inner_tol
-
-
-def test_weaker_regularizer_iterates_only_trials_that_can_set_the_maximum(certified):
-    # certifying every trial's f took 4696 column-iterations here; trials
-    # that cannot set the maximum leave the solve as soon as that shows
-    fs, trials, seed = weaker_cases()[0]
-    reg = InducedRegularizer(fs)
-    assert weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed).passed
-    (iters,) = certified
-    assert 0 < np.sum(iters) <= 1200
-
-
-def test_weaker_regularizer_not_converged_only_for_a_possible_maximum(monkeypatch):
-    # certifying every trial of this block to the inner tolerance takes 96
-    # iterations, settling its maximum 72; at a cap of 88 the trials still
-    # open cannot set the maximum, so the check reports as without a cap.
-    # At 16 the maximum itself is open, and the check raises
-    fs, trials, seed = weaker_cases()[0]
-    reg = InducedRegularizer(fs)
-    x = run_samples(seed, trials, fs.operator.d)[0]
-    full = weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
-    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 88)
-    with pytest.raises(NotConverged):
-        induced_regularizer(reg, x, tol=1e-11)
-    assert weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed) == full
-    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", 16)
-    with pytest.raises(NotConverged, match="after 16 iterations"):
-        weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
 
 
 def test_induced_regularizer_midpoint_convexity(rng):
