@@ -316,11 +316,9 @@ _BLAS_THREAD_SYMBOLS = (
 def _blas_threads():
     """The (getter, setter) of NumPy's OpenBLAS thread count, or None if none is found.
 
-    Found once per process, through ``ctypes``, on NumPy's compiled core
-    (``numpy._core._multiarray_umath``, ``numpy.core._multiarray_umath``
-    before NumPy 2): the loader also searches the libraries it links, so the
-    pair belongs to the BLAS that NumPy's products run on. None where neither
-    the core nor a library it links exports one of ``_BLAS_THREAD_SYMBOLS``.
+    Looked up once per process through ``ctypes`` on NumPy's compiled core,
+    whose loader also searches the libraries it links, so the pair belongs to
+    the BLAS that NumPy's products run on.
     """
     import ctypes
 
@@ -338,19 +336,13 @@ def _blas_threads():
 def main(argv=None) -> int:
     """Run one ``proxframe`` invocation and return its exit code.
 
-    main may be called repeatedly in one process: each call parses into a
-    fresh namespace, so no option of one call reaches the next. The parser
-    is built on the first call and reused after it, and each subcommand's
-    handler (``cmd_verify`` and the others) is bound then; patching a
-    ``cmd_*`` name later does not reach the parser. The library functions
-    the handlers call are looked up on every call, and usage text and
-    errors go to the ``sys.stdout`` and ``sys.stderr`` of the moment.
-
-    The handler runs with NumPy's OpenBLAS pinned to one thread, and the
-    thread count before the call is restored on return: the summation order
-    of a product, and so its last bits, can depend on that count. Where
-    NumPy's core exports no setter (``_blas_threads``) the BLAS runs as it
-    is set.
+    Each call parses into a fresh namespace, so main may run again in the
+    same process. The parser and its handlers are bound on the first call,
+    so patching a ``cmd_*`` name later does not reach them; the library
+    functions and sys.stdout and sys.stderr are looked up per call. The
+    handler runs with NumPy's OpenBLAS pinned to one thread
+    (``_blas_threads``), restored on return, since the thread count can move
+    a product's last bits; without a setter the BLAS runs as it is set.
     """
     parser = build_parser()
     if argv is None:

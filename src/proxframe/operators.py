@@ -1,18 +1,11 @@
 """Dense analysis operators and the geometry they induce.
 
-A full-column-rank matrix T (n x d, n >= d) is the analysis operator of a
-frame of R^d: its rows satisfy A ||x||^2 <= ||Tx||^2 <= B ||x||^2 with
-A = sigma_min(T)^2 and B = sigma_max(T)^2. Such a T is injective, so
-<x, y>_T = <Tx, Ty> is an inner product on the signal space, and the
-Moore-Penrose inverse is given by T^+ = (T* T)^{-1} T*.
-
-``build_operator`` validates a matrix and caches everything downstream code
-reads repeatedly: the pseudoinverse, the orthogonal projector onto range(T),
-and the frame bounds, all from one SVD T = U S V^T. With U_d the first d
-columns of U, T^+ = V S^{-1} U_d^T and P = U_d U_d^T, whose rounding, unlike
-that of the product T T^+, does not grow with cond(T). Each array is stored
-once, in C order and write-protected; a caller that needs another layout
-takes a view of it.
+A full-column-rank n x d matrix T (n >= d) is the analysis operator of a
+frame of R^d, with frame bounds sigma_min(T)^2 and sigma_max(T)^2. It is
+injective, so <x, y>_T = <Tx, Ty> is an inner product on R^d.
+``build_operator`` caches what downstream code reads repeatedly, each array
+once, C-ordered and write-protected; a caller that needs another layout
+takes a view.
 """
 
 from __future__ import annotations
@@ -60,18 +53,14 @@ _RANK_TOL = 1e-10
 
 
 def build_operator(matrix: np.ndarray) -> AnalysisOperator:
-    """Validate a candidate analysis operator and cache its derived data.
+    """Validate an n x d matrix (n >= d >= 1, finite entries) and cache its derived data.
 
-    Parameters
-    ----------
-    matrix : array, shape (n, d) with n >= d >= 1
-        Candidate operator; all entries must be finite.
-
-    Raises
-    ------
-    RankDeficient
-        If the matrix does not have full column rank at ``_RANK_TOL``, i.e.
-        it is not the analysis operator of a frame.
+    From one SVD T = U S V^T, with U_d the first d columns of U,
+    T^+ = V S^-1 U_d^T and P = U_d U_d^T, whose rounding, unlike that of
+    the product T T^+, does not grow with cond(T)
+    (test_range_projector_rounding_does_not_grow_with_condition). Raises
+    ValueError on a bad shape or entry, and RankDeficient where
+    sigma_min <= ``_RANK_TOL`` sigma_max: T is then no frame's operator.
     """
     t = np.asarray(matrix, dtype=float)
     if t.ndim != 2:
@@ -142,16 +131,14 @@ def _analysis(op: AnalysisOperator, x: np.ndarray) -> np.ndarray:
 def verify_operator_identities(
     op: AnalysisOperator, tol: float = 1e-10, trials: int = 100, seed: int = 0
 ) -> VerifyReport:
-    """Check the pseudoinverse and frame-bound identities to tolerance.
+    """Check the pseudoinverse and frame-bound identities to ``tol``.
 
-    Deterministic checks (max-entry norm): T^+ T = I, (T T^+)^2 = T T^+,
-    (T T^+)* = T T^+, and T^+ = T^+ (T T^+), the last relative to max|T^+|:
-    it is the only term that scales as 1/sigma, so rounding alone, about
-    10 eps max|T^+|, would fail it on a small or ill-conditioned T. Sampled
-    check on ``trials`` random unit vectors: A ||x||^2 <= ||Tx||^2 <= B ||x||^2.
-
-    Failures are reported in the returned record, never raised; a NaN or
-    negative ``tol`` raises ValueError (``sampled_check``).
+    Exact ones, in the max-entry norm: T^+ T = I, P^2 = P, P* = P and
+    T^+ = T^+ P, the last relative to max|T^+|, since it alone scales as
+    1/sigma (test_verify_identities_do_not_depend_on_the_scale_of_t). Sampled
+    on ``trials`` unit vectors: A ||x||^2 <= ||Tx||^2 <= B ||x||^2. Failures
+    are reported, never raised; a NaN or negative ``tol`` raises ValueError
+    (``sampled_check``).
     """
     t, pinv, proj = op.matrix, op.pinv, op.range_proj
     a, b = op.frame_bounds

@@ -1,20 +1,9 @@
 """Closed-form proximity operators, envelopes, and their property checks.
 
-The catalog is small by design: soft shrinkage (the prox of ``lam * l1``)
-with its envelope and potential, and the identity (the prox of the zero
-function). ``ProxMap`` bundles an operator with its scaled-prox handle, so
-anything placed in a ``ProxMap`` can be used as a shrinkage ingredient, and
-so inside the numeric prox oracle of ``shrinkage``, which reaches g only
-through that handle. The induced regularizer, though, is evaluated for the
-catalog maps only: for soft shrinkage through its box-constrained dual (the
-conjugate of ``lam * l1`` is the indicator of the box [-lam, lam]^n), and
-for the identity as 0.
-
-Every map here is componentwise, so a ProxMap applied to an (m, k) array
-acts column by column; the verification routines and batched solvers rely
-on that convention. Every potential is a sum of per-entry terms, so called
-on a (1, N) row it returns the N terms: the Moreau check differentiates it
-entry by entry and fails a potential that is not such a sum.
+The catalog is soft shrinkage (the prox of lam * l1), with its envelope and
+potential, and the identity (the prox of 0). Every map is componentwise, so
+on an (m, k) array it acts column by column; ``ProxMap`` states what any
+other map must provide.
 """
 
 from __future__ import annotations
@@ -40,13 +29,10 @@ def _check_lambda(lam) -> float:
 
 
 def soft_shrink(x, lam):
-    """Componentwise soft shrinkage with threshold ``lam``.
+    """Componentwise soft shrinkage at the scalar threshold ``lam``: the prox of ``lam * l1``.
 
-    Maps x to x - lam above the threshold, x + lam below -lam, and 0 on the
-    dead zone [-lam, lam]. This is the prox of ``lam * l1``; ``lam`` is a
-    scalar. As x - clip(x, -lam, lam) the dead zone gives +0.0; the clip is
-    taken as two ufuncs into the output, without np.clip's Python wrapper
-    and its temporary.
+    x - lam above the threshold, x + lam below -lam, and +0.0 on the dead
+    zone [-lam, lam], formed as x - clip(x, -lam, lam).
     """
     lam = _check_lambda(lam)
     a = np.asarray(x, dtype=float)
@@ -83,17 +69,14 @@ def shrink_potential(x, lam: float) -> float:
 class ProxMap:
     """A named proximity operator together with its optional calculus.
 
-    ``prox(v, t)`` must return the prox of ``t * g`` at v for a scalar t,
-    where g is the underlying function with the scale ``lam`` already
-    absorbed; the plain evaluation map is ``prox(v, 1)``, available as
-    ``P(v)``. ``function`` and ``potential`` (g and the convex potential
-    whose gradient is the prox) reduce over axis 0, so they return one
-    value per column for matrix input. ``potential`` must also be a sum of
-    per-entry terms, so that on a (1, N) row it returns each entry's term;
-    ``verify_moreau_characterization`` relies on this and fails a potential
-    that breaks it. ``breakpoint_gap`` gives each component's distance to
-    the nearest kink of the potential and is used to keep finite-difference
-    checks away from breakpoints.
+    ``prox(v, t)`` returns the prox of ``t * g`` at v for a scalar t, the
+    scale ``lam`` absorbed in g; ``P(v)`` is ``prox(v, 1)``. ``function``
+    (g) and ``potential`` (the convex potential whose gradient is the prox)
+    reduce over axis 0, one value per column. ``potential`` must be a sum
+    of per-entry terms, so that on a (1, N) row it returns each entry's
+    term; ``verify_moreau_characterization`` fails one that is not.
+    ``breakpoint_gap`` gives each entry's distance to the nearest kink of
+    the potential.
     """
 
     name: str
@@ -190,32 +173,20 @@ def verify_moreau_characterization(
 ) -> VerifyReport:
     """Check the gradient half of Moreau's characterization of a prox.
 
-    A map is a proximity operator exactly when it is nonexpansive and the
-    gradient of a convex potential. This check samples the gradient half:
-    the agreement of the map with the finite-difference gradient of its
-    ``potential`` at random x, as a relative error per sample. Samples with
-    a coordinate within 10 finite-difference steps of a breakpoint are
-    skipped. ``verify_firm_nonexpansive`` carries the rest: a firmly
-    nonexpansive map is nonexpansive, and it is monotone, so a potential
-    whose gradient it is must be convex.
-
-    Each block of trials is one array computation: the map is applied to
-    the x columns at once, and the gradient is taken entry by entry as
-    (phi(x + h) - phi(x - h)) / 2h, from two potential calls on the shifted
-    block laid out as one (1, dim * k) row. One step h = 1e-6 max(1, |x|)
-    serves both these differences and the breakpoint guard. The check
-    passes if the largest relative error is at most ``tol``, 1e-6 by
-    default; a NaN or negative ``tol`` raises ValueError (``sampled_check``).
-
-    The potential must reduce over axis 0, as ``ProxMap`` requires:
-    one value per column for a (dim, k) block, and so one value per entry
-    for a row; a result of any other shape raises ValueError naming that
-    shape. It must also be a sum of per-entry terms. Two more calls, on the
-    block and on the row at x, guard this: each column's potential is
-    compared with the sum of its entries' values, relative to
-    max(1, |potential|), and that difference joins the reported maximum, so
-    a potential that is not such a sum fails the check instead of being
-    differentiated wrongly. A map without a potential raises ValueError.
+    A map is a prox exactly when it is nonexpansive and the gradient of a
+    convex potential; ``verify_firm_nonexpansive`` carries the rest, since a
+    firmly nonexpansive map is monotone, so its potential is convex. Per
+    sample x this reports the map's relative error against the central
+    differences of its ``potential``, entry by entry at step
+    h = 1e-6 max(1, |x|), skipping samples with an entry within 10 h of a
+    breakpoint (``breakpoint_gap``). A block takes the differences from two
+    potential calls on the shifted block laid out as one (1, dim * k) row;
+    two more calls compare each column's potential with the sum of its
+    entries' terms, relative to max(1, |potential|), and that error joins
+    the maximum, so a potential that is not such a sum fails. Passes if the
+    maximum is at most ``tol``. Raises ValueError for a map without a
+    potential, a potential that does not return one value per column, or a
+    NaN or negative ``tol``.
     """
     potential = prox_map.potential
     if potential is None:

@@ -1,14 +1,8 @@
 """Report records produced by solvers and verification runs.
 
-Both records serialize to the documented JSON shapes:
-
-* ``VerifyReport``: ``{"property": str, "trials": int, "max_violation": float,
-  "tolerance": float, "pass": bool}``
-* ``SolveReport``: ``{"minimizer": [...], "objective": float or null,
-  "iterations": int, "converged": bool}``
-
-Sampled checks get their ``VerifyReport`` from ``sampling.sampled_check``,
-the one place that sets ``passed``.
+``to_json`` writes ``to_dict``'s keys in their fixed order, the stdout
+schema of the CLI (README.md). ``sampling.sampled_check`` is the one place
+that sets a sampled check's ``passed``.
 """
 
 from __future__ import annotations

@@ -1,16 +1,9 @@
 """Deterministic trial sampling for verification runs.
 
-``sample_blocks`` yields a run's samples in fixed blocks of BLOCK
-consecutive trials, and block ``b`` of a run is one counter-based stream:
-Philox keyed by the run seed, with counter ``b``. A block's draws are laid
-out trial-major, so trial ``i``'s values depend only on the seed, ``i`` and
-the sample shape, never on how many trials the run draws (the prefix
-property).
-
-``sampled_check`` drives every sampled verification: it refuses a bad
-``tol``, walks the blocks in order, hands each block's samples to one call
-of the check's ``violations`` and keeps the NaN-propagating maximum. A
-check supplies only the per-trial violations of a block of samples.
+Block ``b`` of a run's trials is one counter-based stream, Philox keyed by
+the run seed with counter ``b``, drawn trial-major: trial ``i``'s values
+depend only on the seed, ``i`` and the sample shape, never on how many
+trials the run draws. ``sampled_check`` drives every sampled check.
 """
 
 from __future__ import annotations
@@ -67,6 +60,7 @@ def sample_blocks(seed: int, trials: int, dim: int, columns: int = 1) -> Iterato
         draws = _generator(seed, b).standard_normal((count, columns, dim))
         scales = SCALES[np.arange(start, start + count) % len(SCALES)]
         # C order: a strided view here would slow every solver the samples feed
+        # (the CHANGES.md entry "One block sampler: one Philox stream per 1024-trial block")
         yield np.multiply(draws.transpose(1, 2, 0), scales, out=np.empty((columns, dim, count)))
 
 

@@ -1,17 +1,9 @@
-"""Frame shrinkage T^+ o Prox o T and the regularizer it is the prox of.
+"""Frame shrinkage T^+ o Prox o T and the regularizer f it is the prox of.
 
-Composing any proximity operator on the coefficient space with an analysis
-operator T and its pseudoinverse yields an operator on the signal space that
-is again a proximity operator, provided the signal space is re-normed by
-||x||_T = ||Tx||. The function it is the prox of (in that metric) has an
-explicit form: the infimal convolution of g with the squared norm restricted
-to null(T*), composed with T,
-
-    f(x) = inf { 1/2 ||z||^2 + g(Tx + z) : z in null(T*) },
-
-which for bijective T collapses to g(Tx). ``induced_regularizer`` evaluates
-this infimum numerically; the verify_* routines sample the defining
-identities and report the worst violation found.
+In the metric ||x||_T = ||Tx||, T^+ Prox T is the prox of
+f(x) = min { 1/2 ||z||^2 + g(Tx + z) : z in null(T*) }, which is g(Tx) for
+square T. README.md states the theorem and maps each verify_* check to it;
+``_certify``'s docstring alone says how f is solved.
 """
 
 from __future__ import annotations
@@ -29,29 +21,23 @@ from .prox import ProxMap, soft_shrink_map
 from .reports import SolveReport, VerifyReport
 from .sampling import _check_tol, sampled_check
 
-# A duality-gap check, the product (I - P) u and the gap's bookkeeping, costs
-# two to four iterations of the dual solve at 2 to 100 open columns and up
-# to six at one; checking on every eighth iteration stops a column at most
-# seven iterations late. Measured in CHANGES.md, in the entry "f's
-# float32 phase ends when float32 stops lowering a gap", as are the two
-# constants below.
+# The dual solvers of f check their gap every _GAP_STRIDE iterations, so a
+# column stops at most _GAP_STRIDE - 1 iterations late; ADMM joins FISTA on
+# the columns open after _FISTA_ITERS; float32 steps pay off on frames of
+# _FLOAT32_ROWS rows or more. The CHANGES.md entry "f's float32 phase ends
+# when float32 stops lowering a gap" measures all three.
 _GAP_STRIDE = 8
-# Unit-step FISTA certifies every column of the benchmark workloads well
-# within this many iterations; a column still open after it also gets ADMM.
 _FISTA_ITERS = 2048
 # Gap below which float64 rounding of its terms dominates, per unit of
-# 1 + |g(Tx)| + ||u||^2; where the gap stalls is measured in CHANGES.md, in
-# the entry "f's dual solver behind its contract".
+# 1 + |g(Tx)| + ||u||^2; the CHANGES.md entry "f's dual solver behind its
+# contract" measures where the gap stalls.
 _GAP_FLOOR = 64 * np.finfo(float).eps
-# Frames with at least this many rows run FISTA's first phase in float32
-# (``_certify``), where a product with P costs about half the float64 one.
-# Below it the per-step overhead dominates.
 _FLOAT32_ROWS = 64
-# That phase runs only where lam and every |Tx| are below this, so that no
-# float32 copy or iterate overflows
+# The float32 phase runs only where lam and every |Tx| are below this, so
+# that no float32 copy or iterate overflows
 _FLOAT32_RANGE = 2.0 ** 64
 # Iterations after which an evaluation of f that is still open raises
-# NotConverged, and after which the prox oracle reports a column unconverged.
+# NotConverged, and after which the prox oracle reports a column unconverged
 _MAX_ITER = 100000
 
 
@@ -82,13 +68,11 @@ def frame_prox(fs: FrameShrinkage, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InducedRegularizer:
-    """The function whose prox, in the T metric, is the frame shrinkage.
+    """f, the function whose prox in the T metric is ``shrinkage``.
 
-    Its inner function g is the shrinkage's own ``inner_prox.function``, so
-    the two can never disagree. Only the catalog maps are accepted: soft
-    shrinkage, whose f ``induced_regularizer`` evaluates through a
-    box-constrained dual, and the identity, whose f is 0; any other map
-    raises ValueError naming it.
+    g is the shrinkage's own ``inner_prox.function``, so the two cannot
+    disagree. Only the catalog maps are accepted, soft shrinkage and the
+    identity (f = 0); any other map raises ValueError naming it.
     """
 
     shrinkage: FrameShrinkage
@@ -114,8 +98,7 @@ def _col_dot(a, b):
     """The inner product of each column of a with the same column of b, (n, k) blocks.
 
     One matmul call reads each pair of columns once, with no (n, k)
-    temporary; on column-contiguous blocks each pair is contiguous. A
-    one-column block takes one ``ndarray.dot`` of its columns, a BLAS dot.
+    temporary; a one-column block takes one BLAS dot of its columns.
     """
     if a.shape[1] == 1:
         return a.T.dot(b)[0]
@@ -125,23 +108,15 @@ def _col_dot(a, b):
 def _fista_steps(proj, c, lam, u, y):
     """Run ``_GAP_STRIDE`` iterations of unit-step FISTA, with restart, on f's box-constrained dual.
 
-    The smooth part's gradient (I - P) u - c is 1-Lipschitz, so a step from
-    y is the clip of P y + c onto [-lam, lam]. The state is the iterate u
-    and the extrapolated point y = u_new + (u_new - u), with u the previous
-    iterate: momentum 1, as greedy FISTA takes at the unit step (Liang, Luo
-    & Schoenlieb, SIAM J. Sci. Comput. 44, 2022). A column whose step
-    points uphill, <y - u_new, u_new - u> > 0 for the y it stepped from,
-    takes momentum 0 on that step instead (y = u_new): the gradient restart
-    of O'Donoghue & Candes (2015). Each iteration takes one product with P,
-    for P y, forms that inner product per column in one pass
-    (``_col_dot``), and works in place in u, y and one scratch block, which
-    trade roles. The scratch block takes c's layout and dtype, float32 or
-    float64 as ``_certify`` chooses; ``_certify`` passes c
-    and the state column-contiguous (Fortran order), so every column of
-    every block is contiguous. A one-column block runs on 1-D views of its
-    column, with ``ndarray.dot`` for P y and a Python test of one dot for
-    the restart. Returns the new (u, y), (n, k) blocks; the u and y given
-    are overwritten.
+    The gradient (I - P) u - c is 1-Lipschitz, so a step from y is the clip
+    of P y + c onto [-lam, lam]. The state is the iterate u and the
+    extrapolated point y = u_new + (u_new - u): momentum 1, as greedy FISTA
+    takes at the unit step (Liang, Luo & Schoenlieb, SIAM J. Sci. Comput.
+    44, 2022), or 0 on a step where <y - u_new, u_new - u> > 0, the gradient
+    restart of O'Donoghue & Candes (2015). Each iteration takes one product
+    with P and works in place in u, y and one scratch block of c's layout
+    and dtype; a one-column block runs on 1-D views of its column. Returns
+    the new (u, y), (n, k) blocks; the u and y given are overwritten.
     """
     block = c.shape[1] > 1
     if not block:
@@ -149,6 +124,7 @@ def _fista_steps(proj, c, lam, u, y):
     u_new = np.empty_like(c)
     product = partial(np.matmul, proj) if block else proj.dot
     # the box as 0-d arrays, which a ufunc takes faster than a Python float
+    # (the CHANGES.md entry "f's dual solve runs a lone open column on 1-D vectors")
     hi, lo = np.asarray(lam), np.asarray(-lam)
     for _ in range(_GAP_STRIDE):
         product(y, out=u_new)
@@ -176,12 +152,10 @@ def _admm_steps(proj, c, lam, v, m, rho):
         v <- clip(a, -lam, lam),                             a = u + m
         m <- a - v
 
-    rho is a (1, k) row, so that the state compacts as its blocks do.
-    c / rho and rho / (1 + rho) are formed once per call, and each step
-    works in place in v, m and two scratch blocks laid out like v, in the
-    order of the terms above, so its bits are those of the formula. Returns
-    the new (v, m, rho); the v and m given are overwritten, so they must not
-    share memory.
+    rho is a (1, k) row, so that the state compacts as its blocks do. Each
+    step works in place, in the order of the terms above, so its bits are
+    those of the formula. Returns the new (v, m, rho); the v and m given are
+    overwritten, so they must not share memory.
     """
     c_rho, ratio, hi, lo = c / rho, rho / (1.0 + rho), np.asarray(lam), np.asarray(-lam)
     b, a = np.empty_like(v), np.empty_like(v)
@@ -201,67 +175,33 @@ def _admm_steps(proj, c, lam, v, m, rho):
 def _certify(
     reg: InducedRegularizer, c: np.ndarray, feasible: np.ndarray, tol: float, prune: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bounds upper >= f >= lower at each column of c = Ty, and the iterations each took.
+    """Bounds lower <= f <= upper <= feasible at each column of c = Ty, and the iterations each ran.
 
-    The contract, which ``test_shrinkage`` tests. ``feasible`` may be the
-    primal objective 1/2 ||w||^2 + g(c + w) at any w in null(T*), such as
-    g(c) at w = 0, so it bounds f from above. At every column lower <= f <=
-    upper <= feasible, the first two up to float64 rounding of their terms.
-    A column stops the first time upper - lower is at most ``tol`` or a
-    floor of ``_GAP_FLOOR``, 64 ulps, of 1 + |feasible| + ||u||^2 (u the
-    dual iterate, summed over its solvers), the scale at which float64
-    rounding of the gap's terms sets in. Its bounds match a one-column
-    evaluation up to that gap (BLAS may round a product differently at
-    another column count) and do not depend on c's layout. For square T,
-    f = g o T, and where every feasible value is 0 (the identity map, whose
-    g is 0, an all-zero block of soft shrinkage, and a block without
-    columns) f is 0, since 0 <= f <= feasible for the catalog maps; there it
-    returns (feasible, feasible, 0) and runs no solver. With ``prune``, a
-    column also stops, its gap unchecked, once its upper bound minus its
-    feasible value is below the highest lower bound minus feasible value of
-    any column so far: it can no longer set the block's largest
-    f - feasible, so pruning keeps that maximum. Raises NotConverged if
-    some column is open after ``_MAX_ITER`` iterations, naming the
-    iterations run and the largest gap of those columns (inf if none ran),
-    and at the first gap check where a gap or its scale is not finite,
-    naming lam and the iteration: at large lam, ||u||^2 and ADMM's c / rho
-    can leave the float64 range. Overflow and invalid values raise no
-    warning here (``np.errstate``); that check reports them.
+    ``feasible`` is a primal value at some w in null(T*), such as g(c) at
+    w = 0; lower and upper hold up to float64 rounding of their terms. A
+    column stops once upper - lower is within ``tol`` or ``_GAP_FLOOR``
+    (1 + |feasible| + ||u||^2), u its dual iterates, or with ``prune`` once
+    upper - feasible is below the best lower - feasible so far, which keeps
+    the block's largest f - feasible. Bounds match a one-column call up to
+    that gap, whatever c's layout. For square T, or where every feasible
+    value is 0 (then f = 0, as 0 <= f <= feasible for the catalog maps),
+    it returns (feasible, feasible, 0).
+    Raises NotConverged after ``_MAX_ITER`` iterations, naming them and the
+    largest open gap, and naming lam where the gap's terms leave the float64
+    range (``np.errstate`` keeps that from warning).
 
-    The solvers, which ``test_certify_kernels`` pins. One loop of gap
-    checks, ``_GAP_STRIDE`` iterations apart, runs FISTA (``_fista_steps``)
-    on every column and, from iteration ``_FISTA_ITERS`` on, ADMM
-    (``_admm_steps``) beside it on the columns still open, its penalty fixed
-    there at max|c| / lam. It keeps each step function's state, whose first
-    entry is the solver's dual iterate u, and at each check forms
-    r = (I - P) u itself. An open column takes the lowest primal value (its
-    feasible value, or 1/2 <u, r> + g(c - r), the primal at w = -B^T u) and
-    the highest dual value, <u, c> - 1/2 ||r||^2, its solvers reach. One
-    keep-mask drops the stopped columns from c, every solver's state and
-    the loop's own per-column arrays. On a frame of at least
-    ``_FLOAT32_ROWS`` rows FISTA starts in float32, on float32 copies of P^T
-    and c, clipping onto the float32 box; each gap check casts its iterate
-    to float64 and re-clips it into [-lam, lam], so every bound is formed in
-    float64 as above. FISTA goes on in float64, from that iterate, after the
-    first gap check at which some column that stays open has a gap not below
-    its gap at the check before, and at the latest after ``_FISTA_ITERS``
-    iterations, so ADMM runs in float64 throughout. Where lam or some |c|
-    reaches ``_FLOAT32_RANGE`` FISTA runs in float64 from the start. The
-    third array holds the FISTA iterations each column ran before it
-    stopped, a multiple of ``_GAP_STRIDE`` (0 where no solver ran). The
-    solvers run on c in column-contiguous (Fortran) order, copied if it is
-    not, and apply P as P^T, a column-major view of the operator's C-ordered
-    projector, so every block keeps each column contiguous through every
-    compaction and each ``_col_dot`` is one pass. P = U_d U_d^T is
-    symmetric as formed; ``test_range_projector_rounding_does_not_grow_with_condition``
-    holds P^T - P within 4 eps and P^2 - P within 16 eps at conditions 1 to
-    1e6 and scales 1e-6 to 1e6.
+    Pinned by tests/test_certify_kernels.py: on the dual max_{|u| <= lam}
+    <u, c> - 1/2 ||(I - P) u||^2, FISTA runs on every column, in float32 on
+    frames of ``_FLOAT32_ROWS`` rows until an open column's gap stops
+    falling; from ``_FISTA_ITERS`` on, ADMM at penalty max|c| / lam runs
+    beside it on the open columns. Each gap check keeps either's best bounds.
     """
     op, g = reg.shrinkage.operator, reg.g
     iters = np.zeros(c.shape[1], dtype=int)
     if op.n == op.d or not feasible.any():
         return feasible, feasible, iters
-    # P^T, a view of P, is already in the blocks' column-major order
+    # P^T, a view of P, is already in the blocks' column-major order; P is
+    # symmetric to 4 eps (test_range_projector_rounding_does_not_grow_with_condition)
     proj, lam, c = op.range_proj.T, reg.shrinkage.inner_prox.lam, np.asfortranarray(c)
     upper, lower = np.empty_like(feasible), np.empty_like(feasible)
     best, gap = -np.inf, np.inf
@@ -325,28 +265,15 @@ def _certify(
 
 
 def induced_regularizer(reg: InducedRegularizer, x, tol: float = 1e-9):
-    """Evaluate the induced regularizer at x (or at each column of x).
+    """f at x, or at each column of x: the upper end of ``_certify``'s bracket.
 
-    ``InducedRegularizer`` admits the catalog maps only. For square T, and
-    for the identity map (g = 0), the value is g(Tx). Otherwise g is
-    lam ||.||_1 (soft shrinkage) and, with c = Tx and B an orthonormal basis
-    of null(T*), f(x) = min_w 1/2 ||w||^2 + g(c + B w). The conjugate of g
-    is the indicator of the box [-lam, lam]^n, so the dual is the
-    box-constrained QP
-
-        max_{|u_i| <= lam}  <u, c> - 1/2 ||B^T u||^2,   ||B^T u||^2 = ||(I - P) u||^2
-
-    with P the range projector. ``_certify``, whose docstring states its
-    contract and its solvers, brackets f with g(Tx) as the feasible value
-    and stops each column once its gap is within ``tol`` or a rounding
-    floor. The result is that column's upper bound, so dual <= f(x) <=
-    result <= g(Tx), and it matches a one-column evaluation up to the
-    certified gap. A (d, 0) block runs no solver.
-
-    Raises ValueError on non-finite input or a NaN ``tol``. Raises
-    NotConverged if some column is not certified within ``_MAX_ITER``
-    iterations, naming the iterations run and the gap reached, and at a lam
-    so large that the dual's terms leave the float64 range, naming lam.
+    With g(Tx) as the feasible value, dual <= f(x) <= result <= g(Tx), the
+    gap within ``tol`` or ``_certify``'s rounding floor, and each column
+    matches a one-column evaluation up to that gap. For square T, and for
+    the identity map, the result is g(Tx). Raises ValueError on non-finite
+    input or a NaN or negative ``tol``, and NotConverged where ``_certify``
+    does: after ``_MAX_ITER`` iterations, or at a lam so large that the
+    dual's terms leave the float64 range.
     """
     _check_tol(tol)
     squeeze = np.ndim(x) < 2
@@ -384,10 +311,9 @@ def example_shrinkage() -> FrameShrinkage:
 # --- the prox oracle in the T metric ------------------------------------------
 
 # the oracle's forward-backward step t: any t < 1 keeps the certificate, and
-# active coordinates contract by 1 - t per iteration. At this step no iterate
-# was farther from the exact prox than its step term plus the rounding term
-# the certificate adds: measured in CHANGES.md, in the entry
-# "f's dual solver behind its contract".
+# active coordinates contract by 1 - t per iteration. That the certificate's
+# rounding term covers the step's rounding at this t is measured in the
+# CHANGES.md entry "f's dual solver behind its contract".
 _STEP = 0.9
 
 
@@ -408,54 +334,25 @@ def _norms(a: np.ndarray, limit: np.ndarray) -> np.ndarray:
 
 
 def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveReport:
-    """Numerical prox oracle in the T metric.
+    """The prox of f at x in the T metric, argmin_y 1/2 ||x - y||_T^2 + f(y), certified.
 
-    Minimizes ``1/2 ||x - y||_T^2 + f(y)`` where f is the regularizer induced
-    by the FrameShrinkage fs, which composes an inner prox with T; anything
-    else, an InducedRegularizer or a bare ProxMap included, raises
-    TypeError. The Euclidean oracle is the case T = I,
-    ``FrameShrinkage(build_operator(np.eye(d)), g)``. In
-    z = T y + B w, with B an orthonormal basis of null(T*), the problem is
-    min_z 1/2 ||z - T x||^2 + g(z), the prox of the inner function at T x.
-    The oracle solves it by forward-backward at step t = ``_STEP`` = 9/10
-    from z = 0, a gradient step on the quadratic and a prox step on g
-    through the inner map's scaled handle alone,
-
-        z+ <- prox_{t g}((1 - t) z + t T x),
-
-    and returns y = T^+ z. (z - z+) / t - (z - T x) is a subgradient of g at
-    z+, so the objective has the subgradient (1/t - 1)(z - z+) at z+. The
-    problem is 1-strongly convex, so (1/t - 1) ||z - z+||, ||z - z+|| / 9,
-    bounds ||z+ - z*||, the T-norm error of y, in exact arithmetic; the
-    certificate adds the rounding term eps (||z+|| + ||T x||) for the
-    rounding of the step (measured, see ``_STEP``). Active coordinates of a
-    shrinkage contract by 1 - t = 1/10 per iteration; dead-zone ones land on
-    exact zeros. At t = 1 this would be the closed form prox_g(T x); at
-    t < 1 it stays a numerical solve.
-
-    The columns of a (d, k) block run in lockstep. Each column stops at its
-    first z+ whose certificate is within ``tol``, or unconverged at its
-    first z+ whose rounding term alone exceeds ``tol``; ||z+|| only grows
-    from z = 0 for the catalog maps, so no later iterate could certify.
-    That test reads tol / eps < ||z+|| + ||T x||, whose terms do not
-    underflow, so a ``tol`` below the rounding term fails at once at every
-    scale, a subnormal T x included. A column still open at iteration
-    ``_MAX_ITER`` stops there, unconverged. A stopped column leaves the
-    block; ``residual`` is the largest certificate, and ``converged`` says
-    that every column stopped on its certificate: at a subnormal T x the
-    certificate itself can round to 0. A column's numbers match a
-    one-column call up to rounding only: numpy sums a block's squares, and
-    forms T x, in an order set by the block's width, so a norm can differ
-    in the last bit (measured in CHANGES.md, in the entry named at
-    ``_STEP``), and a certificate within an ulp of ``tol`` can stop the
-    column an iteration apart.
-
-    The report carries a minimizer of x's shape and no objective; an empty
-    (d, 0) block gives an empty minimizer, converged, with residual 0.
-    Non-convergence is reported through the ``converged`` flag, not raised;
-    a NaN or inf signal raises ValueError naming its column, as
-    ``frame_prox`` and ``induced_regularizer`` do, and a NaN or negative
-    ``tol`` raises ValueError at once.
+    fs must be a FrameShrinkage (else TypeError); at T = I it is the
+    Euclidean prox of its inner g. In z = Ty + Bw, B an orthonormal basis of
+    null(T*), the problem is the prox of g at Tx, which forward-backward
+    solves from z = 0 through the map's scaled handle alone,
+    z+ = prox_{tg}((1 - t) z + t Tx) at t = ``_STEP``; the minimizer is T^+ z.
+    The problem is 1-strongly convex, so (1/t - 1) ||z - z+|| bounds the
+    T-norm error of z+ in exact arithmetic; the certificate adds
+    eps (||z+|| + ||Tx||) for the step's rounding. A column of a (d, k)
+    block stops converged once its certificate is within ``tol``, and
+    unconverged once that rounding term alone exceeds ``tol`` (||z+|| only
+    grows from 0 for the catalog maps) or at ``_MAX_ITER``. It matches a
+    one-column call up to rounding: a block's width sets numpy's summation
+    order. The SolveReport holds a minimizer of x's shape, no objective, the
+    largest certificate as ``residual``, and ``converged`` if every column
+    met ``tol``; an empty block is converged at residual 0. Non-convergence
+    is reported, not raised; a non-finite x or a NaN or negative ``tol``
+    raises ValueError.
     """
     _check_tol(tol)
     if not isinstance(fs, FrameShrinkage):
@@ -512,37 +409,21 @@ def verify_prox_identity(
     tol: float = 1e-6,
     seed: int = 0,
 ) -> VerifyReport:
-    """Check that fs solves the prox problem of reg, which must be InducedRegularizer(fs).
+    """Sample the prox identity of fs and reg, which must be InducedRegularizer(fs) (else ValueError).
 
-    Any other reg raises ValueError before a sample is drawn. For sampled x,
-    with (Tx, p, y1) from ``_compose``, whose y1 ``frame_prox`` returns,
-    reports the larger of y1's T-norm distance to the certified numeric
-    prox and the violation of the envelope identity (in z = Ty + Bw
-    the prox problem is min_z 1/2 ||z - Tx||^2 + g(z), its minimum at y1)
-
-        1/2 ||T(x - y1)||^2 + f(y1) = 1/2 ||Tx - p||^2 + g(p),   p = Prox(Tx),
-
-    which catches a wrong f. f(y1) is certified to a bracket
-    lower <= f(y1) <= upper, and the identity's violation is the larger one
-    at either end. The upper end starts at the primal value at z = p,
-    1/2 ||p - Ty1||^2 + g(p) with the envelope's own g(p), capped at
-    g(Ty1); for square T, where p - Ty1 is rounding alone, it is g(Ty1).
-    Since p - Ty1 = (I - P) p lies in null(T*), ||Tx - p||^2 =
-    ||T(x - y1)||^2 + ||p - Ty1||^2, so the identity holds at that end by
-    construction, up to rounding. The lower end is f's dual
-    solve, so the identity's content is f(y1) >= that primal value, which
-    only the dual can certify; a dual stopped early leaves the bracket wide
-    and the check fails. The check passes if the larger violation is at
-    most ``tol``, 1e-6 by default, and both solves per trial, the oracle
-    and f(y1), run an order of magnitude tighter. A NaN or negative ``tol``
-    raises ValueError naming it (``sampled_check``). A block in which the
-    numeric prox did not converge reports an infinite violation, so the
-    check fails, and f raises NotConverged as ``induced_regularizer`` does.
-
-    The envelope term carries the paper's claim: it ties f to the
-    shrinkage. The distance term does not, since the oracle solves the prox
-    of g at Tx and T enters both sides the same way; it tests the
-    composition code and the inner map's scaled prox handle.
+    For sampled x, with (Tx, p, y1) from ``_compose`` (y1 is ``frame_prox``'s
+    result), a trial's violation is the larger of
+    - y1's T-norm distance to ``numeric_prox``'s certified prox, a test of
+      the composition and the map's scaled handle (T enters both alike), and
+    - the envelope identity 1/2 ||T(x - y1)||^2 + f(y1) = 1/2 ||Tx - p||^2 +
+      g(p) at either end of f(y1)'s bracket (``_certify``), which ties f to
+      the shrinkage. The upper end is seeded at the primal value at z = p,
+      capped at g(Ty1); since p - Ty1 lies in null(T*) the identity holds
+      there by construction, so the dual lower end carries the claim.
+    Passes if the largest violation is at most ``tol``; the oracle and f(y1)
+    run at ``tol`` / 10. A block whose oracle did not converge reports inf;
+    f raises NotConverged as ``induced_regularizer`` does; a NaN or negative
+    ``tol`` raises ValueError (``sampled_check``).
     """
     if reg.shrinkage is not fs:
         raise ValueError("reg must be InducedRegularizer(fs), built on this same shrinkage")
@@ -593,21 +474,13 @@ def weaker_regularizer_check(
 ) -> VerifyReport:
     """Sample the bound f(x) <= g(Tx); the induced f never exceeds g o T.
 
-    What this can catch is narrow: f is capped at g(Tx), computed from the
-    same product T x as here, so the violation is at most 0 by construction
-    (exactly 0 for square T). It fails only on a NaN value of f, and a
-    finite f that is too low passes.
-
-    The check reports the largest f(x) - g(Tx) of each block of trials, and
-    only that maximum is certified to the inner tolerance
-    min(tol 1e-2, 1e-10), as ``induced_regularizer`` certifies a value:
-    f's dual solve (``_certify``) runs with ``prune``, so a trial that can
-    no longer set the maximum leaves it early and reports its upper bound,
-    shown to lie below the maximum, not evaluated to the inner tolerance.
-    NotConverged is raised only if a trial that could still set the maximum
-    is not certified within ``_MAX_ITER`` iterations, as in
-    ``induced_regularizer``. A NaN or negative ``tol`` raises ValueError
-    naming it (``sampled_check``); any other gives a valid inner tolerance.
+    f is capped at g(Tx), formed from the same product Tx, so a violation is
+    at most 0 by construction: only a NaN f fails, and a finite f that is
+    too low passes. Each block reports its largest f(x) - g(Tx), and only
+    that maximum is certified to min(``tol`` 1e-2, 1e-10): ``_certify`` runs
+    with ``prune``, so a trial that can no longer set it reports an upper
+    bound below it. NotConverged is raised only for a trial that could
+    still set the maximum; a NaN or negative ``tol`` raises ValueError.
     """
     op = reg.shrinkage.operator
     inner_tol = min(tol * 1e-2, 1e-10)

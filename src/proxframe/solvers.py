@@ -1,15 +1,9 @@
-"""Baseline solvers for the analysis-sparsity problem.
+"""Reference solvers for the analysis problem min_y 1/2 ||x - y||^2 + lam ||Ty||_1.
 
-The analysis problem  min_y 1/2 ||x - y||^2 + lam ||Ty||_1  has closed-form
-solutions only for special T (orthogonal, or orthonormal rows); the dual
-solver here is the reference for everything else. Its box-constrained dual
-is a bounded-variable least-squares problem, solved by BVLS (Stark &
-Parker 1995), which moves one coordinate at a time between the free and
-the bound set and keeps the least-squares point of the free set inside
-the box. It stops on a certified duality gap, or once no bound
-coordinate can move into the box. It also documents that frame shrinkage
-is *not* that minimizer: the shrinkage is the prox of its induced
-regularizer in the T metric, which is a different objective.
+It has a closed form only for special T (``synthesis_solution``: orthonormal
+rows); ``solve_analysis_dual`` solves it for any T. Frame shrinkage is *not*
+its minimizer: the shrinkage is the prox of f in the T metric, a different
+objective, as ``proxframe example`` shows at one point.
 """
 
 from __future__ import annotations
@@ -95,40 +89,22 @@ _MAX_ITER = 200000
 def solve_analysis_dual(problem: AnalysisProblem, tol: float = 1e-10) -> SolveReport:
     """Minimize 1/2 ||x - y||^2 + lam ||Ty||_1 by bounded-variable least squares on the dual.
 
-    The dual is min { 1/2 ||y||^2 : y = x - T* p, ||p||_inf <= lam }, a
-    bounded-variable least-squares problem, and the primal point is that y.
-    BVLS (Stark & Parker 1995) starts at the least-squares point lstsq(T*, x)
-    clipped into the box; the coordinates the clip left inside are free,
-    the others bound. Each iteration solves least squares over the free
-    coordinates with the bound ones held fixed and, while that point leaves
-    the box, moves toward it until the first free coordinate reaches its
-    bound, binds it, and solves again. It then frees the bound coordinate
-    whose (Ty)_i points furthest into the box for the next iteration.
-    ``iterations`` counts these iterations.
-
-    Terminates when the duality gap lam ||Ty||_1 - <p, Ty> drops to ``tol``,
-    or when 1/2 ||y||^2, the gap of the primal point 0 against the same p,
-    does; the report takes the smaller of the two, with the minimizer y or
-    0. Non-convergence, at ``_MAX_ITER`` iterations at most, is flagged on
-    the report. An iteration whose gaps are above ``tol`` also stops,
-    unconverged, if no bound coordinate points into the box, which in
-    exact arithmetic makes p optimal, or if the coordinate it would free is
-    the one the last iteration freed, bound again at the same value, which
-    only rounding does and which would repeat that iteration. A ``tol`` below the gap's rounding, 0 included,
-    thus runs until one of these stops; it is not cut short at an early
-    iterate whose gap terms are large.
-
-    The iteration runs on x / s and lam / s, for ``_scale``'s power of two
-    s near max|x| (no smaller than about lam 2^-500, so lam / s stays
-    finite), and compares the gap with tol / s^2: the scaling is exact, so
-    the iterates are those of the unscaled problem divided by s, squares of
-    large data do not overflow and those of tiny data do not underflow
-    into a zero gap. 1/2 ||y||^2 is taken on y divided by its own power of
-    two, so it does not underflow when y is far below x. The minimizer is
-    scaled back; a positive gap whose product with s^2 underflows reports
-    the smallest positive float. A zero T, or one with no rows, certifies
-    y = x with gap 0 at the first iteration. A NaN or negative ``tol``
-    raises ValueError at once.
+    The dual is min { 1/2 ||y||^2 : y = x - T* p, ||p||_inf <= lam }. BVLS
+    (Stark & Parker 1995) starts at lstsq(T*, x) clipped into the box, solves
+    least squares over the free coordinates with the bound ones held, binds
+    the first free one that would leave the box, then frees the bound one
+    whose (Ty)_i points furthest into it; ``iterations`` counts these rounds.
+    It stops converged once the gap lam ||Ty||_1 - <p, Ty>, or 1/2 ||y||^2,
+    the gap of the point 0 against the same p, is within ``tol``; the report
+    takes the smaller, with minimizer y or 0. It stops unconverged after ``_MAX_ITER`` rounds, when no bound
+    coordinate points into the box (p is optimal in exact arithmetic), or
+    when it would free again, at the same value, the coordinate it freed
+    last, which only rounding does: so a ``tol`` below the gap's rounding, 0
+    included, runs until one of these. It runs on x / s and lam / s for
+    ``_scale``'s power of two s and compares the gap with tol / s^2, which is
+    exact and keeps squares from overflow and underflow; a positive gap that
+    underflows once scaled back reports the smallest positive float. A NaN
+    or negative ``tol`` raises ValueError.
     """
     _check_tol(tol)
     t = problem.matrix

@@ -8,13 +8,15 @@ so a change of kernel rewrites or deletes tests here alone.
 """
 
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from proxframe import FrameShrinkage, InducedRegularizer, NotConverged, build_operator, example_shrinkage
+from proxframe import FrameShrinkage, InducedRegularizer, NotConverged, build_operator, example_operator
+from proxframe import example_shrinkage
 from proxframe import frame_prox, induced_regularizer, random_operator, soft_shrink, soft_shrink_map
 from proxframe import verify_prox_identity, weaker_regularizer_check
 import dead_zone_grids
@@ -93,6 +95,19 @@ def test_induced_regularizer_not_converged_names_the_iterations_run(cap, message
         induced_regularizer(reg, 0.3)
 
 
+def test_induced_regularizer_beyond_the_float64_range_is_not_converged():
+    # at lam 1e200 the dual's ||u||^2 and ADMM's c / rho overflow: an
+    # infinite rounding floor would certify any value, and a NaN gap never
+    # closes. The solve raises at the first gap check that is not finite,
+    # with no RuntimeWarning. Only ADMM's c / rho reaches that check: FISTA
+    # alone runs to the cap (test_shrinkage holds what any solver must)
+    reg = InducedRegularizer(FrameShrinkage(example_operator(), soft_shrink_map(1e200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotConverged, match=r"lam 1e\+200 .* at iteration \d+"):
+            induced_regularizer(reg, 1.0)
+
+
 def test_induced_regularizer_compaction_across_both_phases(dead_zone_block, certified):
     # ordinary columns are certified by FISTA and leave the block while the
     # deep-dead-zone ones stay past _FISTA_ITERS, where ADMM joins the same
@@ -132,10 +147,10 @@ def test_admm_at_its_starting_penalty_certifies_a_conditioned_dead_zone(certifie
 
 def test_dead_zone_grids_script_runs_a_case(capsys):
     # one case of the script's 96-case grid whose columns reach the ADMM
-    # join, so its grid construction and recording keep working
+    # join, so its grid construction and reporting keep working
     label = "9x2 cond 1 lam 1 scale 1e-07"
     cases = [case for case in dead_zone_grids.grid96() if case[0] == label]
-    ((got, iters),) = dead_zone_grids.run_grid("96", cases, tol=1e-7)
+    ((got, iters, _),) = dead_zone_grids.run_grid("96", cases, tol=1e-7)
     assert got == label and np.max(iters) > shrinkage_module._FISTA_ITERS, iters
     assert capsys.readouterr().out.splitlines()[-1].startswith("96: 1/1 certified")
 
@@ -146,7 +161,7 @@ def test_fista_beside_admm_certifies_a_conditioned_dead_zone_at_tight_tol():
     # while ADMM alone after the join stayed open at a gap of 1.5e-9
     label = "200x100 cond 1000 lam 1 scale 0.0001"
     cases = [case for case in dead_zone_grids.grid96() if case[0] == label]
-    ((got, iters),) = dead_zone_grids.run_grid("96", cases, tol=1e-11)
+    ((got, iters, _),) = dead_zone_grids.run_grid("96", cases, tol=1e-11)
     assert got == label and iters is not None
     assert np.max(iters) > shrinkage_module._FISTA_ITERS, iters
 
