@@ -310,10 +310,11 @@ def example_shrinkage() -> FrameShrinkage:
 
 # --- the prox oracle in the T metric ------------------------------------------
 
-# the oracle's forward-backward step t: any t < 1 keeps the certificate, and
-# active coordinates contract by 1 - t per iteration. That the certificate's
-# rounding term covers the step's rounding at this t is measured in the
-# CHANGES.md entry "f's dual solver behind its contract".
+# the oracle's forward-backward step t, relaxed by 1/t: any t < 1 keeps the
+# certificate, and for t > 1/2 the relaxed step contracts by (1 - t)/t, a
+# ninth here. That the certificate's rounding term covers the step's
+# rounding at this t is measured in the CHANGES.md entry "f's dual solver
+# behind its contract".
 _STEP = 0.9
 
 
@@ -338,15 +339,21 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
 
     fs must be a FrameShrinkage (else TypeError); at T = I it is the
     Euclidean prox of its inner g. In z = Ty + Bw, B an orthonormal basis of
-    null(T*), the problem is the prox of g at Tx, which forward-backward
-    solves from z = 0 through the map's scaled handle alone,
-    z+ = prox_{tg}((1 - t) z + t Tx) at t = ``_STEP``; the minimizer is T^+ z.
-    The problem is 1-strongly convex, so (1/t - 1) ||z - z+|| bounds the
-    T-norm error of z+ in exact arithmetic; the certificate adds
-    eps (||z+|| + ||Tx||) for the step's rounding. A column of a (d, k)
-    block stops converged once its certificate is within ``tol``, and
-    unconverged once that rounding term alone exceeds ``tol`` (||z+|| only
-    grows from 0 for the catalog maps) or at ``_MAX_ITER``. It matches a
+    null(T*), the problem is the prox of g at Tx, which relaxed
+    forward-backward solves from z = 0 through the map's scaled handle
+    alone: each step is w = prox_{tg}((1 - t) z + t Tx) at t = ``_STEP``,
+    and an open column moves to z+ = (w - (1 - t) z) / t, the step relaxed
+    by 1/t. Both have the prox p of g at Tx as their fixed point, and the
+    minimizer is T^+ w. The step is (1 - t)-Lipschitz in z, so
+    (1/t - 1) ||z - w|| bounds the T-norm error of w in exact arithmetic,
+    from any z; the certificate adds eps (||w|| + ||Tx||) for the step's
+    rounding. As a prox is firmly nonexpansive, z+ is (1 - t)/t = 1/9
+    closer to p than z; for a positively homogeneous g, prox_{tg}(t Tx) =
+    t p makes the first z+ equal p, so soft shrinkage and the identity
+    certify at iteration 2. A column of a (d, k) block stops converged once
+    its certificate is within ``tol``, and unconverged once that rounding
+    term alone exceeds ``tol`` (||w|| only grows from 0 for the catalog
+    maps: it is t ||p||, then ||p||) or at ``_MAX_ITER``. It matches a
     one-column call up to rounding: a block's width sets numpy's summation
     order. The SolveReport holds a minimizer of x's shape, no objective, the
     largest certificate as ``residual``, and ``converged`` if every column
@@ -375,17 +382,19 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
         z, tv, tx_norm = np.zeros_like(tx), _STEP * tx, _norms(tx, limit)
         while cols.size and iters < _MAX_ITER:
             iters += 1
-            z_new = inner.prox((1.0 - _STEP) * z + tv, _STEP)
-            size = _norms(z_new, limit) + tx_norm
-            now = (1.0 / _STEP - 1.0) * _norms(z - z_new, limit) + eps * size
-            z = z_new
+            w = inner.prox((1.0 - _STEP) * z + tv, _STEP)
+            size = _norms(w, limit) + tx_norm
+            now = (1.0 / _STEP - 1.0) * _norms(z - w, limit) + eps * size
+            z *= _STEP - 1.0
+            z += w
+            z /= _STEP
             # tol below the rounding term eps * size, tested without forming
             # it: at a subnormal T x it underflows, and so can now
             below = tol / eps < size
             ok = (now <= tol) & ~below
             stop = ok | below | (iters == _MAX_ITER)
             if stop.any():
-                z_out[:, cols[stop]], cert[cols[stop]] = z[:, stop], now[stop]
+                z_out[:, cols[stop]], cert[cols[stop]] = w[:, stop], now[stop]
                 met = met and bool(ok[stop].all())
                 keep = ~stop
                 cols, z, tv, tx_norm, limit = cols[keep], z[:, keep], tv[:, keep], tx_norm[keep], limit[keep]

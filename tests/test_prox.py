@@ -362,24 +362,25 @@ def test_numeric_prox_euclidean_within_tol_of_closed_form(rng, lam, tol):
 
 
 def test_numeric_prox_not_converged_flag(monkeypatch):
-    monkeypatch.setattr(shrinkage, "_MAX_ITER", 3)
+    # soft shrinkage certifies at iteration 2; a cap of 1 stops it before
+    monkeypatch.setattr(shrinkage, "_MAX_ITER", 1)
     rep = euclidean_prox(soft_shrink_map(1.0), np.array([2.0]), tol=1e-14)
     assert not rep.converged
-    assert rep.iterations == 3
+    assert rep.iterations == 1
 
 
 def test_numeric_prox_column_norms_do_not_overflow():
     # ||(1e160, 1)||^2 overflows; its norm does not, and the oracle certifies
     # as it does one scale down, with no overflow warning; at a tol below 1
     # ulp of 1e160 it stops unconverged, again with no warning.
-    # The step term alone reaches tol at iteration 10 with the iterate
-    # 0.24 eps (||z|| + ||T x||) beyond it; the certificate's rounding term
-    # holds the column to iteration 11, within tol
+    # The first relaxed step lands on S(T x) up to rounding, so at iteration
+    # 2 the step term is a ninth of a rounding error and the certificate is
+    # about its rounding term, eps (||w|| + ||T x||), within tol
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for big, tol in ((1e150, 1e140), (1e160, 1e150)):
             rep = euclidean_prox(soft_shrink_map(1.0), np.array([big, 1.0]), tol=tol)
-            assert rep.converged and rep.iterations == 11 and rep.residual <= tol
+            assert rep.converged and rep.iterations == 2 and rep.residual <= tol
             assert np.linalg.norm(rep.minimizer - [big - 1.0, 0.0]) <= tol
         rep = euclidean_prox(soft_shrink_map(1.0), np.array([1e160, 1.0]), tol=1e-6)
         assert not rep.converged
@@ -519,15 +520,18 @@ def test_numeric_prox_columns_do_not_depend_on_the_block(shape, pm, tol):
     # each column leaves the block at its own first certified iterate, so a
     # column of a mixed-scale block is bit for bit its single-column solve;
     # at tol 1e-13 the large columns stop unconverged instead, once their
-    # rounding term exceeds tol.
+    # rounding term exceeds tol. A zero column certifies at iteration 1 and
+    # the others later (the identity's at iteration 2), so a block always
+    # drops columns at more than one iteration.
     # The T-metric oracle is this one at T x, mapped back by T^+ (pinned
     # above); BLAS may round those products differently at another column
     # count, so blocks are compared here in the Euclidean metric
     rng = np.random.default_rng(11)
     k = shape[1]
     x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+    x = np.hstack([x, np.zeros((shape[0], 1))])
     block = euclidean_prox(pm, x, tol=tol)
-    singles = [euclidean_prox(pm, x[:, j], tol=tol) for j in range(k)]
+    singles = [euclidean_prox(pm, x[:, j], tol=tol) for j in range(k + 1)]
     for j, rep in enumerate(singles):
         np.testing.assert_array_equal(block.minimizer[:, j], rep.minimizer)
     assert block.converged == all(rep.converged for rep in singles)
@@ -539,16 +543,53 @@ def test_numeric_prox_columns_do_not_depend_on_the_block(shape, pm, tol):
 
 
 @pytest.mark.parametrize("pm", [soft_shrink_map(1.0), identity_map()], ids=["soft1", "identity"])
-def test_numeric_prox_regression_certifies_within_twelve_iterations(pm):
-    # forward-backward at step 9/10 contracts active coordinates by 1/10 per
-    # iteration: the CLI regression's 100 samples certify at tol 1e-7 in 11
-    # iterations, for soft shrinkage and for the identity alike
+def test_numeric_prox_regression_certifies_in_two_iterations(pm):
+    # soft shrinkage and the identity are positively homogeneous, so the
+    # first relaxed step lands on the prox: the CLI regression's 100 samples
+    # certify at tol 1e-7 at iteration 2, for both alike
     from proxframe import FrameShrinkage
 
     op = build_operator(load_named_matrix("random:200x100:2"))
     x = run_samples(5, 100, 100)[0]
     rep = numeric_prox(FrameShrinkage(op, pm), x, tol=1e-7)
-    assert rep.converged and rep.iterations <= 12, rep.iterations
+    assert rep.converged and rep.iterations <= 2, rep.iterations
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-13])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+def test_numeric_prox_lands_on_a_homogeneous_prox_outside_the_catalog(lam, tol):
+    # block soft thresholding is positively homogeneous and not separable:
+    # the first relaxed step lands on it, and every column certifies by
+    # iteration 2 within tol of v max(0, 1 - lam / ||v||); the columns
+    # inside the ball map to 0 and certify at iteration 1
+    x = np.random.default_rng(1).standard_normal((5, 20)) * 3
+    rep = euclidean_prox(block_soft_map(lam), x, tol=tol)
+    exact = x * np.maximum(0.0, 1.0 - lam / np.linalg.norm(x, axis=0))
+    assert rep.converged and rep.iterations == 2
+    assert np.max(np.linalg.norm(rep.minimizer - exact, axis=0)) <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0, 100.0])
+def test_numeric_prox_converges_on_a_prox_that_is_not_homogeneous(lam, tol):
+    # v / (1 + t lam), the prox of (lam/2) ||.||^2, is not positively
+    # homogeneous, so the relaxed step does not land at once; it contracts
+    # by at most (1 - t)/t = 1/9, which bounds every column's iterations:
+    # with z_0 = 0, iteration n's step term is at most (2 - t) (1/9)^n ||p||
+    # and stops it once within tol / 2, its rounding term being far below.
+    # The relaxed step's slope in z is -(1 - t) lam / (1 + t lam): -1/110 at
+    # lam 0.1 and -1/9.1 at lam 100, so both ends of the range are pinned;
+    # no call takes more than 16 iterations, the unrelaxed step's worst case
+    t = shrinkage._STEP
+    quadratic = ProxMap(name="quadratic", lam=lam, prox=lambda v, s=1.0: v / (1.0 + lam * s))
+    x = np.random.default_rng(0).standard_normal((8, 25)) * 3
+    exact = x / (1.0 + lam)
+    for j in range(x.shape[1]):
+        rep = euclidean_prox(quadratic, x[:, j], tol=tol)
+        p_norm = np.linalg.norm(exact[:, j])
+        bound = int(np.ceil(np.log(tol / (2.0 * (2.0 - t) * p_norm)) / np.log((1.0 - t) / t)))
+        assert rep.converged and rep.iterations <= min(bound, 16), (j, rep.iterations, bound)
+        assert np.linalg.norm(rep.minimizer - exact[:, j]) <= tol
 
 
 def test_numeric_prox_metric_flagship():
