@@ -313,17 +313,27 @@ _BLAS_THREAD_SYMBOLS = (
 
 
 @functools.cache
-def _blas_threads():
-    """The (getter, setter) of NumPy's OpenBLAS thread count, or None if none is found.
+def _numpy_core():
+    """NumPy's compiled core as a ``ctypes`` library, loaded once per process.
 
-    Looked up once per process through ``ctypes`` on NumPy's compiled core,
-    whose loader also searches the libraries it links, so the pair belongs to
-    the BLAS that NumPy's products run on.
+    Its loader also searches the libraries the core links, so a symbol found
+    on it belongs to the BLAS that NumPy's products run on.
     """
     import ctypes
 
     core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules["numpy.core._multiarray_umath"]
-    handle = ctypes.CDLL(core.__file__)
+    return ctypes.CDLL(core.__file__)
+
+
+@functools.cache
+def _blas_threads():
+    """The (getter, setter) of NumPy's OpenBLAS thread count, or None if none is found.
+
+    Looked up once per process on ``_numpy_core()``.
+    """
+    import ctypes
+
+    handle = _numpy_core()
     for get, put in _BLAS_THREAD_SYMBOLS:
         getter, setter = getattr(handle, get, None), getattr(handle, put, None)
         if getter and setter:

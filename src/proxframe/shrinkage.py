@@ -190,11 +190,15 @@ def _certify(
     largest open gap, and naming lam where the gap's terms leave the float64
     range (``np.errstate`` keeps that from warning).
 
-    Pinned by tests/test_certify_kernels.py: on the dual max_{|u| <= lam}
-    <u, c> - 1/2 ||(I - P) u||^2, FISTA runs on every column, in float32 on
-    frames of ``_FLOAT32_ROWS`` rows until an open column's gap stops
-    falling; from ``_FISTA_ITERS`` on, ADMM at penalty max|c| / lam runs
-    beside it on the open columns. Each gap check keeps either's best bounds.
+    A gap check at a dual iterate u, with r = (I - P) u as computed, takes
+    the primal objective 1/2 ||r||^2 + g(c - r) at z = -r in null(T*) and
+    the dual objective <u, c> - 1/2 ||r||^2 at u; both ends share that one
+    1/2 ||r||^2. Pinned by tests/test_certify_kernels.py: on the dual
+    max_{|u| <= lam} <u, c> - 1/2 ||(I - P) u||^2, FISTA runs on every
+    column, in float32 on frames of ``_FLOAT32_ROWS`` rows until an open
+    column's gap stops falling; from ``_FISTA_ITERS`` on, ADMM at penalty
+    max|c| / lam runs beside it on the open columns. Each gap check keeps
+    either's best bounds.
     """
     op, g = reg.shrinkage.operator, reg.g
     iters = np.zeros(c.shape[1], dtype=int)
@@ -225,9 +229,9 @@ def _certify(
                 u = np.clip(u, -lam, lam, dtype=float)
             r = np.matmul(proj, u, out=np.empty_like(u))
             np.subtract(u, r, out=r)
-            half_sq = 0.5 * _col_dot(u, r)
+            half_sq = 0.5 * _col_dot(r, r)
             primal = np.minimum(primal, half_sq + g(c - r))
-            dual = np.maximum(dual, _col_dot(u, c) - 0.5 * _col_dot(r, r))
+            dual = np.maximum(dual, _col_dot(u, c) - half_sq)
             scale = scale + _col_dot(u, u)
         # the open columns' last gap, for the NotConverged message and the
         # end of the float32 phase
@@ -450,7 +454,7 @@ def verify_prox_identity(
         envelope = 0.5 * np.add.reduce((tx - p) ** 2, 0) + g_p
         if op.n != op.d:
             feasible = np.minimum(feasible, 0.5 * np.add.reduce((p - c) ** 2, 0) + g_p)
-        value = 0.5 * np.add.reduce((op.matrix @ (x - y1)) ** 2, 0)
+        value = 0.5 * np.add.reduce((tx - c) ** 2, 0)
         upper, lower, _ = _certify(reg, c, feasible, inner_tol)
         worst = np.maximum(np.abs(value + lower - envelope), np.abs(value + upper - envelope))
         return np.maximum(dist, worst)

@@ -87,12 +87,11 @@ _CONFIG_SYMBOLS = ("scipy_openblas_get_config64_", "openblas_get_config64_", "op
 def fingerprint() -> str:
     """NumPy's version and its OpenBLAS config string, one per line.
 
-    The string is looked up on NumPy's compiled core as
+    The string is looked up on ``cli._numpy_core()``, where
     ``cli._blas_threads`` looks up the thread setter; "no OpenBLAS config"
     where none of ``_CONFIG_SYMBOLS`` is found.
     """
-    core = sys.modules.get("numpy._core._multiarray_umath") or sys.modules["numpy.core._multiarray_umath"]
-    handle = ctypes.CDLL(core.__file__)
+    handle = cli._numpy_core()
     config = "no OpenBLAS config"
     for name in _CONFIG_SYMBOLS:
         getter = getattr(handle, name, None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 
@@ -14,6 +15,11 @@ def verdicts(text: str) -> list[tuple[str, bool]]:
     return [(r["property"], r["pass"]) for r in reports]
 
 
+def first_difference(recorded, new) -> tuple:
+    """The first pair of items at which two differing sequences differ; None stands for a missing item."""
+    return next((a, b) for a, b in itertools.zip_longest(recorded, new) if a != b)
+
+
 def test_reference_runs_match_their_transcripts(tmp_path, monkeypatch):
     # regularizer --out writes f.csv into the working directory
     monkeypatch.chdir(tmp_path)
@@ -23,10 +29,13 @@ def test_reference_runs_match_their_transcripts(tmp_path, monkeypatch):
         stdout, code = run(command)
         text = (REFERENCE / f"{name}.out").read_text()
         assert text.startswith(f"$ proxframe {command}\n"), name
+        new = transcript(command, stdout, code)
         if not text.endswith(f"\nexit {code}\n"):
-            other_code.append(name)
-        elif text != transcript(command, stdout, code) if same_env else verdicts(text) != verdicts(stdout):
-            other_stdout.append(name)
+            other_code.append((name, text.splitlines()[-1], f"exit {code}"))
+        elif text != new if same_env else verdicts(text) != verdicts(stdout):
+            # the first recorded line, or verify verdict, and what the run gives in its place
+            pair = (text.splitlines(True), new.splitlines(True)) if same_env else (verdicts(text), verdicts(stdout))
+            other_stdout.append((name, *first_difference(*pair)))
     assert (other_code, other_stdout) == ([], [])
     if not same_env:
         # another NumPy or BLAS build may round a product differently in its

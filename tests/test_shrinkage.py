@@ -158,6 +158,28 @@ def test_induced_regularizer_at_a_lam_past_the_float64_range_is_not_converged():
             induced_regularizer(reg, 1.0)
 
 
+def test_pruned_f_is_not_converged_only_where_its_maximum_is_open(regression_block, certified, monkeypatch):
+    # the caps come from the iterations the solver reports: the weaker
+    # check's pruned solve of its block stops every column within `pruned`,
+    # so at that cap it reports as without one, while f on the same block
+    # unpruned needs more and raises; one below `pruned` a column that could
+    # still set the maximum is open, and the check raises
+    fs, trials, seed = regression_block[0], 100, 6
+    reg = InducedRegularizer(fs)
+    x = run_samples(seed, trials, fs.operator.d)[0]
+    full = weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
+    induced_regularizer(reg, x, tol=1e-11)
+    pruned, unpruned = (int(np.max(iters)) for iters in certified)
+    assert unpruned > pruned
+    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", pruned)
+    assert weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed) == full
+    with pytest.raises(NotConverged):
+        induced_regularizer(reg, x, tol=1e-11)
+    monkeypatch.setattr(shrinkage_module, "_MAX_ITER", pruned - 1)
+    with pytest.raises(NotConverged):
+        weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
+
+
 def test_nonfinite_signals_rejected(rng):
     fs = FrameShrinkage(build_operator(rng.standard_normal((6, 3))), soft_shrink_map(1.0))
     reg = InducedRegularizer(fs)
