@@ -268,23 +268,31 @@ def _certify(
     )
 
 
+@np.errstate(invalid="ignore")
 def induced_regularizer(reg: InducedRegularizer, x, tol: float = 1e-9):
-    """f at x, or at each column of x: the upper end of ``_certify``'s bracket.
+    """f at x, or at each column of x, certified to ``tol``: the upper end of ``_certify``'s bracket.
 
-    With g(Tx) as the feasible value, dual <= f(x) <= result <= g(Tx), the
-    gap within ``tol`` or ``_certify``'s rounding floor, and each column
-    matches a one-column evaluation up to that gap. For square T, and for
-    the identity map, the result is g(Tx). Raises ValueError on non-finite
-    input or a NaN or negative ``tol``, and NotConverged where ``_certify``
-    does: after ``_MAX_ITER`` iterations, or at a lam so large that the
-    dual's terms leave the float64 range.
+    With g(Tx) as the feasible value, dual <= f(x) <= result <= g(Tx) and
+    the gap is within ``tol``, so each column matches a one-column
+    evaluation up to ``tol``. For square T, and for the identity map, the
+    result is g(Tx). Raises ValueError on non-finite input or a NaN or
+    negative ``tol``; NotConverged where ``_certify`` does, after
+    ``_MAX_ITER`` iterations or at a lam so large that the dual's terms
+    leave the float64 range, and, naming ``tol`` and the widest gap, where
+    a column stopped at ``_certify``'s rounding floor above ``tol``.
     """
     _check_tol(tol)
     squeeze = np.ndim(x) < 2
     c = _analysis(reg.shrinkage.operator, x)
     c = c[:, None] if c.ndim == 1 else c
-    vals = _certify(reg, c, reg.g(c), tol)[0]
-    return float(vals[0]) if squeeze else vals
+    upper, lower, _ = _certify(reg, c, reg.g(c), tol)
+    # a bracket wider than tol is one that _certify closed at its rounding
+    # floor; a g(Tx) past the float64 range is inf at both ends, a NaN gap
+    gap = np.max(upper - lower, initial=0.0)
+    if gap > tol:
+        raise NotConverged(f"regularizer evaluation cannot certify tol {tol:g}: its rounding "
+                           f"floor left a duality gap of {gap:.3e}")
+    return float(upper[0]) if squeeze else upper
 
 
 # --- packaged example: T = (1, 2)^T with unit soft shrinkage ----------------
@@ -346,7 +354,7 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
     null(T*), the problem is the prox of g at Tx, which relaxed
     forward-backward solves from z = 0 through the map's scaled handle
     alone: each step is w = prox_{tg}((1 - t) z + t Tx) at t = ``_STEP``,
-    and an open column moves to z+ = (w - (1 - t) z) / t, the step relaxed
+    and the column moves to z+ = (w - (1 - t) z) / t, the step relaxed
     by 1/t. Both have the prox p of g at Tx as their fixed point, and the
     minimizer is T^+ w. The step is (1 - t)-Lipschitz in z, so
     (1/t - 1) ||z - w|| bounds the T-norm error of w in exact arithmetic,
@@ -357,13 +365,15 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
     certify at iteration 2. A column of a (d, k) block stops converged once
     its certificate is within ``tol``, and unconverged once that rounding
     term alone exceeds ``tol`` (||w|| only grows from 0 for the catalog
-    maps: it is t ||p||, then ||p||) or at ``_MAX_ITER``. It matches a
-    one-column call up to rounding: a block's width sets numpy's summation
-    order. The SolveReport holds a minimizer of x's shape, no objective, the
-    largest certificate as ``residual``, and ``converged`` if every column
-    met ``tol``; an empty block is converged at residual 0. Non-convergence
-    is reported, not raised; a non-finite x or a NaN or negative ``tol``
-    raises ValueError.
+    maps: it is t ||p||, then ||p||) or at ``_MAX_ITER``; its w and
+    certificate are taken at that iteration. The block keeps its width until
+    every column has stopped, so a column's result does not depend on when
+    its block-mates stop; it matches a one-column call up to rounding, as a
+    block's width sets numpy's summation order. The SolveReport holds a
+    minimizer of x's shape, no objective, the largest certificate as
+    ``residual``, and ``converged`` if every column met ``tol``; an empty
+    block is converged at residual 0. Non-convergence is reported, not
+    raised; a non-finite x or a NaN or negative ``tol`` raises ValueError.
     """
     _check_tol(tol)
     if not isinstance(fs, FrameShrinkage):
@@ -375,7 +385,7 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
     eps = np.finfo(float).eps
     z_out = np.zeros_like(tx)
     cert = np.full(tx.shape[1], np.inf)
-    cols = np.arange(tx.shape[1])
+    open_cols = np.ones(tx.shape[1], dtype=bool)
     iters, met = 0, True
     # _norms rescales every norm of a column of T x below 2^-400, and of its
     # iterates: below 2^-459 the squares of entries eps |T x| in size, which
@@ -384,7 +394,7 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
     limit = np.where(np.abs(tx).max(0) < 2.0 ** -400, 0.0, np.inf)
     with np.errstate(over="ignore"):
         z, tv, tx_norm = np.zeros_like(tx), _STEP * tx, _norms(tx, limit)
-        while cols.size and iters < _MAX_ITER:
+        while open_cols.any() and iters < _MAX_ITER:
             iters += 1
             w = inner.prox((1.0 - _STEP) * z + tv, _STEP)
             size = _norms(w, limit) + tx_norm
@@ -396,21 +406,13 @@ def numeric_prox(fs: FrameShrinkage, x: np.ndarray, tol: float = 1e-9) -> SolveR
             # it: at a subnormal T x it underflows, and so can now
             below = tol / eps < size
             ok = (now <= tol) & ~below
-            stop = ok | below | (iters == _MAX_ITER)
-            if stop.any():
-                z_out[:, cols[stop]], cert[cols[stop]] = w[:, stop], now[stop]
-                met = met and bool(ok[stop].all())
-                keep = ~stop
-                cols, z, tv, tx_norm, limit = cols[keep], z[:, keep], tv[:, keep], tx_norm[keep], limit[keep]
-    resid = float(np.max(cert, initial=0.0))
-
-    return SolveReport(
-        minimizer=(op.pinv @ z_out).reshape(x.shape),
-        objective=None,
-        iterations=iters,
-        residual=resid,
-        converged=met,
-    )
+            # a stopped column steps on beside the open ones, unread
+            stop = open_cols & (ok | below | (iters == _MAX_ITER))
+            z_out[:, stop], cert[stop] = w[:, stop], now[stop]
+            met = met and bool(ok[stop].all())
+            open_cols &= ~stop
+    return SolveReport(minimizer=(op.pinv @ z_out).reshape(x.shape), objective=None, iterations=iters,
+                       residual=float(np.max(cert, initial=0.0)), converged=met)
 
 
 # --- verification ------------------------------------------------------------

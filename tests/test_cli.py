@@ -448,6 +448,18 @@ def test_regularizer_multidimensional_numeric_only(capsys):
     assert header == "x,f_numeric"
 
 
+@pytest.mark.parametrize("argv", [
+    # tol 0 lies below every gap f's dual can close in float64
+    ("--operator", "random:20x10:2", "--prox", "soft:1", "--grid", "-1:1:1", "--tol", "0"),
+    # at lam 1e100 the rounding floor closes the bracket at g(Tx), 28% above f
+    ("--operator", "random:70x30:1", "--prox", "soft:1e100", "--grid", "1:1:1"),
+])
+def test_regularizer_below_its_rounding_floor_is_not_converged(capsys, argv):
+    code, out, err = run(capsys, "regularizer", *argv)
+    assert code == 2 and out == ""
+    assert "cannot certify tol" in err and "duality gap" in err
+
+
 # random:70x1:3 has 70 rows, so f's dual runs its float32 phase
 @pytest.mark.parametrize("operator", ["example35", "random:70x1:3"])
 def test_regularizer_d1_bytes_do_not_depend_on_the_direction(capsys, operator):

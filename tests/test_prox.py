@@ -517,12 +517,12 @@ def test_numeric_prox_converges_sixteen_ulps_above_its_terms(make):
                                 identity_map()], ids=["soft0.1", "soft1", "soft10", "identity"])
 @pytest.mark.parametrize("tol", [1e-9, 1e-13])
 def test_numeric_prox_columns_do_not_depend_on_the_block(shape, pm, tol):
-    # each column leaves the block at its own first certified iterate, so a
-    # column of a mixed-scale block is bit for bit its single-column solve;
-    # at tol 1e-13 the large columns stop unconverged instead, once their
-    # rounding term exceeds tol. A zero column certifies at iteration 1 and
-    # the others later (the identity's at iteration 2), so a block always
-    # drops columns at more than one iteration.
+    # each column's result is its own first certified iterate, so a column
+    # of a mixed-scale block is bit for bit its single-column solve; at tol
+    # 1e-13 the large columns stop unconverged instead, once their rounding
+    # term exceeds tol. A zero column certifies at iteration 1 and the
+    # others later (the identity's at iteration 2), so a block always stops
+    # columns at more than one iteration.
     # The T-metric oracle is this one at T x, mapped back by T^+ (pinned
     # above); BLAS may round those products differently at another column
     # count, so blocks are compared here in the Euclidean metric
@@ -540,6 +540,22 @@ def test_numeric_prox_columns_do_not_depend_on_the_block(shape, pm, tol):
         assert len({rep.iterations for rep in singles}) > 1
     if tol == 1e-13 and k > 1:
         assert {rep.converged for rep in singles} == {True, False}
+
+
+def test_numeric_prox_column_does_not_depend_on_when_its_block_mates_stop():
+    # in [0, x] the zero column stops at iteration 1 and x at 2, in [x, x]
+    # both stop at 2; the block keeps its width throughout, so x's minimizer
+    # and certificate are the same bits in both, at every scale
+    from proxframe import FrameShrinkage
+
+    fs = FrameShrinkage(build_operator(load_named_matrix("random:200x100:2")), soft_shrink_map(1.0))
+    xs = np.random.default_rng(3).standard_normal((100, 40)) * np.resize([0.1, 1.0, 10.0], 40)
+    for j, x in enumerate(xs.T):
+        mixed = numeric_prox(fs, np.column_stack([np.zeros(100), x]), tol=1e-7)
+        paired = numeric_prox(fs, np.column_stack([x, x]), tol=1e-7)
+        assert mixed.converged and mixed.iterations == 2, j
+        np.testing.assert_array_equal(mixed.minimizer[:, 1], paired.minimizer[:, 1])
+        assert mixed.residual == paired.residual, j
 
 
 @pytest.mark.parametrize("pm", [soft_shrink_map(1.0), identity_map()], ids=["soft1", "identity"])

@@ -163,18 +163,21 @@ def test_pruned_f_is_not_converged_only_where_its_maximum_is_open(regression_blo
     # check's pruned solve of its block stops every column within `pruned`,
     # so at that cap it reports as without one, while f on the same block
     # unpruned needs more and raises; one below `pruned` a column that could
-    # still set the maximum is open, and the check raises
+    # still set the maximum is open, and the check raises. f is _certify's
+    # at 1e-11, where induced_regularizer refuses the columns that its
+    # rounding floor closes
     fs, trials, seed = regression_block[0], 100, 6
     reg = InducedRegularizer(fs)
     x = run_samples(seed, trials, fs.operator.d)[0]
+    c = fs.operator.matrix @ x
     full = weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
-    induced_regularizer(reg, x, tol=1e-11)
+    shrinkage_module._certify(reg, c, reg.g(c), 1e-11)
     pruned, unpruned = (int(np.max(iters)) for iters in certified)
     assert unpruned > pruned
     monkeypatch.setattr(shrinkage_module, "_MAX_ITER", pruned)
     assert weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed) == full
     with pytest.raises(NotConverged):
-        induced_regularizer(reg, x, tol=1e-11)
+        shrinkage_module._certify(reg, c, reg.g(c), 1e-11)
     monkeypatch.setattr(shrinkage_module, "_MAX_ITER", pruned - 1)
     with pytest.raises(NotConverged):
         weaker_regularizer_check(reg, trials=trials, tol=1e-9, seed=seed)
@@ -797,13 +800,16 @@ def weaker_cases():
 def test_weaker_regularizer_pruning_keeps_the_reported_maximum(case):
     # the check drops a trial once its upper bound lies below another
     # trial's lower bound; the maximum it reports must still be the largest
-    # one-column f(x_j) - g(Tx_j), each evaluated to the inner tolerance
+    # one-column f(x_j) - g(Tx_j), each evaluated to the inner tolerance by
+    # _certify, since induced_regularizer refuses the columns that its
+    # rounding floor closes above it
     fs, trials, seed = weaker_cases()[case]
     reg, tol, inner_tol = InducedRegularizer(fs), 1e-9, 1e-11
     rep = weaker_regularizer_check(reg, trials=trials, tol=tol, seed=seed)
     x = run_samples(seed, trials, fs.operator.d)[0]
     g_tx = reg.g(fs.operator.matrix @ x)
-    ref = max(induced_regularizer(reg, x[:, j], tol=inner_tol) - g_tx[j] for j in range(trials))
+    f = lambda c: shrinkage_module._certify(reg, c[:, None], reg.g(c[:, None]), inner_tol)[0][0]
+    ref = max(f(fs.operator.matrix @ x[:, j]) - g_tx[j] for j in range(trials))
     assert rep.passed
     assert abs(rep.max_violation - ref) <= inner_tol
 
